@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 namespace gir::serve {
 
@@ -25,12 +24,6 @@ size_t OccupancyBucket(size_t occupancy) {
     ++b;
   }
   return b;
-}
-
-void AppendNumber(std::string* out, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.4f", v);
-  out->append(buf);
 }
 
 }  // namespace
@@ -164,61 +157,6 @@ ServiceMetrics MetricsBuilder::Finalize() {
                           static_cast<double>(metrics_.batches);
   }
   return metrics_;
-}
-
-std::string MetricsJson(const ServiceMetrics& m) {
-  std::string out = "{";
-  const auto field = [&out](const char* name, double v, bool first = false) {
-    if (!first) out += ", ";
-    out += "\"";
-    out += name;
-    out += "\": ";
-    AppendNumber(&out, v);
-  };
-  const auto count = [&out](const char* name, uint64_t v) {
-    out += ", \"";
-    out += name;
-    out += "\": ";
-    out += std::to_string(v);
-  };
-  out += "\"requests\": " + std::to_string(m.requests);
-  count("served", m.served);
-  count("shed", m.shed);
-  count("failed", m.failed);
-  count("update_events", m.update_events);
-  count("batches", m.batches);
-  field("duration_ms", m.duration_ms);
-  field("p50_ms", m.p50_ms);
-  field("p95_ms", m.p95_ms);
-  field("p99_ms", m.p99_ms);
-  field("max_ms", m.max_ms);
-  field("mean_ms", m.mean_ms);
-  field("achieved_qps", m.achieved_qps);
-  field("offered_qps", m.offered_qps);
-  field("shed_rate", m.ShedRate());
-  field("mean_batch_occupancy", m.mean_batch_occupancy);
-  field("mean_width", m.mean_width);
-  field("window_p99_peak_ms", m.window_p99_peak_ms);
-  count("unavailable", m.unavailable);
-  count("fault_retries", m.fault_retries);
-  count("retry_successes", m.retry_successes);
-  count("recoveries", m.recoveries);
-  field("recovery_ms", m.recovery_ms);
-  count("prefetch_issued", m.prefetch_issued);
-  count("prefetch_hits", m.prefetch_hits);
-  count("prefetch_misses", m.prefetch_misses);
-  count("wal_appends", m.wal_appends);
-  count("wal_group_commits", m.wal_group_commits);
-  count("wal_replayed_batches", m.wal_replayed_batches);
-  count("wal_truncated_segments", m.wal_truncated_segments);
-  field("availability", m.Availability());
-  out += ", \"occupancy_histogram\": [";
-  for (size_t b = 0; b < m.occupancy_histogram.size(); ++b) {
-    if (b > 0) out += ", ";
-    out += std::to_string(m.occupancy_histogram[b]);
-  }
-  out += "]}";
-  return out;
 }
 
 }  // namespace gir::serve

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -52,9 +51,9 @@ class SlidingWindow {
   std::deque<std::pair<double, double>> samples_;  // (reply, latency)
 };
 
-// Whole-run service metrics, aggregated by the serving loop and dumped
-// as one JSON object (MetricsJson). Latency percentiles are over
-// served requests end-to-end: enqueue -> admit -> compute -> reply.
+// Whole-run service metrics, aggregated by the serving loop. Latency
+// percentiles are over served requests end-to-end: enqueue -> admit ->
+// compute -> reply.
 struct ServiceMetrics {
   size_t requests = 0;       // query arrivals offered
   size_t served = 0;
@@ -162,10 +161,6 @@ class MetricsBuilder {
   uint64_t width_sum_ = 0;
   uint64_t occupancy_sum_ = 0;
 };
-
-// The metrics struct as one JSON object (stable key order, no trailing
-// newline) — what the bench embeds per cell and the example prints.
-std::string MetricsJson(const ServiceMetrics& m);
 
 }  // namespace gir::serve
 

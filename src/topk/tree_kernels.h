@@ -108,8 +108,7 @@ void ComputeEntryScores(const ScoringFunction& scoring, const Dataset& data,
 
 // Same contract over a frozen node, streaming the SoA hi planes: for
 // each dimension j, scores[e] += w_j * g_j(hi_j[e]). One tight loop per
-// plane, no per-entry virtual calls — this is the kernel gcc/clang
-// auto-vectorize under GIR_NATIVE_ARCH.
+// plane, no per-entry virtual calls.
 void ComputeEntryScores(const ScoringFunction& scoring, const Dataset& data,
                         const FlatRTree::NodeView& node, VecView weights,
                         ScoreBuffer* buf);

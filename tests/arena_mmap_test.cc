@@ -273,6 +273,21 @@ TEST(ArenaMmapTest, AdvanceToArenaSwapsEpochsInPlace) {
     EXPECT_EQ(got->snapshot_version, 1u);
   }
 
+  // A cold restart onto the mutated epoch (Open maps the newest arena)
+  // answers bit-identically to the leader too, tombstones included.
+  DiskManager restart_disk;
+  auto restarted = OpenEngineOrDie(EngineConfig::FromArena(
+      dir, &restart_disk, MakeScoring("Linear", 3)));
+  EXPECT_EQ(restarted->dataset_version(), 1u);
+  for (int q = 0; q < 3; ++q) {
+    Vec w = MakeQuery(qrng, 3);
+    auto want = leader->ComputeGir(w, 8, Phase2Method::kFP);
+    auto got = restarted->ComputeGir(w, 8, Phase2Method::kFP);
+    ASSERT_TRUE(want.ok());
+    ASSERT_TRUE(got.ok());
+    ExpectSameComputation(*want, *got, "cold restart q" + std::to_string(q));
+  }
+
   // Advancing onto a missing or damaged file leaves the served epoch
   // untouched.
   auto missing = follower->AdvanceToArena(dir + "/" +
@@ -342,7 +357,7 @@ TEST(ArenaMmapTest, PrefetchCountersFireOnlyOnMappedImage) {
 }
 
 // The arena file itself round-trips its geometry, and its resident-set
-// controls (the larger-than-RAM bench's lever) behave: Evict drops
+// controls (the larger-than-RAM serving lever) behave: Evict drops
 // residency, TouchNode faults a page back in and reports the prior
 // state, PrefetchNodes is at worst advisory.
 TEST(ArenaMmapTest, ArenaFileResidencyControls) {

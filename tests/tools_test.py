@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Unit tests for the CI tooling (tools/*.py), stdlib-only.
+"""Unit tests for the repo's Python tooling (tools/*.py), stdlib-only.
 
-The perf gates are code too: a bug in compare_bench or the schema
-validator silently turns the bench gates into no-ops. Registered with
-ctest as `tools_test` (label tier1).
+tools/wal_inspect.py must walk WAL segments exactly like engine
+recovery does, or it misreports what a crash left behind. Registered
+with ctest as `tools_test` (label tier1).
 
 Usage: python3 tests/tools_test.py
 """
@@ -14,7 +14,6 @@ import io
 import json
 import os
 import struct
-import sys
 import tempfile
 import unittest
 import zlib
@@ -31,9 +30,6 @@ def load_tool(name):
     return module
 
 
-compare_bench = load_tool("compare_bench")
-validate_bench_json = load_tool("validate_bench_json")
-bench_summary_md = load_tool("bench_summary_md")
 wal_inspect = load_tool("wal_inspect")
 
 
@@ -45,252 +41,6 @@ def run_main(module, argv):
     return code, out.getvalue()
 
 
-class TempTree:
-    """Writes JSON docs into a temp dir and hands back their paths."""
-
-    def __init__(self):
-        self.dir = tempfile.TemporaryDirectory()
-
-    def write(self, rel, doc):
-        path = os.path.join(self.dir.name, rel)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "w") as f:
-            json.dump(doc, f)
-        return path
-
-    def cleanup(self):
-        self.dir.cleanup()
-
-
-class CompareBenchTest(unittest.TestCase):
-    def setUp(self):
-        self.tree = TempTree()
-        self.addCleanup(self.tree.cleanup)
-
-    def compare(self, baseline, fresh, metrics, extra=()):
-        b = self.tree.write("baseline.json", baseline)
-        f = self.tree.write("fresh.json", fresh)
-        return run_main(compare_bench,
-                        ["--baseline", b, "--fresh", f] +
-                        [a for m in metrics for a in ("--metric", m)] +
-                        list(extra))
-
-    def test_higher_within_tolerance_passes(self):
-        code, out = self.compare({"lp": {"speedup": 2.0}},
-                                 {"lp": {"speedup": 1.8}},
-                                 ["lp.speedup:higher:0.25"])
-        self.assertEqual(code, 0)
-        self.assertIn("ok   lp.speedup", out)
-
-    def test_higher_regression_fails(self):
-        code, out = self.compare({"lp": {"speedup": 2.0}},
-                                 {"lp": {"speedup": 1.0}},
-                                 ["lp.speedup:higher:0.25"])
-        self.assertEqual(code, 1)
-        self.assertIn("FAIL lp.speedup", out)
-
-    def test_lower_direction(self):
-        code, _ = self.compare({"m": {"p99": 10.0}}, {"m": {"p99": 11.0}},
-                               ["m.p99:lower:0.25"])
-        self.assertEqual(code, 0)
-        code, _ = self.compare({"m": {"p99": 10.0}}, {"m": {"p99": 20.0}},
-                               ["m.p99:lower:0.25"])
-        self.assertEqual(code, 1)
-
-    def test_equal_gates_booleans_exactly(self):
-        code, _ = self.compare({"gate": {"pass": True}},
-                               {"gate": {"pass": True}}, ["gate.pass:equal"])
-        self.assertEqual(code, 0)
-        code, _ = self.compare({"gate": {"pass": True}},
-                               {"gate": {"pass": False}}, ["gate.pass:equal"])
-        self.assertEqual(code, 1)
-
-    def test_zero_baseline_is_skipped_with_warning(self):
-        code, out = self.compare({"m": {"v": 0}}, {"m": {"v": 5}},
-                                 ["m.v:higher"])
-        self.assertEqual(code, 0)
-        self.assertIn("warn m.v", out)
-
-    def test_missing_metric_fails(self):
-        code, out = self.compare({"a": 1.0}, {}, ["a"])
-        self.assertEqual(code, 1)
-        self.assertIn("missing from fresh", out)
-
-    def test_default_tolerance_flag_applies(self):
-        # 40% drop passes only when --tolerance raises the default 0.25.
-        code, _ = self.compare({"a": 1.0}, {"a": 0.6}, ["a"])
-        self.assertEqual(code, 1)
-        code, _ = self.compare({"a": 1.0}, {"a": 0.6}, ["a"],
-                               extra=["--tolerance", "0.5"])
-        self.assertEqual(code, 0)
-
-    def test_gates_manifest_runs_every_entry(self):
-        self.tree.write("BENCH_A.json", {"gate": {"pass": True, "x": 2.0}})
-        self.tree.write("BENCH_A.fresh.json",
-                        {"gate": {"pass": True, "x": 1.9}})
-        self.tree.write("BENCH_B.json", {"m": 1.0})
-        self.tree.write("BENCH_B.fresh.json", {"m": 1.0})
-        manifest = self.tree.write("sub/gates.json", {
-            "gates": [
-                {"baseline": "../BENCH_A.json",
-                 "fresh": "../BENCH_A.fresh.json",
-                 "metrics": ["gate.pass:equal", "gate.x:higher:0.3"]},
-                {"baseline": "../BENCH_B.json",
-                 "fresh": "../BENCH_B.fresh.json",
-                 "metrics": ["m"]},
-            ]
-        })
-        code, out = run_main(compare_bench, ["--gates", manifest])
-        self.assertEqual(code, 0)
-        self.assertIn("BENCH_A.json", out)
-        self.assertIn("BENCH_B.json", out)
-
-    def test_gates_manifest_fails_on_any_entry(self):
-        self.tree.write("BENCH_A.json", {"gate": {"pass": True}})
-        self.tree.write("BENCH_A.fresh.json", {"gate": {"pass": False}})
-        self.tree.write("BENCH_B.json", {"m": 1.0})
-        self.tree.write("BENCH_B.fresh.json", {"m": 1.0})
-        manifest = self.tree.write("gates.json", {
-            "gates": [
-                {"baseline": "BENCH_A.json", "fresh": "BENCH_A.fresh.json",
-                 "metrics": ["gate.pass:equal"]},
-                {"baseline": "BENCH_B.json", "fresh": "BENCH_B.fresh.json",
-                 "metrics": ["m"]},
-            ]
-        })
-        code, out = run_main(compare_bench, ["--gates", manifest])
-        self.assertEqual(code, 1)
-        self.assertIn("FAIL gate.pass", out)
-        self.assertIn("ok   m", out)  # later entries still run
-
-    def test_gates_manifest_fails_on_missing_fresh_file(self):
-        self.tree.write("BENCH_A.json", {"m": 1.0})
-        manifest = self.tree.write("gates.json", {
-            "gates": [{"baseline": "BENCH_A.json",
-                       "fresh": "BENCH_A.fresh.json", "metrics": ["m"]}]
-        })
-        code, _ = run_main(compare_bench, ["--gates", manifest])
-        self.assertEqual(code, 1)
-
-    def test_gates_is_exclusive_with_metric_flags(self):
-        manifest = self.tree.write("gates.json", {"gates": []})
-        with self.assertRaises(SystemExit):
-            with contextlib.redirect_stderr(io.StringIO()):
-                compare_bench.main(["compare_bench", "--gates", manifest,
-                                    "--metric", "a"])
-
-    def test_bad_direction_is_rejected(self):
-        with self.assertRaises(ValueError):
-            compare_bench.parse_metric("a:sideways", 0.25)
-
-
-class ValidateBenchJsonTest(unittest.TestCase):
-    SCHEMA = {
-        "type": "object",
-        "required": ["bench", "gate"],
-        "properties": {
-            "bench": {"type": "string"},
-            "gate": {"$ref": "#/definitions/gate"},
-            "cells": {"type": "array",
-                      "items": {"type": "object",
-                                "required": ["n"],
-                                "properties": {"n": {"type": "integer"}}}},
-        },
-        "definitions": {
-            "gate": {"type": "object",
-                     "required": ["pass", "ratio"],
-                     "properties": {"pass": {"type": "boolean"},
-                                    "ratio": {"type": "number"}}},
-        },
-    }
-
-    def setUp(self):
-        self.tree = TempTree()
-        self.addCleanup(self.tree.cleanup)
-
-    def validate(self, instance):
-        s = self.tree.write("schema.json", self.SCHEMA)
-        i = self.tree.write("instance.json", instance)
-        return run_main(validate_bench_json, [s, i])
-
-    def test_valid_instance_passes(self):
-        code, _ = self.validate({"bench": "x",
-                                 "gate": {"pass": True, "ratio": 1.5},
-                                 "cells": [{"n": 3}]})
-        self.assertEqual(code, 0)
-
-    def test_missing_required_key_fails(self):
-        code, _ = self.validate({"bench": "x", "gate": {"pass": True}})
-        self.assertEqual(code, 1)
-
-    def test_type_mismatch_through_ref_fails(self):
-        code, _ = self.validate({"bench": "x",
-                                 "gate": {"pass": "yes", "ratio": 1.0}})
-        self.assertEqual(code, 1)
-
-    def test_array_items_are_checked(self):
-        code, _ = self.validate({"bench": "x",
-                                 "gate": {"pass": True, "ratio": 1.0},
-                                 "cells": [{"n": 3}, {"n": 2.5}]})
-        self.assertEqual(code, 1)
-
-    def test_integral_float_counts_as_integer(self):
-        # printf-produced counters arrive as "3" or "3.0"; both must
-        # satisfy {"type": "integer"}.
-        code, _ = self.validate({"bench": "x",
-                                 "gate": {"pass": True, "ratio": 1.0},
-                                 "cells": [{"n": 3.0}]})
-        self.assertEqual(code, 0)
-
-    def test_bool_is_not_a_number(self):
-        code, _ = self.validate({"bench": "x",
-                                 "gate": {"pass": True, "ratio": True}})
-        self.assertEqual(code, 1)
-
-    def test_committed_schemas_accept_committed_baselines(self):
-        repo = os.path.join(TOOLS_DIR, os.pardir)
-        for pr in ("PR3", "PR4", "PR5", "PR6"):
-            schema = os.path.join(repo, "bench",
-                                  "BENCH_%s.schema.json" % pr)
-            baseline = os.path.join(repo, "BENCH_%s.json" % pr)
-            if not os.path.exists(baseline):
-                continue  # baseline generated later in this PR's history
-            code, _ = run_main(validate_bench_json, [schema, baseline])
-            self.assertEqual(code, 0, "BENCH_%s.json vs its schema" % pr)
-
-
-class BenchSummaryMdTest(unittest.TestCase):
-    DOC = {
-        "params": {"n": 100, "d": 3, "k": 10, "method": "FP"},
-        "sweep": [
-            {"batch": 64, "overlap": "high", "gated": True,
-             "qps_lift": 1.9, "read_cut": 2.5,
-             "fanout": {"qps": 100.0, "physical_reads": 400},
-             "shared": {"qps": 190.0, "physical_reads": 160,
-                        "duplicate_hits": 12}},
-        ],
-        "gate": {"pass": True, "batch_floor": 64, "min_read_cut": 2.0,
-                 "min_qps_lift": 1.5, "read_cut_at_gate": 2.5,
-                 "qps_lift_at_gate": 1.9},
-    }
-
-    def setUp(self):
-        self.tree = TempTree()
-        self.addCleanup(self.tree.cleanup)
-
-    def test_renders_table_and_verdict(self):
-        path = self.tree.write("doc.json", self.DOC)
-        code, out = run_main(bench_summary_md, [path])
-        self.assertEqual(code, 0)
-        self.assertIn("| high/64 *", out)
-        self.assertIn("**PASS**", out)
-
-    def test_usage_error_without_args(self):
-        with contextlib.redirect_stderr(io.StringIO()):
-            code, _ = run_main(bench_summary_md, [])
-        self.assertEqual(code, 2)
-
-
 class WalInspectTest(unittest.TestCase):
     """Builds byte-exact .gwal segments with struct/zlib and checks the
     inspector walks them like engine recovery does: committed prefix,
@@ -299,8 +49,8 @@ class WalInspectTest(unittest.TestCase):
     DIM = 2
 
     def setUp(self):
-        self.tree = TempTree()
-        self.addCleanup(self.tree.cleanup)
+        self.tmp = tempfile.TemporaryDirectory()
+        self.addCleanup(self.tmp.cleanup)
 
     def header(self, base_epoch):
         head = struct.pack("<IIQQ", wal_inspect.WAL_MAGIC,
@@ -328,7 +78,7 @@ class WalInspectTest(unittest.TestCase):
                     + data[len(data) - 7:])
         elif damage == "magic":
             data = b"XXXX" + data[4:]
-        path = os.path.join(self.tree.dir.name, rel)
+        path = os.path.join(self.tmp.name, rel)
         with open(path, "wb") as f:
             f.write(data)
         return path
@@ -386,7 +136,7 @@ class WalInspectTest(unittest.TestCase):
     def test_directory_mode_walks_segments_in_base_order(self):
         self.segment("wal-00000000000000000002.gwal", 2, [3, 4])
         self.segment("wal-00000000000000000000.gwal", 0, [1, 2])
-        code, out = run_main(wal_inspect, ["--json", self.tree.dir.name])
+        code, out = run_main(wal_inspect, ["--json", self.tmp.name])
         self.assertEqual(code, 0)
         doc = json.loads(out)
         self.assertEqual([s["base_epoch"] for s in doc["segments"]], [0, 2])
@@ -407,7 +157,7 @@ class WalInspectTest(unittest.TestCase):
 
     def test_missing_directory_is_an_io_error(self):
         code, out = run_main(wal_inspect,
-                             [os.path.join(self.tree.dir.name, "absent")])
+                             [os.path.join(self.tmp.name, "absent")])
         self.assertEqual(code, 2)
 
 

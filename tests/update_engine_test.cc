@@ -366,6 +366,9 @@ TEST(UpdateEngineTest, IncrementalInvalidationServesOnlyFreshResults) {
             applied->cache_stale_evicted + applied->cache_delete_evicted +
                 applied->cache_insert_evicted + applied->cache_survived);
   EXPECT_EQ(applied->cache_stale_evicted, 0u);  // no racing readers here
+  // Strictly fewer evictions than invalidate-all, which would drop every
+  // entry: the LP test keeps the regions the update cannot touch.
+  EXPECT_GT(applied->cache_survived, 0u);
 
   // Every query served after the update — cached or computed — must
   // match a from-scratch rebuild of the mutated dataset.
@@ -382,11 +385,9 @@ TEST(UpdateEngineTest, IncrementalInvalidationServesOnlyFreshResults) {
     ASSERT_TRUE(want.ok());
     EXPECT_EQ(after->items[i].topk, want->topk.result) << "query " << i;
   }
-  // Surviving entries actually served: if anything survived, at least
-  // one of the repeated queries must have hit the cache.
-  if (applied->cache_survived > 0) {
-    EXPECT_GT(after->stats.exact_hits, 0u);
-  }
+  // Surviving entries actually served: at least one of the repeated
+  // queries must have hit the cache.
+  EXPECT_GT(after->stats.exact_hits, 0u);
 }
 
 TEST(UpdateEngineTest, VersionStampBlocksStaleHitsWithoutInvalidation) {
