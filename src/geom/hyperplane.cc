@@ -1,5 +1,6 @@
 #include "geom/hyperplane.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -37,15 +38,18 @@ Result<Vec> SolveLinearSystem(std::vector<Vec> a, Vec b, double pivot_floor) {
 
 namespace {
 
-// Computes a (numerical) null vector of the (d-1) x d matrix whose rows
-// are `rows`, via Gaussian elimination with full column bookkeeping. The
-// matrix must have rank d-1; the free column determines the normal.
-Result<Vec> NullVector(std::vector<Vec> rows, size_t d) {
-  const size_t m = rows.size();  // == d - 1
-  std::vector<int> pivot_col_of_row(m, -1);
-  std::vector<bool> col_used(d, false);
-  size_t row = 0;
-  for (; row < m; ++row) {
+// Computes a (numerical) null vector of the (d-1) x d row-major matrix
+// `rows` into normal[0..d-1], via Gaussian elimination with full column
+// bookkeeping. The matrix must have rank d-1; the free column
+// determines the normal.
+Status NullVector(double* rows, size_t d, HyperplaneFitScratch* scratch,
+                  double* normal) {
+  const size_t m = d - 1;
+  std::vector<int>& pivot_col_of_row = scratch->pivot_col_of_row;
+  std::vector<char>& col_used = scratch->col_used;
+  pivot_col_of_row.assign(m, -1);
+  col_used.assign(d, 0);
+  for (size_t row = 0; row < m; ++row) {
     // Choose the largest-magnitude unused column in this row block.
     size_t best_row = row;
     size_t best_col = 0;
@@ -53,8 +57,8 @@ Result<Vec> NullVector(std::vector<Vec> rows, size_t d) {
     for (size_t r = row; r < m; ++r) {
       for (size_t c = 0; c < d; ++c) {
         if (col_used[c]) continue;
-        if (std::fabs(rows[r][c]) > best_val) {
-          best_val = std::fabs(rows[r][c]);
+        if (std::fabs(rows[r * d + c]) > best_val) {
+          best_val = std::fabs(rows[r * d + c]);
           best_row = r;
           best_col = c;
         }
@@ -64,13 +68,17 @@ Result<Vec> NullVector(std::vector<Vec> rows, size_t d) {
       return Status::FailedPrecondition(
           "affinely dependent points (rank-deficient facet basis)");
     }
-    std::swap(rows[row], rows[best_row]);
-    col_used[best_col] = true;
+    double* pivot = rows + row * d;
+    if (best_row != row) {
+      std::swap_ranges(pivot, pivot + d, rows + best_row * d);
+    }
+    col_used[best_col] = 1;
     pivot_col_of_row[row] = static_cast<int>(best_col);
     for (size_t r = row + 1; r < m; ++r) {
-      double f = rows[r][best_col] / rows[row][best_col];
+      double* target = rows + r * d;
+      double f = target[best_col] / pivot[best_col];
       if (f == 0.0) continue;
-      for (size_t c = 0; c < d; ++c) rows[r][c] -= f * rows[row][c];
+      for (size_t c = 0; c < d; ++c) target[c] -= f * pivot[c];
     }
   }
   // Exactly one column is pivot-free; it parameterizes the null space.
@@ -82,50 +90,71 @@ Result<Vec> NullVector(std::vector<Vec> rows, size_t d) {
     }
   }
   assert(free_col < d);
-  Vec normal(d, 0.0);
+  std::fill(normal, normal + d, 0.0);
   normal[free_col] = 1.0;
   // Back-substitute pivot coordinates.
   for (size_t r = m; r-- > 0;) {
+    const double* row = rows + r * d;
     int pc = pivot_col_of_row[r];
     double sum = 0.0;
     for (size_t c = 0; c < d; ++c) {
-      if (static_cast<int>(c) != pc) sum += rows[r][c] * normal[c];
+      if (static_cast<int>(c) != pc) sum += row[c] * normal[c];
     }
-    normal[pc] = -sum / rows[r][pc];
+    normal[pc] = -sum / row[pc];
   }
-  return normal;
+  return Status::Ok();
 }
 
 }  // namespace
+
+Status FitHyperplaneInto(const double* const* vertices, VecView interior,
+                         HyperplaneFitScratch* scratch, double* normal,
+                         double* offset) {
+  const size_t d = interior.size();
+  assert(d >= 1);
+  const double* base = vertices[0];
+  std::vector<double>& rows = scratch->rows;
+  rows.resize((d - 1) * d);
+  for (size_t i = 1; i < d; ++i) {
+    for (size_t j = 0; j < d; ++j) {
+      rows[(i - 1) * d + j] = vertices[i][j] - base[j];
+    }
+  }
+  Status s = NullVector(rows.data(), d, scratch, normal);
+  if (!s.ok()) return s;
+  const VecView n(normal, d);
+  const double norm = Norm(n);
+  if (norm < 1e-300) {
+    return Status::FailedPrecondition("degenerate facet normal");
+  }
+  for (size_t j = 0; j < d; ++j) normal[j] /= norm;
+  double off = Dot(n, VecView(base, d));
+  double side = Dot(n, interior) - off;
+  if (std::fabs(side) < 1e-14) {
+    return Status::FailedPrecondition("interior point lies on facet plane");
+  }
+  if (side > 0.0) {
+    for (size_t j = 0; j < d; ++j) normal[j] = -normal[j];
+    off = -off;
+  }
+  *offset = off;
+  return Status::Ok();
+}
 
 Result<Hyperplane> FitHyperplane(const std::vector<Vec>& points,
                                  const std::vector<int>& indices,
                                  VecView interior) {
   const size_t d = interior.size();
   assert(indices.size() == d);
-  const Vec& base = points[indices[0]];
-  std::vector<Vec> rows;
-  rows.reserve(d - 1);
-  for (size_t i = 1; i < d; ++i) {
-    rows.push_back(Sub(points[indices[i]], base));
-  }
-  Result<Vec> normal = NullVector(std::move(rows), d);
-  if (!normal.ok()) return normal.status();
-  Vec n = std::move(normal).value();
-  if (!NormalizeInPlace(n)) {
-    return Status::FailedPrecondition("degenerate facet normal");
-  }
+  static thread_local HyperplaneFitScratch scratch;
+  static thread_local std::vector<const double*> vertices;
+  vertices.resize(d);
+  for (size_t i = 0; i < d; ++i) vertices[i] = points[indices[i]].data();
   Hyperplane plane;
-  plane.offset = Dot(n, base);
-  plane.normal = std::move(n);
-  double side = plane.Evaluate(interior);
-  if (std::fabs(side) < 1e-14) {
-    return Status::FailedPrecondition("interior point lies on facet plane");
-  }
-  if (side > 0.0) {
-    for (double& x : plane.normal) x = -x;
-    plane.offset = -plane.offset;
-  }
+  plane.normal.resize(d);
+  Status s = FitHyperplaneInto(vertices.data(), interior, &scratch,
+                               plane.normal.data(), &plane.offset);
+  if (!s.ok()) return s;
   return plane;
 }
 

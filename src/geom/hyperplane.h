@@ -41,6 +41,23 @@ Result<Hyperplane> FitHyperplane(const std::vector<Vec>& points,
                                  const std::vector<int>& indices,
                                  VecView interior);
 
+// Elimination buffers of FitHyperplaneInto. Once grown to the
+// dimension they are reused, so steady-state fits allocate nothing.
+struct HyperplaneFitScratch {
+  std::vector<double> rows;  // (d-1) x d, row-major
+  std::vector<int> pivot_col_of_row;
+  std::vector<char> col_used;
+};
+
+// FitHyperplane over flat storage: `vertices[i]` (i < d) points at the
+// d coordinates of the i-th defining point. Writes the unit outward
+// normal to normal[0..d-1] and the offset to *offset; both are
+// unspecified on failure. Same full-pivoting arithmetic as
+// FitHyperplane (which wraps it), so the planes are bit-identical.
+Status FitHyperplaneInto(const double* const* vertices, VecView interior,
+                         HyperplaneFitScratch* scratch, double* normal,
+                         double* offset);
+
 // Solves the d x d linear system A x = b by Gaussian elimination with
 // partial pivoting. Fails when the matrix is numerically singular
 // (|pivot| < pivot_floor after scaling).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <set>
 
 #include "common/rng.h"
 #include "skyline/dominance.h"
@@ -10,188 +9,281 @@
 
 namespace gir {
 
-IncidentStar::IncidentStar(Vec apex, double eps)
+IncidentStar::IncidentStar(VecView apex, double eps)
     : eps_(eps), dim_(apex.size()) {
-  const Vec a = apex;  // keep a stable copy; points_ reallocates below
-  points_.reserve(dim_ + 2);
-  points_.push_back(std::move(apex));
-  external_ids_.push_back(-1);
+  const size_t d = dim_;
+  coords_.assign(apex.begin(), apex.end());
+  external_ids_.assign(d + 1, -1);
   // Dummy seeds: apex - c_i e_i, dominated by the apex, spanning a
   // full-dimensional simplex together with it.
-  for (size_t i = 0; i < dim_; ++i) {
-    Vec d = a;
-    d[i] -= std::max(a[i], 0.5);
-    points_.push_back(std::move(d));
-    external_ids_.push_back(-1);
-  }
-  interior_.assign(dim_, 0.0);
-  for (const Vec& p : points_) {
-    for (size_t j = 0; j < dim_; ++j) interior_[j] += p[j];
-  }
-  for (double& x : interior_) x /= static_cast<double>(points_.size());
-
-  // Initial star: the d simplex facets containing the apex.
-  for (size_t omit = 1; omit <= dim_; ++omit) {
-    StarFacet f;
-    f.vertices.push_back(0);
-    for (size_t i = 1; i <= dim_; ++i) {
-      if (i != omit) f.vertices.push_back(static_cast<int>(i));
+  for (size_t i = 0; i < d; ++i) {
+    for (size_t j = 0; j < d; ++j) {
+      coords_.push_back(j == i ? apex[j] - std::max(apex[j], 0.5) : apex[j]);
     }
-    Result<Hyperplane> plane =
-        FitHyperplane(points_, f.vertices, interior_);
+  }
+  interior_.assign(d, 0.0);
+  for (size_t p = 0; p <= d; ++p) {
+    for (size_t j = 0; j < d; ++j) interior_[j] += coords_[p * d + j];
+  }
+  for (double& x : interior_) x /= static_cast<double>(d + 1);
+
+  // Initial star: the d simplex facets containing the apex. Facet o-1
+  // omits dummy o; its apex ridge opposite dummy v is shared with the
+  // facet omitting v.
+  normals_.resize(d * d);
+  offsets_.resize(d);
+  fit_vertices_.resize(d);
+  for (size_t omit = 1; omit <= d; ++omit) {
+    const size_t f = omit - 1;
+    vertices_.push_back(0);
+    for (size_t v = 1; v <= d; ++v) {
+      if (v == omit) continue;
+      vertices_.push_back(static_cast<int>(v));
+      neighbors_.push_back(static_cast<int>(v) - 1);
+    }
+    for (size_t i = 0; i < d; ++i) {
+      fit_vertices_[i] = coords_.data() + vertices_[f * d + i] * d;
+    }
+    Status fit = FitHyperplaneInto(fit_vertices_.data(), interior_,
+                                   &fit_scratch_, normals_.data() + f * d,
+                                   offsets_.data() + f);
     // The dummy simplex is non-degenerate by construction.
-    assert(plane.ok());
-    f.plane = std::move(plane).value();
-    facets_.push_back(std::move(f));
-    ++live_count_;
-    RegisterFacet(static_cast<int>(facets_.size()) - 1);
+    assert(fit.ok());
+    (void)fit;
   }
-}
-
-std::vector<int> IncidentStar::RidgeKey(const StarFacet& f,
-                                        int omit_vertex) const {
-  std::vector<int> key;
-  key.reserve(dim_ - 2);
-  for (int v : f.vertices) {
-    if (v != 0 && v != omit_vertex) key.push_back(v);
-  }
-  std::sort(key.begin(), key.end());
-  return key;
-}
-
-void IncidentStar::RegisterFacet(int facet_id) {
-  const StarFacet& f = facets_[facet_id];
-  for (int v : f.vertices) {
-    if (v == 0) continue;
-    ridges_[RidgeKey(f, v)].push_back(facet_id);
-  }
-}
-
-void IncidentStar::UnregisterFacet(int facet_id) {
-  const StarFacet& f = facets_[facet_id];
-  for (int v : f.vertices) {
-    if (v == 0) continue;
-    auto it = ridges_.find(RidgeKey(f, v));
-    if (it == ridges_.end()) continue;
-    auto& vec = it->second;
-    vec.erase(std::remove(vec.begin(), vec.end(), facet_id), vec.end());
-    if (vec.empty()) ridges_.erase(it);
-  }
+  assert(neighbors_.size() == d * (d - 1));
+  facets_created_ = d;
 }
 
 Result<bool> IncidentStar::Insert(VecView p, int external_id) {
-  // 1. Visibility scan over the (small) star.
-  std::vector<int> visible;
-  for (size_t f = 0; f < facets_.size(); ++f) {
-    if (!facets_[f].alive) continue;
-    if (facets_[f].plane.Evaluate(p) > eps_) {
-      visible.push_back(static_cast<int>(f));
-    }
-  }
-  if (visible.empty()) return false;
-  std::set<int> visible_set(visible.begin(), visible.end());
+  const size_t d = dim_;
+  const size_t slots = d - 1;
+  const size_t live = offsets_.size();
 
-  // 2. Horizon ridges containing the apex: shared between a visible and
-  // a non-visible *incident* facet.
-  struct Horizon {
-    std::vector<int> ridge_vertices;  // includes the apex
-  };
-  std::vector<Horizon> horizon;
-  for (int fid : visible) {
-    const StarFacet& f = facets_[fid];
-    for (int v : f.vertices) {
-      if (v == 0) continue;
-      auto it = ridges_.find(RidgeKey(f, v));
-      assert(it != ridges_.end() && it->second.size() == 2);
-      int other = it->second[0] == fid ? it->second[1] : it->second[0];
-      if (visible_set.count(other)) continue;  // interior ridge
-      Horizon h;
-      h.ridge_vertices.push_back(0);
-      for (int u : f.vertices) {
-        if (u != 0 && u != v) h.ridge_vertices.push_back(u);
+  // 1. Visibility scan over the packed live facets.
+  visible_.clear();
+  for (size_t f = 0; f < live; ++f) {
+    const double* n = normals_.data() + f * d;
+    double dot = 0.0;
+    for (size_t j = 0; j < d; ++j) dot += n[j] * p[j];
+    if (dot - offsets_[f] > eps_) visible_.push_back(static_cast<int>(f));
+  }
+  if (visible_.empty()) return false;
+  is_visible_.assign(live, 0);
+  for (int f : visible_) is_visible_[f] = 1;
+
+  // 2. Horizon ridges containing the apex: slots of a visible facet
+  // whose neighbour is not visible.
+  horizon_.clear();
+  for (int f : visible_) {
+    for (size_t s = 0; s < slots; ++s) {
+      const int outer = neighbors_[f * slots + s];
+      if (is_visible_[outer]) continue;  // interior ridge
+      int back = -1;
+      for (size_t t = 0; t < slots; ++t) {
+        if (neighbors_[outer * slots + t] == f) {
+          back = static_cast<int>(t);
+          break;
+        }
       }
-      horizon.push_back(std::move(h));
+      if (back < 0) return Status::Internal("incident star adjacency broken");
+      horizon_.push_back(HorizonRidge{f, static_cast<int>(s), outer, back});
     }
   }
-  if (horizon.empty()) {
+  if (horizon_.empty()) {
     // Would mean the apex stops being a hull vertex — impossible for
     // points with lower score than the apex; numerical pathology only.
     return Status::Internal("incident star lost its apex");
   }
 
   // 3. Fit all new facet planes BEFORE mutating anything, so a
-  // degenerate fit leaves the star untouched.
-  const int p_id = static_cast<int>(points_.size());
-  points_.emplace_back(p.begin(), p.end());
-  external_ids_.push_back(external_id);
-  std::vector<StarFacet> fresh;
-  for (const Horizon& h : horizon) {
-    StarFacet nf;
-    nf.vertices = h.ridge_vertices;
-    nf.vertices.push_back(p_id);
-    Result<Hyperplane> plane =
-        FitHyperplane(points_, nf.vertices, interior_);
-    if (!plane.ok()) {
-      points_.pop_back();
-      external_ids_.pop_back();
+  // degenerate fit leaves the star untouched. New facet k is
+  // [apex, horizon ridge of visible facet in its vertex order, p].
+  const size_t fresh = horizon_.size();
+  const int p_id = static_cast<int>(external_ids_.size());
+  fresh_normals_.resize(fresh * d);
+  fresh_offsets_.resize(fresh);
+  fresh_vertices_.resize(fresh * d);
+  fresh_neighbors_.resize(fresh * slots);
+  for (size_t k = 0; k < fresh; ++k) {
+    const HorizonRidge& h = horizon_[k];
+    const int* src = vertices_.data() + h.facet * d;
+    int* dst = fresh_vertices_.data() + k * d;
+    size_t w = 0;
+    for (size_t i = 0; i < d; ++i) {
+      if (i != static_cast<size_t>(h.slot) + 1) dst[w++] = src[i];
+    }
+    dst[d - 1] = p_id;
+    for (size_t i = 0; i + 1 < d; ++i) {
+      fit_vertices_[i] = coords_.data() + dst[i] * d;
+    }
+    fit_vertices_[d - 1] = p.data();
+    Status fit = FitHyperplaneInto(fit_vertices_.data(), interior_,
+                                   &fit_scratch_, fresh_normals_.data() + k * d,
+                                   fresh_offsets_.data() + k);
+    if (!fit.ok()) {
       return Status::FailedPrecondition("degenerate star facet fit");
     }
-    nf.plane = std::move(plane).value();
-    fresh.push_back(std::move(nf));
+    // The slot opposite p is the horizon ridge itself. Neighbour ids
+    // below are pre-compaction: old positions, then live + k for new.
+    fresh_neighbors_[k * slots + slots - 1] = h.outer;
   }
 
-  // 4. Commit: retire visible facets, attach the new ones.
-  for (int fid : visible) {
-    UnregisterFacet(fid);
-    facets_[fid].alive = false;
-    --live_count_;
+  // 4. Pair the remaining slots among the new facets. The slot opposite
+  // ridge vertex r of new facet k is {apex, p} + (ridge \ {r}); key it
+  // on the sorted d-3 vertices of ridge \ {r}. Each key occurs exactly
+  // twice in a consistent star.
+  const size_t per = slots - 1;  // ridge-vertex slots per new facet
+  const size_t key_len = per > 0 ? per - 1 : 0;
+  const size_t entries = fresh * per;
+  ridge_keys_.resize(entries * key_len);
+  ridge_order_.resize(entries);
+  for (size_t k = 0; k < fresh; ++k) {
+    for (size_t s = 0; s < per; ++s) {
+      const size_t e = k * per + s;
+      int* key = ridge_keys_.data() + e * key_len;
+      size_t w = 0;
+      for (size_t i = 1; i <= per; ++i) {
+        if (i != s + 1) key[w++] = fresh_vertices_[k * d + i];
+      }
+      std::sort(key, key + key_len);
+      ridge_order_[e] = static_cast<int>(e);
+    }
   }
-  for (StarFacet& nf : fresh) {
-    facets_.push_back(std::move(nf));
-    ++live_count_;
-    RegisterFacet(static_cast<int>(facets_.size()) - 1);
+  auto key_of = [&](int e) { return ridge_keys_.data() + e * key_len; };
+  std::sort(ridge_order_.begin(), ridge_order_.end(), [&](int a, int b) {
+    return std::lexicographical_compare(key_of(a), key_of(a) + key_len,
+                                        key_of(b), key_of(b) + key_len);
+  });
+  auto same_key = [&](int a, int b) {
+    return std::equal(key_of(a), key_of(a) + key_len, key_of(b));
+  };
+  if (entries % 2 != 0) {
+    return Status::Internal("incident star ridge unmatched");
+  }
+  for (size_t t = 0; t < entries; t += 2) {
+    const int a = ridge_order_[t];
+    const int b = ridge_order_[t + 1];
+    if (!same_key(a, b) ||
+        (t + 2 < entries && same_key(b, ridge_order_[t + 2]))) {
+      return Status::Internal("incident star ridge unmatched");
+    }
+    fresh_neighbors_[(a / per) * slots + a % per] =
+        static_cast<int>(live + b / per);
+    fresh_neighbors_[(b / per) * slots + b % per] =
+        static_cast<int>(live + a / per);
+  }
+
+  // 5. Commit: point each outer facet at its new neighbour, drop the
+  // visible facets (keeping creation order), append the new ones and
+  // renumber every neighbour slot.
+  for (size_t k = 0; k < fresh; ++k) {
+    const HorizonRidge& h = horizon_[k];
+    neighbors_[h.outer * slots + h.outer_slot] = static_cast<int>(live + k);
+  }
+  remap_.resize(live + fresh);
+  size_t kept = 0;
+  for (size_t f = 0; f < live; ++f) {
+    if (is_visible_[f]) {
+      remap_[f] = -1;
+      continue;
+    }
+    remap_[f] = static_cast<int>(kept);
+    if (kept != f) {
+      std::copy_n(normals_.data() + f * d, d, normals_.data() + kept * d);
+      offsets_[kept] = offsets_[f];
+      std::copy_n(vertices_.data() + f * d, d, vertices_.data() + kept * d);
+      std::copy_n(neighbors_.data() + f * slots, slots,
+                  neighbors_.data() + kept * slots);
+    }
+    ++kept;
+  }
+  for (size_t k = 0; k < fresh; ++k) {
+    remap_[live + k] = static_cast<int>(kept + k);
+  }
+  normals_.resize(kept * d);
+  offsets_.resize(kept);
+  vertices_.resize(kept * d);
+  neighbors_.resize(kept * slots);
+  normals_.insert(normals_.end(), fresh_normals_.begin(),
+                  fresh_normals_.end());
+  offsets_.insert(offsets_.end(), fresh_offsets_.begin(),
+                  fresh_offsets_.end());
+  vertices_.insert(vertices_.end(), fresh_vertices_.begin(),
+                   fresh_vertices_.end());
+  neighbors_.insert(neighbors_.end(), fresh_neighbors_.begin(),
+                    fresh_neighbors_.end());
+  for (int& nb : neighbors_) {
+    nb = remap_[nb];
+    assert(nb >= 0);
+  }
+  coords_.insert(coords_.end(), p.begin(), p.end());
+  external_ids_.push_back(external_id);
+  facets_created_ += fresh;
+  return true;
+}
+
+std::vector<IncidentStar::StarFacet> IncidentStar::facets() const {
+  const size_t d = dim_;
+  const size_t slots = d - 1;
+  std::vector<StarFacet> out(live_facet_count());
+  for (size_t f = 0; f < out.size(); ++f) {
+    const int* vertices = vertices_.data() + f * d;
+    const double* normal = normals_.data() + f * d;
+    out[f].vertices.assign(vertices, vertices + d);
+    out[f].plane.normal.assign(normal, normal + d);
+    out[f].plane.offset = offsets_[f];
+    out[f].neighbors.assign(neighbors_.begin() + f * slots,
+                            neighbors_.begin() + (f + 1) * slots);
+  }
+  return out;
+}
+
+std::vector<int> IncidentStar::CriticalRecordIds() const {
+  std::vector<int> ids;
+  for (int v : vertices_) {
+    if (external_ids_[v] >= 0) ids.push_back(external_ids_[v]);
+  }
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  return ids;
+}
+
+bool IncidentStar::BoxBelowAllFacets(const Mbb& g_box) const {
+  // Mbb::MaxDot per facet, inlined: this runs for every live facet of
+  // every popped node, and the out-of-line call measured slower. Same
+  // per-dimension order, so the same bits.
+  const size_t d = dim_;
+  const size_t live = offsets_.size();
+  const double* lo = g_box.lo.data();
+  const double* hi = g_box.hi.data();
+  for (size_t f = 0; f < live; ++f) {
+    const double* n = normals_.data() + f * d;
+    double max_dot = 0.0;
+    for (size_t j = 0; j < d; ++j) {
+      max_dot += std::max(n[j] * lo[j], n[j] * hi[j]);
+    }
+    if (max_dot > offsets_[f] + eps_) return false;
   }
   return true;
 }
 
-std::vector<int> IncidentStar::CriticalRecordIds() const {
-  std::set<int> ids;
-  for (const StarFacet& f : facets_) {
-    if (!f.alive) continue;
-    for (int v : f.vertices) {
-      if (external_ids_[v] >= 0) ids.insert(external_ids_[v]);
-    }
-  }
-  return std::vector<int>(ids.begin(), ids.end());
-}
-
-double MaxDotTransformedBox(const ScoringFunction& scoring, const Mbb& box,
-                            VecView normal) {
-  double s = 0.0;
-  for (size_t j = 0; j < normal.size(); ++j) {
-    double glo = scoring.TransformDim(j, box.lo[j]);
-    double ghi = scoring.TransformDim(j, box.hi[j]);
-    s += std::max(normal[j] * glo, normal[j] * ghi);
-  }
-  return s;
-}
-
 namespace {
 
-// Inserts a point into the star with a joggle-retry ladder; if every
-// retry hits a degenerate fit, falls back to emitting the point's
-// constraint directly (always sound, possibly redundant).
-void InsertWithFallback(IncidentStar& star, const ScoringFunction& scoring,
-                        const Dataset& data, RecordId id, Rng& joggle_rng,
-                        GirRegion* region, const Vec& gk, int position) {
-  Vec g = scoring.Transform(data.Get(id));
+// Inserts the transformed point `g` into the star with a joggle-retry
+// ladder; if every retry hits a degenerate fit, falls back to emitting
+// the point's constraint directly (always sound, possibly redundant).
+// `joggled` is a reused buffer.
+void InsertWithFallback(IncidentStar& star, VecView g, RecordId id,
+                        Rng& joggle_rng, Vec* joggled, GirRegion* region,
+                        const Vec& gk, int position) {
   Result<bool> r = star.Insert(g, id);
   for (int attempt = 1; attempt < 3 && !r.ok(); ++attempt) {
-    Vec candidate = g;
-    for (double& x : candidate) {
+    joggled->assign(g.begin(), g.end());
+    for (double& x : *joggled) {
       x += joggle_rng.Uniform(-1e-11, 1e-11) * (1 << attempt);
     }
-    r = star.Insert(candidate, id);
+    r = star.Insert(*joggled, id);
   }
   if (r.ok()) return;
   ConstraintProvenance prov;
@@ -243,10 +335,10 @@ Result<Phase2Output> RunFpNdImpl(const Tree& tree,
     }
     return true;
   };
-  auto box_redundant_in_cone = [&](const Mbb& box) {
+  auto box_redundant_in_cone = [&](const Mbb& g_box) {
     if (cone_vertices.empty()) return false;
     for (const Vec& v : cone_vertices) {
-      if (MaxDotTransformedBox(scoring, box, v) > Dot(gk, v)) return false;
+      if (g_box.MaxDot(v) > Dot(gk, v)) return false;
     }
     return true;
   };
@@ -277,13 +369,16 @@ Result<Phase2Output> RunFpNdImpl(const Tree& tree,
   for (size_t i = 0; i < topk.encountered.size(); ++i) {
     if (!taken[i]) order.push_back(topk.encountered[i]);
   }
+  Vec g;        // g(p) of the record being processed
+  Vec joggled;  // joggle-retry copy of g
   auto process_record = [&](RecordId id) {
-    if (Dominates(pk_raw, data.Get(id))) return;  // paper's pre-filter
-    if (options.phase1_tightening &&
-        record_redundant_in_cone(scoring.Transform(data.Get(id)))) {
+    VecView p_raw = data.Get(id);
+    if (Dominates(pk_raw, p_raw)) return;  // paper's pre-filter
+    scoring.TransformInto(p_raw, &g);
+    if (options.phase1_tightening && record_redundant_in_cone(g)) {
       return;  // footnote 7: redundant inside the Phase-1 cone
     }
-    InsertWithFallback(star, scoring, data, id, joggle_rng, region, gk,
+    InsertWithFallback(star, g, id, joggle_rng, &joggled, region, gk,
                        position);
   };
   for (RecordId id : order) process_record(id);
@@ -293,14 +388,15 @@ Result<Phase2Output> RunFpNdImpl(const Tree& tree,
   PendingNodeLess less;
   std::make_heap(heap.begin(), heap.end(), less);
   ScoreBuffer buf;
+  Mbb g_box;  // the popped node's box through g
   while (!heap.empty()) {
     std::pop_heap(heap.begin(), heap.end(), less);
     PendingNode top = std::move(heap.back());
     heap.pop_back();
-    bool prunable = star.BoxBelowAllFacets([&](const Vec& normal) {
-      return MaxDotTransformedBox(scoring, top.mbb, normal);
-    });
-    if (prunable || box_redundant_in_cone(top.mbb)) continue;
+    scoring.TransformInto(top.mbb, &g_box);
+    if (star.BoxBelowAllFacets(g_box) || box_redundant_in_cone(g_box)) {
+      continue;
+    }
     decltype(auto) node = tree.ReadNode(top.page);
     const size_t count = NodeEntryCount(node);
     if (NodeIsLeaf(node)) {
@@ -327,9 +423,8 @@ Result<Phase2Output> RunFpNdImpl(const Tree& tree,
   prov.position = position;
   for (int id : critical) {
     prov.challenger = id;
-    region->AddConstraint(
-        Sub(gk, scoring.Transform(data.Get(static_cast<RecordId>(id)))),
-        prov);
+    scoring.TransformInto(data.Get(static_cast<RecordId>(id)), &g);
+    region->AddConstraint(Sub(gk, g), prov);
   }
   Phase2Output out;
   out.candidates = critical.size();

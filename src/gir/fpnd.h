@@ -1,7 +1,6 @@
 #ifndef GIR_GIR_FPND_H_
 #define GIR_GIR_FPND_H_
 
-#include <map>
 #include <vector>
 
 #include "common/result.h"
@@ -22,65 +21,97 @@ namespace gir {
 // simplex. Dummies are dominated by the apex component-wise, so any
 // constraint they would induce is implied by q' >= 0 and they are
 // excluded from CriticalRecordIds().
+//
+// Layout. Most facets die young: at IND d=4 (n=200k, k=20) a query
+// creates ~220 facets and ends with ~30 live (d=6: ~8150 and ~970).
+// So only live facets are stored, packed in ascending creation order:
+// normals (row-major, d per facet), offsets, vertex ids (apex first)
+// and, per facet, d-1 neighbour slots — slot s names the live facet
+// sharing the apex ridge opposite vertex s+1. Insertions find the
+// horizon through those slots and compact the dead facets away. Every
+// buffer is a reused member, so a pruned point allocates nothing and a
+// star-changing one only grows capacity.
 class IncidentStar {
  public:
   // `apex` in (transformed) data-space coordinates.
-  explicit IncidentStar(Vec apex, double eps = 1e-10);
+  explicit IncidentStar(VecView apex, double eps = 1e-10);
 
   // Processes one point. Returns true when the star changed (the point
   // was above at least one facet), false when it was pruned (the
   // common case: no copy of `p` is made then). Fails with
   // FailedPrecondition on a degenerate facet fit (caller may joggle
   // the point and retry, or add its constraint directly — both
-  // preserve correctness).
+  // preserve correctness); fails with Internal on a numerically broken
+  // horizon. Either way the star is left exactly as it was.
   Result<bool> Insert(VecView p, int external_id);
 
+  // One live facet, copied out of the packed arrays by facets().
   struct StarFacet {
-    std::vector<int> vertices;  // internal point ids; includes the apex
+    std::vector<int> vertices;  // internal point ids; [0] is the apex
     Hyperplane plane;           // outward-oriented
-    bool alive = true;
+    // neighbors[s]: index into facets() of the facet sharing the apex
+    // ridge opposite vertices[s + 1].
+    std::vector<int> neighbors;
   };
 
-  // All facets ever created; check `alive`. Compact by construction is
-  // not needed: dead fraction stays modest for typical workloads.
-  const std::vector<StarFacet>& facets() const { return facets_; }
-  size_t live_facet_count() const { return live_count_; }
-  // Total number of facets created over the lifetime (paper Fig. 8(b)
-  // counts incident facets; this tracks the work performed).
-  size_t facets_created() const { return facets_.size(); }
+  // The live facets in ascending creation order (tests, diagnostics).
+  std::vector<StarFacet> facets() const;
+  // Facets currently in the star: paper Fig. 8(b), reported as
+  // GirStats::star_facets.
+  size_t live_facet_count() const { return offsets_.size(); }
+  // Facets created over the lifetime, the d initial ones included: the
+  // work performed. Dead facets are not kept, so this is a counter.
+  size_t facets_created() const { return facets_created_; }
 
   // External ids of the current star vertices other than apex/dummies:
-  // the paper's critical records.
+  // the paper's critical records, ascending.
   std::vector<int> CriticalRecordIds() const;
 
-  // True when no point of the (transformed) box [lo, hi] can lie above
-  // any live facet — the FP node-pruning test. `maxdot` must return
-  // max over the box of normal·x (see MaxDotTransformedBox below).
-  template <typename MaxDotFn>
-  bool BoxBelowAllFacets(const MaxDotFn& maxdot) const {
-    for (const StarFacet& f : facets_) {
-      if (!f.alive) continue;
-      if (maxdot(f.plane.normal) > f.plane.offset + eps_) return false;
-    }
-    return true;
-  }
+  // True when no point of `g_box`, a node's box mapped through the
+  // scoring transform (ScoringFunction::TransformInto), can lie above
+  // any live facet — the FP node-pruning test.
+  bool BoxBelowAllFacets(const Mbb& g_box) const;
 
-  const Vec& apex() const { return points_[0]; }
+  // Valid until the next star-changing Insert.
+  VecView apex() const { return VecView(coords_.data(), dim_); }
 
  private:
-  std::vector<int> RidgeKey(const StarFacet& f, int omit_vertex) const;
-  void RegisterFacet(int facet_id);
-  void UnregisterFacet(int facet_id);
+  // A horizon ridge: slot `slot` of visible facet `facet`, whose
+  // neighbour `outer` stays; `outer_slot` is outer's slot back.
+  struct HorizonRidge {
+    int facet;
+    int slot;
+    int outer;
+    int outer_slot;
+  };
 
   double eps_;
   size_t dim_;
-  std::vector<Vec> points_;        // [0]=apex, [1..d]=dummies, then data
+  size_t facets_created_ = 0;
+  std::vector<double> coords_;     // row-major: [0]=apex, [1..d]=dummies,
+                                   // then every point that changed the star
   std::vector<int> external_ids_;  // -1 for apex and dummies
   Vec interior_;                   // strictly inside the growing hull
-  std::vector<StarFacet> facets_;
-  size_t live_count_ = 0;
-  // sorted non-apex ridge vertex ids -> the (<=2) live facets sharing it
-  std::map<std::vector<int>, std::vector<int>> ridges_;
+
+  // Live facets (see the class comment).
+  std::vector<double> normals_;
+  std::vector<double> offsets_;
+  std::vector<int> vertices_;
+  std::vector<int> neighbors_;
+
+  // Per-insert scratch.
+  std::vector<int> visible_;
+  std::vector<char> is_visible_;
+  std::vector<HorizonRidge> horizon_;
+  std::vector<double> fresh_normals_;
+  std::vector<double> fresh_offsets_;
+  std::vector<int> fresh_vertices_;
+  std::vector<int> fresh_neighbors_;
+  std::vector<int> ridge_keys_;
+  std::vector<int> ridge_order_;
+  std::vector<int> remap_;
+  std::vector<const double*> fit_vertices_;
+  HyperplaneFitScratch fit_scratch_;
 };
 
 struct FpOptions {
@@ -112,11 +143,6 @@ Result<Phase2Output> RunFpNdPhase2(const FlatRTree& tree,
                                    VecView weights, const TopKResult& topk,
                                    GirRegion* region,
                                    const FpOptions& options = {});
-
-// max over the (raw) box of sum_j n_j * g_j(x_j): per-dimension maximum
-// at lo or hi since each g_j is monotone increasing.
-double MaxDotTransformedBox(const ScoringFunction& scoring, const Mbb& box,
-                            VecView normal);
 
 }  // namespace gir
 

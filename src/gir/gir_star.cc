@@ -149,18 +149,20 @@ Result<Phase2Output> GirStarViaFp(const Tree& tree,
                               {}});
   }
 
+  Vec g;        // g(p), shared across all stars
+  Vec joggled;  // joggle-retry copy of g
   auto feed = [&](RecordId id) {
     VecView p_raw = data.Get(id);
-    Vec g = scoring.Transform(p_raw);  // shared across all stars
+    scoring.TransformInto(p_raw, &g);
     for (PerRecord& pr : stars) {
       if (Dominates(data.Get(pr.id), p_raw)) continue;
       bool inserted = pr.star.Insert(g, id).ok();
       for (int attempt = 1; attempt < 3 && !inserted; ++attempt) {
-        Vec candidate = g;
-        for (double& x : candidate) {
+        joggled = g;
+        for (double& x : joggled) {
           x += joggle_rng.Uniform(-1e-11, 1e-11) * (1 << attempt);
         }
-        inserted = pr.star.Insert(candidate, id).ok();
+        inserted = pr.star.Insert(joggled, id).ok();
       }
       if (!inserted) {
         ConstraintProvenance prov;
@@ -178,15 +180,15 @@ Result<Phase2Output> GirStarViaFp(const Tree& tree,
   PendingNodeLess less;
   std::make_heap(heap.begin(), heap.end(), less);
   ScoreBuffer buf;
+  Mbb g_box;  // the popped node's box through g, shared by all stars
   while (!heap.empty()) {
     std::pop_heap(heap.begin(), heap.end(), less);
     PendingNode top = std::move(heap.back());
     heap.pop_back();
+    scoring.TransformInto(top.mbb, &g_box);
     bool prunable = true;
-    for (PerRecord& pr : stars) {
-      if (!pr.star.BoxBelowAllFacets([&](const Vec& normal) {
-            return MaxDotTransformedBox(scoring, top.mbb, normal);
-          })) {
+    for (const PerRecord& pr : stars) {
+      if (!pr.star.BoxBelowAllFacets(g_box)) {
         prunable = false;
         break;
       }
@@ -216,9 +218,8 @@ Result<Phase2Output> GirStarViaFp(const Tree& tree,
     prov.position = pr.position;
     for (int id : pr.star.CriticalRecordIds()) {
       prov.challenger = id;
-      region->AddConstraint(
-          Sub(pr.g, scoring.Transform(data.Get(static_cast<RecordId>(id)))),
-          prov);
+      scoring.TransformInto(data.Get(static_cast<RecordId>(id)), &g);
+      region->AddConstraint(Sub(pr.g, g), prov);
       ++out.candidates;
     }
     for (GirConstraint& c : pr.direct) {

@@ -98,8 +98,9 @@ class ShardedGirCache {
                                           const ScoringFunction& scoring,
                                           uint64_t new_version);
 
-  // Drops every entry (the invalidate-all strawman the bench compares
-  // incremental invalidation against).
+  // Drops every entry. girbench's read-only workloads (hot_d4, miss_d4)
+  // call it before their isolated write phase, so those update acks are
+  // timed against an empty cache.
   void Clear();
 
   size_t size() const;

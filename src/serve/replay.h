@@ -14,7 +14,8 @@ struct ReplayOptions {
   AdmissionOptions admission;
   // Adaptive: each formed batch runs with its archetype-cluster groups
   // and adaptively chosen width. Static: plain chunking at
-  // static_width (the pre-PR6 knob) — the bench's comparison baseline.
+  // static_width — the baseline serve_replay_test compares against
+  // (ServeReplayTest.AdaptiveAndStaticWidthAnswerIdentically).
   bool adaptive_width = true;
   size_t static_width = 64;
   Phase2Method method = Phase2Method::kFP;

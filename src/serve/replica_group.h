@@ -32,9 +32,11 @@ namespace gir::serve {
 // Because every replica serves the same immutable arena bytes at a
 // given epoch, a reply from any replica at epoch v is bit-identical to
 // a fault-free single engine serving that file — the property the
-// router's failover relies on and the chaos bench gates.
+// router's failover relies on and replica_group_test checks
+// (RouterTest.ChaosKillScheduleServesBitIdenticalReplies).
 
-// Replica-level failure domains, driven by tests and the chaos bench:
+// Replica-level failure domains, driven by replica_group_test (the
+// kill/slow/stale schedules of its RouterTest cases):
 //   crash        — Kill(): every query and probe fails kUnavailable
 //                  instantly (connection refused), until Revive().
 //   slow         — SetSlowMs(ms): every query and probe pays an

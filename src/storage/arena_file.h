@@ -127,8 +127,9 @@ class ArenaFile {
   bool TouchNode(PageId page) const;
 
   // Drops the mapping's resident pages (MADV_DONTNEED) and asks the
-  // page cache to drop the file's clean pages (POSIX_FADV_DONTNEED) —
-  // the artificial resident-set cap the larger-than-RAM bench uses.
+  // page cache to drop the file's clean pages (POSIX_FADV_DONTNEED), so
+  // the next touch faults the page in (arena_mmap_test:
+  // ArenaMmapTest.ArenaFileResidencyControls).
   void Evict() const;
 
   // Currently resident bytes of the mapping (mincore scan).

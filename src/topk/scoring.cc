@@ -18,6 +18,11 @@ void ScoringFunction::TransformInto(VecView p, Vec* out) const {
   for (size_t i = 0; i < p.size(); ++i) (*out)[i] = TransformDim(i, p[i]);
 }
 
+void ScoringFunction::TransformInto(const Mbb& box, Mbb* out) const {
+  TransformInto(box.lo, &out->lo);
+  TransformInto(box.hi, &out->hi);
+}
+
 double ScoringFunction::Score(VecView p, VecView weights) const {
   assert(p.size() == weights.size());
   double s = 0.0;

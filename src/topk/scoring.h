@@ -46,6 +46,10 @@ class ScoringFunction {
   // loop heap-quiet.
   void TransformInto(VecView p, Vec* out) const;
 
+  // g(box) = [g(lo), g(hi)], which bounds the image of the box since
+  // every g_i is monotone increasing; reuses `out`'s buffers.
+  void TransformInto(const Mbb& box, Mbb* out) const;
+
   // S(p, q) for non-negative weights q.
   double Score(VecView p, VecView weights) const;
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "common/rng.h"
 #include "geom/hyperplane.h"
 #include "geom/hull2d.h"
 #include "geom/vec.h"
@@ -99,6 +100,91 @@ TEST(HyperplaneTest, RejectsDegenerate) {
                              {2.0, 0.0, 0.0}};  // collinear
   Vec interior = {0.0, 1.0, 0.0};
   EXPECT_FALSE(FitHyperplane(points, {0, 1, 2}, interior).ok());
+}
+
+// FitHyperplane's contract across the dimensions the library runs at
+// (ConvexHull, CP, half-space intersection and the FP star all fit
+// through it).
+TEST(HyperplaneTest, FitContractAcrossDimensions) {
+  Rng rng(2024);
+  for (size_t d = 2; d <= 8; ++d) {
+    for (int trial = 0; trial < 50; ++trial) {
+      std::vector<Vec> points(d, Vec(d));
+      for (Vec& p : points) {
+        for (double& x : p) x = rng.Uniform(0.0, 1.0);
+      }
+      Vec interior(d);
+      for (double& x : interior) x = rng.Uniform(0.0, 1.0);
+      std::vector<int> indices(d);
+      for (size_t i = 0; i < d; ++i) indices[i] = static_cast<int>(i);
+      Result<Hyperplane> plane = FitHyperplane(points, indices, interior);
+      ASSERT_TRUE(plane.ok()) << "d=" << d << ": " << plane.status().ToString();
+      EXPECT_NEAR(Norm(plane->normal), 1.0, 1e-12) << "d=" << d;
+      EXPECT_LT(plane->Evaluate(interior), 0.0) << "d=" << d;
+      for (const Vec& p : points) {
+        EXPECT_NEAR(plane->Evaluate(p), 0.0, 1e-12) << "d=" << d;
+      }
+    }
+  }
+}
+
+TEST(HyperplaneTest, FitRejectsRankDeficientAndOnPlaneInterior) {
+  Rng rng(2025);
+  for (size_t d = 2; d <= 8; ++d) {
+    std::vector<Vec> points(d, Vec(d));
+    for (Vec& p : points) {
+      for (double& x : p) x = rng.Uniform(0.0, 1.0);
+    }
+    std::vector<int> indices(d);
+    for (size_t i = 0; i < d; ++i) indices[i] = static_cast<int>(i);
+    Vec interior(d, 2.0);
+
+    // Last point on the line through the first two (a repeat at d = 2).
+    std::vector<Vec> dependent = points;
+    dependent[d - 1] = d == 2 ? points[0]
+                              : AddScaled(points[0],
+                                          Sub(points[1], points[0]), 0.37);
+    Result<Hyperplane> rank_deficient =
+        FitHyperplane(dependent, indices, interior);
+    ASSERT_FALSE(rank_deficient.ok()) << "d=" << d;
+    EXPECT_EQ(rank_deficient.status().code(), StatusCode::kFailedPrecondition)
+        << "d=" << d;
+
+    // The interior point is one of the defining points.
+    Result<Hyperplane> on_plane = FitHyperplane(points, indices, points[0]);
+    ASSERT_FALSE(on_plane.ok()) << "d=" << d;
+    EXPECT_EQ(on_plane.status().code(), StatusCode::kFailedPrecondition)
+        << "d=" << d;
+  }
+}
+
+TEST(HyperplaneTest, FlatFitMatchesWrapperBitwiseWithReusedScratch) {
+  // One scratch reused across shrinking and growing dimensions must not
+  // leak state between fits.
+  Rng rng(2026);
+  HyperplaneFitScratch scratch;
+  for (size_t d : {8u, 2u, 5u, 3u, 8u, 4u}) {
+    std::vector<Vec> points(d, Vec(d));
+    for (Vec& p : points) {
+      for (double& x : p) x = rng.Uniform(0.0, 1.0);
+    }
+    Vec interior(d, -1.0);
+    std::vector<int> indices(d);
+    std::vector<const double*> vertices(d);
+    for (size_t i = 0; i < d; ++i) {
+      indices[i] = static_cast<int>(i);
+      vertices[i] = points[i].data();
+    }
+    Result<Hyperplane> wrapped = FitHyperplane(points, indices, interior);
+    ASSERT_TRUE(wrapped.ok());
+    Vec normal(d);
+    double offset = 0.0;
+    ASSERT_TRUE(FitHyperplaneInto(vertices.data(), interior, &scratch,
+                                  normal.data(), &offset)
+                    .ok());
+    EXPECT_EQ(normal, wrapped->normal) << "d=" << d;
+    EXPECT_EQ(offset, wrapped->offset) << "d=" << d;
+  }
 }
 
 TEST(HyperplaneTest, HalfspaceContains) {

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 
 #include "common/rng.h"
 #include "dataset/generators.h"
@@ -194,21 +195,26 @@ TEST(IncidentStarTest, ExtremePointEntersStar) {
 TEST(IncidentStarTest, CriticalSetMatchesNormalConeOracle) {
   // The star's emitted constraints must carve exactly the normal cone:
   // q' (>=0) keeps the apex on top  <=>  q' satisfies all critical
-  // constraints.
+  // constraints. As in FP, the apex is the top record for one query
+  // (here q0 = (1, ..., 1)), and most points escape its dominance, so
+  // the star really grows.
   Rng rng(71);
-  for (int d : {2, 3, 4, 5}) {
-    Vec apex(d, 0.95);
+  for (int d = 2; d <= 8; ++d) {
+    Vec apex(d, 0.8);
+    const Vec q0(d, 1.0);
     std::vector<Vec> points;
     IncidentStar star(apex);
-    for (int i = 0; i < 300; ++i) {
+    while (points.size() < 300) {
       Vec p(d);
-      for (int j = 0; j < d; ++j) p[j] = rng.Uniform(0.0, 0.9);
-      Result<bool> r = star.Insert(p, i);
+      for (int j = 0; j < d; ++j) p[j] = rng.Uniform(0.0, 1.0);
+      if (Dot(p, q0) >= Dot(apex, q0)) continue;
+      Result<bool> r = star.Insert(p, static_cast<int>(points.size()));
       ASSERT_TRUE(r.ok()) << r.status().ToString();
       points.push_back(std::move(p));
     }
     std::set<int> critical;
     for (int id : star.CriticalRecordIds()) critical.insert(id);
+    EXPECT_FALSE(critical.empty()) << "d=" << d;
     for (int probe = 0; probe < 200; ++probe) {
       Vec q(d);
       for (int j = 0; j < d; ++j) q[j] = rng.Uniform(0.01, 1.0);
@@ -251,6 +257,157 @@ TEST(IncidentStarTest, FacetsCreatedMonotone) {
     EXPECT_GE(star.facets_created(), created);
     created = star.facets_created();
     EXPECT_LE(star.live_facet_count(), star.facets_created());
+  }
+}
+
+// Checks the neighbour-slot invariant of every live facet: the apex
+// comes first, each of the d-1 slots names another live facet that
+// shares the apex ridge opposite vertex s+1, and that facet points back.
+void ExpectStarAdjacencyConsistent(const IncidentStar& star, size_t d,
+                                   const std::string& where) {
+  const std::vector<IncidentStar::StarFacet> facets = star.facets();
+  ASSERT_EQ(facets.size(), star.live_facet_count()) << where;
+  for (size_t f = 0; f < facets.size(); ++f) {
+    const IncidentStar::StarFacet& facet = facets[f];
+    ASSERT_EQ(facet.vertices.size(), d) << where;
+    ASSERT_EQ(facet.vertices[0], 0) << where << " facet " << f;
+    ASSERT_EQ(facet.neighbors.size(), d - 1) << where;
+    for (size_t s = 0; s + 1 < d; ++s) {
+      const int nb = facet.neighbors[s];
+      ASSERT_GE(nb, 0) << where;
+      ASSERT_LT(static_cast<size_t>(nb), facets.size()) << where;
+      ASSERT_NE(static_cast<size_t>(nb), f) << where;
+      const IncidentStar::StarFacet& other = facets[nb];
+      EXPECT_EQ(std::count(other.neighbors.begin(), other.neighbors.end(),
+                           static_cast<int>(f)),
+                1)
+          << where << " facet " << f << " slot " << s << " -> " << nb;
+      for (size_t i = 0; i < d; ++i) {
+        if (i == s + 1) continue;
+        EXPECT_NE(std::find(other.vertices.begin(), other.vertices.end(),
+                            facet.vertices[i]),
+                  other.vertices.end())
+            << where << " facet " << f << " slot " << s << " ridge vertex "
+            << facet.vertices[i] << " missing from neighbour " << nb;
+      }
+    }
+  }
+}
+
+TEST(IncidentStarTest, NeighbourSlotsStayConsistentUnderAdversarialInserts) {
+  // As in FP, the apex is the strict top record for one query q1; the
+  // points tie it under q0 = (1, ..., 1) only.
+  Rng rng(73);
+  for (size_t d = 2; d <= 8; ++d) {
+    Vec apex(d, 0.8);
+    Vec q1(d);
+    for (size_t j = 0; j < d; ++j) q1[j] = 1.0 + 1e-3 * static_cast<double>(j);
+    IncidentStar star(apex);
+    ExpectStarAdjacencyConsistent(star, d, "initial d=" + std::to_string(d));
+    std::vector<Vec> inserted;
+    std::vector<Vec> star_points;  // the points that changed the star
+    for (int i = 0; i < 120; ++i) {
+      Vec p(d);
+      const int kind = i % 4;
+      if (kind == 1 && !inserted.empty()) {
+        // Exact duplicate of an earlier point.
+        p = inserted[rng.UniformInt(inserted.size())];
+      } else if (kind == 2) {
+        // On a live facet: a convex combination of its vertices. Internal
+        // id 0 is the apex, 1..d the dummies apex - c_i e_i, and then the
+        // points that changed the star, in order.
+        const std::vector<IncidentStar::StarFacet> facets = star.facets();
+        const IncidentStar::StarFacet& f =
+            facets[rng.UniformInt(facets.size())];
+        std::vector<double> w(d);
+        double total = 0.0;
+        for (double& x : w) total += (x = rng.Uniform(0.1, 1.0));
+        p.assign(d, 0.0);
+        for (size_t v = 0; v < d; ++v) {
+          const size_t id = static_cast<size_t>(f.vertices[v]);
+          Vec vertex = apex;
+          if (id >= 1 && id <= d) {
+            vertex[id - 1] -= std::max(apex[id - 1], 0.5);
+          } else if (id > d) {
+            vertex = star_points[id - d - 1];
+          }
+          for (size_t j = 0; j < d; ++j) p[j] += w[v] / total * vertex[j];
+        }
+      } else if (kind == 3) {
+        // Ties the apex score under q0: shift mass from a higher to a
+        // lower coordinate (which keeps it below the apex under q1).
+        p = apex;
+        const size_t a = rng.UniformInt(d - 1);
+        const size_t b = a + 1 + rng.UniformInt(d - 1 - a);
+        const double t = rng.Uniform(0.0, 0.15);
+        p[a] += t;
+        p[b] -= t;
+      } else {
+        do {
+          for (double& x : p) x = rng.Uniform(0.0, 1.0);
+        } while (Dot(p, q1) >= Dot(apex, q1));
+      }
+      const size_t created = star.facets_created();
+      Result<bool> r = star.Insert(p, i);
+      const std::string where =
+          "d=" + std::to_string(d) + " insert " + std::to_string(i);
+      ASSERT_TRUE(r.ok()) << where << ": " << r.status().ToString();
+      if (*r) {
+        EXPECT_GT(star.facets_created(), created) << where;
+        star_points.push_back(p);
+      } else {
+        EXPECT_EQ(star.facets_created(), created) << where;
+      }
+      ExpectStarAdjacencyConsistent(star, d, where);
+      if (::testing::Test::HasFatalFailure()) return;
+      inserted.push_back(std::move(p));
+    }
+    EXPECT_FALSE(star_points.empty()) << "d=" << d;
+  }
+}
+
+TEST(IncidentStarTest, DegenerateInsertLeavesStarUntouched) {
+  // With eps = 0, a point a hair (1e-13) above the facet with normal e0
+  // is visible, yet it is affinely dependent with the apex and dummy 2
+  // (apex - c e1) at the 1e-12 rank floor: the new facet through them
+  // cannot be fitted.
+  for (size_t d = 3; d <= 8; ++d) {
+    const Vec apex(d, 0.9);
+    IncidentStar star(apex, /*eps=*/0.0);
+    // Grow the star away from that facet first (d >= 4): points that
+    // exceed the apex in one of the coordinates 3..d-1 only.
+    Rng rng(74 + d);
+    for (int i = 0; d >= 4 && i < 20; ++i) {
+      Vec p(d);
+      for (double& x : p) x = rng.Uniform(0.0, 0.5);
+      p[3 + rng.UniformInt(d - 3)] = rng.Uniform(0.9, 0.95);
+      ASSERT_TRUE(star.Insert(p, i).ok());
+    }
+    if (d >= 4) {
+      EXPECT_GT(star.facets_created(), d) << "d=" << d;
+    }
+    const std::vector<IncidentStar::StarFacet> before = star.facets();
+    const std::vector<int> critical = star.CriticalRecordIds();
+    const size_t created = star.facets_created();
+
+    Vec degenerate = apex;
+    degenerate[0] += 1e-13;
+    degenerate[1] -= 0.45;
+    Result<bool> r = star.Insert(degenerate, 99);
+    ASSERT_FALSE(r.ok()) << "d=" << d;
+    EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition) << "d=" << d;
+
+    EXPECT_EQ(star.facets_created(), created) << "d=" << d;
+    EXPECT_EQ(star.CriticalRecordIds(), critical) << "d=" << d;
+    const std::vector<IncidentStar::StarFacet> after = star.facets();
+    ASSERT_EQ(after.size(), before.size()) << "d=" << d;
+    for (size_t f = 0; f < after.size(); ++f) {
+      EXPECT_EQ(after[f].vertices, before[f].vertices) << "d=" << d;
+      EXPECT_EQ(after[f].neighbors, before[f].neighbors) << "d=" << d;
+      EXPECT_EQ(after[f].plane.normal, before[f].plane.normal) << "d=" << d;
+      EXPECT_EQ(after[f].plane.offset, before[f].plane.offset) << "d=" << d;
+    }
+    ExpectStarAdjacencyConsistent(star, d, "after degenerate insert");
   }
 }
 
