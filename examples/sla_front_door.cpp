@@ -32,14 +32,13 @@ int main() {
 
   serve::ReplayOptions serving;
   serving.admission.max_batch = 32;
-  serving.admission.max_wait_ms = 2.0;   // admission delay budget
   serving.admission.deadline_ms = 25.0;  // end-to-end SLA per request
   serving.admission.queue_capacity = 256;
 
   std::printf("SLA front door: %zu records, k=%zu, SLA %.0fms, "
-              "batch<=%zu, wait<=%.0fms\n\n",
+              "batch<=%zu\n\n",
               n, traffic.k, serving.admission.deadline_ms,
-              serving.admission.max_batch, serving.admission.max_wait_ms);
+              serving.admission.max_batch);
   std::printf("%-10s %9s %9s %7s %7s %7s %7s %7s %7s\n", "load(qps)",
               "served", "shed", "p50", "p95", "p99", "width", "occup",
               "shed%");

@@ -115,16 +115,12 @@ Status AdmissionQueue::Submit(uint64_t id, Vec weights, size_t k,
 
 double AdmissionQueue::NextFireTime() const {
   std::lock_guard<std::mutex> lock(mu_);
-  if (queue_.empty()) return -1.0;
-  if (queue_.size() >= options_.max_batch) return queue_.front().enqueue_ms;
-  return queue_.front().enqueue_ms + options_.max_wait_ms;
+  return queue_.empty() ? -1.0 : queue_.front().enqueue_ms;
 }
 
-bool AdmissionQueue::ShouldForm(double now_ms) const {
+bool AdmissionQueue::ShouldForm(double /*now_ms*/) const {
   std::lock_guard<std::mutex> lock(mu_);
-  if (queue_.empty()) return false;
-  if (queue_.size() >= options_.max_batch) return true;
-  return now_ms - queue_.front().enqueue_ms >= options_.max_wait_ms;
+  return !queue_.empty();
 }
 
 FormedBatch AdmissionQueue::Form(double now_ms,

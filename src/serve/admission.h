@@ -12,10 +12,14 @@
 namespace gir::serve {
 
 struct AdmissionOptions {
-  // A batch fires when the oldest queued request has waited this long
-  // (the admission delay budget) or when the queue reaches max_batch,
-  // whichever comes first.
+  // Formation is work-conserving: whenever the dispatcher is free and a
+  // request is queued, a batch fires at once with everything queued, up
+  // to max_batch (FIFO). Nothing lingers to fill a batch; batches grow
+  // only from requests that arrived while the previous batch ran, as
+  // the WAL's group commit shares the leader's fsync.
   size_t max_batch = 128;
+  // Unread. Kept only because girbench still assigns it; slated for
+  // removal.
   double max_wait_ms = 5.0;
   // Per-request SLA budget from enqueue to reply; Submit stamps every
   // request's absolute deadline with it. Shedding is explicit: a
@@ -81,9 +85,10 @@ FormedBatch ClusterForExecution(std::vector<ServiceRequest> requests,
                                 double now_ms);
 
 // Thread-safe admission queue + batch former in front of a BatchEngine.
-// Producers Submit requests; the serving loop polls NextFireTime /
-// Form. All shedding is explicit: Submit rejects on backlog overflow,
-// Form sheds requests whose deadline already passed; both return
+// Producers Submit requests; the serving loop, whenever it is free to
+// dispatch, polls ShouldForm / NextFireTime and calls Form. All
+// shedding is explicit: Submit rejects on backlog overflow, Form sheds
+// requests whose deadline already passed; both return
 // ResourceExhausted statuses the caller must deliver to the client.
 class AdmissionQueue {
  public:
@@ -95,13 +100,14 @@ class AdmissionQueue {
   // InvalidArgument on empty weights.
   Status Submit(uint64_t id, Vec weights, size_t k, double now_ms);
 
-  // Earliest time a batch should be formed given the current backlog:
-  // oldest enqueue + max_wait_ms, or now for a full batch. Negative
-  // when the queue is empty.
+  // Earliest time a free dispatcher should form a batch: the oldest
+  // request's enqueue time (work-conserving: it was ripe on arrival).
+  // Negative when the queue is empty. Only meaningful when the caller
+  // is free to dispatch; a busy server fires at max(this, free time).
   double NextFireTime() const;
 
-  // True when a batch should fire at `now_ms` (backlog reached
-  // max_batch, or the oldest request has waited max_wait_ms).
+  // True as soon as any request is queued: a free dispatcher takes the
+  // queue at once. `now_ms` does not change the answer.
   bool ShouldForm(double now_ms) const;
 
   // Drains up to max_batch requests (FIFO), sheds the ones whose

@@ -1,6 +1,7 @@
 #include "serve/replay.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/stopwatch.h"
 
@@ -30,9 +31,10 @@ void RecordShedOutcome(ReplayState* state, const ServiceRequest& req,
   state->metrics.RecordShed(out.timing);
 }
 
-// Forms one batch at fire_ms and runs it through the engine, advancing
-// the busy clock by the measured compute time. Returns non-OK only on
-// batch-level engine failure (malformed input — a bug, not load).
+// Forms one batch at fire_ms (the server is free by then) and runs it
+// through the engine, advancing the busy clock by the measured compute
+// time. Returns non-OK only on batch-level engine failure (malformed
+// input — a bug, not load).
 Status ExecuteOneBatch(ReplayState* state, BatchEngine* engine,
                        const ReplayOptions& options, double fire_ms) {
   std::vector<ShedRequest> shed;
@@ -41,30 +43,6 @@ Status ExecuteOneBatch(ReplayState* state, BatchEngine* engine,
     RecordShedOutcome(state, s.request, std::move(s.status), fire_ms);
   }
   if (formed.requests.empty()) return Status::Ok();
-
-  double service_start = std::max(fire_ms, state->server_free_ms);
-  if (options.shed_on_dispatch) {
-    // The server is so far behind that these requests' deadlines pass
-    // before their batch could even start: reject explicitly now.
-    std::vector<ServiceRequest> keep;
-    std::vector<uint32_t> keep_group;
-    keep.reserve(formed.requests.size());
-    keep_group.reserve(formed.requests.size());
-    for (size_t i = 0; i < formed.requests.size(); ++i) {
-      if (formed.requests[i].deadline_ms < service_start) {
-        RecordShedOutcome(
-            state, formed.requests[i],
-            Status::ResourceExhausted("server backlog exceeds deadline"),
-            fire_ms);
-        continue;
-      }
-      keep.push_back(std::move(formed.requests[i]));
-      keep_group.push_back(formed.group_of[i]);
-    }
-    formed.requests = std::move(keep);
-    formed.group_of = std::move(keep_group);
-    if (formed.requests.empty()) return Status::Ok();
-  }
 
   std::vector<Vec> weights;
   weights.reserve(formed.requests.size());
@@ -91,7 +69,7 @@ Status ExecuteOneBatch(ReplayState* state, BatchEngine* engine,
       engine->ComputeBatch(weights, state->trace_k, options.method, policy);
   if (!result.ok()) return result.status();
   const double wall_ms = result->stats.wall_ms;
-  state->server_free_ms = service_start + wall_ms;
+  state->server_free_ms = fire_ms + wall_ms;
   state->report.compute_ms += wall_ms;
   state->report.charged_reads += result->stats.charged_reads;
   state->report.amortized_reads += result->stats.amortized_reads;
@@ -114,7 +92,7 @@ Status ExecuteOneBatch(ReplayState* state, BatchEngine* engine,
     out.status = item.status;
     out.timing.enqueue_ms = req.enqueue_ms;
     out.timing.admit_ms = fire_ms;
-    out.timing.compute_start_ms = service_start;
+    out.timing.compute_start_ms = fire_ms;
     out.timing.compute_end_ms = reply_ms;
     out.timing.reply_ms = reply_ms;
     if (!item.status.ok()) {
@@ -127,25 +105,29 @@ Status ExecuteOneBatch(ReplayState* state, BatchEngine* engine,
   return Status::Ok();
 }
 
-// Fires every batch whose formation time precedes now_ms.
+// Work-conserving firing: the single server takes the queue as soon as
+// it is free and something is queued, so the next batch fires at
+// max(oldest enqueue, server free). A query arriving while the server
+// is busy waits and joins the next batch. Fires every batch due by
+// now_ms.
 Status DrainDue(ReplayState* state, BatchEngine* engine,
                 const ReplayOptions& options, double now_ms) {
   for (;;) {
-    const double fire = state->queue.NextFireTime();
-    if (fire < 0.0 || fire > now_ms) return Status::Ok();
+    const double oldest = state->queue.NextFireTime();
+    if (oldest < 0.0) return Status::Ok();
+    const double fire = std::max(oldest, state->server_free_ms);
+    if (fire > now_ms) return Status::Ok();
     Status st = ExecuteOneBatch(state, engine, options, fire);
     if (!st.ok()) return st;
   }
 }
 
-// Flushes the whole backlog at now_ms (update barrier / end of trace).
+// Runs the whole backlog (update barrier / end of trace), each batch
+// still firing when the server frees up.
 Status FlushAll(ReplayState* state, BatchEngine* engine,
-                const ReplayOptions& options, double now_ms) {
-  while (state->queue.size() > 0) {
-    Status st = ExecuteOneBatch(state, engine, options, now_ms);
-    if (!st.ok()) return st;
-  }
-  return Status::Ok();
+                const ReplayOptions& options) {
+  return DrainDue(state, engine, options,
+                  std::numeric_limits<double>::infinity());
 }
 
 }  // namespace
@@ -168,7 +150,7 @@ Result<ServiceReport> ReplayTrace(const Trace& trace, BatchEngine* engine,
     if (ev.kind == TraceEventKind::kUpdate) {
       // Update events are barriers: every queued query formed before
       // the swap runs on the pre-update epoch, deterministically.
-      st = FlushAll(&state, engine, options, t);
+      st = FlushAll(&state, engine, options);
       if (!st.ok()) return st;
       Stopwatch sw;
       Result<UpdateStats> up = engine->ApplyUpdates(ev.update);
@@ -195,15 +177,13 @@ Result<ServiceReport> ReplayTrace(const Trace& trace, BatchEngine* engine,
       state.metrics.RecordShed(out.timing);
       continue;
     }
-    if (state.queue.ShouldForm(t)) {
+    if (state.queue.ShouldForm(t) && t >= state.server_free_ms) {
       st = ExecuteOneBatch(&state, engine, options, t);
       if (!st.ok()) return st;
     }
   }
-  // End of trace: fire the residual backlog at its natural deadline.
-  const double tail_ms =
-      std::max(trace.duration_ms, state.queue.NextFireTime());
-  Status st = FlushAll(&state, engine, options, tail_ms);
+  // End of trace: the residual backlog fires as the server frees up.
+  Status st = FlushAll(&state, engine, options);
   if (!st.ok()) return st;
 
   state.report.metrics = state.metrics.Finalize();

@@ -19,10 +19,6 @@ struct ReplayOptions {
   bool adaptive_width = true;
   size_t static_width = 64;
   Phase2Method method = Phase2Method::kFP;
-  // Shed a request at dispatch when the server cannot even *start* its
-  // batch before the deadline. Off = deadline accounting only (the
-  // determinism tests replay shed-free).
-  bool shed_on_dispatch = true;
   double window_ms = 1000.0;  // sliding-window metric width
 };
 
@@ -47,15 +43,17 @@ struct ServiceReport {
 };
 
 // Open-loop trace replay against a BatchEngine, on a virtual service
-// clock: arrivals happen at their trace timestamps, batch formation
-// follows the admission policy (max_wait / max_batch / barriers at
-// update events), and each batch's *measured* compute wall time
-// advances a single-server busy clock — so queueing delay, batch
-// latency and shedding emerge from real engine speed at the configured
-// arrival rate, even on one core. Per-request results are bit-identical
-// to direct ComputeGir calls in arrival order with the same update
-// barriers (grouping, batching and width never change results — the
-// shared-traversal contract), which is what the determinism test pins.
+// clock: arrivals happen at their trace timestamps, batch formation is
+// work-conserving (up to max_batch requests fire at max(oldest
+// enqueue, server free), shedding any whose deadline already passed;
+// update events are barriers), and each batch's *measured* compute
+// wall time advances a single-server busy clock — so queueing delay,
+// batch latency and shedding emerge from real engine speed at the
+// configured arrival rate, even on one core. Per-request results are
+// bit-identical to direct ComputeGir calls in arrival order with the
+// same update barriers (grouping, batching and width never change
+// results — the shared-traversal contract), which is what the
+// determinism test pins.
 //
 // Every query event gets exactly one outcome: served, explicitly shed
 // (ResourceExhausted), or failed — never silently dropped. Requires an

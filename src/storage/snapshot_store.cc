@@ -173,6 +173,34 @@ bool ReadWholeFile(const fs::path& path, std::vector<uint8_t>* out) {
   return static_cast<bool>(in);
 }
 
+// True when a recovery candidate that failed to open is gone from its
+// directory: GarbageCollect deleted it after the listing. A dangling
+// symlink is still listed, so it counts as damaged and a rescan can
+// never loop on it.
+bool Vanished(const fs::path& path) {
+  std::error_code ec;
+  return fs::symlink_status(path, ec).type() == fs::file_type::not_found;
+}
+
+// Lists dir's `prefix*suffix` files sorted by name, which for the
+// zero-padded epoch names is version order (directory iteration order
+// is not deterministic). False when dir cannot be read.
+bool ListCandidates(const std::string& dir, const std::string& prefix,
+                    const std::string& suffix, std::vector<fs::path>* out) {
+  out->clear();
+  std::error_code ec;
+  for (const fs::directory_entry& e : fs::directory_iterator(dir, ec)) {
+    const std::string name = e.path().filename().string();
+    if (name.size() > suffix.size() && name.rfind(prefix, 0) == 0 &&
+        name.substr(name.size() - suffix.size()) == suffix) {
+      out->push_back(e.path());
+    }
+  }
+  if (ec) return false;
+  std::sort(out->begin(), out->end());
+  return true;
+}
+
 // Applies one OnSnapshotWrite fault decision to an arena image about
 // to be published (by WriteArena or by a replication ship): kTorn
 // shortens the published length to a strict nonempty prefix, kCorrupt
@@ -387,96 +415,105 @@ Result<SnapshotStore::WriteStats> SnapshotStore::WriteArena(
   return stats;
 }
 
+// Both recovery scans count a candidate that is gone from the directory
+// by the time they open it as vanished, not rejected: GarbageCollect
+// deleted it after the listing. GC deletes a file only once a newer
+// valid epoch is published, so when a candidate newer than the best
+// valid one (if any) vanished, the listing is stale: rescan, and find
+// that epoch. Candidates are scanned oldest first, so "newer than the
+// best" is "vanished after the best was picked".
 Result<SnapshotStore::ArenaPick> SnapshotStore::RecoverLatestArena() const {
-  ArenaPick out;
-  std::error_code ec;
   std::vector<fs::path> candidates;
-  for (const fs::directory_entry& e : fs::directory_iterator(dir_, ec)) {
-    const std::string name = e.path().filename().string();
-    if (name.rfind("arena-", 0) == 0 && name.size() > 5 &&
-        name.compare(name.size() - 5, 5, ".garn") == 0) {
-      candidates.push_back(e.path());
+  for (;;) {
+    if (!ListCandidates(dir_, "arena-", ".garn", &candidates)) {
+      return Status::NotFound("no snapshot directory at " + dir_);
     }
-  }
-  if (ec) {
-    return Status::NotFound("no snapshot directory at " + dir_);
-  }
-  std::sort(candidates.begin(), candidates.end());
-
-  bool found = false;
-  for (const fs::path& path : candidates) {
-    ++out.scanned;
-    // Full validation (header + every section CRC). The winning
-    // mapping is kept open and handed to the caller — re-opening would
-    // checksum the whole file a second time, doubling the cold-restart
-    // cost this path exists to cut.
-    Result<std::shared_ptr<const ArenaFile>> arena =
-        ArenaFile::Open(path.string());
-    if (!arena.ok()) {
-      ++out.rejected;
-      continue;
+    ArenaPick out;
+    bool found = false;
+    bool lost_newer = false;
+    for (const fs::path& path : candidates) {
+      ++out.scanned;
+      // Full validation (header + every section CRC). The winning
+      // mapping is kept open and handed to the caller — re-opening
+      // would checksum the whole file a second time, doubling the
+      // cold-restart cost this path exists to cut.
+      Result<std::shared_ptr<const ArenaFile>> arena =
+          ArenaFile::Open(path.string());
+      if (!arena.ok()) {
+        if (Vanished(path)) {
+          lost_newer = true;
+        } else {
+          ++out.rejected;
+        }
+        continue;
+      }
+      if (!found || (*arena)->version() > out.version) {
+        found = true;
+        lost_newer = false;
+        out.version = (*arena)->version();
+        out.path = path.string();
+        out.file = std::move(*arena);
+      }
     }
-    if (!found || (*arena)->version() > out.version) {
-      found = true;
-      out.version = (*arena)->version();
-      out.path = path.string();
-      out.file = std::move(*arena);
+    if (lost_newer) continue;
+    if (!found) {
+      return Status::NotFound(
+          "no valid arena in " + dir_ + " (" + std::to_string(out.scanned) +
+          " scanned, " + std::to_string(out.rejected) + " rejected)");
     }
+    return out;
   }
-  if (!found) {
-    return Status::NotFound(
-        "no valid arena in " + dir_ + " (" + std::to_string(out.scanned) +
-        " scanned, " + std::to_string(out.rejected) + " rejected)");
-  }
-  return out;
 }
 
 Result<SnapshotStore::Recovered> SnapshotStore::RecoverLatest(
     DiskManager* disk) const {
   Recovered out;
-  std::error_code ec;
   std::vector<fs::path> candidates;
-  for (const fs::directory_entry& e : fs::directory_iterator(dir_, ec)) {
-    const std::string name = e.path().filename().string();
-    if (name.rfind("snapshot-", 0) == 0 &&
-        name.size() > 5 && name.compare(name.size() - 5, 5, ".gsnp") == 0) {
-      candidates.push_back(e.path());
-    }
-  }
-  if (ec) {
-    return Status::NotFound("no snapshot directory at " + dir_);
-  }
-  // Deterministic scan order (directory iteration order is not): the
-  // zero-padded names sort by version.
-  std::sort(candidates.begin(), candidates.end());
-
   std::vector<uint8_t> best_file;
   ParsedSnapshot best;
-  bool found = false;
   std::vector<uint8_t> file;
-  for (const fs::path& path : candidates) {
-    ++out.scanned;
-    ParsedSnapshot parsed;
-    if (!ReadWholeFile(path, &file) || !ValidateAndParse(file, &parsed)) {
-      ++out.rejected;
-      continue;
+  for (;;) {
+    if (!ListCandidates(dir_, "snapshot-", ".gsnp", &candidates)) {
+      return Status::NotFound("no snapshot directory at " + dir_);
     }
-    if (!found || parsed.version > best.version) {
-      best_file.swap(file);
-      // Re-anchor the parsed spans into the retained buffer.
-      if (!ValidateAndParse(best_file, &best)) {
-        ++out.rejected;  // unreachable: same bytes just validated
-        found = false;
+    out = Recovered();
+    bool found = false;
+    bool lost_newer = false;
+    for (const fs::path& path : candidates) {
+      ++out.scanned;
+      ParsedSnapshot parsed;
+      if (!ReadWholeFile(path, &file)) {
+        if (Vanished(path)) {
+          lost_newer = true;
+        } else {
+          ++out.rejected;
+        }
         continue;
       }
-      found = true;
-      out.path = path.string();
+      if (!ValidateAndParse(file, &parsed)) {
+        ++out.rejected;
+        continue;
+      }
+      if (!found || parsed.version > best.version) {
+        best_file.swap(file);
+        // Re-anchor the parsed spans into the retained buffer.
+        if (!ValidateAndParse(best_file, &best)) {
+          ++out.rejected;  // unreachable: same bytes just validated
+          found = false;
+          continue;
+        }
+        found = true;
+        lost_newer = false;
+        out.path = path.string();
+      }
     }
-  }
-  if (!found) {
-    return Status::NotFound(
-        "no valid snapshot in " + dir_ + " (" + std::to_string(out.scanned) +
-        " scanned, " + std::to_string(out.rejected) + " rejected)");
+    if (lost_newer) continue;
+    if (!found) {
+      return Status::NotFound(
+          "no valid snapshot in " + dir_ + " (" + std::to_string(out.scanned) +
+          " scanned, " + std::to_string(out.rejected) + " rejected)");
+    }
+    break;
   }
 
   Result<std::unique_ptr<Dataset>> dataset =

@@ -147,9 +147,11 @@ class SnapshotStore {
   // directory whose newest files are all damaged keeps every valid
   // older epoch (GC never widens a data-loss window). Damaged files
   // older than the newest valid one are reclaimed too: they can never
-  // win recovery. Safe to run concurrently with recovery: readers that
-  // lose a file mid-scan just count it rejected and fall back to a
-  // newer surviving epoch. keep_last_n == 0 is InvalidArgument.
+  // win recovery. Safe to run concurrently with recovery: a reader that
+  // loses a listed file before opening it counts it vanished (not
+  // rejected) and, when nothing valid was left in its listing, rescans
+  // and finds the newer epoch that licensed the delete.
+  // keep_last_n == 0 is InvalidArgument.
   Result<GcStats> GarbageCollect(size_t keep_last_n);
 
  private:

@@ -97,12 +97,10 @@ Result<ServiceReport> ChaosReplay(const Trace& trace, Dataset* data,
   BatchEngine batch(engine.get(), opts);
   ReplayOptions ro;
   ro.admission.max_batch = 16;
-  ro.admission.max_wait_ms = 2.0;
   ro.admission.deadline_ms = 1e12;
   ro.admission.queue_capacity = 1 << 20;
   ro.admission.max_width = 8;
   ro.adaptive_width = true;
-  ro.shed_on_dispatch = false;
   Result<ServiceReport> report = ReplayTrace(trace, &batch, ro);
   disk.AttachFaultInjector(nullptr);
   return report;
@@ -172,6 +170,14 @@ TEST(ChaosReplayTest, FixedPlanReplaysTheSameFaultSchedule) {
   ASSERT_EQ(simd::ForceTier(simd::Tier::kScalar), simd::Tier::kScalar);
   Result<Trace> trace = GenerateTrace(ChaosTrace());
   ASSERT_TRUE(trace.ok());
+  // Admission is work-conserving, so under load a batch holds whatever
+  // arrived while the previous one ran, which depends on measured
+  // compute time. Replay the trace as one burst instead: the server is
+  // busy from the first batch on, every later batch is a FIFO chunk of
+  // max_batch cut at an update barrier or the end, and the batch
+  // composition no longer depends on timing.
+  for (TraceEvent& ev : trace->events) ev.arrival_ms = 0.0;
+  trace->duration_ms = 0.0;
 
   // Single-threaded, so the checked-read op sequence is deterministic;
   // the plan then pins the whole fault schedule bit-identically.
@@ -225,7 +231,6 @@ TEST(ChaosReplayTest, PostChaosStateSurvivesCrashAndRecovery) {
   ReplayOptions ro;
   ro.admission.deadline_ms = 1e12;
   ro.admission.queue_capacity = 1 << 20;
-  ro.shed_on_dispatch = false;
   ASSERT_TRUE(ReplayTrace(*trace, &batch, ro).ok());
   disk.AttachFaultInjector(nullptr);
   ASSERT_GT(engine->dataset_version(), 0u);

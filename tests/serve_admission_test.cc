@@ -1,7 +1,7 @@
 // Admission/batch-former contract: cosine archetype clustering orders
 // batches cluster-major and picks the adaptive width, shedding is
 // always an explicit ResourceExhausted (capacity at Submit, expiry at
-// Form), the firing policy respects max_wait/max_batch — and the queue
+// Form), firing is work-conserving and capped at max_batch — and the queue
 // is safe under concurrent producers with a consumer (the TSan CI job
 // hammers this test).
 #include <gtest/gtest.h>
@@ -90,29 +90,43 @@ TEST(ClusterForExecutionTest, WidthIsCappedAtMaxWidth) {
   EXPECT_EQ(fb.width, 4u);
 }
 
-TEST(AdmissionQueueTest, FiringPolicyMaxWaitAndMaxBatch) {
+// Work-conserving firing: a queued request is ripe at once (no linger
+// to fill a batch), the fire time is the oldest enqueue, and Form still
+// takes at most max_batch, oldest first.
+TEST(AdmissionQueueTest, FiringPolicyWorkConservingAndMaxBatch) {
   AdmissionOptions opt;
   opt.max_batch = 3;
-  opt.max_wait_ms = 5.0;
   AdmissionQueue q(opt);
   EXPECT_LT(q.NextFireTime(), 0.0);
   EXPECT_FALSE(q.ShouldForm(100.0));
 
   ASSERT_TRUE(q.Submit(0, Archetype(0.5, 0.5, 0.5), 10, 1.0).ok());
-  EXPECT_EQ(q.NextFireTime(), 6.0);  // oldest + max_wait
-  EXPECT_FALSE(q.ShouldForm(5.9));
-  EXPECT_TRUE(q.ShouldForm(6.0));
+  EXPECT_EQ(q.NextFireTime(), 1.0);  // the oldest enqueue
+  EXPECT_TRUE(q.ShouldForm(1.0));    // fires on arrival
 
-  ASSERT_TRUE(q.Submit(1, Archetype(0.5, 0.5, 0.5), 10, 2.0).ok());
-  ASSERT_TRUE(q.Submit(2, Archetype(0.5, 0.5, 0.5), 10, 3.0).ok());
-  EXPECT_TRUE(q.ShouldForm(3.0));  // full batch fires immediately
+  for (uint64_t id = 1; id < 5; ++id) {
+    ASSERT_TRUE(q.Submit(id, Archetype(0.5, 0.5, 0.5), 10,
+                         1.0 + static_cast<double>(id))
+                    .ok());
+  }
+  EXPECT_TRUE(q.ShouldForm(5.0));
   EXPECT_EQ(q.NextFireTime(), 1.0);
 
   std::vector<ShedRequest> shed;
-  FormedBatch fb = q.Form(3.0, &shed);
-  EXPECT_EQ(fb.requests.size(), 3u);
+  FormedBatch fb = q.Form(5.0, &shed);
+  ASSERT_EQ(fb.requests.size(), 3u);  // capped at max_batch
+  for (uint64_t i = 0; i < 3; ++i) EXPECT_EQ(fb.requests[i].id, i);  // FIFO
   EXPECT_TRUE(shed.empty());
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_EQ(q.NextFireTime(), 4.0);  // the leftover's oldest enqueue
+  EXPECT_TRUE(q.ShouldForm(5.0));
+
+  fb = q.Form(5.0, &shed);
+  ASSERT_EQ(fb.requests.size(), 2u);
+  EXPECT_EQ(fb.requests[0].id, 3u);
+  EXPECT_EQ(fb.requests[1].id, 4u);
   EXPECT_EQ(q.size(), 0u);
+  EXPECT_FALSE(q.ShouldForm(5.0));
 }
 
 TEST(AdmissionQueueTest, ShedsExplicitlyOnCapacityAndExpiry) {
@@ -145,7 +159,6 @@ TEST(AdmissionQueueTest, ShedsExplicitlyOnCapacityAndExpiry) {
 TEST(AdmissionQueueTest, ConcurrentProducersConserveRequests) {
   AdmissionOptions opt;
   opt.max_batch = 16;
-  opt.max_wait_ms = 0.0;  // always ripe
   opt.queue_capacity = 64;
   opt.deadline_ms = 1e9;
   AdmissionQueue q(opt);
@@ -232,7 +245,6 @@ TEST(AdmissionQueueTest, ShutdownDrainsPendingWithUnavailable) {
 TEST(AdmissionQueueTest, ConcurrentShutdownConservesRequests) {
   AdmissionOptions opt;
   opt.max_batch = 16;
-  opt.max_wait_ms = 0.0;
   opt.queue_capacity = 1 << 20;  // capacity out of the picture
   opt.deadline_ms = 1e9;
   AdmissionQueue q(opt);

@@ -95,13 +95,11 @@ Result<ServiceReport> ShedFreeReplay(const Trace& trace, Dataset* data,
   BatchEngine batch(engine.get(), opts);
   ReplayOptions ro;
   ro.admission.max_batch = 16;
-  ro.admission.max_wait_ms = 2.0;
   ro.admission.deadline_ms = 1e12;
   ro.admission.queue_capacity = 1 << 20;
   ro.admission.max_width = 8;
   ro.adaptive_width = adaptive;
   ro.static_width = static_width;
-  ro.shed_on_dispatch = false;
   return ReplayTrace(trace, &batch, ro);
 }
 
@@ -182,10 +180,8 @@ TEST(ServeReplayTest, OverloadShedsExplicitlyAndConservesRequests) {
   BatchEngine batch(engine.get(), opts);
   ReplayOptions ro;
   ro.admission.max_batch = 32;
-  ro.admission.max_wait_ms = 0.5;
   ro.admission.deadline_ms = 4.0;  // tight SLA
   ro.admission.queue_capacity = 48;
-  ro.shed_on_dispatch = true;
   Result<ServiceReport> report = ReplayTrace(*trace, &batch, ro);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
 
@@ -220,6 +216,63 @@ TEST(ServeReplayTest, OverloadShedsExplicitlyAndConservesRequests) {
   uint64_t histogram_total = 0;
   for (uint64_t b : m.occupancy_histogram) histogram_total += b;
   EXPECT_EQ(histogram_total, m.batches);
+}
+
+// Work-conserving admission, idle server: when every arrival finds the
+// server free, each query is admitted the moment it arrives (no linger
+// to fill a batch) and runs as a batch of one.
+TEST(ServeReplayTest, SparseTraceAdmitsEveryQueryOnArrival) {
+  TrafficConfig c = MixedTrace();
+  c.events = 40;
+  c.update_ratio = 0.0;
+  Result<Trace> trace = GenerateTrace(c);
+  ASSERT_TRUE(trace.ok());
+  // One second between arrivals: far longer than any batch takes.
+  for (size_t i = 0; i < trace->events.size(); ++i) {
+    trace->events[i].arrival_ms = 1000.0 * static_cast<double>(i);
+  }
+  trace->duration_ms = trace->events.back().arrival_ms;
+
+  Dataset data = FreshData(c);
+  Result<ServiceReport> report = ShedFreeReplay(*trace, &data, true, 0);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  size_t served = 0;
+  for (const RequestOutcome& out : report->outcomes) {
+    ASSERT_TRUE(out.status.ok()) << out.status.ToString();
+    EXPECT_EQ(out.timing.admit_ms, out.timing.enqueue_ms) << out.id;
+    ++served;
+  }
+  EXPECT_EQ(served, trace->queries);
+  EXPECT_EQ(report->metrics.batches, served);
+}
+
+// Work-conserving admission, busy server: queries that arrive while a
+// batch runs wait for it and share the next batch, so batching still
+// happens under load (fewer batches than queries), every batch fires
+// no earlier than its requests arrived, and the answers stay
+// bit-identical to the direct sequential reference.
+TEST(ServeReplayTest, OverloadedTraceStillBatches) {
+  TrafficConfig c = MixedTrace();
+  c.base_qps = 200000.0;  // far beyond one core's capacity
+  Result<Trace> trace = GenerateTrace(c);
+  ASSERT_TRUE(trace.ok());
+  const std::vector<std::vector<RecordId>> want = DirectReference(*trace);
+
+  Dataset data = FreshData(c);
+  Result<ServiceReport> report = ShedFreeReplay(*trace, &data, true, 0);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report->outcomes.size(), want.size());
+  size_t served = 0;
+  for (size_t q = 0; q < want.size(); ++q) {
+    const RequestOutcome& out = report->outcomes[q];
+    ASSERT_TRUE(out.status.ok()) << "query " << q;
+    EXPECT_EQ(out.topk, want[q]) << "query " << q;
+    EXPECT_GE(out.timing.admit_ms, out.timing.enqueue_ms) << "query " << q;
+    ++served;
+  }
+  EXPECT_EQ(report->metrics.served, served);
+  EXPECT_LT(report->metrics.batches, served);
+  EXPECT_GT(report->metrics.mean_batch_occupancy, 1.0);
 }
 
 }  // namespace

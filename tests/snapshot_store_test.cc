@@ -354,8 +354,9 @@ TEST(SnapshotStoreTest, GarbageCollectNeverWidensTheDataLossWindow) {
 
 // GC racing recovery: a writer keeps publishing epochs and trimming to
 // keep-last-N while a reader loops full recovery scans. Every recovery
-// lands on a valid epoch (a file deleted underfoot is counted rejected
-// and a newer one wins) and the recovered version never moves backward.
+// lands on a valid epoch (a file deleted underfoot has vanished, not
+// failed: the reader rescans and a newer one wins) and the recovered
+// version never moves backward.
 TEST(SnapshotStoreTest, GarbageCollectRacingRecoveryAlwaysServesAnEpoch) {
   Dataset data = FreshData(120);
   DiskManager disk;
@@ -398,6 +399,50 @@ TEST(SnapshotStoreTest, GarbageCollectRacingRecoveryAlwaysServesAnEpoch) {
   ASSERT_TRUE(final_rec.ok());
   EXPECT_EQ(final_rec->version, kEpochs);
   ExpectSameDataset(engine->dataset(), *final_rec->dataset);
+}
+
+// The same race on the arena format: RecoverLatestArena must also treat
+// an arena GC deleted under its scan as vanished and rescan, never
+// report NotFound or an epoch older than one it already served.
+TEST(SnapshotStoreTest, GarbageCollectRacingArenaRecoveryAlwaysServesAnEpoch) {
+  Dataset data = FreshData(120);
+  DiskManager disk;
+  auto engine = OpenEngineOrDie(
+      EngineConfig::FromDataset(&data, &disk, MakeScoring("Linear", data.dim())));
+  const std::string dir = FreshDir("arena_gc_race");
+  constexpr uint64_t kEpochs = 24;
+
+  std::atomic<uint64_t> published{0};
+  std::thread writer([&] {
+    SnapshotStore store(dir);
+    for (uint64_t v = 1; v <= kEpochs; ++v) {
+      auto wrote = store.WriteArena(engine->flat_tree(), v);
+      EXPECT_TRUE(wrote.ok()) << wrote.status().message();
+      published.store(v, std::memory_order_release);
+      auto gc = store.GarbageCollect(3);
+      EXPECT_TRUE(gc.ok()) << gc.status().message();
+    }
+  });
+
+  SnapshotStore reader(dir);
+  while (published.load(std::memory_order_acquire) == 0) {
+    std::this_thread::yield();
+  }
+  uint64_t last_seen = 0;
+  size_t recoveries = 0;
+  while (published.load(std::memory_order_acquire) < kEpochs) {
+    auto pick = reader.RecoverLatestArena();
+    ASSERT_TRUE(pick.ok()) << pick.status().message();
+    EXPECT_GE(pick->version, last_seen);
+    last_seen = pick->version;
+    ++recoveries;
+  }
+  writer.join();
+
+  EXPECT_GT(recoveries, 0u);
+  auto final_pick = reader.RecoverLatestArena();
+  ASSERT_TRUE(final_pick.ok());
+  EXPECT_EQ(final_pick->version, kEpochs);
 }
 
 // A directory holding both formats: each recovery path scans only its
