@@ -32,9 +32,9 @@ void RecordShedOutcome(ReplayState* state, const ServiceRequest& req,
 }
 
 // Forms one batch at fire_ms (the server is free by then) and runs it
-// through the engine, advancing the busy clock by the measured compute
-// time. Returns non-OK only on batch-level engine failure (malformed
-// input — a bug, not load).
+// through the engine, advancing the busy clock by its service time
+// (measured, or modeled from its page reads). Returns non-OK only on
+// batch-level engine failure (malformed input — a bug, not load).
 Status ExecuteOneBatch(ReplayState* state, BatchEngine* engine,
                        const ReplayOptions& options, double fire_ms) {
   std::vector<ShedRequest> shed;
@@ -69,7 +69,12 @@ Status ExecuteOneBatch(ReplayState* state, BatchEngine* engine,
       engine->ComputeBatch(weights, state->trace_k, options.method, policy);
   if (!result.ok()) return result.status();
   const double wall_ms = result->stats.wall_ms;
-  state->server_free_ms = fire_ms + wall_ms;
+  const double service_ms =
+      options.modeled_ms_per_read > 0.0
+          ? options.modeled_ms_per_read *
+                static_cast<double>(result->stats.amortized_reads)
+          : wall_ms;
+  state->server_free_ms = fire_ms + service_ms;
   state->report.compute_ms += wall_ms;
   state->report.charged_reads += result->stats.charged_reads;
   state->report.amortized_reads += result->stats.amortized_reads;
@@ -109,7 +114,7 @@ Status ExecuteOneBatch(ReplayState* state, BatchEngine* engine,
 // it is free and something is queued, so the next batch fires at
 // max(oldest enqueue, server free). A query arriving while the server
 // is busy waits and joins the next batch. Fires every batch due by
-// now_ms.
+// now_ms; an infinite now_ms runs the whole backlog.
 Status DrainDue(ReplayState* state, BatchEngine* engine,
                 const ReplayOptions& options, double now_ms) {
   for (;;) {
@@ -122,13 +127,7 @@ Status DrainDue(ReplayState* state, BatchEngine* engine,
   }
 }
 
-// Runs the whole backlog (update barrier / end of trace), each batch
-// still firing when the server frees up.
-Status FlushAll(ReplayState* state, BatchEngine* engine,
-                const ReplayOptions& options) {
-  return DrainDue(state, engine, options,
-                  std::numeric_limits<double>::infinity());
-}
+constexpr double kWholeBacklog = std::numeric_limits<double>::infinity();
 
 }  // namespace
 
@@ -150,14 +149,16 @@ Result<ServiceReport> ReplayTrace(const Trace& trace, BatchEngine* engine,
     if (ev.kind == TraceEventKind::kUpdate) {
       // Update events are barriers: every queued query formed before
       // the swap runs on the pre-update epoch, deterministically.
-      st = FlushAll(&state, engine, options);
+      st = DrainDue(&state, engine, options, kWholeBacklog);
       if (!st.ok()) return st;
       Stopwatch sw;
       Result<UpdateStats> up = engine->ApplyUpdates(ev.update);
       if (!up.ok()) return up.status();
       const double wall_ms = sw.ElapsedMillis();
-      state.server_free_ms =
-          std::max(state.server_free_ms, t) + wall_ms;
+      // The modeled clock charges page reads only; updates are free.
+      const double service_ms =
+          options.modeled_ms_per_read > 0.0 ? 0.0 : wall_ms;
+      state.server_free_ms = std::max(state.server_free_ms, t) + service_ms;
       state.report.update_ms += wall_ms;
       state.metrics.RecordUpdate();
       continue;
@@ -177,13 +178,13 @@ Result<ServiceReport> ReplayTrace(const Trace& trace, BatchEngine* engine,
       state.metrics.RecordShed(out.timing);
       continue;
     }
-    if (state.queue.ShouldForm(t) && t >= state.server_free_ms) {
-      st = ExecuteOneBatch(&state, engine, options, t);
-      if (!st.ok()) return st;
-    }
+    // Fires at once (at t) only if the server is free: anything queued
+    // before this arrival is already waiting on a busy server.
+    st = DrainDue(&state, engine, options, t);
+    if (!st.ok()) return st;
   }
   // End of trace: the residual backlog fires as the server frees up.
-  Status st = FlushAll(&state, engine, options);
+  Status st = DrainDue(&state, engine, options, kWholeBacklog);
   if (!st.ok()) return st;
 
   state.report.metrics = state.metrics.Finalize();

@@ -20,6 +20,15 @@ struct ReplayOptions {
   size_t static_width = 64;
   Phase2Method method = Phase2Method::kFP;
   double window_ms = 1000.0;  // sliding-window metric width
+  // Service clock. 0: each batch advances the busy clock by its
+  // measured compute wall time and each update by its measured
+  // ApplyUpdates time, so queueing and shedding follow real engine
+  // speed. > 0: a batch advances it by this many ms per physical page
+  // read it performed (BatchStats::amortized_reads) and updates are
+  // free. Batch composition then depends only on the trace and the
+  // engine's read counts, so a single-threaded run, and with it the
+  // page-read order a FaultPlan keys on, reproduces exactly.
+  double modeled_ms_per_read = 0.0;
 };
 
 // Outcome of one query event, in trace order. status is Ok (topk
@@ -49,7 +58,9 @@ struct ServiceReport {
 // update events are barriers), and each batch's *measured* compute
 // wall time advances a single-server busy clock — so queueing delay,
 // batch latency and shedding emerge from real engine speed at the
-// configured arrival rate, even on one core. Per-request results are
+// configured arrival rate, even on one core. Under the measured clock
+// which queries share a batch depends on timing; modeled_ms_per_read
+// makes it reproducible. Per-request results are
 // bit-identical to direct ComputeGir calls in arrival order with the
 // same update barriers (grouping, batching and width never change
 // results — the shared-traversal contract), which is what the

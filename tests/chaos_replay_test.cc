@@ -82,8 +82,12 @@ FaultPlan ChaosPlan(uint64_t seed) {
 
 // Shed-free replay (huge deadlines) so admission timing cannot change
 // which queries run — faults and retries are the only variable.
+// modeled_ms_per_read > 0 replaces the measured service clock with a
+// read-count model (ReplayOptions), so batch composition is
+// reproducible.
 Result<ServiceReport> ChaosReplay(const Trace& trace, Dataset* data,
-                                  FaultInjector* injector, size_t threads) {
+                                  FaultInjector* injector, size_t threads,
+                                  double modeled_ms_per_read = 0.0) {
   DiskManager disk;
   auto engine = OpenEngineOrDie(
       EngineConfig::FromDataset(data, &disk, MakeScoring("Linear", trace.config.dim)));
@@ -101,6 +105,7 @@ Result<ServiceReport> ChaosReplay(const Trace& trace, Dataset* data,
   ro.admission.queue_capacity = 1 << 20;
   ro.admission.max_width = 8;
   ro.adaptive_width = true;
+  ro.modeled_ms_per_read = modeled_ms_per_read;
   Result<ServiceReport> report = ReplayTrace(trace, &batch, ro);
   disk.AttachFaultInjector(nullptr);
   return report;
@@ -170,27 +175,29 @@ TEST(ChaosReplayTest, FixedPlanReplaysTheSameFaultSchedule) {
   ASSERT_EQ(simd::ForceTier(simd::Tier::kScalar), simd::Tier::kScalar);
   Result<Trace> trace = GenerateTrace(ChaosTrace());
   ASSERT_TRUE(trace.ok());
-  // Admission is work-conserving, so under load a batch holds whatever
-  // arrived while the previous one ran, which depends on measured
-  // compute time. Replay the trace as one burst instead: the server is
-  // busy from the first batch on, every later batch is a FIFO chunk of
-  // max_batch cut at an update barrier or the end, and the batch
-  // composition no longer depends on timing.
-  for (TraceEvent& ev : trace->events) ev.arrival_ms = 0.0;
-  trace->duration_ms = 0.0;
+  // Admission is work-conserving, so a batch holds whatever arrived
+  // while the previous one ran. The modeled service clock makes that a
+  // function of the trace and the read counts, not of wall time.
+  constexpr double kMsPerRead = 0.1;
 
   // Single-threaded, so the checked-read op sequence is deterministic;
   // the plan then pins the whole fault schedule bit-identically.
   FaultInjector a(ChaosPlan(7));
   Dataset data_a = FreshData(trace->config);
-  Result<ServiceReport> run_a = ChaosReplay(*trace, &data_a, &a, 1);
+  Result<ServiceReport> run_a =
+      ChaosReplay(*trace, &data_a, &a, 1, kMsPerRead);
   ASSERT_TRUE(run_a.ok());
 
   FaultInjector b(ChaosPlan(7));
   Dataset data_b = FreshData(trace->config);
-  Result<ServiceReport> run_b = ChaosReplay(*trace, &data_b, &b, 1);
+  Result<ServiceReport> run_b =
+      ChaosReplay(*trace, &data_b, &b, 1, kMsPerRead);
   ASSERT_TRUE(run_b.ok());
 
+  // The timed trace really loads the server: batches carry several
+  // queries, so the schedule pins batch composition too.
+  EXPECT_LT(run_a->metrics.batches, trace->queries);
+  EXPECT_EQ(run_a->metrics.batches, run_b->metrics.batches);
   EXPECT_GT(a.total_faults(), 0u);
   EXPECT_EQ(a.total_faults(), b.total_faults());
   EXPECT_EQ(a.fingerprint(), b.fingerprint());

@@ -84,7 +84,8 @@ std::vector<std::vector<RecordId>> DirectReference(const Trace& trace) {
 // Shed-free replay of `trace` on a fresh engine: huge deadlines, no
 // dispatch shedding, so batching/grouping is the only variable.
 Result<ServiceReport> ShedFreeReplay(const Trace& trace, Dataset* data,
-                                     bool adaptive, size_t static_width) {
+                                     bool adaptive, size_t static_width,
+                                     double modeled_ms_per_read = 0.0) {
   DiskManager disk;
   auto engine = OpenEngineOrDie(
       EngineConfig::FromDataset(data, &disk, MakeScoring("Linear", trace.config.dim)));
@@ -100,6 +101,7 @@ Result<ServiceReport> ShedFreeReplay(const Trace& trace, Dataset* data,
   ro.admission.max_width = 8;
   ro.adaptive_width = adaptive;
   ro.static_width = static_width;
+  ro.modeled_ms_per_read = modeled_ms_per_read;
   return ReplayTrace(trace, &batch, ro);
 }
 
@@ -273,6 +275,28 @@ TEST(ServeReplayTest, OverloadedTraceStillBatches) {
   EXPECT_EQ(report->metrics.served, served);
   EXPECT_LT(report->metrics.batches, served);
   EXPECT_GT(report->metrics.mean_batch_occupancy, 1.0);
+}
+
+// The modeled service clock takes wall time out of the schedule: two
+// replays of a timed, loaded trace form the same batches and report
+// the same per-request timestamps.
+TEST(ServeReplayTest, ModeledClockReplaysTheSameSchedule) {
+  Result<Trace> trace = GenerateTrace(MixedTrace());
+  ASSERT_TRUE(trace.ok());
+  Dataset data_a = FreshData(trace->config);
+  Dataset data_b = FreshData(trace->config);
+  Result<ServiceReport> a = ShedFreeReplay(*trace, &data_a, true, 0, 0.1);
+  Result<ServiceReport> b = ShedFreeReplay(*trace, &data_b, true, 0, 0.1);
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_LT(a->metrics.batches, trace->queries);  // it did batch
+  EXPECT_EQ(a->metrics.batches, b->metrics.batches);
+  ASSERT_EQ(a->outcomes.size(), b->outcomes.size());
+  for (size_t q = 0; q < a->outcomes.size(); ++q) {
+    EXPECT_EQ(a->outcomes[q].timing.admit_ms, b->outcomes[q].timing.admit_ms)
+        << "query " << q;
+    EXPECT_EQ(a->outcomes[q].timing.reply_ms, b->outcomes[q].timing.reply_ms)
+        << "query " << q;
+  }
 }
 
 }  // namespace
