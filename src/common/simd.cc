@@ -614,6 +614,117 @@ void IntervalOverlapMask(const double* lo, const double* hi, double qlo,
   }
 }
 
+// ----- MarkAboveFacets -----
+
+namespace {
+
+void MarkAboveScalar(const double* normals, const double* offsets,
+                     const int* pool, size_t pool_n, size_t dim, double eps,
+                     const double* planes, size_t stride, uint8_t* mask,
+                     size_t n) {
+  for (size_t p = 0; p < pool_n; ++p) {
+    const double* nf = normals + static_cast<size_t>(pool[p]) * dim;
+    const double off = offsets[pool[p]];
+    for (size_t i = 0; i < n; ++i) {
+      double dot = 0.0;
+      for (size_t j = 0; j < dim; ++j) dot += nf[j] * planes[j * stride + i];
+      mask[i] |= static_cast<uint8_t>(dot - off > eps);
+    }
+  }
+}
+
+#if GIR_SIMD_X86
+void MarkAboveSse2(const double* normals, const double* offsets,
+                   const int* pool, size_t pool_n, size_t dim, double eps,
+                   const double* planes, size_t stride, uint8_t* mask,
+                   size_t n) {
+  const __m128d veps = _mm_set1_pd(eps);
+  for (size_t p = 0; p < pool_n; ++p) {
+    const double* nf = normals + static_cast<size_t>(pool[p]) * dim;
+    const double off = offsets[pool[p]];
+    const __m128d voff = _mm_set1_pd(off);
+    size_t i = 0;
+    for (; i + 2 <= n; i += 2) {
+      __m128d dot = _mm_setzero_pd();
+      for (size_t j = 0; j < dim; ++j) {
+        const __m128d x = _mm_loadu_pd(planes + j * stride + i);
+        dot = _mm_add_pd(dot, _mm_mul_pd(_mm_set1_pd(nf[j]), x));
+      }
+      const int bits =
+          _mm_movemask_pd(_mm_cmpgt_pd(_mm_sub_pd(dot, voff), veps));
+      mask[i] |= static_cast<uint8_t>(bits & 1);
+      mask[i + 1] |= static_cast<uint8_t>((bits >> 1) & 1);
+    }
+    for (; i < n; ++i) {
+      double dot = 0.0;
+      for (size_t j = 0; j < dim; ++j) dot += nf[j] * planes[j * stride + i];
+      mask[i] |= static_cast<uint8_t>(dot - off > eps);
+    }
+  }
+}
+#endif
+
+#if GIR_SIMD_HAVE_AVX2_TARGET
+GIR_TARGET_AVX2 void MarkAboveAvx2(const double* normals,
+                                   const double* offsets, const int* pool,
+                                   size_t pool_n, size_t dim, double eps,
+                                   const double* planes, size_t stride,
+                                   uint8_t* mask, size_t n) {
+  const __m256d veps = _mm256_set1_pd(eps);
+  for (size_t p = 0; p < pool_n; ++p) {
+    const double* nf = normals + static_cast<size_t>(pool[p]) * dim;
+    const double off = offsets[pool[p]];
+    const __m256d voff = _mm256_set1_pd(off);
+    size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+      __m256d dot = _mm256_setzero_pd();
+      for (size_t j = 0; j < dim; ++j) {
+        dot = _mm256_add_pd(
+            dot, _mm256_mul_pd(_mm256_set1_pd(nf[j]),
+                               _mm256_loadu_pd(planes + j * stride + i)));
+      }
+      const int bits = _mm256_movemask_pd(
+          _mm256_cmp_pd(_mm256_sub_pd(dot, voff), veps, _CMP_GT_OQ));
+      mask[i] |= static_cast<uint8_t>(bits & 1);
+      mask[i + 1] |= static_cast<uint8_t>((bits >> 1) & 1);
+      mask[i + 2] |= static_cast<uint8_t>((bits >> 2) & 1);
+      mask[i + 3] |= static_cast<uint8_t>((bits >> 3) & 1);
+    }
+    for (; i < n; ++i) {
+      double dot = 0.0;
+      for (size_t j = 0; j < dim; ++j) dot += nf[j] * planes[j * stride + i];
+      mask[i] |= static_cast<uint8_t>(dot - off > eps);
+    }
+  }
+}
+#endif
+
+}  // namespace
+
+void MarkAboveFacets(const double* normals, const double* offsets,
+                     const int* pool, size_t pool_n, size_t dim, double eps,
+                     const double* planes, size_t stride, uint8_t* mask,
+                     size_t n) {
+  switch (ActiveTier()) {
+#if GIR_SIMD_HAVE_AVX2_TARGET
+    case Tier::kAvx2:
+      MarkAboveAvx2(normals, offsets, pool, pool_n, dim, eps, planes, stride,
+                    mask, n);
+      return;
+#endif
+#if GIR_SIMD_X86
+    case Tier::kSse2:
+      MarkAboveSse2(normals, offsets, pool, pool_n, dim, eps, planes, stride,
+                    mask, n);
+      return;
+#endif
+    default:
+      MarkAboveScalar(normals, offsets, pool, pool_n, dim, eps, planes,
+                      stride, mask, n);
+      return;
+  }
+}
+
 // ----- dominance -----
 
 namespace {

@@ -95,6 +95,23 @@ void MaxDotPlaneMulti(const double* w, size_t m, const double* hi,
 void IntervalOverlapMask(const double* lo, const double* hi, double qlo,
                          double qhi, uint8_t* mask, size_t n);
 
+// ----- facet visibility (FP's per-leaf group test) -----
+
+// Marks the points that lie above any facet of a pool. Points are SoA:
+// coordinate j of point i is planes[j * stride + i], i < n. Facet f has
+// normal normals[f * dim .. f * dim + dim) and offset offsets[f]; the
+// pool lists the facets to test, pool[0 .. pool_n). For each pool facet
+// and each point, every lane evaluates
+//     dot = 0;  dot += normal[j] * x_j,  j = 0 .. dim-1
+//     above = (dot - offset) > eps
+// with a separate multiply and add (no FMA), which is exactly
+// IncidentStar::Insert's per-point visibility test, so every tier
+// returns the same verdicts. mask[i] |= above: a byte already 1 stays 1.
+void MarkAboveFacets(const double* normals, const double* offsets,
+                     const int* pool, size_t pool_n, size_t dim, double eps,
+                     const double* planes, size_t stride, uint8_t* mask,
+                     size_t n);
+
 // ----- dominance kernels (exact comparisons; identical verdicts) -----
 
 // True when p dominates q ("larger is better": p >= q in every

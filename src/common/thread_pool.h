@@ -1,6 +1,7 @@
 #ifndef GIR_COMMON_THREAD_POOL_H_
 #define GIR_COMMON_THREAD_POOL_H_
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -64,13 +65,17 @@ class ThreadPool {
     return out;
   }
 
-  // Runs body(i) for every i in [0, n), spread across the pool, and
-  // blocks until all iterations finish. Iterations are claimed from a
-  // shared atomic counter, so a slow iteration never strands work behind
-  // it. If any iteration throws, the remaining claimed iterations still
-  // run, and the first exception is rethrown here on the calling thread
-  // (it must not escape into a worker: an uncaught exception on a
-  // std::thread terminates the process). The body must not call
+  // Runs body(i) for every i in [0, n), spread across the calling
+  // thread and the pool, and blocks until all iterations finish.
+  // Iterations are claimed from a shared atomic counter, so a slow
+  // iteration never strands work behind it. The caller claims
+  // iterations too, and only min(n, size()) - 1 helpers are submitted:
+  // at most size() threads run one call, and ParallelFor(1, ...) runs
+  // on the caller without waking a worker. If any iteration throws,
+  // the remaining claimed iterations still run, and the first exception
+  // is rethrown here on the calling thread once every iteration has
+  // finished (it must not escape into a worker: an uncaught exception
+  // on a std::thread terminates the process). The body must not call
   // ParallelFor on the same pool (the workers would deadlock waiting on
   // themselves).
   void ParallelFor(size_t n, const std::function<void(size_t)>& body) {
@@ -84,25 +89,31 @@ class ThreadPool {
     };
     auto state = std::make_shared<SharedState>();
     std::future<void> finished = state->all_done.get_future();
-    const size_t spawned = std::min(n, size());
-    for (size_t t = 0; t < spawned; ++t) {
-      Submit([state, n, &body] {
-        for (size_t i = state->next.fetch_add(1); i < n;
-             i = state->next.fetch_add(1)) {
-          try {
-            body(i);
-          } catch (...) {
-            std::lock_guard<std::mutex> lock(state->error_mu);
-            if (!state->error) state->error = std::current_exception();
-          }
-          if (state->done.fetch_add(1) + 1 == n) {
-            state->all_done.set_value();
-          }
+    // A helper that starts after the caller claimed the last iteration
+    // finds the counter spent and returns without touching `body`.
+    auto claim = [state, n, &body] {
+      for (size_t i = state->next.fetch_add(1); i < n;
+           i = state->next.fetch_add(1)) {
+        try {
+          body(i);
+        } catch (...) {
+          std::lock_guard<std::mutex> lock(state->error_mu);
+          if (!state->error) state->error = std::current_exception();
         }
-      });
-    }
+        if (state->done.fetch_add(1) + 1 == n) {
+          state->all_done.set_value();
+        }
+      }
+    };
+    const size_t helpers = std::min(n, size()) - 1;
+    for (size_t t = 0; t < helpers; ++t) Submit(claim);
+    claim();
     finished.wait();
-    if (state->error) std::rethrow_exception(state->error);
+    // Take the exception out of the shared state: a late helper may drop
+    // the state's last reference, and the exception must not be released
+    // on that thread while the caller still handles it.
+    std::exception_ptr error = std::move(state->error);
+    if (error) std::rethrow_exception(error);
   }
 
  private:

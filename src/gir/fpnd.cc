@@ -4,6 +4,8 @@
 #include <cassert>
 
 #include "common/rng.h"
+#include "common/simd.h"
+#include "gir/fp_frontier.h"
 #include "skyline/dominance.h"
 #include "topk/tree_kernels.h"
 
@@ -56,17 +58,36 @@ IncidentStar::IncidentStar(VecView apex, double eps)
 }
 
 Result<bool> IncidentStar::Insert(VecView p, int external_id) {
+  return InsertImpl(p, external_id, nullptr);
+}
+
+Result<bool> IncidentStar::InsertPooled(VecView p, int external_id,
+                                        const std::vector<int>& pool) {
+  return InsertImpl(p, external_id, &pool);
+}
+
+Result<bool> IncidentStar::InsertImpl(VecView p, int external_id,
+                                      const std::vector<int>* pool) {
   const size_t d = dim_;
   const size_t slots = d - 1;
   const size_t live = offsets_.size();
 
-  // 1. Visibility scan over the packed live facets.
+  // 1. Visibility scan over the packed live facets, or over the pool
+  // (ascending, so visible_ comes out in the same order either way).
   visible_.clear();
-  for (size_t f = 0; f < live; ++f) {
+  auto test = [&](size_t f) {
     const double* n = normals_.data() + f * d;
     double dot = 0.0;
     for (size_t j = 0; j < d; ++j) dot += n[j] * p[j];
     if (dot - offsets_[f] > eps_) visible_.push_back(static_cast<int>(f));
+  };
+  if (pool != nullptr) {
+    for (int f : *pool) {
+      assert(static_cast<size_t>(f) < live);
+      test(static_cast<size_t>(f));
+    }
+  } else {
+    for (size_t f = 0; f < live; ++f) test(f);
   }
   if (visible_.empty()) return false;
   is_visible_.assign(live, 0);
@@ -249,43 +270,73 @@ std::vector<int> IncidentStar::CriticalRecordIds() const {
   return ids;
 }
 
-bool IncidentStar::BoxBelowAllFacets(const Mbb& g_box) const {
-  // Mbb::MaxDot per facet, inlined: this runs for every live facet of
-  // every popped node, and the out-of-line call measured slower. Same
+bool IncidentStar::BoxAbove(size_t f, const double* lo,
+                            const double* hi) const {
+  // Mbb::MaxDot, inlined: this runs for every live facet of every
+  // popped node, and the out-of-line call measured slower. Same
   // per-dimension order, so the same bits.
   const size_t d = dim_;
+  const double* n = normals_.data() + f * d;
+  double max_dot = 0.0;
+  for (size_t j = 0; j < d; ++j) {
+    max_dot += std::max(n[j] * lo[j], n[j] * hi[j]);
+  }
+  return max_dot - offsets_[f] > eps_;
+}
+
+bool IncidentStar::BoxBelowAllFacets(const Mbb& g_box) const {
   const size_t live = offsets_.size();
-  const double* lo = g_box.lo.data();
-  const double* hi = g_box.hi.data();
   for (size_t f = 0; f < live; ++f) {
-    const double* n = normals_.data() + f * d;
-    double max_dot = 0.0;
-    for (size_t j = 0; j < d; ++j) {
-      max_dot += std::max(n[j] * lo[j], n[j] * hi[j]);
-    }
-    if (max_dot > offsets_[f] + eps_) return false;
+    if (BoxAbove(f, g_box.lo.data(), g_box.hi.data())) return false;
   }
   return true;
 }
 
+void IncidentStar::CollectPool(const Mbb& g_box,
+                               std::vector<int>* pool) const {
+  pool->clear();
+  const size_t live = offsets_.size();
+  for (size_t f = 0; f < live; ++f) {
+    if (BoxAbove(f, g_box.lo.data(), g_box.hi.data())) {
+      pool->push_back(static_cast<int>(f));
+    }
+  }
+}
+
+size_t IncidentStar::UpdatePool(const Mbb& g_box,
+                                std::vector<int>* pool) const {
+  // remap_ and horizon_ still describe the insert that just changed
+  // the star: survivors keep their relative order and the fresh facets
+  // sit at the back, so the pool stays ascending.
+  size_t kept = 0;
+  for (int f : *pool) {
+    const int to = remap_[f];
+    if (to >= 0) (*pool)[kept++] = to;
+  }
+  pool->resize(kept);
+  const size_t live = offsets_.size();
+  for (size_t f = live - horizon_.size(); f < live; ++f) {
+    if (BoxAbove(f, g_box.lo.data(), g_box.hi.data())) {
+      pool->push_back(static_cast<int>(f));
+    }
+  }
+  return pool->size() - kept;
+}
+
+void IncidentStar::MarkVisible(const int* pool, size_t pool_n,
+                               const double* planes, size_t stride, size_t n,
+                               uint8_t* mask) const {
+  simd::MarkAboveFacets(normals_.data(), offsets_.data(), pool, pool_n, dim_,
+                        eps_, planes, stride, mask, n);
+}
+
 namespace {
 
-// Inserts the transformed point `g` into the star with a joggle-retry
-// ladder; if every retry hits a degenerate fit, falls back to emitting
-// the point's constraint directly (always sound, possibly redundant).
-// `joggled` is a reused buffer.
-void InsertWithFallback(IncidentStar& star, VecView g, RecordId id,
-                        Rng& joggle_rng, Vec* joggled, GirRegion* region,
-                        const Vec& gk, int position) {
-  Result<bool> r = star.Insert(g, id);
-  for (int attempt = 1; attempt < 3 && !r.ok(); ++attempt) {
-    joggled->assign(g.begin(), g.end());
-    for (double& x : *joggled) {
-      x += joggle_rng.Uniform(-1e-11, 1e-11) * (1 << attempt);
-    }
-    r = star.Insert(*joggled, id);
-  }
-  if (r.ok()) return;
+// Adds record `id`'s constraint directly: the fallback when every
+// rung of the joggle ladder hit a degenerate fit (always sound,
+// possibly redundant).
+void AddDirectConstraint(VecView g, RecordId id, GirRegion* region,
+                         const Vec& gk, int position) {
   ConstraintProvenance prov;
   prov.kind = ConstraintProvenance::Kind::kOvertake;
   prov.position = position;
@@ -371,47 +422,46 @@ Result<Phase2Output> RunFpNdImpl(const Tree& tree,
   }
   Vec g;        // g(p) of the record being processed
   Vec joggled;  // joggle-retry copy of g
-  auto process_record = [&](RecordId id) {
+  // The paper's pre-filter and footnote 7: true when record `id` needs
+  // no insert; otherwise leaves g(p) in `g`.
+  auto skip_record = [&](RecordId id) {
     VecView p_raw = data.Get(id);
-    if (Dominates(pk_raw, p_raw)) return;  // paper's pre-filter
+    if (Dominates(pk_raw, p_raw)) return true;
     scoring.TransformInto(p_raw, &g);
-    if (options.phase1_tightening && record_redundant_in_cone(g)) {
-      return;  // footnote 7: redundant inside the Phase-1 cone
-    }
-    InsertWithFallback(star, g, id, joggle_rng, &joggled, region, gk,
-                       position);
+    return options.phase1_tightening && record_redundant_in_cone(g);
   };
-  for (RecordId id : order) process_record(id);
+  for (RecordId id : order) {
+    if (skip_record(id)) continue;
+    if (!InsertWithJoggle(star, g, id, nullptr, joggle_rng, &joggled).ok()) {
+      AddDirectConstraint(g, id, region, gk, position);
+    }
+  }
 
   // --- Second step: refine from disk via the retained BRS heap. ---
-  std::vector<PendingNode> heap = topk.pending;
-  PendingNodeLess less;
-  std::make_heap(heap.begin(), heap.end(), less);
-  ScoreBuffer buf;
-  Mbb g_box;  // the popped node's box through g
-  while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), less);
-    PendingNode top = std::move(heap.back());
-    heap.pop_back();
-    scoring.TransformInto(top.mbb, &g_box);
-    if (star.BoxBelowAllFacets(g_box) || box_redundant_in_cone(g_box)) {
+  // A leaf's records are group-tested against the facets its box lies
+  // above (LeafGroupTest); internal nodes keep the early-exit box test.
+  FrontierWalker<Tree> walker(tree, scoring, weights, topk.pending);
+  LeafGroupTest group;
+  std::vector<double> planes;  // a leaf's records through g, SoA
+  while (walker.Pop()) {
+    const Mbb& g_box = walker.g_box();
+    if (!walker.leaf()) {
+      if (star.BoxBelowAllFacets(g_box) || box_redundant_in_cone(g_box)) {
+        continue;
+      }
+      walker.Expand(tree.ReadNode(walker.page()));
       continue;
     }
-    decltype(auto) node = tree.ReadNode(top.page);
+    if (!group.Reset(star, g_box) || box_redundant_in_cone(g_box)) continue;
+    decltype(auto) node = tree.ReadNode(walker.page());
     const size_t count = NodeEntryCount(node);
-    if (NodeIsLeaf(node)) {
-      for (size_t i = 0; i < count; ++i) {
-        process_record(NodeChild(node, i));
-      }
-    } else {
-      ComputeEntryScores(scoring, data, node, weights, &buf);
-      for (size_t i = 0; i < count; ++i) {
-        PendingNode pn;
-        pn.maxscore = buf.scores[i];
-        pn.page = static_cast<PageId>(NodeChild(node, i));
-        pn.mbb = NodeEntryMbb(node, i);
-        heap.push_back(std::move(pn));
-        std::push_heap(heap.begin(), heap.end(), less);
+    group.Test(star, LeafGPlanes(scoring, node, dim, &planes), count);
+    for (size_t i = 0; i < count; ++i) {
+      if (!group.Marked(i)) continue;
+      const RecordId id = NodeChild(node, i);
+      if (skip_record(id)) continue;
+      if (!group.Insert(star, g, id, i, joggle_rng, &joggled)) {
+        AddDirectConstraint(g, id, region, gk, position);
       }
     }
   }

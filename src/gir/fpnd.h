@@ -1,6 +1,7 @@
 #ifndef GIR_GIR_FPND_H_
 #define GIR_GIR_FPND_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "common/result.h"
@@ -67,10 +68,56 @@ class IncidentStar {
   // the paper's critical records, ascending.
   std::vector<int> CriticalRecordIds() const;
 
+  // ----- the one visibility predicate -----
+  //
+  // Facet f sees point x when  dot(n_f, x) - offset_f > eps , the dot
+  // summed as dot = 0; dot += n_f[j] * x[j] for j = 0..d-1. A box lies
+  // above f when the same expression holds with the dot replaced by
+  // the box bound  sum_j max(n_f[j] * lo[j], n_f[j] * hi[j])  summed in
+  // the same order. IEEE * and + round monotonically, so the bound is
+  // never below the dot of a point inside the box, and a facet the box
+  // does not lie above cannot see any point in it. This one predicate
+  // decides node pruning, pools and visibility. (Pruning on
+  // `bound > offset + eps` instead rounds differently: a point whose dot
+  // equals a rounded-up offset + eps is visible, yet a box whose top
+  // corner is that point would be pruned.)
+
   // True when no point of `g_box`, a node's box mapped through the
   // scoring transform (ScoringFunction::TransformInto), can lie above
   // any live facet — the FP node-pruning test.
   bool BoxBelowAllFacets(const Mbb& g_box) const;
+
+  // ----- per-leaf group testing -----
+  //
+  // A pool is the ascending list of live facets (positions in the
+  // packed arrays, as facets() numbers them) that a g-mapped box lies
+  // above. Pool invariant: every facet that can see a point of the box
+  // is in the box's pool. Testing a leaf's records against its pool
+  // only, and inserting only those that see a pool facet, therefore
+  // makes exactly the inserts of the unpooled loop (a record that sees
+  // no facet is a no-op: Insert returns false).
+
+  // The pool of `g_box`, from scratch. Empty iff BoxBelowAllFacets.
+  void CollectPool(const Mbb& g_box, std::vector<int>* pool) const;
+
+  // Insert(p, external_id) with the visibility scan restricted to
+  // `pool`, which must satisfy the pool invariant for a box holding p.
+  // Same result, same star.
+  Result<bool> InsertPooled(VecView p, int external_id,
+                            const std::vector<int>& pool);
+
+  // Brings a pool up to date directly after an Insert or InsertPooled
+  // that returned true: renumbers it through that insert's compaction,
+  // drops the facets it killed, and appends the new facets `g_box` lies
+  // above. Returns how many were appended (they end the pool).
+  size_t UpdatePool(const Mbb& g_box, std::vector<int>* pool) const;
+
+  // mask[i] |= 1 when point i sees a facet of pool[0 .. pool_n), for
+  // points given as SoA planes (coordinate j of point i at
+  // planes[j * stride + i], i < n): simd::MarkAboveFacets over the
+  // packed facets, bit-identical to Insert's test on every tier.
+  void MarkVisible(const int* pool, size_t pool_n, const double* planes,
+                   size_t stride, size_t n, uint8_t* mask) const;
 
   // Valid until the next star-changing Insert.
   VecView apex() const { return VecView(coords_.data(), dim_); }
@@ -84,6 +131,11 @@ class IncidentStar {
     int outer;
     int outer_slot;
   };
+
+  Result<bool> InsertImpl(VecView p, int external_id,
+                          const std::vector<int>* pool);
+  // The predicate above, for live facet f and box [lo, hi].
+  bool BoxAbove(size_t f, const double* lo, const double* hi) const;
 
   double eps_;
   size_t dim_;

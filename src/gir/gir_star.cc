@@ -5,6 +5,7 @@
 #include "common/rng.h"
 #include "geom/convex_hull.h"
 #include "geom/hull2d.h"
+#include "gir/fp_frontier.h"
 #include "skyline/bbs.h"
 #include "skyline/dominance.h"
 #include "topk/tree_kernels.h"
@@ -151,62 +152,71 @@ Result<Phase2Output> GirStarViaFp(const Tree& tree,
 
   Vec g;        // g(p), shared across all stars
   Vec joggled;  // joggle-retry copy of g
-  auto feed = [&](RecordId id) {
+  auto add_direct = [&](PerRecord& pr, RecordId id) {
+    ConstraintProvenance prov;
+    prov.kind = ConstraintProvenance::Kind::kOvertake;
+    prov.position = pr.position;
+    prov.challenger = id;
+    pr.direct.push_back(GirConstraint{Sub(pr.g, g), prov});
+  };
+  for (RecordId id : topk.encountered) {
     VecView p_raw = data.Get(id);
     scoring.TransformInto(p_raw, &g);
     for (PerRecord& pr : stars) {
       if (Dominates(data.Get(pr.id), p_raw)) continue;
-      bool inserted = pr.star.Insert(g, id).ok();
-      for (int attempt = 1; attempt < 3 && !inserted; ++attempt) {
-        joggled = g;
-        for (double& x : joggled) {
-          x += joggle_rng.Uniform(-1e-11, 1e-11) * (1 << attempt);
-        }
-        inserted = pr.star.Insert(joggled, id).ok();
-      }
-      if (!inserted) {
-        ConstraintProvenance prov;
-        prov.kind = ConstraintProvenance::Kind::kOvertake;
-        prov.position = pr.position;
-        prov.challenger = id;
-        pr.direct.push_back(GirConstraint{Sub(pr.g, g), prov});
+      if (!InsertWithJoggle(pr.star, g, id, nullptr, joggle_rng, &joggled)
+               .ok()) {
+        add_direct(pr, id);
       }
     }
-  };
+  }
 
-  for (RecordId id : topk.encountered) feed(id);
-
-  std::vector<PendingNode> heap = topk.pending;
-  PendingNodeLess less;
-  std::make_heap(heap.begin(), heap.end(), less);
-  ScoreBuffer buf;
-  Mbb g_box;  // the popped node's box through g, shared by all stars
-  while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), less);
-    PendingNode top = std::move(heap.back());
-    heap.pop_back();
-    scoring.TransformInto(top.mbb, &g_box);
-    bool prunable = true;
-    for (const PerRecord& pr : stars) {
-      if (!pr.star.BoxBelowAllFacets(g_box)) {
-        prunable = false;
-        break;
+  // Step 2: one walk for all stars, which share the popped node's
+  // g-box. A node is pruned when it lies below every star; a read leaf
+  // is group-tested per star, and a star whose pool is empty skips it.
+  FrontierWalker<Tree> walker(tree, scoring, weights, topk.pending);
+  std::vector<LeafGroupTest> groups(stars.size());
+  std::vector<double> planes;  // a leaf's records through g, SoA
+  while (walker.Pop()) {
+    const Mbb& g_box = walker.g_box();
+    if (!walker.leaf()) {
+      bool prunable = true;
+      for (const PerRecord& pr : stars) {
+        if (!pr.star.BoxBelowAllFacets(g_box)) {
+          prunable = false;
+          break;
+        }
       }
+      if (!prunable) walker.Expand(tree.ReadNode(walker.page()));
+      continue;
+    }
+    bool prunable = true;
+    for (size_t s = 0; s < stars.size(); ++s) {
+      if (groups[s].Reset(stars[s].star, g_box)) prunable = false;
     }
     if (prunable) continue;
-    decltype(auto) node = tree.ReadNode(top.page);
+    decltype(auto) node = tree.ReadNode(walker.page());
     const size_t count = NodeEntryCount(node);
-    if (NodeIsLeaf(node)) {
-      for (size_t i = 0; i < count; ++i) feed(NodeChild(node, i));
-    } else {
-      ComputeEntryScores(scoring, tree.dataset(), node, weights, &buf);
-      for (size_t i = 0; i < count; ++i) {
-        PendingNode pn;
-        pn.maxscore = buf.scores[i];
-        pn.page = static_cast<PageId>(NodeChild(node, i));
-        pn.mbb = NodeEntryMbb(node, i);
-        heap.push_back(std::move(pn));
-        std::push_heap(heap.begin(), heap.end(), less);
+    const GPlanes gp = LeafGPlanes(scoring, node, data.dim(), &planes);
+    for (size_t s = 0; s < stars.size(); ++s) {
+      groups[s].Test(stars[s].star, gp, count);
+    }
+    for (size_t i = 0; i < count; ++i) {
+      const RecordId id = NodeChild(node, i);
+      VecView p_raw = data.Get(id);
+      bool mapped = false;
+      for (size_t s = 0; s < stars.size(); ++s) {
+        PerRecord& pr = stars[s];
+        if (!groups[s].Marked(i) || Dominates(data.Get(pr.id), p_raw)) {
+          continue;
+        }
+        if (!mapped) {
+          scoring.TransformInto(p_raw, &g);
+          mapped = true;
+        }
+        if (!groups[s].Insert(pr.star, g, id, i, joggle_rng, &joggled)) {
+          add_direct(pr, id);
+        }
       }
     }
   }

@@ -67,6 +67,8 @@ class FlatRTree {
     // SoA planes: count() contiguous doubles per dimension.
     const double* lo(size_t j) const { return coords_ + j * cap_; }
     const double* hi(size_t j) const { return coords_ + (dim_ + j) * cap_; }
+    // Distance in doubles between consecutive planes (the capacity).
+    size_t plane_stride() const { return cap_; }
 
     // Materializes entry `e` as an Mbb (bitwise equal to the source
     // RTreeEntry::mbb). Used where a traversal retains a box, e.g. in

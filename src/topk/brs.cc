@@ -1,7 +1,7 @@
 #include "topk/brs.h"
 
 #include <algorithm>
-#include <queue>
+#include <iterator>
 
 #include "topk/tree_kernels.h"
 
@@ -36,7 +36,15 @@ Result<TopKResult> RunBrsImpl(const Tree& tree, const ScoringFunction& scoring,
   const Dataset& data = tree.dataset();
   TopKResult out;
   IoStats before = DiskManager::ThreadStats();
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, HeapEntryLess> heap;
+  // A binary max-heap driven by the std heap algorithms (what
+  // std::priority_queue does), kept as a plain vector so the drain can
+  // partition it.
+  std::vector<HeapEntry> heap;
+  HeapEntryLess less;
+  auto push = [&](HeapEntry&& e) {
+    heap.push_back(std::move(e));
+    std::push_heap(heap.begin(), heap.end(), less);
+  };
   if (tree.root() != kInvalidPage) {
     decltype(auto) root = tree.PeekNode(tree.root());
     HeapEntry e;
@@ -44,13 +52,14 @@ Result<TopKResult> RunBrsImpl(const Tree& tree, const ScoringFunction& scoring,
     e.key = scoring.MaxScore(e.mbb, weights);
     e.is_node = true;
     e.id = static_cast<int32_t>(tree.root());
-    heap.push(std::move(e));
+    push(std::move(e));
   }
   ScoreBuffer buf;
   std::vector<RecordId> fetched_records;
   while (!heap.empty() && out.result.size() < k) {
-    HeapEntry top = heap.top();
-    heap.pop();
+    std::pop_heap(heap.begin(), heap.end(), less);
+    HeapEntry top = std::move(heap.back());
+    heap.pop_back();
     if (!top.is_node) {
       out.result.push_back(top.id);
       out.scores.push_back(top.key);
@@ -67,7 +76,7 @@ Result<TopKResult> RunBrsImpl(const Tree& tree, const ScoringFunction& scoring,
         he.key = buf.scores[i];
         he.is_node = false;
         he.id = NodeChild(node, i);
-        heap.push(std::move(he));
+        push(std::move(he));
         fetched_records.push_back(NodeChild(node, i));
       }
     } else {
@@ -77,25 +86,29 @@ Result<TopKResult> RunBrsImpl(const Tree& tree, const ScoringFunction& scoring,
         he.is_node = true;
         he.id = NodeChild(node, i);
         he.mbb = NodeEntryMbb(node, i);
-        heap.push(std::move(he));
+        push(std::move(he));
       }
     }
   }
   // Drain the heap: remaining nodes feed Phase 2; remaining records are
-  // the encountered set T (already in memory, no further I/O).
-  while (!heap.empty()) {
-    const HeapEntry& top = heap.top();
-    if (top.is_node) {
-      PendingNode pn;
-      pn.maxscore = top.key;
-      pn.page = static_cast<PageId>(top.id);
-      pn.mbb = top.mbb;
-      out.pending.push_back(std::move(pn));
-    }
-    heap.pop();
+  // the encountered set T (already in memory, no further I/O). The
+  // comparator is a strict total order, so popping everything would
+  // emit the nodes in exactly descending comparator order: sort them
+  // into it instead of popping the records too.
+  auto nodes_end = std::partition(heap.begin(), heap.end(),
+                                  [](const HeapEntry& e) { return e.is_node; });
+  std::sort(heap.begin(), nodes_end,
+            [&](const HeapEntry& a, const HeapEntry& b) { return less(b, a); });
+  out.pending.reserve(static_cast<size_t>(nodes_end - heap.begin()));
+  for (auto it = heap.begin(); it != nodes_end; ++it) {
+    PendingNode pn;
+    pn.maxscore = it->key;
+    pn.page = static_cast<PageId>(it->id);
+    pn.mbb = std::move(it->mbb);
+    out.pending.push_back(std::move(pn));
   }
-  // `pending` drained from a max-heap is already sorted descending; that
-  // is a valid heap order, but normalize explicitly for clarity.
+  // Sorted descending is already a valid heap order; normalize
+  // explicitly for clarity.
   std::make_heap(out.pending.begin(), out.pending.end(), PendingNodeLess());
   std::sort(fetched_records.begin(), fetched_records.end());
   std::vector<RecordId> result_sorted = out.result;
@@ -137,17 +150,21 @@ void FinalizeMultiQuery(const FlatRTree& tree,
                         BrsFrontierArena::QuerySlot* qs,
                         std::vector<RecordId>* sort_scratch,
                         uint32_t charged, TopKResult* out) {
-  size_t n_pending = 0;
-  for (const MultiHeapEntry& e : qs->heap) n_pending += e.is_node ? 1 : 0;
-  if (out->pending.size() < n_pending) out->pending.resize(n_pending);
-  size_t idx = 0;
+  // The solo drain's sort: node entries in descending comparator order,
+  // which is the order popping the whole heap would emit them in.
   MultiHeapEntryLess less;
-  while (!qs->heap.empty()) {
-    std::pop_heap(qs->heap.begin(), qs->heap.end(), less);
-    const MultiHeapEntry top = qs->heap.back();
-    qs->heap.pop_back();
-    if (!top.is_node) continue;
-    PendingNode& pn = out->pending[idx++];
+  auto nodes_end =
+      std::partition(qs->heap.begin(), qs->heap.end(),
+                     [](const MultiHeapEntry& e) { return e.is_node; });
+  std::sort(qs->heap.begin(), nodes_end,
+            [&](const MultiHeapEntry& a, const MultiHeapEntry& b) {
+              return less(b, a);
+            });
+  const size_t n_pending = static_cast<size_t>(nodes_end - qs->heap.begin());
+  if (out->pending.size() < n_pending) out->pending.resize(n_pending);
+  for (size_t idx = 0; idx < n_pending; ++idx) {
+    const MultiHeapEntry& top = qs->heap[idx];
+    PendingNode& pn = out->pending[idx];
     pn.maxscore = top.key;
     pn.page = static_cast<PageId>(top.id);
     if (top.parent == kInvalidPage) {
@@ -158,6 +175,7 @@ void FinalizeMultiQuery(const FlatRTree& tree,
       tree.PeekNode(top.parent).EntryMbbInto(top.slot, &pn.mbb);
     }
   }
+  qs->heap.clear();
   out->pending.resize(n_pending);
   // Identical normalization to the solo drain: entries were emitted in
   // descending comparator order, then heapified.

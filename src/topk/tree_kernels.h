@@ -55,6 +55,9 @@ inline int32_t NodeChild(const RTreeNode& node, size_t e) {
 inline Mbb NodeEntryMbb(const RTreeNode& node, size_t e) {
   return node.entries[e].mbb;
 }
+inline void NodeEntryMbbInto(const RTreeNode& node, size_t e, Mbb* out) {
+  *out = node.entries[e].mbb;
+}
 // Returns a view of entry e's top corner; `scratch` is unused here but
 // backs the gathered corner in the FlatRTree overload.
 inline VecView NodeEntryTopCorner(const RTreeNode& node, size_t e,
@@ -79,6 +82,10 @@ inline int32_t NodeChild(const FlatRTree::NodeView& node, size_t e) {
 }
 inline Mbb NodeEntryMbb(const FlatRTree::NodeView& node, size_t e) {
   return node.EntryMbb(e);
+}
+inline void NodeEntryMbbInto(const FlatRTree::NodeView& node, size_t e,
+                             Mbb* out) {
+  node.EntryMbbInto(e, out);
 }
 inline VecView NodeEntryTopCorner(const FlatRTree::NodeView& node, size_t e,
                                   Vec* scratch) {

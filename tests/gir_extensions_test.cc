@@ -4,12 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <set>
 #include <string>
 
 #include "common/rng.h"
 #include "dataset/generators.h"
 #include "gir/engine.h"
+#include "gir/fp_frontier.h"
 #include "gir/fpnd.h"
 #include "gir/phase1.h"
 #include "gir/sensitivity.h"
@@ -409,6 +411,284 @@ TEST(IncidentStarTest, DegenerateInsertLeavesStarUntouched) {
     }
     ExpectStarAdjacencyConsistent(star, d, "after degenerate insert");
   }
+}
+
+// ---------- per-leaf group testing (pools) ----------
+
+// Bitwise equality of two stars: every live facet (vertices, neighbour
+// slots, normal and offset bits), the critical set and the work count.
+void ExpectSameStar(const IncidentStar& a, const IncidentStar& b,
+                    const std::string& where) {
+  ASSERT_EQ(a.facets_created(), b.facets_created()) << where;
+  ASSERT_EQ(a.CriticalRecordIds(), b.CriticalRecordIds()) << where;
+  const std::vector<IncidentStar::StarFacet> fa = a.facets();
+  const std::vector<IncidentStar::StarFacet> fb = b.facets();
+  ASSERT_EQ(fa.size(), fb.size()) << where;
+  for (size_t f = 0; f < fa.size(); ++f) {
+    ASSERT_EQ(fa[f].vertices, fb[f].vertices) << where << " facet " << f;
+    ASSERT_EQ(fa[f].neighbors, fb[f].neighbors) << where << " facet " << f;
+    ASSERT_EQ(fa[f].plane.normal.size(), fb[f].plane.normal.size()) << where;
+    ASSERT_EQ(std::memcmp(fa[f].plane.normal.data(), fb[f].plane.normal.data(),
+                          fa[f].plane.normal.size() * sizeof(double)),
+              0)
+        << where << " facet " << f;
+    ASSERT_EQ(std::memcmp(&fa[f].plane.offset, &fb[f].plane.offset,
+                          sizeof(double)),
+              0)
+        << where << " facet " << f;
+  }
+}
+
+// Coordinates of star vertex `id`: 0 is the apex, 1..d the dummies
+// apex - c_i e_i, then the points that changed the star, in order.
+Vec StarVertex(const Vec& apex, const std::vector<Vec>& star_points,
+               size_t id) {
+  const size_t d = apex.size();
+  Vec v = apex;
+  if (id >= 1 && id <= d) {
+    v[id - 1] -= std::max(apex[id - 1], 0.5);
+  } else if (id > d) {
+    v = star_points[id - d - 1];
+  }
+  return v;
+}
+
+// Pooled insertion (LeafGroupTest over a leaf's SoA planes) against the
+// plain loop that inserts every point with the same joggle ladder. The
+// point stream mixes random points, exact duplicates (also inside one
+// leaf), points on live facets, apex ties, and — with eps = 0 — a point
+// whose facet fit is degenerate, placed mid-leaf so the records after
+// it are tested against the pool rebuilt after a joggled insert. After
+// every point both stars must be bitwise equal.
+TEST(IncidentStarTest, PooledInsertionEqualsUnpooled) {
+  for (double eps : {1e-10, 0.0}) {
+    size_t degenerate_fits = 0;
+    size_t skipped_by_pool = 0;
+    size_t changed = 0;
+    for (size_t d = 2; d <= 8; ++d) {
+      const std::string dcase =
+          "eps=" + std::to_string(eps) + " d=" + std::to_string(d);
+      Rng rng(900 + d + (eps == 0.0 ? 50 : 0));
+      const Vec apex(d, 0.9);
+      Vec q1(d);
+      for (size_t j = 0; j < d; ++j) {
+        q1[j] = 1.0 + 1e-3 * static_cast<double>(j);
+      }
+      IncidentStar plain(apex, eps);
+      IncidentStar pooled(apex, eps);
+      Rng plain_rng(7);
+      Rng pooled_rng(7);
+      Vec joggled;
+      std::vector<Vec> star_points;  // points that changed `plain`
+      std::vector<Vec> history;
+      LeafGroupTest group;
+      int next_id = 0;
+      for (int leaf = 0; leaf < 24; ++leaf) {
+        const size_t count = 1 + rng.UniformInt(16);
+        std::vector<Vec> points;
+        for (size_t i = 0; i < count; ++i) {
+          Vec p(d);
+          const uint64_t kind = rng.UniformInt(5);
+          if (kind == 0 && !history.empty()) {
+            p = history[rng.UniformInt(history.size())];
+          } else if (kind == 1 && !points.empty()) {
+            p = points[rng.UniformInt(points.size())];
+          } else if (kind == 2) {
+            const std::vector<IncidentStar::StarFacet> facets =
+                plain.facets();
+            const IncidentStar::StarFacet& f =
+                facets[rng.UniformInt(facets.size())];
+            std::vector<double> w(d);
+            double total = 0.0;
+            for (double& x : w) total += (x = rng.Uniform(0.1, 1.0));
+            p.assign(d, 0.0);
+            for (size_t v = 0; v < d; ++v) {
+              const Vec vertex = StarVertex(
+                  apex, star_points, static_cast<size_t>(f.vertices[v]));
+              for (size_t j = 0; j < d; ++j) p[j] += w[v] / total * vertex[j];
+            }
+          } else if (kind == 3 && d >= 2) {
+            p = apex;
+            const size_t a = rng.UniformInt(d - 1);
+            const size_t b = a + 1 + rng.UniformInt(d - 1 - a);
+            const double t = rng.Uniform(0.0, 0.2);
+            p[a] += t;
+            p[b] -= t;
+          } else {
+            do {
+              for (double& x : p) x = rng.Uniform(0.0, 1.0);
+            } while (Dot(p, q1) >= Dot(apex, q1));
+          }
+          points.push_back(std::move(p));
+        }
+        if (eps == 0.0 && d >= 3 && leaf % 6 == 5) {
+          // DegenerateInsertLeavesStarUntouched's point: visible at
+          // eps = 0, yet its fit against the apex and dummy 2 is
+          // degenerate, so only a joggled copy can enter.
+          Vec degenerate = apex;
+          degenerate[0] += 1e-13;
+          degenerate[1] -= 0.45;
+          points.insert(points.begin() + points.size() / 2, degenerate);
+        }
+        const size_t n = points.size();
+
+        // The leaf's box: the points' bounding box, sometimes widened.
+        Mbb box = Mbb::EmptyBox(d);
+        for (size_t j = 0; j < d; ++j) {
+          box.lo[j] = box.hi[j] = points[0][j];
+          for (const Vec& p : points) {
+            box.lo[j] = std::min(box.lo[j], p[j]);
+            box.hi[j] = std::max(box.hi[j], p[j]);
+          }
+          if (rng.UniformInt(3) == 0) {
+            box.lo[j] -= rng.Uniform(0.0, 0.1);
+            box.hi[j] += rng.Uniform(0.0, 0.1);
+          }
+        }
+        // SoA planes with a stride wider than the leaf.
+        const size_t stride = n + 3;
+        std::vector<double> planes(d * stride, -1.0);
+        for (size_t i = 0; i < n; ++i) {
+          for (size_t j = 0; j < d; ++j) planes[j * stride + i] = points[i][j];
+        }
+
+        const bool any = group.Reset(pooled, box);
+        group.Test(pooled, GPlanes{planes.data(), stride}, n);
+        for (size_t i = 0; i < n; ++i) {
+          const int id = next_id++;
+          const std::string where = dcase + " leaf " + std::to_string(leaf) +
+                                    " point " + std::to_string(i);
+          // Reference: every point through the unpooled ladder.
+          Result<bool> r = plain.Insert(points[i], id);
+          if (!r.ok()) ++degenerate_fits;
+          for (int attempt = 1; attempt < 3 && !r.ok(); ++attempt) {
+            joggled = points[i];
+            for (double& x : joggled) {
+              x += plain_rng.Uniform(-1e-11, 1e-11) * (1 << attempt);
+            }
+            r = plain.Insert(joggled, id);
+          }
+          if (r.ok() && *r) {
+            star_points.push_back(points[i]);
+            ++changed;
+          }
+          if (!any || !group.Marked(i)) {
+            // Skipping is only sound when Insert was a no-op.
+            ASSERT_TRUE(r.ok()) << where;
+            ASSERT_FALSE(*r) << where;
+            ++skipped_by_pool;
+          } else {
+            const bool inserted =
+                group.Insert(pooled, points[i], id, i, pooled_rng, &joggled);
+            ASSERT_EQ(inserted, r.ok()) << where;
+          }
+          ExpectSameStar(plain, pooled, where);
+          if (::testing::Test::HasFatalFailure()) return;
+          history.push_back(points[i]);
+        }
+      }
+    }
+    EXPECT_GT(changed, 0u) << "eps=" << eps;
+    EXPECT_GT(skipped_by_pool, 0u) << "eps=" << eps;
+    if (eps == 0.0) EXPECT_GT(degenerate_fits, 0u);
+  }
+}
+
+// The pool of a box, kept current through UpdatePool across inserts,
+// equals the pool collected from scratch after each of them; and no
+// facet outside it sees a point of the box.
+TEST(IncidentStarTest, UpdatedPoolEqualsCollectedPool) {
+  Rng rng(905);
+  for (size_t d = 2; d <= 7; ++d) {
+    const Vec apex(d, 0.85);
+    IncidentStar star(apex);
+    Mbb box = Mbb::EmptyBox(d);
+    for (size_t j = 0; j < d; ++j) {
+      box.lo[j] = rng.Uniform(0.0, 0.5);
+      box.hi[j] = box.lo[j] + rng.Uniform(0.1, 0.5);
+    }
+    std::vector<int> kept_current;
+    star.CollectPool(box, &kept_current);
+    std::vector<int> fresh;
+    const Vec q1(d, 1.0);
+    for (int i = 0; i < 150; ++i) {
+      Vec p(d);
+      do {
+        for (double& x : p) x = rng.Uniform(0.0, 1.0);
+      } while (Dot(p, q1) >= Dot(apex, q1));
+      Result<bool> r = star.Insert(p, i);
+      ASSERT_TRUE(r.ok());
+      if (*r) star.UpdatePool(box, &kept_current);
+      star.CollectPool(box, &fresh);
+      ASSERT_EQ(kept_current, fresh) << "d=" << d << " insert " << i;
+      ASSERT_TRUE(std::is_sorted(fresh.begin(), fresh.end()));
+      EXPECT_EQ(fresh.empty(), star.BoxBelowAllFacets(box));
+      // Points of the box see only pool facets.
+      const std::vector<IncidentStar::StarFacet> facets = star.facets();
+      for (int probe = 0; probe < 4; ++probe) {
+        Vec x(d);
+        for (size_t j = 0; j < d; ++j) {
+          x[j] = rng.Uniform(box.lo[j], box.hi[j]);
+        }
+        for (size_t f = 0; f < facets.size(); ++f) {
+          double dot = 0.0;
+          for (size_t j = 0; j < d; ++j) {
+            dot += facets[f].plane.normal[j] * x[j];
+          }
+          if (dot - facets[f].plane.offset > 1e-10) {
+            EXPECT_TRUE(std::binary_search(fresh.begin(), fresh.end(),
+                                           static_cast<int>(f)))
+                << "d=" << d << " facet " << f;
+          }
+        }
+      }
+    }
+  }
+}
+
+// The box test and the point test are one predicate. A point whose dot
+// equals the rounded-up offset + eps is visible to Insert; the box that
+// is just that point must therefore not be pruned (the old box form,
+// max_dot > offset + eps, pruned it) and must pool the facet.
+TEST(IncidentStarTest, BoxTestRoundsLikeThePointTest) {
+  const double eps = 1e-10;
+  bool found = false;
+  for (int step = 0; step < 1000 && !found; ++step) {
+    const double a0 = 0.7 + 1e-4 * step;
+    const Vec apex = {a0, 0.6};
+    IncidentStar star(apex, eps);
+    // The initial facet through the apex and dummy 2 is the vertical
+    // line x0 = a0: look for a fit with normal exactly (1, 0).
+    const std::vector<IncidentStar::StarFacet> facets = star.facets();
+    for (size_t f = 0; f < facets.size() && !found; ++f) {
+      const Vec& n = facets[f].plane.normal;
+      const double off = facets[f].plane.offset;
+      if (n[0] != 1.0 || n[1] != 0.0) continue;
+      const double bound = off + eps;  // rounded
+      if (!(bound - off > eps)) continue;  // need offset + eps rounded up
+      found = true;
+      const Vec x = {bound, 0.1};
+      double dot = 0.0;
+      for (size_t j = 0; j < 2; ++j) dot += n[j] * x[j];
+      ASSERT_EQ(dot, bound);
+      ASSERT_FALSE(dot > off + eps);  // the old box form would prune
+      ASSERT_TRUE(dot - off > eps);   // the point form sees it
+      const Mbb point_box = Mbb::OfPoint(x);
+      EXPECT_FALSE(star.BoxBelowAllFacets(point_box));
+      std::vector<int> pool;
+      star.CollectPool(point_box, &pool);
+      EXPECT_NE(std::find(pool.begin(), pool.end(), static_cast<int>(f)),
+                pool.end());
+      uint8_t mask = 0;
+      const std::vector<double> planes = {x[0], x[1]};
+      star.MarkVisible(pool.data(), pool.size(), planes.data(), 1, 1, &mask);
+      EXPECT_EQ(mask, 1);
+      Result<bool> r = star.Insert(x, 1);
+      ASSERT_TRUE(r.ok());
+      EXPECT_TRUE(*r);
+    }
+  }
+  EXPECT_TRUE(found) << "no apex with a rounded-up offset + eps";
 }
 
 // ---------- FP seeding-heuristic equivalence ----------

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <numeric>
 
 #include "common/rng.h"
@@ -19,14 +20,22 @@
 namespace gir {
 namespace {
 
+// The first k records by decreasing score, ties in id order (what a
+// stable sort by score yields).
 std::vector<RecordId> ScanTopK(const Dataset& data,
                                const ScoringFunction& scoring, VecView w,
                                size_t k) {
+  std::vector<double> score(data.size());
+  for (size_t i = 0; i < data.size(); ++i) {
+    score[i] = scoring.Score(data.Get(static_cast<RecordId>(i)), w);
+  }
   std::vector<RecordId> ids(data.size());
   std::iota(ids.begin(), ids.end(), 0);
-  std::stable_sort(ids.begin(), ids.end(), [&](RecordId a, RecordId b) {
-    return scoring.Score(data.Get(a), w) > scoring.Score(data.Get(b), w);
-  });
+  std::partial_sort(ids.begin(), ids.begin() + k, ids.end(),
+                    [&](RecordId a, RecordId b) {
+                      return score[a] != score[b] ? score[a] > score[b]
+                                                  : a < b;
+                    });
   ids.resize(k);
   return ids;
 }
@@ -36,6 +45,8 @@ struct MethodCase {
   int dim;
   int k;
   uint64_t seed;
+  size_t n = 400;
+  const char* scoring = "Linear";
 };
 
 class GirEquivalenceTest : public ::testing::TestWithParam<MethodCase> {};
@@ -108,12 +119,13 @@ class GirSemanticsTest : public ::testing::TestWithParam<MethodCase> {};
 TEST_P(GirSemanticsTest, RegionMembershipPredictsResultPreservation) {
   const MethodCase& c = GetParam();
   Rng rng(c.seed * 77);
-  Result<Dataset> data = GenerateByName(c.dataset, 400, c.dim, rng);
+  Result<Dataset> data = GenerateByName(c.dataset, c.n, c.dim, rng);
   ASSERT_TRUE(data.ok());
   DiskManager disk;
   auto engine = OpenEngineOrDie(
-      EngineConfig::FromDataset(&*data, &disk, MakeScoring("Linear", c.dim)));
-  LinearScoring scoring(c.dim);
+      EngineConfig::FromDataset(&*data, &disk, MakeScoring(c.scoring, c.dim)));
+  std::unique_ptr<ScoringFunction> scoring_fn = MakeScoring(c.scoring, c.dim);
+  const ScoringFunction& scoring = *scoring_fn;
 
   Vec w(c.dim);
   for (int j = 0; j < c.dim; ++j) w[j] = rng.Uniform(0.2, 0.9);
@@ -152,12 +164,20 @@ TEST_P(GirSemanticsTest, RegionMembershipPredictsResultPreservation) {
   EXPECT_GT(outside_checked, 5);
 }
 
+// The n = 5000 cases have enough leaves for FP's per-leaf pools, at
+// the dimensionalities where Phase 2 dominates and under the non-linear
+// scorings whose leaf planes are transformed before the group test.
 INSTANTIATE_TEST_SUITE_P(
     Sweep, GirSemanticsTest,
     ::testing::Values(MethodCase{"IND", 2, 5, 1}, MethodCase{"IND", 3, 10, 2},
                       MethodCase{"IND", 4, 5, 3}, MethodCase{"COR", 3, 8, 4},
                       MethodCase{"ANTI", 3, 5, 5},
-                      MethodCase{"ANTI", 4, 10, 6}));
+                      MethodCase{"ANTI", 4, 10, 6},
+                      MethodCase{"IND", 5, 10, 7, 5000},
+                      MethodCase{"ANTI", 5, 10, 8, 5000},
+                      MethodCase{"IND", 6, 5, 9, 5000},
+                      MethodCase{"IND", 4, 10, 10, 5000, "Polynomial"},
+                      MethodCase{"IND", 4, 10, 11, 5000, "Mixed"}));
 
 TEST(GirMethodsTest, BruteForceStandaloneMatchesEngine) {
   Rng rng(123);

@@ -264,6 +264,74 @@ TEST(SimdDispatchTest, MinMaxDotPlanesBitIdentical) {
   }
 }
 
+// FP's per-leaf group-test kernel: every tier returns the verdicts of
+// IncidentStar::Insert's scalar point test (dot = 0; dot += n_j * x_j;
+// dot - offset > eps), including points placed on a facet, pools that
+// skip facets, a stride wider than the leaf and lane-count remainders.
+TEST(SimdDispatchTest, MarkAboveFacetsVerdictsIdentical) {
+  TierGuard guard;
+  const std::vector<simd::Tier> tiers = AvailableTiers();
+  Rng rng(4242);
+  for (size_t d = 2; d <= 9; ++d) {
+    const size_t facets = 13;
+    std::vector<double> normals(facets * d);
+    std::vector<double> offsets(facets);
+    for (double& x : normals) x = rng.Uniform(-1.0, 1.0);
+    for (double& x : offsets) x = rng.Uniform(-0.5, 1.5);
+    std::vector<int> pool;
+    for (size_t f = 0; f < facets; ++f) {
+      if (rng.UniformInt(3) != 0) pool.push_back(static_cast<int>(f));
+    }
+    for (size_t n : {1u, 2u, 3u, 5u, 8u, 31u, 64u, 67u}) {
+      const size_t stride = n + 5;
+      std::vector<double> planes(d * stride);
+      for (size_t i = 0; i < n; ++i) {
+        for (size_t j = 0; j < d; ++j) planes[j * stride + i] = rng.Uniform();
+        if (i % 3 == 0 && !pool.empty()) {
+          // Move point i onto a pool facet along its last coordinate,
+          // so dot - offset lands on or next to 0 (and to eps).
+          const int f = pool[rng.UniformInt(pool.size())];
+          const double* nf = normals.data() + f * d;
+          if (nf[d - 1] != 0.0) {
+            double rest = 0.0;
+            for (size_t j = 0; j + 1 < d; ++j) {
+              rest += nf[j] * planes[j * stride + i];
+            }
+            planes[(d - 1) * stride + i] = (offsets[f] - rest) / nf[d - 1];
+          }
+        }
+      }
+      for (double eps : {1e-10, 0.0}) {
+        std::vector<uint8_t> want(n, 0);
+        for (int f : pool) {
+          const double* nf = normals.data() + f * d;
+          for (size_t i = 0; i < n; ++i) {
+            double dot = 0.0;
+            for (size_t j = 0; j < d; ++j) {
+              dot += nf[j] * planes[j * stride + i];
+            }
+            if (dot - offsets[f] > eps) want[i] = 1;
+          }
+        }
+        for (simd::Tier tier : tiers) {
+          simd::ForceTier(tier);
+          std::vector<uint8_t> got(n, 0);
+          got[0] = 1;  // a set byte stays set
+          simd::MarkAboveFacets(normals.data(), offsets.data(), pool.data(),
+                                pool.size(), d, eps, planes.data(), stride,
+                                got.data(), n);
+          for (size_t i = 0; i < n; ++i) {
+            const uint8_t expect = i == 0 ? 1 : want[i];
+            ASSERT_EQ(got[i], expect)
+                << simd::TierName(tier) << " d=" << d << " n=" << n
+                << " point " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
 // Whole-engine sweep: identical top-k ids and scores, identical region
 // constraints, identical IoStats on every tier (kernel bit-identity
 // implies identical traversal decisions, so page-read counts match).
@@ -314,6 +382,56 @@ TEST(SimdDispatchTest, EngineResultsAndIoStatsIdentical) {
                                   a.size() * sizeof(double)),
                       0);
           }
+        }
+      }
+    }
+  }
+}
+
+// The same identity where FP's per-leaf group test does real work:
+// enough records for many leaves, d = 5, Linear and Polynomial scoring
+// (the Polynomial leaf planes go through the tiered PowIter), for FP
+// and for GIR*'s FP variant. Constraint provenance and the star's live
+// facet count must match too.
+TEST(SimdDispatchTest, PooledPhase2IdenticalAcrossTiersAtD5) {
+  TierGuard guard;
+  const std::vector<simd::Tier> tiers = AvailableTiers();
+  const size_t d = 5;
+  Dataset data = MakeDist("IND", 6000, d, 2705);
+  for (const char* sname : {"Linear", "Polynomial"}) {
+    for (bool star : {false, true}) {
+      Rng qrng(91);
+      const Vec w = MakeQuery(qrng, d);
+      const size_t k = star ? 4 : 10;
+      auto compute = [&](simd::Tier tier) {
+        simd::ForceTier(tier);
+        DiskManager disk;
+        auto engine = OpenEngineOrDie(
+            EngineConfig::FromDataset(&data, &disk, MakeScoring(sname, d)));
+        return star ? engine->ComputeGirStar(w, k, Phase2Method::kFP)
+                    : engine->ComputeGir(w, k, Phase2Method::kFP);
+      };
+      Result<GirComputation> ref = compute(simd::Tier::kScalar);
+      ASSERT_TRUE(ref.ok()) << ref.status().message();
+      EXPECT_GT(ref->stats.phase2_reads, 5u);
+      for (simd::Tier tier : tiers) {
+        Result<GirComputation> got = compute(tier);
+        ASSERT_TRUE(got.ok()) << got.status().message();
+        SCOPED_TRACE(std::string("tier=") + simd::TierName(tier) +
+                     " scoring=" + sname + (star ? " GIR*" : " GIR"));
+        ASSERT_EQ(got->topk.result, ref->topk.result);
+        EXPECT_EQ(got->stats.phase2_reads, ref->stats.phase2_reads);
+        EXPECT_EQ(got->stats.candidates, ref->stats.candidates);
+        EXPECT_EQ(got->stats.star_facets, ref->stats.star_facets);
+        const std::vector<GirConstraint>& a = got->region.constraints();
+        const std::vector<GirConstraint>& b = ref->region.constraints();
+        ASSERT_EQ(a.size(), b.size());
+        for (size_t i = 0; i < a.size(); ++i) {
+          ASSERT_EQ(std::memcmp(a[i].normal.data(), b[i].normal.data(),
+                                d * sizeof(double)),
+                    0);
+          EXPECT_EQ(a[i].provenance.position, b[i].provenance.position);
+          EXPECT_EQ(a[i].provenance.challenger, b[i].provenance.challenger);
         }
       }
     }

@@ -2,10 +2,15 @@
 // concurrency across worker threads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <numeric>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -79,6 +84,65 @@ TEST(ThreadPoolTest, ParallelForMoreIterationsThanWorkers) {
   std::atomic<long> sum{0};
   pool.ParallelFor(500, [&sum](size_t i) { sum.fetch_add(static_cast<long>(i)); });
   EXPECT_EQ(sum.load(), 500L * 499L / 2);
+}
+
+TEST(ThreadPoolTest, ParallelForOfOneRunsOnTheCaller) {
+  ThreadPool pool(4);
+  std::thread::id ran_on;
+  pool.ParallelFor(1, [&ran_on](size_t) {
+    ran_on = std::this_thread::get_id();
+  });
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+}
+
+TEST(ThreadPoolTest, ParallelForNeverUsesMoreThreadsThanThePoolSize) {
+  for (size_t workers : {1u, 2u, 4u}) {
+    ThreadPool pool(workers);
+    for (size_t n : {1u, 2u, 3u, 7u, 64u}) {
+      std::set<std::thread::id> ids;
+      std::mutex mu;
+      pool.ParallelFor(n, [&](size_t) {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        std::lock_guard<std::mutex> lock(mu);
+        ids.insert(std::this_thread::get_id());
+      });
+      EXPECT_LE(ids.size(), std::min(n, workers))
+          << "workers " << workers << " n " << n;
+    }
+  }
+}
+
+TEST(ThreadPoolTest, CallerIterationExceptionIsRethrownAfterHelpersFinish) {
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  const size_t n = 16;
+  std::atomic<size_t> finished{0};
+  bool caller_threw = false;
+  try {
+    pool.ParallelFor(n, [&](size_t) {
+      if (std::this_thread::get_id() == caller) {
+        throw std::runtime_error("caller iteration");
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      finished.fetch_add(1);
+    });
+  } catch (const std::runtime_error& e) {
+    caller_threw = std::string(e.what()) == "caller iteration";
+  }
+  // The caller always claims at least one iteration, so it threw; every
+  // helper iteration had completed before ParallelFor rethrew.
+  EXPECT_TRUE(caller_threw);
+  const size_t after_return = finished.load();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(finished.load(), after_return);
+  EXPECT_LT(after_return, n);
+}
+
+TEST(ThreadPoolTest, LoneIterationExceptionIsRethrown) {
+  ThreadPool pool(2);
+  EXPECT_THROW(
+      pool.ParallelFor(1, [](size_t) { throw std::logic_error("one"); }),
+      std::logic_error);
 }
 
 }  // namespace

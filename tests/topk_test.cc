@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <memory>
 #include <numeric>
+#include <queue>
+#include <string>
 
 #include "common/rng.h"
 #include "dataset/generators.h"
 #include "topk/brs.h"
 #include "topk/scoring.h"
+#include "topk/tree_kernels.h"
 
 namespace gir {
 namespace {
@@ -262,6 +267,165 @@ TEST(BrsTest, IoCountedOnlyForReadNodes) {
   EXPECT_GT(r->io.reads, 0u);
   // BRS is I/O-light: it should touch far fewer pages than exist.
   EXPECT_LT(r->io.reads, tree.node_count() / 4);
+}
+
+// ----- the sort drain against the full-pop drain -----
+
+// BRS with the drain it had before the sort: pop the whole heap (a
+// std::priority_queue under the same strict total order) and keep the
+// nodes in pop order, then heapify. No I/O is charged here; the
+// comparison covers result, scores, encountered and the pending layout.
+template <typename Tree>
+TopKResult FullPopBrs(const Tree& tree, const ScoringFunction& scoring,
+                      VecView weights, size_t k) {
+  struct Entry {
+    double key;
+    bool is_node;
+    int32_t id;
+    Mbb mbb;
+  };
+  struct Less {
+    bool operator()(const Entry& a, const Entry& b) const {
+      if (a.key != b.key) return a.key < b.key;
+      if (a.is_node != b.is_node) return a.is_node;
+      return a.id > b.id;
+    }
+  };
+  TopKResult out;
+  std::priority_queue<Entry, std::vector<Entry>, Less> heap;
+  {
+    Entry e;
+    e.mbb = NodeSelfMbb(tree, tree.PeekNode(tree.root()));
+    e.key = scoring.MaxScore(e.mbb, weights);
+    e.is_node = true;
+    e.id = static_cast<int32_t>(tree.root());
+    heap.push(std::move(e));
+  }
+  ScoreBuffer buf;
+  std::vector<RecordId> fetched;
+  while (!heap.empty() && out.result.size() < k) {
+    Entry top = heap.top();
+    heap.pop();
+    if (!top.is_node) {
+      out.result.push_back(top.id);
+      out.scores.push_back(top.key);
+      continue;
+    }
+    decltype(auto) node = tree.PeekNode(static_cast<PageId>(top.id));
+    ComputeEntryScores(scoring, tree.dataset(), node, weights, &buf);
+    for (size_t i = 0; i < NodeEntryCount(node); ++i) {
+      Entry e;
+      e.key = buf.scores[i];
+      e.is_node = !NodeIsLeaf(node);
+      e.id = NodeChild(node, i);
+      if (e.is_node) {
+        e.mbb = NodeEntryMbb(node, i);
+      } else {
+        fetched.push_back(e.id);
+      }
+      heap.push(std::move(e));
+    }
+  }
+  while (!heap.empty()) {
+    const Entry& top = heap.top();
+    if (top.is_node) {
+      PendingNode pn;
+      pn.maxscore = top.key;
+      pn.page = static_cast<PageId>(top.id);
+      pn.mbb = top.mbb;
+      out.pending.push_back(std::move(pn));
+    }
+    heap.pop();
+  }
+  std::make_heap(out.pending.begin(), out.pending.end(), PendingNodeLess());
+  std::sort(fetched.begin(), fetched.end());
+  std::vector<RecordId> result_sorted = out.result;
+  std::sort(result_sorted.begin(), result_sorted.end());
+  std::set_difference(fetched.begin(), fetched.end(), result_sorted.begin(),
+                      result_sorted.end(), std::back_inserter(out.encountered));
+  return out;
+}
+
+void ExpectSameDrain(const TopKResult& want, const TopKResult& got,
+                     const std::string& where) {
+  ASSERT_EQ(got.result, want.result) << where;
+  ASSERT_EQ(got.scores, want.scores) << where;
+  ASSERT_EQ(got.encountered, want.encountered) << where;
+  ASSERT_EQ(got.pending.size(), want.pending.size()) << where;
+  for (size_t i = 0; i < want.pending.size(); ++i) {
+    ASSERT_EQ(got.pending[i].maxscore, want.pending[i].maxscore) << where;
+    ASSERT_EQ(got.pending[i].page, want.pending[i].page)
+        << where << " pending slot " << i;
+    ASSERT_EQ(got.pending[i].mbb.lo, want.pending[i].mbb.lo) << where;
+    ASSERT_EQ(got.pending[i].mbb.hi, want.pending[i].mbb.hi) << where;
+  }
+}
+
+// Coordinates on a coarse grid plus duplicated rows: many records and
+// nodes tie on score and maxscore, so the (key, is_node, id) order's
+// tie-breaks decide the drain.
+TEST(BrsTest, SortDrainEqualsFullPopDrain) {
+  for (size_t d : {2u, 3u, 4u}) {
+    Rng rng(4100 + d);
+    std::vector<std::vector<double>> rows;
+    while (rows.size() < 2400) {
+      std::vector<double> row(d);
+      for (double& x : row) x = 0.125 * static_cast<double>(rng.UniformInt(9));
+      rows.push_back(row);
+      if (rng.UniformInt(4) == 0) rows.push_back(row);  // duplicate row
+    }
+    Dataset data = Dataset::FromRows(rows);
+    DiskManager disk;
+    RTree tree = RTree::BulkLoad(&data, &disk);
+    FlatRTree flat = FlatRTree::Freeze(tree);
+    std::vector<Vec> weights = {Vec(d, 0.5), Vec(d, 1.0)};
+    while (weights.size() < 8) {
+      Vec w(d);
+      for (double& x : w) x = 0.25 * static_cast<double>(1 + rng.UniformInt(4));
+      weights.push_back(w);
+    }
+    for (const char* sname : {"Linear", "Polynomial"}) {
+      std::unique_ptr<ScoringFunction> scoring = MakeScoring(sname, d);
+      for (size_t k : {1u, 10u, 40u}) {
+        std::vector<TopKResult> want;
+        for (size_t q = 0; q < weights.size(); ++q) {
+          const std::string where = std::string(sname) + " d=" +
+                                    std::to_string(d) + " k=" +
+                                    std::to_string(k) + " query " +
+                                    std::to_string(q);
+          want.push_back(FullPopBrs(flat, *scoring, weights[q], k));
+          ASSERT_FALSE(want.back().pending.empty()) << where;
+          Result<TopKResult> solo_mutable =
+              RunBrs(tree, *scoring, weights[q], k);
+          Result<TopKResult> solo_flat = RunBrs(flat, *scoring, weights[q], k);
+          ASSERT_TRUE(solo_mutable.ok());
+          ASSERT_TRUE(solo_flat.ok());
+          ExpectSameDrain(want.back(), *solo_mutable, where + " mutable");
+          ExpectSameDrain(want.back(), *solo_flat, where + " flat");
+          // Width 1: one query per RunBrsMulti call.
+          BrsFrontierArena arena;
+          std::vector<TopKResult> one;
+          ASSERT_TRUE(RunBrsMulti(flat, *scoring,
+                                  {BrsMultiQuery{VecView(weights[q]), k}},
+                                  &arena, &one)
+                          .ok());
+          ExpectSameDrain(want.back(), one[0], where + " width 1");
+        }
+        // Width 8: the whole group in one lockstep walk.
+        std::vector<BrsMultiQuery> group;
+        for (const Vec& w : weights) group.push_back({VecView(w), k});
+        BrsFrontierArena arena;
+        std::vector<TopKResult> multi;
+        ASSERT_TRUE(RunBrsMulti(flat, *scoring, group, &arena, &multi).ok());
+        for (size_t q = 0; q < weights.size(); ++q) {
+          ExpectSameDrain(want[q], multi[q],
+                          std::string(sname) + " d=" + std::to_string(d) +
+                              " k=" + std::to_string(k) + " width 8 query " +
+                              std::to_string(q));
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
