@@ -46,10 +46,11 @@ int main(int argc, char** argv) {
             MakeNamedDataset(dists[di], hull_n, d, params.seed + d);
         DiskManager disk;
         RTree tree = RTree::BulkLoad(&data, &disk);
+        FlatRTree flat = FlatRTree::Freeze(tree);
         LinearScoring scoring(d);
         Rng qrng(params.seed + 31 * d);
         Vec w = RandomQuery(qrng, d);
-        Result<TopKResult> topk = RunBrs(tree, scoring, w, params.k);
+        Result<TopKResult> topk = RunBrs(flat, scoring, w, params.k);
         if (topk.ok()) {
           std::vector<Vec> pts;
           std::vector<bool> in_r(data.size(), false);

@@ -231,23 +231,6 @@ void BM_RtreeInsertBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_RtreeInsertBuild)->Arg(20000)->Unit(benchmark::kMillisecond);
 
-void BM_BrsTopK(benchmark::State& state) {
-  Rng rng(g_seed + 23);
-  Dataset data = GenerateIndependent(200000, 4, rng);
-  DiskManager disk;
-  RTree tree = RTree::BulkLoad(&data, &disk);
-  LinearScoring scoring(4);
-  size_t i = 0;
-  for (auto _ : state) {
-    Rng qrng(g_seed * 1000 + i++);
-    Vec w(4);
-    for (int j = 0; j < 4; ++j) w[j] = qrng.Uniform(0.05, 1.0);
-    Result<TopKResult> r = RunBrs(tree, scoring, w, state.range(0));
-    benchmark::DoNotOptimize(r.ok());
-  }
-}
-BENCHMARK(BM_BrsTopK)->Arg(10)->Arg(100)->Unit(benchmark::kMicrosecond);
-
 void BM_IncidentStarInsert(benchmark::State& state) {
   const size_t d = state.range(0);
   std::vector<Vec> pts = RandomCloud(4000, d, g_seed + 29);
@@ -301,6 +284,7 @@ void BM_TopKIoByBuildMethod(benchmark::State& state) {
       tree.Insert(static_cast<RecordId>(i));
     }
   }
+  FlatRTree flat = FlatRTree::Freeze(tree);
   LinearScoring scoring(4);
   size_t i = 0;
   uint64_t reads = 0;
@@ -309,7 +293,7 @@ void BM_TopKIoByBuildMethod(benchmark::State& state) {
     Rng qrng(g_seed * 1000 + i++);
     Vec w(4);
     for (int j = 0; j < 4; ++j) w[j] = qrng.Uniform(0.05, 1.0);
-    Result<TopKResult> r = RunBrs(tree, scoring, w, 20);
+    Result<TopKResult> r = RunBrs(flat, scoring, w, 20);
     if (r.ok()) {
       reads += r->io.reads;
       ++runs;
@@ -325,14 +309,12 @@ BENCHMARK(BM_TopKIoByBuildMethod)
     ->Arg(0)
     ->Unit(benchmark::kMicrosecond);
 
-// --- Scalar vs flat kernel pairs (the PR-2 layout speedup trackers) ---
+// --- Layout kernel trackers ---
 
-// Per-entry scoring over every node of the index: Arg(0)=0 is the
-// pre-flat scalar path (virtual MaxScore/Score per entry), Arg(0)=1 the
-// SoA plane kernel on the frozen tree. reports ns/entry.
+// The SoA plane kernel over every node of the frozen tree, at d =
+// Arg(0); reports ns/entry.
 void BM_NodeEntryScores(benchmark::State& state) {
-  const bool use_flat = state.range(0) != 0;
-  const size_t d = state.range(1);
+  const size_t d = state.range(0);
   Rng rng(g_seed + 41);
   Dataset data = GenerateIndependent(100000, d, rng);
   DiskManager disk;
@@ -343,20 +325,15 @@ void BM_NodeEntryScores(benchmark::State& state) {
   Vec w(d);
   for (size_t j = 0; j < d; ++j) w[j] = qrng.Uniform(0.05, 1.0);
   size_t entries = 0;
-  for (size_t p = 0; p < tree.node_count(); ++p) {
-    entries += tree.PeekNode(static_cast<PageId>(p)).entries.size();
+  for (size_t p = 0; p < flat.node_count(); ++p) {
+    entries += flat.PeekNode(static_cast<PageId>(p)).count();
   }
   ScoreBuffer buf;
   for (auto _ : state) {
     double sink = 0.0;
-    for (size_t p = 0; p < tree.node_count(); ++p) {
-      if (use_flat) {
-        ComputeEntryScores(scoring, data,
-                           flat.PeekNode(static_cast<PageId>(p)), w, &buf);
-      } else {
-        ComputeEntryScores(scoring, data,
-                           tree.PeekNode(static_cast<PageId>(p)), w, &buf);
-      }
+    for (size_t p = 0; p < flat.node_count(); ++p) {
+      ComputeEntryScores(scoring, flat.PeekNode(static_cast<PageId>(p)), w,
+                         &buf);
       sink += buf.scores[0];
     }
     benchmark::DoNotOptimize(sink);
@@ -365,12 +342,7 @@ void BM_NodeEntryScores(benchmark::State& state) {
       static_cast<double>(entries) * static_cast<double>(state.iterations()),
       benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
-BENCHMARK(BM_NodeEntryScores)
-    ->Args({0, 4})
-    ->Args({1, 4})
-    ->Args({0, 6})
-    ->Args({1, 6})
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_NodeEntryScores)->Arg(4)->Arg(6)->Unit(benchmark::kMillisecond);
 
 // The SoA kernel under each forced dispatch tier (Arg(0): 0=scalar,
 // 1=sse2, 2=avx2; clamped to what the CPU supports). Isolates what the
@@ -397,8 +369,8 @@ void BM_NodeEntryScoresTier(benchmark::State& state) {
   for (auto _ : state) {
     double sink = 0.0;
     for (size_t p = 0; p < flat.node_count(); ++p) {
-      ComputeEntryScores(scoring, data, flat.PeekNode(static_cast<PageId>(p)),
-                         w, &buf);
+      ComputeEntryScores(scoring, flat.PeekNode(static_cast<PageId>(p)), w,
+                         &buf);
       sink += buf.scores[0];
     }
     benchmark::DoNotOptimize(sink);
@@ -463,10 +435,9 @@ BENCHMARK(BM_SkylineDominance)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
-// Whole BRS query against the frozen tree (pairs with BM_BrsTopK above,
-// which runs the mutable tree).
+// Whole BRS query against the frozen tree.
 void BM_BrsTopKFlat(benchmark::State& state) {
-  Rng rng(g_seed + 23);  // same dataset as BM_BrsTopK
+  Rng rng(g_seed + 23);
   Dataset data = GenerateIndependent(200000, 4, rng);
   DiskManager disk;
   RTree tree = RTree::BulkLoad(&data, &disk);

@@ -6,8 +6,9 @@
 // candidate count, the live star facets and the Phase-2 page reads.
 //
 // Methods: FP (order-sensitive, paper defaults), FP+tight (FP with
-// FpOptions::phase1_tightening on), GIR*-FP (order-insensitive FP) and
-// CP. Cells: IND/ANTI/COR with Linear scoring at d = dmin..dmax, plus
+// FpOptions::phase1_tightening on), SP, CP, and the order-insensitive
+// GIR*-FP, GIR*-SP and GIR*-CP. At d = 2 the order-sensitive FP runs
+// the angular variant (fp2d). Cells: IND/ANTI/COR with Linear scoring at d = dmin..dmax, plus
 // IND with Polynomial and Mixed scoring at d = dmin..min(dmax, 5).
 //
 // Output, one tab-separated line per cell:
@@ -15,7 +16,7 @@
 // The first five columns are deterministic. The last three are not:
 // milliseconds per query for the whole computation, its BRS top-k and
 // its Phase 2. --methods picks a comma-separated subset of the method
-// labels (default: all four).
+// labels (default: all seven).
 // To compare two commits, build this file in both trees and diff the
 // deterministic columns:
 //   diff <(a/build/bench/bench_region_fingerprint | cut -f1-5) \
@@ -117,7 +118,7 @@ int main(int argc, char** argv) {
   int64_t dmax = 6;
   flags.AddInt("dmin", &dmin, "smallest dimensionality");
   flags.AddInt("dmax", &dmax, "largest dimensionality");
-  std::string methods_flag = "FP,FP+tight,GIR*-FP,CP";
+  std::string methods_flag = "FP,FP+tight,GIR*-FP,CP,SP,GIR*-SP,GIR*-CP";
   flags.AddString("methods", &methods_flag,
                   "comma-separated method labels to run");
   Status s = flags.Parse(argc, argv);
@@ -129,6 +130,9 @@ int main(int argc, char** argv) {
       {"FP+tight", Phase2Method::kFP, true, true},
       {"GIR*-FP", Phase2Method::kFP, false, false},
       {"CP", Phase2Method::kCP, false, true},
+      {"SP", Phase2Method::kSP, false, true},
+      {"GIR*-SP", Phase2Method::kSP, false, false},
+      {"GIR*-CP", Phase2Method::kCP, false, false},
   };
   for (const Method& m : methods) {
     if (("," + methods_flag + ",").find("," + std::string(m.label) + ",") ==

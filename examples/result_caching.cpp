@@ -10,8 +10,8 @@
 
 #include "common/rng.h"
 #include "dataset/generators.h"
-#include "gir/cache.h"
 #include "gir/engine.h"
+#include "gir/sharded_cache.h"
 
 int main() {
   using namespace gir;
@@ -23,7 +23,11 @@ int main() {
   DiskManager disk;
   auto engine = OpenEngineOrDie(
       EngineConfig::FromDataset(&data, &disk, MakeScoring("Linear", d)));
-  GirCache cache(256);
+  ShardedGirCache cache(256);
+  // The no-cache baseline runs plain top-k on the published frozen
+  // image, which every engine has (arena-opened ones have no master
+  // tree).
+  const GirEngine::PinnedIndex pin = engine->PinIndex();
 
   // Preference archetypes: "quality seeker", "bargain hunter", ...
   std::vector<Vec> archetypes = {
@@ -41,8 +45,8 @@ int main() {
     for (size_t j = 0; j < d; ++j) {
       q[j] = std::clamp(base[j] + rng.Gaussian(0.0, jitter), 0.01, 1.0);
     }
-    GirCache::Lookup hit = cache.Probe(q, k);
-    if (hit.kind == GirCache::HitKind::kExact) {
+    ShardedGirCache::Lookup hit = cache.Probe(q, k);
+    if (hit.kind == ShardedGirCache::HitKind::kExact) {
       ++served_from_cache;  // zero I/O, zero computation
     } else {
       Result<GirComputation> gir = engine->ComputeGir(q, k, Phase2Method::kFP);
@@ -54,7 +58,7 @@ int main() {
       cache.Insert(k, gir->topk.result, gir->region);
     }
     // Baseline: every query pays its own top-k I/O.
-    Result<TopKResult> plain = RunBrs(engine->tree(), engine->scoring(), q, k);
+    Result<TopKResult> plain = RunBrs(*pin.flat, engine->scoring(), q, k);
     if (plain.ok()) reads_without_cache += plain->io.reads;
   }
 
@@ -73,7 +77,7 @@ int main() {
   std::printf("\nhit rate vs preference-cluster tightness:\n");
   std::printf("%-10s %s\n", "jitter", "exact-hit rate");
   for (double jit : {0.01, 0.02, 0.05, 0.10}) {
-    GirCache c2(256);
+    ShardedGirCache c2(256);
     int hits = 0;
     for (int i = 0; i < 200; ++i) {
       const Vec& base = archetypes[rng.UniformInt(archetypes.size())];
@@ -81,8 +85,8 @@ int main() {
       for (size_t j = 0; j < d; ++j) {
         q[j] = std::clamp(base[j] + rng.Gaussian(0.0, jit), 0.01, 1.0);
       }
-      GirCache::Lookup hit = c2.Probe(q, k);
-      if (hit.kind == GirCache::HitKind::kExact) {
+      ShardedGirCache::Lookup hit = c2.Probe(q, k);
+      if (hit.kind == ShardedGirCache::HitKind::kExact) {
         ++hits;
         continue;
       }

@@ -7,7 +7,7 @@
 
 #include "common/result.h"
 #include "common/rng.h"
-#include "index/rtree.h"
+#include "index/flat_rtree.h"
 #include "topk/scoring.h"
 
 namespace gir {
@@ -70,7 +70,7 @@ class GeneralFromDecomposable : public GeneralScoringFunction {
 
 // Branch-and-bound top-k for any monotone-in-p general scoring
 // function (the BRS recipe with function-supplied bounds).
-Result<std::vector<RecordId>> GeneralTopK(const RTree& tree,
+Result<std::vector<RecordId>> GeneralTopK(const FlatRTree& tree,
                                           const GeneralScoringFunction& fn,
                                           VecView q, size_t k);
 
@@ -97,7 +97,7 @@ struct ApproxGirOptions {
 //     volume-ratio sensitivity measure.
 class ApproxGir {
  public:
-  static Result<ApproxGir> Compute(const RTree& tree,
+  static Result<ApproxGir> Compute(const FlatRTree& tree,
                                    const GeneralScoringFunction& fn,
                                    VecView q, size_t k,
                                    const ApproxGirOptions& options = {});
@@ -112,11 +112,11 @@ class ApproxGir {
   double preserved_probability() const { return preserved_probability_; }
 
  private:
-  ApproxGir(const RTree* tree, const GeneralScoringFunction* fn, Vec q,
+  ApproxGir(const FlatRTree* tree, const GeneralScoringFunction* fn, Vec q,
             size_t k)
       : tree_(tree), fn_(fn), q_(std::move(q)), k_(k) {}
 
-  const RTree* tree_;
+  const FlatRTree* tree_;
   const GeneralScoringFunction* fn_;
   Vec q_;
   size_t k_;

@@ -6,12 +6,9 @@
 
 namespace gir {
 
-namespace {
-
-template <typename Tree>
-Phase2Output RunCpImpl(const Tree& tree, const ScoringFunction& scoring,
-                       VecView weights, const TopKResult& topk,
-                       GirRegion* region) {
+Phase2Output RunCpPhase2(const FlatRTree& tree, const ScoringFunction& scoring,
+                         VecView weights, const TopKResult& topk,
+                         GirRegion* region) {
   const Dataset& data = tree.dataset();
   SkylineResult sl = ContinueSkylineFromBrs(tree, scoring, weights, topk);
 
@@ -55,20 +52,6 @@ Phase2Output RunCpImpl(const Tree& tree, const ScoringFunction& scoring,
   out.candidates = kept.size();
   out.io = sl.io;
   return out;
-}
-
-}  // namespace
-
-Phase2Output RunCpPhase2(const RTree& tree, const ScoringFunction& scoring,
-                         VecView weights, const TopKResult& topk,
-                         GirRegion* region) {
-  return RunCpImpl(tree, scoring, weights, topk, region);
-}
-
-Phase2Output RunCpPhase2(const FlatRTree& tree, const ScoringFunction& scoring,
-                         VecView weights, const TopKResult& topk,
-                         GirRegion* region) {
-  return RunCpImpl(tree, scoring, weights, topk, region);
 }
 
 }  // namespace gir

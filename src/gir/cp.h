@@ -10,11 +10,6 @@ namespace gir {
 // interior records can never overtake p_k first. The hull computation
 // uses the library's d-dimensional quickhull (Clarkson-style), which is
 // exactly the cost the paper charges CP for.
-Phase2Output RunCpPhase2(const RTree& tree, const ScoringFunction& scoring,
-                         VecView weights, const TopKResult& topk,
-                         GirRegion* region);
-
-// Frozen-tree variant; bit-identical constraints and IoStats.
 Phase2Output RunCpPhase2(const FlatRTree& tree, const ScoringFunction& scoring,
                          VecView weights, const TopKResult& topk,
                          GirRegion* region);

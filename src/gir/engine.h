@@ -251,9 +251,9 @@ struct EngineConfig {
 //
 // Index lifecycle (epoch snapshots): the constructor bulk-loads the
 // mutable R*-tree and immediately Freeze()s it into a FlatRTree; every
-// query runs against the frozen image (same page ids, same simulated
-// I/O, bit-identical output — see flat_rtree.h) with the batched SoA
-// score kernels. An engine constructed over a mutable `Dataset*`
+// query runs against the frozen image (same page ids as the master,
+// one simulated read per node access — see flat_rtree.h) with the
+// batched SoA score kernels. An engine constructed over a mutable `Dataset*`
 // additionally accepts ApplyUpdates batches: under a single writer
 // lock, the batch mutates the R*-tree (R* insert + delete with
 // condense/reinsert) and the master dataset (append + tombstone), then
@@ -404,7 +404,8 @@ class GirEngine {
 
   // True when the engine keeps a mutable master R*-tree (every source
   // except kArena). Arena engines serve the frozen image only; tree()
-  // must not be called on them.
+  // must not be called on them. Queries run on PinIndex().flat, which
+  // every engine has.
   bool has_master_tree() const { return tree_.has_value(); }
   const RTree& tree() const { return *tree_; }
   // The currently-published frozen image. The reference stays valid

@@ -43,11 +43,12 @@ struct Facets2D {
   }
 };
 
-template <typename Tree>
-Result<Phase2Output> RunFp2dImpl(const Tree& tree,
-                                 const ScoringFunction& scoring,
-                                 VecView weights, const TopKResult& topk,
-                                 GirRegion* region) {
+}  // namespace
+
+Result<Phase2Output> RunFp2dPhase2(const FlatRTree& tree,
+                                   const ScoringFunction& scoring,
+                                   VecView weights, const TopKResult& topk,
+                                   GirRegion* region) {
   const Dataset& data = tree.dataset();
   if (data.dim() != 2) {
     return Status::InvalidArgument("FP-2D requires d == 2");
@@ -100,11 +101,11 @@ Result<Phase2Output> RunFp2dImpl(const Tree& tree,
     PendingNode top = std::move(heap.back());
     heap.pop_back();
     if (!box_can_update(top.mbb)) continue;  // below both interim facets
-    decltype(auto) node = tree.ReadNode(top.page);
-    const size_t count = NodeEntryCount(node);
-    if (NodeIsLeaf(node)) {
+    FlatRTree::NodeView node = tree.ReadNode(top.page);
+    const size_t count = node.count();
+    if (node.is_leaf()) {
       for (size_t i = 0; i < count; ++i) {
-        const RecordId id = NodeChild(node, i);
+        const RecordId id = node.child(i);
         VecView p = data.Get(id);
         if (Dominates(pk_raw, p)) continue;
         Vec v = Sub(scoring.Transform(p), gk);
@@ -112,12 +113,12 @@ Result<Phase2Output> RunFp2dImpl(const Tree& tree,
         facets.Update(v, id);
       }
     } else {
-      ComputeEntryScores(scoring, data, node, weights, &buf);
+      ComputeEntryScores(scoring, node, weights, &buf);
       for (size_t i = 0; i < count; ++i) {
         PendingNode pn;
         pn.maxscore = buf.scores[i];
-        pn.page = static_cast<PageId>(NodeChild(node, i));
-        pn.mbb = NodeEntryMbb(node, i);
+        pn.page = static_cast<PageId>(node.child(i));
+        pn.mbb = node.EntryMbb(i);
         heap.push_back(std::move(pn));
         std::push_heap(heap.begin(), heap.end(), less);
       }
@@ -137,22 +138,6 @@ Result<Phase2Output> RunFp2dImpl(const Tree& tree,
   }
   out.io = DiskManager::ThreadStats() - before;
   return out;
-}
-
-}  // namespace
-
-Result<Phase2Output> RunFp2dPhase2(const RTree& tree,
-                                   const ScoringFunction& scoring,
-                                   VecView weights, const TopKResult& topk,
-                                   GirRegion* region) {
-  return RunFp2dImpl(tree, scoring, weights, topk, region);
-}
-
-Result<Phase2Output> RunFp2dPhase2(const FlatRTree& tree,
-                                   const ScoringFunction& scoring,
-                                   VecView weights, const TopKResult& topk,
-                                   GirRegion* region) {
-  return RunFp2dImpl(tree, scoring, weights, topk, region);
 }
 
 }  // namespace gir

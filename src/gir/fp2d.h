@@ -15,12 +15,6 @@ namespace gir {
 //
 // Works in the transformed data space, so it supports any scoring
 // function of the sum-of-monotone-terms family.
-Result<Phase2Output> RunFp2dPhase2(const RTree& tree,
-                                   const ScoringFunction& scoring,
-                                   VecView weights, const TopKResult& topk,
-                                   GirRegion* region);
-
-// Frozen-tree variant; bit-identical constraints and IoStats.
 Result<Phase2Output> RunFp2dPhase2(const FlatRTree& tree,
                                    const ScoringFunction& scoring,
                                    VecView weights, const TopKResult& topk,

@@ -17,19 +17,6 @@ GPlanes LeafGPlanes(const ScoringFunction& scoring,
   return GPlanes{scratch->data(), count};
 }
 
-GPlanes LeafGPlanes(const ScoringFunction& scoring, const RTreeNode& node,
-                    size_t dim, std::vector<double>* scratch) {
-  const size_t count = node.entries.size();
-  scratch->resize(dim * count);
-  for (size_t j = 0; j < dim; ++j) {
-    for (size_t e = 0; e < count; ++e) {
-      (*scratch)[j * count + e] =
-          scoring.TransformDim(j, node.entries[e].mbb.hi[j]);
-    }
-  }
-  return GPlanes{scratch->data(), count};
-}
-
 Result<bool> InsertWithJoggle(IncidentStar& star, VecView g, int id,
                               const std::vector<int>* pool, Rng& rng,
                               Vec* joggled) {

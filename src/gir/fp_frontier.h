@@ -19,16 +19,15 @@ namespace gir {
 
 // Resumes the search from BRS's retained heap (`topk.pending`) in
 // maxscore order. Entries are plain data: a node's box is not stored
-// but read when the node is popped — from its parent's entry (the
-// frozen SoA planes on a FlatRTree), or, for an entry seeded from
-// `pending`, from that PendingNode — and mapped through g. The heap
-// runs the std heap algorithms with PendingNodeLess's comparison over
-// the same sequence of pushes and pops that a heap of PendingNode
-// copies would see, so the pop order, ties included, is the same.
-template <typename Tree>
+// but read when the node is popped — from its parent's entry in the
+// frozen SoA planes, or, for an entry seeded from `pending`, from that
+// PendingNode — and mapped through g. The heap runs the std heap
+// algorithms with PendingNodeLess's comparison over the same sequence
+// of pushes and pops that a heap of PendingNode copies would see, so
+// the pop order, ties included, is the same.
 class FrontierWalker {
  public:
-  FrontierWalker(const Tree& tree, const ScoringFunction& scoring,
+  FrontierWalker(const FlatRTree& tree, const ScoringFunction& scoring,
                  VecView weights, const std::vector<PendingNode>& pending)
       : tree_(tree), scoring_(scoring), weights_(weights), pending_(pending) {
     heap_.reserve(pending.size());
@@ -48,7 +47,7 @@ class FrontierWalker {
     if (top_.parent == kInvalidPage) {
       scoring_.TransformInto(pending_[top_.slot].mbb, &g_box_);
     } else {
-      NodeEntryMbbInto(tree_.PeekNode(top_.parent), top_.slot, &box_);
+      tree_.PeekNode(top_.parent).EntryMbbInto(top_.slot, &box_);
       scoring_.TransformInto(box_, &g_box_);
     }
     return true;
@@ -57,18 +56,16 @@ class FrontierWalker {
   // The popped node: its page, whether it is a leaf (read without
   // charging I/O), and its box mapped through g.
   PageId page() const { return top_.page; }
-  bool leaf() const { return NodeIsLeaf(tree_.PeekNode(top_.page)); }
+  bool leaf() const { return tree_.PeekNode(top_.page).is_leaf(); }
   const Mbb& g_box() const { return g_box_; }
 
   // Pushes the children of the popped internal node; `node` is what
   // tree.ReadNode(page()) returned.
-  template <typename Node>
-  void Expand(const Node& node) {
-    ComputeEntryScores(scoring_, tree_.dataset(), node, weights_, &buf_);
-    const size_t count = NodeEntryCount(node);
+  void Expand(const FlatRTree::NodeView& node) {
+    ComputeEntryScores(scoring_, node, weights_, &buf_);
+    const size_t count = node.count();
     for (size_t i = 0; i < count; ++i) {
-      heap_.push_back(Entry{buf_.scores[i],
-                            static_cast<PageId>(NodeChild(node, i)),
+      heap_.push_back(Entry{buf_.scores[i], static_cast<PageId>(node.child(i)),
                             top_.page, static_cast<uint32_t>(i)});
       std::push_heap(heap_.begin(), heap_.end(), Less());
     }
@@ -87,7 +84,7 @@ class FrontierWalker {
     }
   };
 
-  const Tree& tree_;
+  const FlatRTree& tree_;
   const ScoringFunction& scoring_;
   VecView weights_;
   const std::vector<PendingNode>& pending_;
@@ -106,15 +103,12 @@ struct GPlanes {
   size_t stride = 0;
 };
 
-// Frozen leaf: its hi planes hold the records, so a Linear scoring
-// reads them in place; otherwise they are mapped into `scratch` with
+// A leaf's hi planes hold its records, so a Linear scoring reads them
+// in place; otherwise they are mapped into `scratch` with
 // TransformDimBatch.
 GPlanes LeafGPlanes(const ScoringFunction& scoring,
                     const FlatRTree::NodeView& node, size_t dim,
                     std::vector<double>* scratch);
-// Mutable-tree leaf: gathered into `scratch`.
-GPlanes LeafGPlanes(const ScoringFunction& scoring, const RTreeNode& node,
-                    size_t dim, std::vector<double>* scratch);
 
 // FP's insert ladder: the point itself, then up to two joggled copies
 // (a joggle moves a degenerate fit off its coincidence). `pool` (null:

@@ -7,7 +7,6 @@
 #include "common/simd.h"
 #include "gir/fp_frontier.h"
 #include "skyline/dominance.h"
-#include "topk/tree_kernels.h"
 
 namespace gir {
 
@@ -344,12 +343,13 @@ void AddDirectConstraint(VecView g, RecordId id, GirRegion* region,
   region->AddConstraint(Sub(gk, g), prov);
 }
 
-template <typename Tree>
-Result<Phase2Output> RunFpNdImpl(const Tree& tree,
-                                 const ScoringFunction& scoring,
-                                 VecView weights, const TopKResult& topk,
-                                 GirRegion* region,
-                                 const FpOptions& options) {
+}  // namespace
+
+Result<Phase2Output> RunFpNdPhase2(const FlatRTree& tree,
+                                   const ScoringFunction& scoring,
+                                   VecView weights, const TopKResult& topk,
+                                   GirRegion* region,
+                                   const FpOptions& options) {
   const Dataset& data = tree.dataset();
   const size_t dim = data.dim();
   if (topk.result.empty()) {
@@ -440,7 +440,7 @@ Result<Phase2Output> RunFpNdImpl(const Tree& tree,
   // --- Second step: refine from disk via the retained BRS heap. ---
   // A leaf's records are group-tested against the facets its box lies
   // above (LeafGroupTest); internal nodes keep the early-exit box test.
-  FrontierWalker<Tree> walker(tree, scoring, weights, topk.pending);
+  FrontierWalker walker(tree, scoring, weights, topk.pending);
   LeafGroupTest group;
   std::vector<double> planes;  // a leaf's records through g, SoA
   while (walker.Pop()) {
@@ -453,12 +453,12 @@ Result<Phase2Output> RunFpNdImpl(const Tree& tree,
       continue;
     }
     if (!group.Reset(star, g_box) || box_redundant_in_cone(g_box)) continue;
-    decltype(auto) node = tree.ReadNode(walker.page());
-    const size_t count = NodeEntryCount(node);
+    FlatRTree::NodeView node = tree.ReadNode(walker.page());
+    const size_t count = node.count();
     group.Test(star, LeafGPlanes(scoring, node, dim, &planes), count);
     for (size_t i = 0; i < count; ++i) {
       if (!group.Marked(i)) continue;
-      const RecordId id = NodeChild(node, i);
+      const RecordId id = node.child(i);
       if (skip_record(id)) continue;
       if (!group.Insert(star, g, id, i, joggle_rng, &joggled)) {
         AddDirectConstraint(g, id, region, gk, position);
@@ -481,24 +481,6 @@ Result<Phase2Output> RunFpNdImpl(const Tree& tree,
   out.star_facets = star.live_facet_count();
   out.io = DiskManager::ThreadStats() - before;
   return out;
-}
-
-}  // namespace
-
-Result<Phase2Output> RunFpNdPhase2(const RTree& tree,
-                                   const ScoringFunction& scoring,
-                                   VecView weights, const TopKResult& topk,
-                                   GirRegion* region,
-                                   const FpOptions& options) {
-  return RunFpNdImpl(tree, scoring, weights, topk, region, options);
-}
-
-Result<Phase2Output> RunFpNdPhase2(const FlatRTree& tree,
-                                   const ScoringFunction& scoring,
-                                   VecView weights, const TopKResult& topk,
-                                   GirRegion* region,
-                                   const FpOptions& options) {
-  return RunFpNdImpl(tree, scoring, weights, topk, region, options);
 }
 
 }  // namespace gir

@@ -183,13 +183,6 @@ struct FpOptions {
 // Facet Pruning for d > 2 (also correct for d == 2; the engine uses the
 // specialised angular variant there). Consumes the encountered set T
 // and the retained BRS heap; emits one half-space per critical record.
-Result<Phase2Output> RunFpNdPhase2(const RTree& tree,
-                                   const ScoringFunction& scoring,
-                                   VecView weights, const TopKResult& topk,
-                                   GirRegion* region,
-                                   const FpOptions& options = {});
-
-// Frozen-tree variant; bit-identical constraints and IoStats.
 Result<Phase2Output> RunFpNdPhase2(const FlatRTree& tree,
                                    const ScoringFunction& scoring,
                                    VecView weights, const TopKResult& topk,

@@ -8,7 +8,6 @@
 #include "gir/fp_frontier.h"
 #include "skyline/bbs.h"
 #include "skyline/dominance.h"
-#include "topk/tree_kernels.h"
 
 namespace gir {
 
@@ -72,8 +71,7 @@ std::vector<int> PositionsOf(const std::vector<RecordId>& result,
   return out;
 }
 
-template <typename Tree>
-Result<Phase2Output> GirStarViaSkyline(const Tree& tree,
+Result<Phase2Output> GirStarViaSkyline(const FlatRTree& tree,
                                        const ScoringFunction& scoring,
                                        VecView weights,
                                        const TopKResult& topk,
@@ -122,8 +120,7 @@ Result<Phase2Output> GirStarViaSkyline(const Tree& tree,
   return out;
 }
 
-template <typename Tree>
-Result<Phase2Output> GirStarViaFp(const Tree& tree,
+Result<Phase2Output> GirStarViaFp(const FlatRTree& tree,
                                   const ScoringFunction& scoring,
                                   VecView weights, const TopKResult& topk,
                                   GirRegion* region,
@@ -174,7 +171,7 @@ Result<Phase2Output> GirStarViaFp(const Tree& tree,
   // Step 2: one walk for all stars, which share the popped node's
   // g-box. A node is pruned when it lies below every star; a read leaf
   // is group-tested per star, and a star whose pool is empty skips it.
-  FrontierWalker<Tree> walker(tree, scoring, weights, topk.pending);
+  FrontierWalker walker(tree, scoring, weights, topk.pending);
   std::vector<LeafGroupTest> groups(stars.size());
   std::vector<double> planes;  // a leaf's records through g, SoA
   while (walker.Pop()) {
@@ -195,14 +192,14 @@ Result<Phase2Output> GirStarViaFp(const Tree& tree,
       if (groups[s].Reset(stars[s].star, g_box)) prunable = false;
     }
     if (prunable) continue;
-    decltype(auto) node = tree.ReadNode(walker.page());
-    const size_t count = NodeEntryCount(node);
+    FlatRTree::NodeView node = tree.ReadNode(walker.page());
+    const size_t count = node.count();
     const GPlanes gp = LeafGPlanes(scoring, node, data.dim(), &planes);
     for (size_t s = 0; s < stars.size(); ++s) {
       groups[s].Test(stars[s].star, gp, count);
     }
     for (size_t i = 0; i < count; ++i) {
-      const RecordId id = NodeChild(node, i);
+      const RecordId id = node.child(i);
       VecView p_raw = data.Get(id);
       bool mapped = false;
       for (size_t s = 0; s < stars.size(); ++s) {
@@ -241,13 +238,14 @@ Result<Phase2Output> GirStarViaFp(const Tree& tree,
   return out;
 }
 
-template <typename Tree>
-Result<Phase2Output> RunGirStarImpl(const Tree& tree,
-                                    const ScoringFunction& scoring,
-                                    VecView weights, const TopKResult& topk,
-                                    const std::string& method,
-                                    GirRegion* region,
-                                    const FpOptions& fp_options) {
+}  // namespace
+
+Result<Phase2Output> RunGirStarPhase2(const FlatRTree& tree,
+                                      const ScoringFunction& scoring,
+                                      VecView weights, const TopKResult& topk,
+                                      const std::string& method,
+                                      GirRegion* region,
+                                      const FpOptions& fp_options) {
   if (topk.result.empty()) {
     return Status::InvalidArgument("empty top-k result");
   }
@@ -263,28 +261,6 @@ Result<Phase2Output> RunGirStarImpl(const Tree& tree,
     return GirStarViaFp(tree, scoring, weights, topk, region, fp_options);
   }
   return Status::InvalidArgument("unknown GIR* method: " + method);
-}
-
-}  // namespace
-
-Result<Phase2Output> RunGirStarPhase2(const RTree& tree,
-                                      const ScoringFunction& scoring,
-                                      VecView weights, const TopKResult& topk,
-                                      const std::string& method,
-                                      GirRegion* region,
-                                      const FpOptions& fp_options) {
-  return RunGirStarImpl(tree, scoring, weights, topk, method, region,
-                        fp_options);
-}
-
-Result<Phase2Output> RunGirStarPhase2(const FlatRTree& tree,
-                                      const ScoringFunction& scoring,
-                                      VecView weights, const TopKResult& topk,
-                                      const std::string& method,
-                                      GirRegion* region,
-                                      const FpOptions& fp_options) {
-  return RunGirStarImpl(tree, scoring, weights, topk, method, region,
-                        fp_options);
 }
 
 }  // namespace gir

@@ -25,14 +25,6 @@ std::vector<RecordId> PruneResultForGirStar(const Dataset& data,
 // |R-| * |candidates| half-spaces; "FP" maintains one incident star per
 // record of R- concurrently, pruning a node only when it is below every
 // facet of every star.
-Result<Phase2Output> RunGirStarPhase2(const RTree& tree,
-                                      const ScoringFunction& scoring,
-                                      VecView weights, const TopKResult& topk,
-                                      const std::string& method,
-                                      GirRegion* region,
-                                      const FpOptions& fp_options = {});
-
-// Frozen-tree variant; bit-identical constraints and IoStats.
 Result<Phase2Output> RunGirStarPhase2(const FlatRTree& tree,
                                       const ScoringFunction& scoring,
                                       VecView weights, const TopKResult& topk,

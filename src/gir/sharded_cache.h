@@ -8,7 +8,6 @@
 #include <mutex>
 #include <vector>
 
-#include "gir/cache.h"
 #include "gir/gir_region.h"
 #include "topk/scoring.h"
 
@@ -24,10 +23,21 @@ struct UpdateInvalidation {
   size_t survived = 0;        // entries re-stamped to the new version
 };
 
-// Thread-safe variant of GirCache for the batch engine (Probe/Insert/
-// Clear/size from any thread; InvalidateForUpdates is single-writer —
-// see its comment): entries are spread across independently-locked
-// shards, each an LRU list. Inserts
+// Top-k result cache keyed by GIR containment (paper Introduction,
+// "result caching" application): a new query vector that falls inside
+// the GIR of a cached result can reuse it outright — including its
+// exact score order.
+//
+// Entries carry the dataset version (epoch) they were computed at, and
+// Probe only serves entries whose stamp matches the caller's current
+// version — a hard backstop that makes stale hits impossible after a
+// dataset mutation even when incremental invalidation missed (or was
+// never run on) an entry. Callers that never mutate can ignore
+// versioning entirely: everything defaults to version 0.
+//
+// Thread-safe (Probe/Insert/Clear/size from any thread;
+// InvalidateForUpdates is single-writer — see its comment): entries are
+// spread across independently-locked shards, each an LRU list. Inserts
 // touch exactly one shard (chosen by hashing the query vector, so
 // clustered workloads spread while repeats co-locate); probes scan
 // shards starting from the inserting query's home shard, taking one
@@ -37,23 +47,41 @@ struct UpdateInvalidation {
 //
 // Total capacity is divided evenly across shards (rounded up), so a
 // pathological insert pattern evicts at worst slightly later than a
-// single LRU list would.
+// single LRU list would; with one shard it is exactly one LRU list.
 class ShardedGirCache {
  public:
-  using Entry = GirCache::Entry;
-  using HitKind = GirCache::HitKind;
-  using Lookup = GirCache::Lookup;
+  struct Entry {
+    size_t k = 0;
+    std::vector<RecordId> result;
+    GirRegion region;
+    // Dataset epoch the result is valid for.
+    uint64_t version = 0;
+  };
+
+  enum class HitKind {
+    kMiss,
+    // Requested k <= cached k: the prefix of the cached result is the
+    // exact answer.
+    kExact,
+    // Requested k > cached k: the cached records are the correct first
+    // part of the answer and can be reported immediately (paper §1 /
+    // Tan et al. progressive reporting); the tail still needs work.
+    kPartial,
+  };
+  struct Lookup {
+    HitKind kind = HitKind::kMiss;
+    std::vector<RecordId> records;  // valid prefix of the true top-k
+  };
 
   explicit ShardedGirCache(size_t capacity = 256, size_t num_shards = 8);
 
   // Probes every shard (home shard first) for a cached region
-  // containing q, stamped with dataset version `version`. Semantics
-  // match GirCache::Probe — exact hit when the cached k covers the
-  // request, partial hit when the cached prefix is shorter, miss
-  // otherwise — except that an exact hit anywhere is preferred over an
-  // earlier shard's partial one. Entries from a different epoch are
-  // evicted on sight (the version stamp is the stale-hit backstop; see
-  // GirCache). The hit entry becomes MRU in its shard.
+  // containing q, stamped with dataset version `version`: an exact hit
+  // when the cached k covers the request, a partial hit when the cached
+  // prefix is shorter, a miss otherwise. An exact hit anywhere is
+  // preferred over an earlier shard's partial one. Entries from an
+  // older epoch are evicted on sight (the version stamp is the
+  // stale-hit backstop). The hit entry becomes MRU in its shard.
   Lookup Probe(VecView q, size_t k, uint64_t version = 0);
 
   // Inserts a computed GIR into the home shard of its query vector,

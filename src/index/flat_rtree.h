@@ -34,11 +34,12 @@ namespace gir {
 // frozen vectors unmodified — so every traversal, score and IoStats
 // count is identical across them (property-tested per SIMD tier).
 //
-// Page ids are preserved 1:1 from the source tree, and ReadNode charges
-// exactly one simulated page read like RTree::ReadNode, so any traversal
-// that visits the same pages produces bit-identical IoStats. Leaf entry
-// planes hold the record coordinates themselves (a leaf MBB is its
-// point), which is what makes leaf scoring a pure SoA streaming loop.
+// Every query algorithm runs on this image; the mutable tree only
+// builds, updates and snapshots. Page ids are preserved 1:1 from the
+// source tree, and ReadNode charges exactly one simulated page read per
+// node access. Leaf entry planes hold the record coordinates themselves
+// (a leaf MBB is its point), which is what makes leaf scoring a pure
+// SoA streaming loop.
 // Fixed-size per-node header of the flat arena (an implementation
 // detail of FlatRTree, at namespace scope only so NodeView's inline
 // accessors can see the complete type).
@@ -139,10 +140,10 @@ class FlatRTree {
                                      const Dataset* dataset,
                                      DiskManager* disk);
 
-  // Node access, charging one simulated page read (same accounting as
-  // RTree::ReadNode). Accounting-only and infallible — used by the
-  // Phase-2 continuations, which re-expand pending nodes already
-  // resident; the fallible traversals fetch through FetchPage instead.
+  // Node access, charging one simulated page read. Accounting-only and
+  // infallible — used by the Phase-2 continuations, which re-expand
+  // pending nodes already resident; the fallible traversals fetch
+  // through FetchPage instead.
   NodeView ReadNode(PageId page) const {
     disk_->NoteRead();
     return PeekNode(page);

@@ -56,11 +56,6 @@ void RTree::FreeNode(PageId page) {
   free_pages_.push_back(page);
 }
 
-const RTreeNode& RTree::ReadNode(PageId page) const {
-  disk_->NoteRead();
-  return nodes_[page];
-}
-
 size_t RTree::height() const {
   if (root_ == kInvalidPage) return 0;
   return static_cast<size_t>(nodes_[root_].level) + 1;

@@ -41,8 +41,9 @@ struct RTreeOptions {
 // bulk loader (Leutenegger et al.) is provided for benchmark-scale
 // construction.
 //
-// Every node access that the paper's setup would serve from disk must go
-// through ReadNode(), which charges one page read to the DiskManager.
+// The mutable tree is the build, update and snapshot structure; queries
+// run on its frozen image (FlatRTree::Freeze), whose ReadNode charges
+// one page read per node access to the DiskManager.
 class RTree {
  public:
   // Builds an empty tree. `dataset` and `disk` must outlive the tree.
@@ -81,9 +82,7 @@ class RTree {
                          std::vector<RTreeNode> nodes, PageId root,
                          size_t record_count);
 
-  // Node access, charging one simulated page read.
-  const RTreeNode& ReadNode(PageId page) const;
-  // Accounting-free access for tests and validation.
+  // Accounting-free node access (Freeze, the page codec, validation).
   const RTreeNode& PeekNode(PageId page) const { return nodes_[page]; }
 
   PageId root() const { return root_; }

@@ -3,16 +3,12 @@
 #include <algorithm>
 
 #include "skyline/dominance.h"
-#include "topk/tree_kernels.h"
 
 namespace gir {
 
-namespace {
-
-template <typename Tree>
-SkylineResult ContinueSkylineImpl(const Tree& tree,
-                                  const ScoringFunction& scoring,
-                                  VecView weights, const TopKResult& brs) {
+SkylineResult ContinueSkylineFromBrs(const FlatRTree& tree,
+                                     const ScoringFunction& scoring,
+                                     VecView weights, const TopKResult& brs) {
   const Dataset& data = tree.dataset();
   IoStats before = DiskManager::ThreadStats();
   SkylineSet sl(&data);
@@ -44,11 +40,11 @@ SkylineResult ContinueSkylineImpl(const Tree& tree,
     // BBS pruning: a node whose top corner is dominated can contain no
     // skyline record.
     if (sl.DominatedByMember(top.mbb.TopCorner())) continue;
-    decltype(auto) node = tree.ReadNode(top.page);
-    const size_t count = NodeEntryCount(node);
-    if (NodeIsLeaf(node)) {
+    FlatRTree::NodeView node = tree.ReadNode(top.page);
+    const size_t count = node.count();
+    if (node.is_leaf()) {
       for (size_t i = 0; i < count; ++i) {
-        sl.Insert(NodeChild(node, i));
+        sl.Insert(node.child(i));
       }
     } else {
       // Dominance-prune before scoring: late in the run most entries
@@ -56,13 +52,12 @@ SkylineResult ContinueSkylineImpl(const Tree& tree,
       // be wasted work (the dominance scan itself dwarfs one d-term
       // score for the few survivors).
       for (size_t i = 0; i < count; ++i) {
-        if (sl.DominatedByMember(NodeEntryTopCorner(node, i, &corner))) {
-          continue;
-        }
+        node.EntryTopCorner(i, &corner);
+        if (sl.DominatedByMember(corner)) continue;
         PendingNode pn;
-        pn.mbb = NodeEntryMbb(node, i);
+        pn.mbb = node.EntryMbb(i);
         pn.maxscore = scoring.MaxScore(pn.mbb, weights);
-        pn.page = static_cast<PageId>(NodeChild(node, i));
+        pn.page = static_cast<PageId>(node.child(i));
         heap.push_back(std::move(pn));
         std::push_heap(heap.begin(), heap.end(), less);
       }
@@ -73,20 +68,6 @@ SkylineResult ContinueSkylineImpl(const Tree& tree,
   std::sort(out.skyline.begin(), out.skyline.end());
   out.io = DiskManager::ThreadStats() - before;
   return out;
-}
-
-}  // namespace
-
-SkylineResult ContinueSkylineFromBrs(const RTree& tree,
-                                     const ScoringFunction& scoring,
-                                     VecView weights, const TopKResult& brs) {
-  return ContinueSkylineImpl(tree, scoring, weights, brs);
-}
-
-SkylineResult ContinueSkylineFromBrs(const FlatRTree& tree,
-                                     const ScoringFunction& scoring,
-                                     VecView weights, const TopKResult& brs) {
-  return ContinueSkylineImpl(tree, scoring, weights, brs);
 }
 
 }  // namespace gir

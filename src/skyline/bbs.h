@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "common/result.h"
-#include "index/rtree.h"
+#include "index/flat_rtree.h"
 #include "skyline/skyline.h"
 #include "topk/brs.h"
 
@@ -27,12 +27,6 @@ struct SkylineResult {
 //
 // `brs` is the completed top-k run whose heap and encountered set are
 // consumed (taken by value semantics: pass a copy if it is reused).
-SkylineResult ContinueSkylineFromBrs(const RTree& tree,
-                                     const ScoringFunction& scoring,
-                                     VecView weights,
-                                     const TopKResult& brs);
-
-// Frozen-tree variant; bit-identical skyline and IoStats.
 SkylineResult ContinueSkylineFromBrs(const FlatRTree& tree,
                                      const ScoringFunction& scoring,
                                      VecView weights,

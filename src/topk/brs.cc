@@ -26,14 +26,15 @@ struct HeapEntryLess {
   }
 };
 
-template <typename Tree>
-Result<TopKResult> RunBrsImpl(const Tree& tree, const ScoringFunction& scoring,
-                              VecView weights, size_t k) {
+}  // namespace
+
+Result<TopKResult> RunBrs(const FlatRTree& tree,
+                          const ScoringFunction& scoring, VecView weights,
+                          size_t k) {
   if (k == 0) return Status::InvalidArgument("k must be positive");
   if (weights.size() != tree.dataset().dim()) {
     return Status::InvalidArgument("weight dimensionality mismatch");
   }
-  const Dataset& data = tree.dataset();
   TopKResult out;
   IoStats before = DiskManager::ThreadStats();
   // A binary max-heap driven by the std heap algorithms (what
@@ -46,9 +47,8 @@ Result<TopKResult> RunBrsImpl(const Tree& tree, const ScoringFunction& scoring,
     std::push_heap(heap.begin(), heap.end(), less);
   };
   if (tree.root() != kInvalidPage) {
-    decltype(auto) root = tree.PeekNode(tree.root());
     HeapEntry e;
-    e.mbb = NodeSelfMbb(tree, root);
+    e.mbb = tree.PeekNode(tree.root()).mbb();
     e.key = scoring.MaxScore(e.mbb, weights);
     e.is_node = true;
     e.id = static_cast<int32_t>(tree.root());
@@ -65,27 +65,27 @@ Result<TopKResult> RunBrsImpl(const Tree& tree, const ScoringFunction& scoring,
       out.scores.push_back(top.key);
       continue;
     }
-    Status read = TreeReadPage(tree, static_cast<PageId>(top.id));
+    Status read = tree.FetchPage(static_cast<PageId>(top.id));
     if (!read.ok()) return read;
-    decltype(auto) node = tree.PeekNode(static_cast<PageId>(top.id));
-    const size_t count = NodeEntryCount(node);
-    ComputeEntryScores(scoring, data, node, weights, &buf);
-    if (NodeIsLeaf(node)) {
+    FlatRTree::NodeView node = tree.PeekNode(static_cast<PageId>(top.id));
+    const size_t count = node.count();
+    ComputeEntryScores(scoring, node, weights, &buf);
+    if (node.is_leaf()) {
       for (size_t i = 0; i < count; ++i) {
         HeapEntry he;
         he.key = buf.scores[i];
         he.is_node = false;
-        he.id = NodeChild(node, i);
+        he.id = node.child(i);
         push(std::move(he));
-        fetched_records.push_back(NodeChild(node, i));
+        fetched_records.push_back(node.child(i));
       }
     } else {
       for (size_t i = 0; i < count; ++i) {
         HeapEntry he;
         he.key = buf.scores[i];
         he.is_node = true;
-        he.id = NodeChild(node, i);
-        he.mbb = NodeEntryMbb(node, i);
+        he.id = node.child(i);
+        he.mbb = node.EntryMbb(i);
         push(std::move(he));
       }
     }
@@ -119,6 +119,8 @@ Result<TopKResult> RunBrsImpl(const Tree& tree, const ScoringFunction& scoring,
   out.io = DiskManager::ThreadStats() - before;
   return out;
 }
+
+namespace {
 
 // ----- shared-traversal multi-query executor -----
 
@@ -168,8 +170,8 @@ void FinalizeMultiQuery(const FlatRTree& tree,
     pn.maxscore = top.key;
     pn.page = static_cast<PageId>(top.id);
     if (top.parent == kInvalidPage) {
-      // Root entry (only reachable when the root was never expanded,
-      // which a solo run covers via NodeSelfMbb — same box).
+      // Root entry (only reachable when the root was never expanded;
+      // the solo run reads the same box).
       pn.mbb = tree.PeekNode(pn.page).mbb();
     } else {
       tree.PeekNode(top.parent).EntryMbbInto(top.slot, &pn.mbb);
@@ -328,7 +330,7 @@ Status RunBrsMulti(const FlatRTree& tree, const ScoringFunction& scoring,
       const bool first_touch = arena->visit_stamp[page] != arena->serial;
       if (first_touch) {
         bool resident = true;
-        Status read = TreeReadPage(tree, page, &resident);
+        Status read = tree.FetchPage(page, &resident);
         if (read.ok() && tree.arena_backed()) {
           ++(resident ? stats->prefetch_hits : stats->prefetch_misses);
         }
@@ -391,17 +393,6 @@ Status RunBrsMulti(const FlatRTree& tree, const ScoringFunction& scoring,
     }
   }
   return Status::Ok();
-}
-
-Result<TopKResult> RunBrs(const RTree& tree, const ScoringFunction& scoring,
-                          VecView weights, size_t k) {
-  return RunBrsImpl(tree, scoring, weights, k);
-}
-
-Result<TopKResult> RunBrs(const FlatRTree& tree,
-                          const ScoringFunction& scoring, VecView weights,
-                          size_t k) {
-  return RunBrsImpl(tree, scoring, weights, k);
 }
 
 }  // namespace gir

@@ -5,7 +5,6 @@
 
 #include "common/result.h"
 #include "index/flat_rtree.h"
-#include "index/rtree.h"
 #include "storage/io_stats.h"
 #include "topk/scoring.h"
 #include "topk/tree_kernels.h"
@@ -42,15 +41,10 @@ struct TopKResult {
 // max-heap holds node entries keyed by maxscore and records keyed by
 // score; popped records are final results.
 //
-// Returns InvalidArgument for k == 0 or weight dimensionality mismatch.
-// When the dataset has fewer than k records, returns them all.
-Result<TopKResult> RunBrs(const RTree& tree, const ScoringFunction& scoring,
-                          VecView weights, size_t k);
-
-// Same search over the frozen representation, using the batched SoA
-// score kernels. Output (result, scores, encountered, pending, io) is
-// bit-identical to the mutable-tree run on the tree the image was
-// frozen from.
+// Runs over the frozen representation, scoring each node with the
+// batched SoA kernels. Returns InvalidArgument for k == 0 or weight
+// dimensionality mismatch. When the dataset has fewer than k records,
+// returns them all.
 Result<TopKResult> RunBrs(const FlatRTree& tree,
                           const ScoringFunction& scoring, VecView weights,
                           size_t k);

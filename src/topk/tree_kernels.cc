@@ -4,26 +4,9 @@
 
 namespace gir {
 
-void ComputeEntryScores(const ScoringFunction& scoring, const Dataset& data,
-                        const RTreeNode& node, VecView weights,
-                        ScoreBuffer* buf) {
-  const size_t n = node.entries.size();
-  buf->scores.resize(n);
-  if (node.is_leaf) {
-    for (size_t e = 0; e < n; ++e) {
-      buf->scores[e] = scoring.Score(data.Get(node.entries[e].child), weights);
-    }
-  } else {
-    for (size_t e = 0; e < n; ++e) {
-      buf->scores[e] = scoring.MaxScore(node.entries[e].mbb, weights);
-    }
-  }
-}
-
-void ComputeEntryScores(const ScoringFunction& scoring, const Dataset& data,
+void ComputeEntryScores(const ScoringFunction& scoring,
                         const FlatRTree::NodeView& node, VecView weights,
                         ScoreBuffer* buf) {
-  (void)data;
   const size_t n = node.count();
   buf->scores.assign(n, 0.0);
   double* out = buf->scores.data();

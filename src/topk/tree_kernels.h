@@ -5,99 +5,15 @@
 #include <vector>
 
 #include "index/flat_rtree.h"
-#include "index/rtree.h"
 #include "topk/scoring.h"
 
 namespace gir {
 
-// Uniform node-access shims plus the batched scoring kernel, so the
-// BRS/BBS/Phase-2 traversals are written once and instantiated for both
-// tree representations: the mutable RTree (the pre-flat scalar path,
-// kept as the reference and for freshly built/modified indexes) and the
-// frozen FlatRTree (SoA planes, vectorizable kernels).
-//
-// Bit-identity contract: for the same node, both representations yield
-// the same entry order, the same child ids, bitwise-equal boxes, and
-// bitwise-equal scores (the batched kernel accumulates dimensions in
-// the same order as ScoringFunction::Score/MaxScore), so traversal
-// decisions — heap order, pruning, I/O — are identical.
-
-// ----- checked page reads -----
-
-// Charges one page read through DiskManager::ReadPage, so an attached
-// fault plan can fail (kUnavailable) or stall it. The fallible
-// traversals pair this with PeekNode — together equivalent to
-// ReadNode, plus the error path. Works for both tree representations.
-template <typename Tree>
-inline Status TreeReadPage(const Tree& tree, PageId page) {
-  return tree.disk()->ReadPage(page);
-}
-
-// Frozen-image overload: FetchPage additionally touches the node's
-// mmap'd bytes when the image is arena-backed, so the physical page-in
-// happens inside the checked, fault-injectable read — never as a
-// silent fault inside a scoring kernel. `resident` (optional) is the
-// prefetch hit/miss signal.
-inline Status TreeReadPage(const FlatRTree& tree, PageId page,
-                           bool* resident = nullptr) {
-  return tree.FetchPage(page, resident);
-}
-
-// ----- RTreeNode shims -----
-
-inline bool NodeIsLeaf(const RTreeNode& node) { return node.is_leaf; }
-inline size_t NodeEntryCount(const RTreeNode& node) {
-  return node.entries.size();
-}
-inline int32_t NodeChild(const RTreeNode& node, size_t e) {
-  return node.entries[e].child;
-}
-inline Mbb NodeEntryMbb(const RTreeNode& node, size_t e) {
-  return node.entries[e].mbb;
-}
-inline void NodeEntryMbbInto(const RTreeNode& node, size_t e, Mbb* out) {
-  *out = node.entries[e].mbb;
-}
-// Returns a view of entry e's top corner; `scratch` is unused here but
-// backs the gathered corner in the FlatRTree overload.
-inline VecView NodeEntryTopCorner(const RTreeNode& node, size_t e,
-                                  Vec* scratch) {
-  (void)scratch;
-  return node.entries[e].mbb.TopCorner();
-}
-inline Mbb NodeSelfMbb(const RTree& tree, const RTreeNode& node) {
-  return node.ComputeMbb(tree.dataset().dim());
-}
-
-// ----- FlatRTree::NodeView shims -----
-
-inline bool NodeIsLeaf(const FlatRTree::NodeView& node) {
-  return node.is_leaf();
-}
-inline size_t NodeEntryCount(const FlatRTree::NodeView& node) {
-  return node.count();
-}
-inline int32_t NodeChild(const FlatRTree::NodeView& node, size_t e) {
-  return node.child(e);
-}
-inline Mbb NodeEntryMbb(const FlatRTree::NodeView& node, size_t e) {
-  return node.EntryMbb(e);
-}
-inline void NodeEntryMbbInto(const FlatRTree::NodeView& node, size_t e,
-                             Mbb* out) {
-  node.EntryMbbInto(e, out);
-}
-inline VecView NodeEntryTopCorner(const FlatRTree::NodeView& node, size_t e,
-                                  Vec* scratch) {
-  node.EntryTopCorner(e, scratch);
-  return VecView(*scratch);
-}
-inline Mbb NodeSelfMbb(const FlatRTree& tree, const FlatRTree::NodeView& node) {
-  (void)tree;
-  return node.mbb();
-}
-
-// ----- batched entry scoring -----
+// The batched scoring kernels of the BRS/BBS/Phase-2 traversals over
+// the frozen FlatRTree (SoA planes, vectorizable loops). Scores are
+// bitwise those of ScoringFunction::Score/MaxScore: the kernels
+// accumulate dimensions in the same order, with the same transform
+// values (simd_dispatch_test asserts it per SIMD tier).
 
 // Reusable per-traversal workspace for the score kernels, so the hot
 // loop never reallocates.
@@ -106,17 +22,12 @@ struct ScoreBuffer {
   std::vector<double> scratch;
 };
 
-// Fills buf->scores with one score per entry: the record score for leaf
-// entries (a leaf MBB is its point, so hi == the record), the maxscore
-// upper bound for internal entries. Scalar reference path.
-void ComputeEntryScores(const ScoringFunction& scoring, const Dataset& data,
-                        const RTreeNode& node, VecView weights,
-                        ScoreBuffer* buf);
-
-// Same contract over a frozen node, streaming the SoA hi planes: for
-// each dimension j, scores[e] += w_j * g_j(hi_j[e]). One tight loop per
-// plane, no per-entry virtual calls.
-void ComputeEntryScores(const ScoringFunction& scoring, const Dataset& data,
+// Fills buf->scores with one score per entry of a frozen node: the
+// record score for leaf entries (a leaf MBB is its point, so hi == the
+// record), the maxscore upper bound for internal entries. Streams the
+// SoA hi planes: for each dimension j, scores[e] += w_j * g_j(hi_j[e]).
+// One tight loop per plane, no per-entry virtual calls.
+void ComputeEntryScores(const ScoringFunction& scoring,
                         const FlatRTree::NodeView& node, VecView weights,
                         ScoreBuffer* buf);
 

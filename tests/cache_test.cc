@@ -1,6 +1,6 @@
-// GirCache / ShardedGirCache behavior: exact and partial containment
-// hits, LRU eviction order, and concurrent integrity of the sharded
-// variant under a multi-threaded hammer.
+// ShardedGirCache behavior: exact and partial containment hits, LRU
+// eviction order (GirCacheTest runs one shard, a single LRU list), and
+// concurrent integrity under a multi-threaded hammer.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "gir/cache.h"
 #include "gir/sharded_cache.h"
 
 namespace gir {
@@ -35,64 +34,70 @@ GirRegion CubeRegion(Vec query, std::vector<RecordId> result) {
 }
 
 TEST(GirCacheTest, ExactHitReturnsPrefix) {
-  GirCache cache(8);
+  ShardedGirCache cache(8, 1);
   Vec q = {0.5, 0.5};
   cache.Insert(5, {11, 22, 33, 44, 55}, CubeRegion(q, {11, 22, 33, 44, 55}));
-  GirCache::Lookup hit = cache.Probe(q, 3);
-  EXPECT_EQ(hit.kind, GirCache::HitKind::kExact);
+  ShardedGirCache::Lookup hit = cache.Probe(q, 3);
+  EXPECT_EQ(hit.kind, ShardedGirCache::HitKind::kExact);
   EXPECT_EQ(hit.records, (std::vector<RecordId>{11, 22, 33}));
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.misses(), 0u);
 }
 
 TEST(GirCacheTest, PartialHitReturnsWholeCachedResult) {
-  GirCache cache(8);
+  ShardedGirCache cache(8, 1);
   Vec q = {0.5, 0.5};
   cache.Insert(5, {11, 22, 33, 44, 55}, CubeRegion(q, {11, 22, 33, 44, 55}));
   // Requested k exceeds the cached k: the cached records are the exact
   // first 5 of the true top-8 and come back as a kPartial prefix.
-  GirCache::Lookup hit = cache.Probe(q, 8);
-  EXPECT_EQ(hit.kind, GirCache::HitKind::kPartial);
+  ShardedGirCache::Lookup hit = cache.Probe(q, 8);
+  EXPECT_EQ(hit.kind, ShardedGirCache::HitKind::kPartial);
   EXPECT_EQ(hit.records, (std::vector<RecordId>{11, 22, 33, 44, 55}));
   EXPECT_EQ(cache.partial_hits(), 1u);
   EXPECT_EQ(cache.hits(), 0u);
 }
 
 TEST(GirCacheTest, MissOutsideRegion) {
-  GirCache cache(8);
+  ShardedGirCache cache(8, 1);
   // Region {q0 >= q1} does not contain (0.1, 0.9).
   cache.Insert(3, {1, 2, 3}, HalfPlaneRegion({0.9, 0.1}, {1.0, -1.0}, {1, 2, 3}));
-  GirCache::Lookup hit = cache.Probe(Vec{0.1, 0.9}, 3);
-  EXPECT_EQ(hit.kind, GirCache::HitKind::kMiss);
+  ShardedGirCache::Lookup hit = cache.Probe(Vec{0.1, 0.9}, 3);
+  EXPECT_EQ(hit.kind, ShardedGirCache::HitKind::kMiss);
   EXPECT_EQ(cache.misses(), 1u);
 }
 
 TEST(GirCacheTest, LruEvictionRespectsProbeRecency) {
-  GirCache cache(2);
+  ShardedGirCache cache(2, 1);
   Vec qa = {0.9, 0.1};  // in region A = {q0 >= q1}
   Vec qb = {0.1, 0.9};  // in region B = {q1 >= q0}
   cache.Insert(1, {100}, HalfPlaneRegion(qa, {1.0, -1.0}, {100}));
   cache.Insert(1, {200}, HalfPlaneRegion(qb, {-1.0, 1.0}, {200}));
   // Touch A: it becomes MRU even though it was inserted first.
-  EXPECT_EQ(cache.Probe(qa, 1).kind, GirCache::HitKind::kExact);
+  EXPECT_EQ(cache.Probe(qa, 1).kind, ShardedGirCache::HitKind::kExact);
   // Region C = {q0 == q1}: contains neither qa nor qb, so the probes
   // below can only hit A or B.
   GirRegion c = HalfPlaneRegion({0.5, 0.5}, {1.0, -1.0}, {300});
   ConstraintProvenance prov;
   c.AddConstraint({-1.0, 1.0}, prov);
-  cache.Insert(1, {300}, std::move(c));
+  // A covers C's query at k = 1, so C is inserted at k = 2 (a covered
+  // insert at the same k is skipped as a duplicate).
+  cache.Insert(2, {300, 301}, std::move(c));
   ASSERT_EQ(cache.size(), 2u);
   // B was LRU and must be gone; A must have survived.
-  EXPECT_EQ(cache.Probe(qb, 1).kind, GirCache::HitKind::kMiss);
-  GirCache::Lookup a = cache.Probe(qa, 1);
-  ASSERT_EQ(a.kind, GirCache::HitKind::kExact);
+  EXPECT_EQ(cache.Probe(qb, 1).kind, ShardedGirCache::HitKind::kMiss);
+  ShardedGirCache::Lookup a = cache.Probe(qa, 1);
+  ASSERT_EQ(a.kind, ShardedGirCache::HitKind::kExact);
   EXPECT_EQ(a.records, (std::vector<RecordId>{100}));
 }
 
 TEST(GirCacheTest, CapacityBound) {
-  GirCache cache(4);
+  ShardedGirCache cache(4, 1);
+  // Growing k: each cube region is a new entry, not a duplicate of one
+  // that already covers the query.
+  std::vector<RecordId> result;
   for (int i = 0; i < 20; ++i) {
-    cache.Insert(1, {i}, CubeRegion({0.5, 0.5}, {i}));
+    result.push_back(i);
+    cache.Insert(result.size(), result, CubeRegion({0.5, 0.5}, result));
     EXPECT_LE(cache.size(), 4u);
   }
   EXPECT_EQ(cache.size(), 4u);
@@ -102,14 +107,15 @@ TEST(ShardedCacheTest, MatchesSingleThreadedSemantics) {
   ShardedGirCache cache(32, 4);
   Vec q = {0.5, 0.5};
   cache.Insert(5, {11, 22, 33, 44, 55}, CubeRegion(q, {11, 22, 33, 44, 55}));
-  GirCache::Lookup exact = cache.Probe(q, 3);
-  EXPECT_EQ(exact.kind, GirCache::HitKind::kExact);
+  ShardedGirCache::Lookup exact = cache.Probe(q, 3);
+  EXPECT_EQ(exact.kind, ShardedGirCache::HitKind::kExact);
   EXPECT_EQ(exact.records, (std::vector<RecordId>{11, 22, 33}));
-  GirCache::Lookup partial = cache.Probe(q, 8);
-  EXPECT_EQ(partial.kind, GirCache::HitKind::kPartial);
+  ShardedGirCache::Lookup partial = cache.Probe(q, 8);
+  EXPECT_EQ(partial.kind, ShardedGirCache::HitKind::kPartial);
   EXPECT_EQ(partial.records, (std::vector<RecordId>{11, 22, 33, 44, 55}));
-  GirCache::Lookup miss = cache.Probe(Vec{2.0, 2.0}, 3);  // outside cube
-  EXPECT_EQ(miss.kind, GirCache::HitKind::kMiss);
+  // Outside the cube.
+  ShardedGirCache::Lookup miss = cache.Probe(Vec{2.0, 2.0}, 3);
+  EXPECT_EQ(miss.kind, ShardedGirCache::HitKind::kMiss);
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.partial_hits(), 1u);
   EXPECT_EQ(cache.misses(), 1u);
@@ -120,8 +126,8 @@ TEST(ShardedCacheTest, ProbeScansAllShards) {
   // The probe vector hashes to a different home shard than the insert
   // query, so the hit must come from the cross-shard scan.
   cache.Insert(2, {7, 8}, HalfPlaneRegion({0.9, 0.1}, {1.0, -1.0}, {7, 8}));
-  GirCache::Lookup hit = cache.Probe(Vec{0.8, 0.2}, 2);
-  ASSERT_EQ(hit.kind, GirCache::HitKind::kExact);
+  ShardedGirCache::Lookup hit = cache.Probe(Vec{0.8, 0.2}, 2);
+  ASSERT_EQ(hit.kind, ShardedGirCache::HitKind::kExact);
   EXPECT_EQ(hit.records, (std::vector<RecordId>{7, 8}));
 }
 
@@ -135,8 +141,8 @@ TEST(ShardedCacheTest, ExactEntryPreferredOverEarlierPartial) {
   // the probe in scan order. The probe must still find the exact one.
   cache.Insert(20, big, CubeRegion({0.3, 0.3, 0.3}, big));
   cache.Insert(5, {1, 2, 3, 4, 5}, CubeRegion(q, {1, 2, 3, 4, 5}));
-  GirCache::Lookup hit = cache.Probe(q, 10);
-  ASSERT_EQ(hit.kind, GirCache::HitKind::kExact);
+  ShardedGirCache::Lookup hit = cache.Probe(q, 10);
+  ASSERT_EQ(hit.kind, ShardedGirCache::HitKind::kExact);
   EXPECT_EQ(hit.records,
             std::vector<RecordId>(big.begin(), big.begin() + 10));
   EXPECT_EQ(cache.hits(), 1u);
@@ -190,9 +196,9 @@ TEST(ShardedCacheTest, ConcurrentHammerKeepsEntriesIntact) {
         result[2] = a + b;
         cache.Insert(k, std::move(result), CubeRegion(q, {a}));
         Vec probe = {rng.Uniform(), rng.Uniform(), rng.Uniform()};
-        GirCache::Lookup hit = cache.Probe(probe, 3);
+        ShardedGirCache::Lookup hit = cache.Probe(probe, 3);
         probes.fetch_add(1);
-        if (hit.kind != GirCache::HitKind::kMiss) {
+        if (hit.kind != ShardedGirCache::HitKind::kMiss) {
           if (hit.records.size() != 3 ||
               hit.records[2] != hit.records[0] + hit.records[1]) {
             corrupt.fetch_add(1);

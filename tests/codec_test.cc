@@ -93,13 +93,15 @@ TEST(ImageCodecTest, FullTreeRoundTrip) {
   EXPECT_EQ(loaded->root(), tree.root());
   ASSERT_TRUE(loaded->Validate().ok()) << loaded->Validate().ToString();
 
-  // Queries on the restored tree match the original.
+  // Queries on the restored tree's frozen image match the original's.
+  FlatRTree flat = FlatRTree::Freeze(tree);
+  FlatRTree flat_loaded = FlatRTree::Freeze(*loaded);
   LinearScoring scoring(3);
   for (int trial = 0; trial < 5; ++trial) {
     Vec w = {rng.Uniform(0.1, 1.0), rng.Uniform(0.1, 1.0),
              rng.Uniform(0.1, 1.0)};
-    Result<TopKResult> a = RunBrs(tree, scoring, w, 10);
-    Result<TopKResult> b = RunBrs(*loaded, scoring, w, 10);
+    Result<TopKResult> a = RunBrs(flat, scoring, w, 10);
+    Result<TopKResult> b = RunBrs(flat_loaded, scoring, w, 10);
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
     EXPECT_EQ(a->result, b->result);

@@ -145,11 +145,13 @@ TEST(EngineEdgeTest, TinyPagesForceDeepTreesAndReinserts) {
 
   DiskManager disk_big;
   RTree bulk = RTree::BulkLoad(&data, &disk_big);
+  FlatRTree flat = FlatRTree::Freeze(tree);
+  FlatRTree flat_bulk = FlatRTree::Freeze(bulk);
   LinearScoring scoring(2);
   for (int trial = 0; trial < 5; ++trial) {
     Vec w = {rng.Uniform(0.1, 1.0), rng.Uniform(0.1, 1.0)};
-    Result<TopKResult> a = RunBrs(tree, scoring, w, 10);
-    Result<TopKResult> b = RunBrs(bulk, scoring, w, 10);
+    Result<TopKResult> a = RunBrs(flat, scoring, w, 10);
+    Result<TopKResult> b = RunBrs(flat_bulk, scoring, w, 10);
     ASSERT_TRUE(a.ok() && b.ok());
     EXPECT_EQ(a->result, b->result);
   }

@@ -4,13 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <numeric>
+#include <string>
 
 #include "common/rng.h"
 #include "dataset/generators.h"
 #include "gir/approx.h"
 #include "gir/engine.h"
 #include "gir/sensitivity.h"
+#include "storage/snapshot_store.h"
 
 namespace gir {
 namespace {
@@ -39,7 +42,8 @@ TEST(GeneralTopKTest, MatchesLinearScanForMinScoring) {
   Rng rng(41);
   Dataset data = GenerateIndependent(3000, 3, rng);
   DiskManager disk;
-  RTree tree = RTree::BulkLoad(&data, &disk);
+  RTree source = RTree::BulkLoad(&data, &disk);
+  FlatRTree tree = FlatRTree::Freeze(source);
   MinScoring fn(3);
   for (int trial = 0; trial < 5; ++trial) {
     Vec q = {rng.Uniform(0.2, 1.0), rng.Uniform(0.2, 1.0),
@@ -59,7 +63,8 @@ TEST(GeneralTopKTest, AdapterMatchesBrs) {
   Rng rng(42);
   Dataset data = GenerateIndependent(2000, 4, rng);
   DiskManager disk;
-  RTree tree = RTree::BulkLoad(&data, &disk);
+  RTree source = RTree::BulkLoad(&data, &disk);
+  FlatRTree tree = FlatRTree::Freeze(source);
   GeneralFromDecomposable fn(MakeScoring("Linear", 4));
   LinearScoring linear(4);
   Vec q = {0.4, 0.7, 0.5, 0.9};
@@ -86,7 +91,7 @@ TEST(ApproxGirTest, AgreesWithExactGirOnLinearScoring) {
   opt.rays = 40;
   opt.probability_samples = 500;
   Result<ApproxGir> approx =
-      ApproxGir::Compute(engine->tree(), fn, q, k, opt);
+      ApproxGir::Compute(*engine->PinIndex().flat, fn, q, k, opt);
   ASSERT_TRUE(approx.ok());
   EXPECT_EQ(approx->result(), exact->topk.result);
 
@@ -107,11 +112,47 @@ TEST(ApproxGirTest, AgreesWithExactGirOnLinearScoring) {
               0.05 + 3.0 * std::sqrt(ratio * (1 - ratio) / 500));
 }
 
+// An engine opened from an arena file has no master tree; the approximate
+// GIR runs on its pinned frozen image and must match the heap-frozen
+// engine the arena was written from.
+TEST(ApproxGirTest, ArenaEngineMatchesHeapEngine) {
+  Rng rng(47);
+  Dataset data = GenerateIndependent(900, 3, rng);
+  DiskManager heap_disk;
+  auto heap = OpenEngineOrDie(
+      EngineConfig::FromDataset(&data, &heap_disk, MakeScoring("Linear", 3)));
+  const std::string dir =
+      (std::filesystem::path(testing::TempDir()) / "approx_arena").string();
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(SnapshotStore(dir).WriteArena(heap->flat_tree(), 0).ok());
+  DiskManager mmap_disk;
+  auto mapped = OpenEngineOrDie(
+      EngineConfig::FromArena(dir, &mmap_disk, MakeScoring("Linear", 3)));
+  ASSERT_FALSE(mapped->has_master_tree());
+
+  MinScoring fn(3);
+  Vec q = {0.6, 0.5, 0.8};
+  ApproxGirOptions opt;
+  opt.rays = 16;
+  opt.probability_samples = 50;
+  GirEngine::PinnedIndex heap_pin = heap->PinIndex();
+  GirEngine::PinnedIndex mapped_pin = mapped->PinIndex();
+  Result<ApproxGir> want = ApproxGir::Compute(*heap_pin.flat, fn, q, 6, opt);
+  Result<ApproxGir> got = ApproxGir::Compute(*mapped_pin.flat, fn, q, 6, opt);
+  ASSERT_TRUE(want.ok());
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got->result(), want->result());
+  EXPECT_EQ(got->boundary_points(), want->boundary_points());
+  EXPECT_EQ(got->preserved_probability(), want->preserved_probability());
+  std::filesystem::remove_all(dir);
+}
+
 TEST(ApproxGirTest, OracleSemanticsForMinScoring) {
   Rng rng(44);
   Dataset data = GenerateIndependent(800, 3, rng);
   DiskManager disk;
-  RTree tree = RTree::BulkLoad(&data, &disk);
+  RTree source = RTree::BulkLoad(&data, &disk);
+  FlatRTree tree = FlatRTree::Freeze(source);
   MinScoring fn(3);
   Vec q = {0.6, 0.5, 0.8};
   ApproxGirOptions opt;
@@ -146,7 +187,8 @@ TEST(ApproxGirTest, ScaleInvarianceOfMinScoringRegion) {
   Rng rng(45);
   Dataset data = GenerateIndependent(600, 2, rng);
   DiskManager disk;
-  RTree tree = RTree::BulkLoad(&data, &disk);
+  RTree source = RTree::BulkLoad(&data, &disk);
+  FlatRTree tree = FlatRTree::Freeze(source);
   MinScoring fn(2);
   Vec q = {0.8, 0.5};
   Result<ApproxGir> approx = ApproxGir::Compute(tree, fn, q, 5);
@@ -163,7 +205,8 @@ TEST(ApproxGirTest, RejectsDimensionMismatch) {
   Rng rng(46);
   Dataset data = GenerateIndependent(100, 3, rng);
   DiskManager disk;
-  RTree tree = RTree::BulkLoad(&data, &disk);
+  RTree source = RTree::BulkLoad(&data, &disk);
+  FlatRTree tree = FlatRTree::Freeze(source);
   MinScoring fn(3);
   EXPECT_FALSE(ApproxGir::Compute(tree, fn, Vec{0.5, 0.5}, 5).ok());
 }

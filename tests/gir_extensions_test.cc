@@ -725,18 +725,19 @@ TEST(Fp2dVsNdTest, IdenticalRegionsIn2D) {
   auto engine = OpenEngineOrDie(
       EngineConfig::FromDataset(&data, &disk, MakeScoring("Linear", 2)));
   LinearScoring scoring(2);
+  const FlatRTree& flat = engine->flat_tree();
   for (int trial = 0; trial < 6; ++trial) {
     Vec w = {rng.Uniform(0.1, 1.0), rng.Uniform(0.1, 1.0)};
     // Engine dispatches to the angular variant at d == 2.
     Result<GirComputation> via2d = engine->ComputeGir(w, 8, Phase2Method::kFP);
     ASSERT_TRUE(via2d.ok());
     // Run the d-dimensional star machinery on the same query.
-    Result<TopKResult> topk = RunBrs(engine->tree(), scoring, w, 8);
+    Result<TopKResult> topk = RunBrs(flat, scoring, w, 8);
     ASSERT_TRUE(topk.ok());
     GirRegion region_nd(2, w, topk->result);
     AddPhase1Constraints(data, scoring, topk->result, &region_nd);
     Result<Phase2Output> nd =
-        RunFpNdPhase2(engine->tree(), scoring, w, *topk, &region_nd);
+        RunFpNdPhase2(flat, scoring, w, *topk, &region_nd);
     ASSERT_TRUE(nd.ok());
     for (int probe = 0; probe < 400; ++probe) {
       Vec q = {rng.Uniform(), rng.Uniform()};

@@ -7,7 +7,7 @@
 
 #include "common/rng.h"
 #include "dataset/generators.h"
-#include "gir/cache.h"
+#include "gir/sharded_cache.h"
 #include "gir/engine.h"
 #include "gir/sensitivity.h"
 #include "gir/visualization.h"
@@ -180,30 +180,31 @@ TEST(CacheTest, ExactHitInsideGir) {
   Vec w = {0.5, 0.5, 0.5};
   Result<GirComputation> gir = engine->ComputeGir(w, 10, Phase2Method::kFP);
   ASSERT_TRUE(gir.ok());
-  GirCache cache;
+  ShardedGirCache cache;
   cache.Insert(10, gir->topk.result, gir->region);
 
   // The query itself: exact hit.
-  GirCache::Lookup hit = cache.Probe(w, 10);
-  EXPECT_EQ(hit.kind, GirCache::HitKind::kExact);
+  ShardedGirCache::Lookup hit = cache.Probe(w, 10);
+  EXPECT_EQ(hit.kind, ShardedGirCache::HitKind::kExact);
   EXPECT_EQ(hit.records, gir->topk.result);
 
   // Smaller k: exact prefix.
-  GirCache::Lookup prefix = cache.Probe(w, 3);
-  EXPECT_EQ(prefix.kind, GirCache::HitKind::kExact);
+  ShardedGirCache::Lookup prefix = cache.Probe(w, 3);
+  EXPECT_EQ(prefix.kind, ShardedGirCache::HitKind::kExact);
   EXPECT_EQ(prefix.records,
             std::vector<RecordId>(gir->topk.result.begin(),
                                   gir->topk.result.begin() + 3));
 
   // Larger k: partial (progressive reporting).
-  GirCache::Lookup partial = cache.Probe(w, 20);
-  EXPECT_EQ(partial.kind, GirCache::HitKind::kPartial);
+  ShardedGirCache::Lookup partial = cache.Probe(w, 20);
+  EXPECT_EQ(partial.kind, ShardedGirCache::HitKind::kPartial);
   EXPECT_EQ(partial.records, gir->topk.result);
 
   // A far-away vector: miss.
   Vec far = {0.95, 0.02, 0.03};
   if (!gir->region.Contains(far)) {
-    EXPECT_EQ(cache.Probe(far, 10).kind, GirCache::HitKind::kMiss);
+    EXPECT_EQ(cache.Probe(far, 10).kind,
+              ShardedGirCache::HitKind::kMiss);
   }
   EXPECT_EQ(cache.hits(), 2u);
   EXPECT_EQ(cache.partial_hits(), 1u);
@@ -218,12 +219,12 @@ TEST(CacheTest, HitsAreCorrectAnswers) {
   auto engine = OpenEngineOrDie(
       EngineConfig::FromDataset(&data, &disk, MakeScoring("Linear", 2)));
   LinearScoring scoring(2);
-  GirCache cache;
+  ShardedGirCache cache;
   int verified_hits = 0;
   for (int i = 0; i < 60; ++i) {
     Vec q = {rng.Uniform(0.05, 1.0), rng.Uniform(0.05, 1.0)};
-    GirCache::Lookup lk = cache.Probe(q, 10);
-    if (lk.kind == GirCache::HitKind::kExact) {
+    ShardedGirCache::Lookup lk = cache.Probe(q, 10);
+    if (lk.kind == ShardedGirCache::HitKind::kExact) {
       EXPECT_EQ(lk.records, ScanTopK(data, scoring, q, 10));
       ++verified_hits;
       continue;
@@ -270,32 +271,38 @@ TEST(VisualizationTest, MahInFourDimensions) {
 }
 
 TEST(CacheTest, MoveToFrontKeepsHotEntriesResident) {
-  GirCache cache(2);
+  ShardedGirCache cache(2, 1);
   GirRegion wide(2, Vec{0.5, 0.5}, {1});  // no constraints: whole cube
   cache.Insert(1, {1}, wide);
-  GirRegion narrow(2, Vec{0.9, 0.1}, {2});
+  // The wide entry covers every query at k = 1, so the later entries
+  // use k = 2 (a covered insert at the same k is skipped as a
+  // duplicate).
+  GirRegion narrow(2, Vec{0.9, 0.1}, {2, 4});
   ConstraintProvenance prov;
   narrow.AddConstraint(Vec{1.0, -5.0}, prov);  // excludes most of cube
-  cache.Insert(1, {2}, narrow);
+  cache.Insert(2, {2, 4}, narrow);
   // Touch the wide entry so it moves to the front...
-  EXPECT_EQ(cache.Probe(Vec{0.5, 0.5}, 1).kind, GirCache::HitKind::kExact);
+  EXPECT_EQ(cache.Probe(Vec{0.5, 0.5}, 1).kind,
+            ShardedGirCache::HitKind::kExact);
   // ...then overflow: the narrow entry (now LRU) must be evicted.
-  GirRegion third(2, Vec{0.5, 0.5}, {3});
-  cache.Insert(1, {3}, third);
+  GirRegion third(2, Vec{0.5, 0.5}, {3, 5});
+  cache.Insert(2, {3, 5}, third);
   EXPECT_EQ(cache.size(), 2u);
   // The wide entry still answers.
-  GirCache::Lookup hit = cache.Probe(Vec{0.4, 0.6}, 1);
-  EXPECT_NE(hit.kind, GirCache::HitKind::kMiss);
+  ShardedGirCache::Lookup hit = cache.Probe(Vec{0.4, 0.6}, 1);
+  EXPECT_NE(hit.kind, ShardedGirCache::HitKind::kMiss);
 }
 
 TEST(CacheTest, LruEviction) {
-  GirCache cache(2);
+  ShardedGirCache cache(2, 1);
+  // Growing k, so no insert is skipped as a duplicate of a covering
+  // entry.
   GirRegion r1(2, Vec{0.5, 0.5}, {1});
-  GirRegion r2(2, Vec{0.5, 0.5}, {2});
-  GirRegion r3(2, Vec{0.5, 0.5}, {3});
+  GirRegion r2(2, Vec{0.5, 0.5}, {1, 2});
+  GirRegion r3(2, Vec{0.5, 0.5}, {1, 2, 3});
   cache.Insert(1, {1}, r1);
-  cache.Insert(1, {2}, r2);
-  cache.Insert(1, {3}, r3);
+  cache.Insert(2, {1, 2}, r2);
+  cache.Insert(3, {1, 2, 3}, r3);
   EXPECT_EQ(cache.size(), 2u);
 }
 

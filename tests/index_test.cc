@@ -133,19 +133,6 @@ TEST(RTreeTest, CapacityMatchesPageBudget) {
   EXPECT_EQ(tree.Capacity(), 60u);
 }
 
-TEST(RTreeTest, ReadNodeChargesIo) {
-  Rng rng(12);
-  Dataset data = GenerateIndependent(500, 2, rng);
-  DiskManager disk;
-  RTree tree = RTree::BulkLoad(&data, &disk);
-  disk.ResetStats();
-  tree.ReadNode(tree.root());
-  EXPECT_EQ(disk.stats().reads, 1u);
-  EXPECT_DOUBLE_EQ(disk.ReadMillis(), 10.0);
-  tree.PeekNode(tree.root());
-  EXPECT_EQ(disk.stats().reads, 1u);
-}
-
 TEST(RTreeTest, EmptyTreeValidates) {
   Dataset data(2);
   DiskManager disk;

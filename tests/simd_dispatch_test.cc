@@ -3,8 +3,9 @@
 // scoring functions, each tier forced via simd::ForceTier. The scalar
 // tier is the reference; every wider tier must reproduce its scores,
 // dominance verdicts, range-query survivors and (through the engine)
-// IoStats bit for bit — that is the contract that lets the PR 2
-// flat-vs-mutable equivalence tests extend unchanged to the SIMD paths.
+// IoStats bit for bit. The batched kernels are further pinned, per
+// tier, to the one-entry-at-a-time ScoringFunction::Score/MaxScore and
+// TransformDim.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -15,6 +16,7 @@
 #include "common/simd.h"
 #include "dataset/generators.h"
 #include "gir/engine.h"
+#include "gir/fp_frontier.h"
 #include "index/flat_rtree.h"
 #include "index/mbb.h"
 #include "skyline/skyline.h"
@@ -76,8 +78,10 @@ TEST(SimdDispatchTest, ForceTierClampsAndReports) {
 }
 
 // Entry scoring (the SoA hi-plane kernel) and the per-dimension batch
-// transforms: every tier bitwise-equal to the forced-scalar reference,
-// and the batch transform bitwise-equal to per-element TransformDim.
+// transforms: every tier bitwise-equal to the forced-scalar reference
+// and to the scalar ScoringFunction path (Score for a leaf's records,
+// MaxScore for an internal node's boxes, TransformDim for a leaf's
+// g-mapped planes).
 TEST(SimdDispatchTest, EntryScoresAndTransformsBitIdentical) {
   TierGuard guard;
   const std::vector<simd::Tier> tiers = AvailableTiers();
@@ -97,23 +101,44 @@ TEST(SimdDispatchTest, EntryScoresAndTransformsBitIdentical) {
         std::vector<std::vector<double>> reference;
         ScoreBuffer buf;
         for (size_t p = 0; p < flat.node_count(); ++p) {
-          ComputeEntryScores(*scoring, data,
-                             flat.PeekNode(static_cast<PageId>(p)), w, &buf);
+          ComputeEntryScores(*scoring, flat.PeekNode(static_cast<PageId>(p)),
+                             w, &buf);
           reference.push_back(buf.scores);
         }
 
+        std::vector<double> planes;
         for (simd::Tier tier : tiers) {
           simd::ForceTier(tier);
           for (size_t p = 0; p < flat.node_count(); ++p) {
-            ComputeEntryScores(*scoring, data,
-                               flat.PeekNode(static_cast<PageId>(p)), w,
-                               &buf);
+            const FlatRTree::NodeView node =
+                flat.PeekNode(static_cast<PageId>(p));
+            ComputeEntryScores(*scoring, node, w, &buf);
             ASSERT_EQ(buf.scores.size(), reference[p].size());
+            const GPlanes gp =
+                node.is_leaf() ? LeafGPlanes(*scoring, node, d, &planes)
+                               : GPlanes{};
             for (size_t e = 0; e < buf.scores.size(); ++e) {
+              const double scalar =
+                  node.is_leaf()
+                      ? scoring->Score(data.Get(node.child(e)), w)
+                      : scoring->MaxScore(node.EntryMbb(e), w);
               ASSERT_EQ(buf.scores[e], reference[p][e])
                   << "tier=" << simd::TierName(tier) << " dist=" << dist
                   << " scoring=" << sname << " d=" << d << " node=" << p
                   << " entry=" << e;
+              ASSERT_EQ(buf.scores[e], scalar)
+                  << "tier=" << simd::TierName(tier) << " dist=" << dist
+                  << " scoring=" << sname << " d=" << d << " node=" << p
+                  << " entry=" << e;
+              if (!node.is_leaf()) continue;
+              VecView record = data.Get(node.child(e));
+              for (size_t j = 0; j < d; ++j) {
+                ASSERT_EQ(gp.base[j * gp.stride + e],
+                          scoring->TransformDim(j, record[j]))
+                    << "tier=" << simd::TierName(tier) << " scoring="
+                    << sname << " d=" << d << " node=" << p << " entry=" << e
+                    << " j=" << j;
+              }
             }
           }
 

@@ -11,7 +11,6 @@
 #include "dataset/generators.h"
 #include "topk/brs.h"
 #include "topk/scoring.h"
-#include "topk/tree_kernels.h"
 
 namespace gir {
 namespace {
@@ -93,7 +92,8 @@ TEST_P(BrsTest, MatchesLinearScan) {
   Result<Dataset> data = GenerateByName(c.dataset, 3000, c.dim, rng);
   ASSERT_TRUE(data.ok());
   DiskManager disk;
-  RTree tree = RTree::BulkLoad(&*data, &disk);
+  RTree source = RTree::BulkLoad(&*data, &disk);
+  FlatRTree tree = FlatRTree::Freeze(source);
   LinearScoring scoring(c.dim);
   for (int trial = 0; trial < 5; ++trial) {
     Vec w(c.dim);
@@ -124,7 +124,8 @@ TEST(BrsTest, NonLinearScoringMatchesScan) {
   Rng rng(17);
   Dataset data = GenerateIndependent(2000, 4, rng);
   DiskManager disk;
-  RTree tree = RTree::BulkLoad(&data, &disk);
+  RTree source = RTree::BulkLoad(&data, &disk);
+  FlatRTree tree = FlatRTree::Freeze(source);
   for (const char* name : {"Polynomial", "Mixed"}) {
     auto scoring = MakeScoring(name, 4);
     Vec w = {0.4, 0.6, 0.5, 0.7};
@@ -143,7 +144,8 @@ TEST(BrsTest, EncounteredDisjointFromResult) {
   Rng rng(5);
   Dataset data = GenerateIndependent(1000, 3, rng);
   DiskManager disk;
-  RTree tree = RTree::BulkLoad(&data, &disk);
+  RTree source = RTree::BulkLoad(&data, &disk);
+  FlatRTree tree = FlatRTree::Freeze(source);
   LinearScoring scoring(3);
   Vec w = {0.5, 0.5, 0.5};
   Result<TopKResult> r = RunBrs(tree, scoring, w, 20);
@@ -159,7 +161,8 @@ TEST(BrsTest, PendingNodesWereNeverRead) {
   Rng rng(6);
   Dataset data = GenerateAnticorrelated(3000, 3, rng);
   DiskManager disk;
-  RTree tree = RTree::BulkLoad(&data, &disk);
+  RTree source = RTree::BulkLoad(&data, &disk);
+  FlatRTree tree = FlatRTree::Freeze(source);
   LinearScoring scoring(3);
   Vec w = {0.9, 0.4, 0.7};
   Result<TopKResult> r = RunBrs(tree, scoring, w, 10);
@@ -174,7 +177,8 @@ TEST(BrsTest, PendingNodesWereNeverRead) {
 TEST(BrsTest, SmallDatasetReturnsAll) {
   Dataset data = Dataset::FromRows({{0.1, 0.2}, {0.3, 0.4}, {0.5, 0.1}});
   DiskManager disk;
-  RTree tree = RTree::BulkLoad(&data, &disk);
+  RTree source = RTree::BulkLoad(&data, &disk);
+  FlatRTree tree = FlatRTree::Freeze(source);
   LinearScoring scoring(2);
   Vec w = {1.0, 1.0};
   Result<TopKResult> r = RunBrs(tree, scoring, w, 10);
@@ -187,7 +191,8 @@ TEST(BrsTest, SmallDatasetReturnsAll) {
 TEST(BrsTest, RejectsBadArguments) {
   Dataset data = Dataset::FromRows({{0.1, 0.2}});
   DiskManager disk;
-  RTree tree = RTree::BulkLoad(&data, &disk);
+  RTree source = RTree::BulkLoad(&data, &disk);
+  FlatRTree tree = FlatRTree::Freeze(source);
   LinearScoring scoring(2);
   EXPECT_FALSE(RunBrs(tree, scoring, Vec{0.5, 0.5}, 0).ok());
   EXPECT_FALSE(RunBrs(tree, scoring, Vec{0.5}, 1).ok());
@@ -201,7 +206,8 @@ TEST(BrsTest, RetainedStateIsSufficientToContinue) {
   Rng rng(77);
   Dataset data = GenerateIndependent(4000, 3, rng);
   DiskManager disk;
-  RTree tree = RTree::BulkLoad(&data, &disk);
+  RTree source = RTree::BulkLoad(&data, &disk);
+  FlatRTree tree = FlatRTree::Freeze(source);
   LinearScoring scoring(3);
   Vec w = {0.8, 0.3, 0.6};
   const size_t k = 10;
@@ -233,13 +239,14 @@ TEST(BrsTest, RetainedStateIsSufficientToContinue) {
       continued.push_back(top.id);
       continue;
     }
-    const RTreeNode& node = tree.ReadNode(static_cast<PageId>(top.id));
-    for (const RTreeEntry& e : node.entries) {
-      if (node.is_leaf) {
-        heap.push_back(E{scoring.Score(data.Get(e.child), w), false,
-                         e.child});
+    FlatRTree::NodeView node = tree.ReadNode(static_cast<PageId>(top.id));
+    for (size_t e = 0; e < node.count(); ++e) {
+      if (node.is_leaf()) {
+        heap.push_back(E{scoring.Score(data.Get(node.child(e)), w), false,
+                         node.child(e)});
       } else {
-        heap.push_back(E{scoring.MaxScore(e.mbb, w), true, e.child});
+        heap.push_back(
+            E{scoring.MaxScore(node.EntryMbb(e), w), true, node.child(e)});
       }
       std::push_heap(heap.begin(), heap.end(), less);
     }
@@ -257,7 +264,8 @@ TEST(BrsTest, IoCountedOnlyForReadNodes) {
   Rng rng(21);
   Dataset data = GenerateIndependent(5000, 2, rng);
   DiskManager disk;
-  RTree tree = RTree::BulkLoad(&data, &disk);
+  RTree source = RTree::BulkLoad(&data, &disk);
+  FlatRTree tree = FlatRTree::Freeze(source);
   disk.ResetStats();
   LinearScoring scoring(2);
   Vec w = {0.5, 0.5};
@@ -273,10 +281,11 @@ TEST(BrsTest, IoCountedOnlyForReadNodes) {
 
 // BRS with the drain it had before the sort: pop the whole heap (a
 // std::priority_queue under the same strict total order) and keep the
-// nodes in pop order, then heapify. No I/O is charged here; the
+// nodes in pop order, then heapify. Entries are scored one at a time
+// through ScoringFunction::Score/MaxScore, so this is also the scalar
+// reference for the batched kernels. No I/O is charged here; the
 // comparison covers result, scores, encountered and the pending layout.
-template <typename Tree>
-TopKResult FullPopBrs(const Tree& tree, const ScoringFunction& scoring,
+TopKResult FullPopBrs(const FlatRTree& tree, const ScoringFunction& scoring,
                       VecView weights, size_t k) {
   struct Entry {
     double key;
@@ -295,13 +304,12 @@ TopKResult FullPopBrs(const Tree& tree, const ScoringFunction& scoring,
   std::priority_queue<Entry, std::vector<Entry>, Less> heap;
   {
     Entry e;
-    e.mbb = NodeSelfMbb(tree, tree.PeekNode(tree.root()));
+    e.mbb = tree.PeekNode(tree.root()).mbb();
     e.key = scoring.MaxScore(e.mbb, weights);
     e.is_node = true;
     e.id = static_cast<int32_t>(tree.root());
     heap.push(std::move(e));
   }
-  ScoreBuffer buf;
   std::vector<RecordId> fetched;
   while (!heap.empty() && out.result.size() < k) {
     Entry top = heap.top();
@@ -311,16 +319,16 @@ TopKResult FullPopBrs(const Tree& tree, const ScoringFunction& scoring,
       out.scores.push_back(top.key);
       continue;
     }
-    decltype(auto) node = tree.PeekNode(static_cast<PageId>(top.id));
-    ComputeEntryScores(scoring, tree.dataset(), node, weights, &buf);
-    for (size_t i = 0; i < NodeEntryCount(node); ++i) {
+    FlatRTree::NodeView node = tree.PeekNode(static_cast<PageId>(top.id));
+    for (size_t i = 0; i < node.count(); ++i) {
       Entry e;
-      e.key = buf.scores[i];
-      e.is_node = !NodeIsLeaf(node);
-      e.id = NodeChild(node, i);
+      e.is_node = !node.is_leaf();
+      e.id = node.child(i);
       if (e.is_node) {
-        e.mbb = NodeEntryMbb(node, i);
+        e.mbb = node.EntryMbb(i);
+        e.key = scoring.MaxScore(e.mbb, weights);
       } else {
+        e.key = scoring.Score(tree.dataset().Get(e.id), weights);
         fetched.push_back(e.id);
       }
       heap.push(std::move(e));
@@ -395,13 +403,9 @@ TEST(BrsTest, SortDrainEqualsFullPopDrain) {
                                     std::to_string(q);
           want.push_back(FullPopBrs(flat, *scoring, weights[q], k));
           ASSERT_FALSE(want.back().pending.empty()) << where;
-          Result<TopKResult> solo_mutable =
-              RunBrs(tree, *scoring, weights[q], k);
-          Result<TopKResult> solo_flat = RunBrs(flat, *scoring, weights[q], k);
-          ASSERT_TRUE(solo_mutable.ok());
-          ASSERT_TRUE(solo_flat.ok());
-          ExpectSameDrain(want.back(), *solo_mutable, where + " mutable");
-          ExpectSameDrain(want.back(), *solo_flat, where + " flat");
+          Result<TopKResult> solo = RunBrs(flat, *scoring, weights[q], k);
+          ASSERT_TRUE(solo.ok());
+          ExpectSameDrain(want.back(), *solo, where + " solo");
           // Width 1: one query per RunBrsMulti call.
           BrsFrontierArena arena;
           std::vector<TopKResult> one;

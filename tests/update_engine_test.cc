@@ -15,7 +15,6 @@
 #include "common/rng.h"
 #include "dataset/generators.h"
 #include "gir/batch_engine.h"
-#include "gir/cache.h"
 #include "gir/engine.h"
 #include "gir/sharded_cache.h"
 #include "index/rtree.h"
@@ -501,12 +500,13 @@ TEST(GirCacheTest, VersionedProbeEvictsStaleEpochs) {
   Result<GirComputation> gir = engine->ComputeGir(w, 4, Phase2Method::kFP);
   ASSERT_TRUE(gir.ok());
 
-  GirCache cache(8);
-  cache.Insert(4, gir->topk.result, gir->region.ConstraintsOnly(),
-               /*version=*/1);
-  EXPECT_EQ(cache.Probe(w, 4, /*version=*/1).kind, GirCache::HitKind::kExact);
+  ShardedGirCache cache(8, 1);
+  cache.Insert(4, gir->topk.result, gir->region, /*version=*/1);
+  EXPECT_EQ(cache.Probe(w, 4, /*version=*/1).kind,
+            ShardedGirCache::HitKind::kExact);
   // Same query at a newer epoch: miss, and the stale entry is dropped.
-  EXPECT_EQ(cache.Probe(w, 4, /*version=*/2).kind, GirCache::HitKind::kMiss);
+  EXPECT_EQ(cache.Probe(w, 4, /*version=*/2).kind,
+            ShardedGirCache::HitKind::kMiss);
   EXPECT_EQ(cache.size(), 0u);
 }
 
