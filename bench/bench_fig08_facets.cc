@@ -1,6 +1,8 @@
 // Figure 8: rationale of Facet Pruning.
 //   (a) number of facets on CH' = conv({p_k} ∪ D\R) vs dimensionality
 //   (b) number of facets incident to p_k vs dimensionality
+// plus, beside (b), the facets the FP star created on the way there
+// (dead ones included): the hull work Phase 2 paid for (b).
 // The full-hull column requires building CH' outright, which is exactly
 // the cost FP avoids — so its default n is smaller than (b)'s.
 #include <numeric>
@@ -35,7 +37,7 @@ int main(int argc, char** argv) {
               static_cast<long long>(params.k));
 
   std::vector<std::vector<double>> total(dists.size()),
-      incident(dists.size());
+      incident(dists.size()), created(dists.size());
   for (size_t di = 0; di < dists.size(); ++di) {
     for (int64_t d = 2; d <= dmax; ++d) {
       bool heavy = dists[di] == "ANTI" && d > 5 && !params.full;
@@ -67,6 +69,7 @@ int main(int argc, char** argv) {
 
       // --- (b) facets incident to p_k, via the FP star ---
       double facets_incident = -1.0;
+      double facets_created = -1.0;
       if (!heavy) {
         Dataset data =
             MakeNamedDataset(dists[di], params.n, d, params.seed + d);
@@ -77,6 +80,7 @@ int main(int argc, char** argv) {
       EngineConfig::FromDataset(&data, &disk, MakeScoring("Linear", d), opt));
         Rng rng(params.seed * 7 + d);
         double sum = 0.0;
+        double sum_created = 0.0;
         int done = 0;
         for (int64_t q = 0; q < params.queries; ++q) {
           Vec w = RandomQuery(rng, d);
@@ -85,12 +89,17 @@ int main(int argc, char** argv) {
           if (gir.ok()) {
             sum += d == 2 ? 2.0
                           : static_cast<double>(gir->stats.star_facets);
+            sum_created +=
+                static_cast<double>(gir->stats.star_facets_created);
             ++done;
           }
         }
         if (done) facets_incident = sum / done;
+        // The 2-D angular FP keeps no star.
+        if (done && d > 2) facets_created = sum_created / done;
       }
       incident[di].push_back(facets_incident);
+      created[di].push_back(facets_created);
     }
   }
 
@@ -104,6 +113,11 @@ int main(int argc, char** argv) {
   for (int64_t d = 2; d <= dmax; ++d) {
     PrintRow(d,
              {incident[0][d - 2], incident[1][d - 2], incident[2][d - 2]});
+  }
+  PrintTitle("Facets created by the FP star (dead included) vs d");
+  PrintHeader("d", {"Independent", "Anti-corr", "Correlated"});
+  for (int64_t d = 2; d <= dmax; ++d) {
+    PrintRow(d, {created[0][d - 2], created[1][d - 2], created[2][d - 2]});
   }
   std::printf("\nExpected shape: incident facets are a vanishing fraction "
               "of CH' facets; both grow with d; ANTI > IND > COR.\n");

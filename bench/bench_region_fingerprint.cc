@@ -3,7 +3,9 @@
 // Phase-2 algorithms keeps every answer bit-identical. Each query folds
 // in the ordered top-k, every region constraint (the bits of its normal
 // and its provenance: kind, position, challenger), the Phase-2
-// candidate count, the live star facets and the Phase-2 page reads.
+// candidate count, the live star facets, the Phase-2 page reads and the
+// region's polytope: its vertex bits, each facet's normal bits and
+// offset, and the non-redundant constraint indices, in order.
 //
 // Methods: FP (order-sensitive, paper defaults), FP+tight (FP with
 // FpOptions::phase1_tightening on), SP, CP, and the order-insensitive
@@ -60,6 +62,19 @@ void FoldComputation(const GirComputation& gir, Fnv1a* fnv) {
   fnv->Value<uint64_t>(gir.stats.candidates);
   fnv->Value<uint64_t>(gir.stats.star_facets);
   fnv->Value<uint64_t>(gir.stats.phase2_reads);
+  const Polytope& polytope = gir.region.polytope();
+  fnv->Value<uint64_t>(polytope.vertices().size());
+  for (const Vec& v : polytope.vertices()) {
+    fnv->Bytes(v.data(), v.size() * sizeof(double));
+  }
+  fnv->Value<uint64_t>(polytope.facets().size());
+  for (const Hyperplane& f : polytope.facets()) {
+    fnv->Bytes(f.normal.data(), f.normal.size() * sizeof(double));
+    fnv->Value<double>(f.offset);
+  }
+  const std::vector<int>& nonredundant = gir.region.nonredundant_indices();
+  fnv->Value<uint64_t>(nonredundant.size());
+  for (int i : nonredundant) fnv->Value<int32_t>(i);
 }
 
 struct Method {

@@ -1,26 +1,14 @@
 #include "geom/convex_hull.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
-#include <map>
-#include <set>
+#include <optional>
 
 #include "common/rng.h"
 
 namespace gir {
 
 namespace {
-
-// Working facet record; `alive` facets are compacted on completion.
-struct WorkFacet {
-  std::vector<int> vertices;
-  Hyperplane plane;
-  std::vector<int> neighbors;
-  std::vector<int> outside;  // conflict list: points above this facet
-  bool alive = true;
-  bool visible = false;  // scratch flag for the current insertion
-};
 
 // d! for simplex volume normalization.
 double Factorial(size_t d) {
@@ -29,330 +17,456 @@ double Factorial(size_t d) {
   return f;
 }
 
-// |det| of the d x d matrix whose columns are (v_i - base).
-double SimplexDet(const std::vector<Vec>& points,
-                  const std::vector<int>& vertex_ids, VecView base) {
+// |det| of the d x d matrix whose rows are (v_i - base), for the d
+// vertices `vertex_ids` of the row-major point array `pts`. `m` is the
+// elimination buffer.
+double SimplexDet(const double* pts, const int* vertex_ids, const Vec& base,
+                  std::vector<double>* m) {
   const size_t d = base.size();
-  std::vector<Vec> m;
-  m.reserve(d);
+  m->resize(d * d);
+  double* a = m->data();
   for (size_t i = 0; i < d; ++i) {
-    m.push_back(Sub(points[vertex_ids[i]], base));
+    const double* v = pts + static_cast<size_t>(vertex_ids[i]) * d;
+    for (size_t j = 0; j < d; ++j) a[i * d + j] = v[j] - base[j];
   }
   // Gaussian elimination with partial pivoting; determinant magnitude.
   double det = 1.0;
   for (size_t col = 0; col < d; ++col) {
     size_t pivot = col;
     for (size_t row = col + 1; row < d; ++row) {
-      if (std::fabs(m[row][col]) > std::fabs(m[pivot][col])) pivot = row;
+      if (std::fabs(a[row * d + col]) > std::fabs(a[pivot * d + col])) {
+        pivot = row;
+      }
     }
-    if (m[pivot][col] == 0.0) return 0.0;
-    if (pivot != col) std::swap(m[col], m[pivot]);
-    det *= m[col][col];
+    if (a[pivot * d + col] == 0.0) return 0.0;
+    if (pivot != col) {
+      std::swap_ranges(a + col * d, a + col * d + d, a + pivot * d);
+    }
+    det *= a[col * d + col];
     for (size_t row = col + 1; row < d; ++row) {
-      double f = m[row][col] / m[col][col];
-      for (size_t j = col; j < d; ++j) m[row][j] -= f * m[col][j];
+      double f = a[row * d + col] / a[col * d + col];
+      for (size_t j = col; j < d; ++j) a[row * d + j] -= f * a[col * d + j];
     }
   }
   return std::fabs(det);
 }
 
-class Builder {
- public:
-  Builder(const std::vector<Vec>& points, const ConvexHullOptions& options)
-      : points_(points), options_(options), dim_(points.empty() ? 0 : points[0].size()) {}
-
-  Status Run() {
-    if (points_.size() < dim_ + 1) {
-      return Status::FailedPrecondition("too few points for full-dim hull");
-    }
-    Result<std::vector<int>> simplex = FindInitialSimplex(points_, dim_);
-    if (!simplex.ok()) return simplex.status();
-    Status s = BuildInitialSimplex(simplex.value());
-    if (!s.ok()) return s;
-    s = AssignInitialOutsideSets(simplex.value());
-    if (!s.ok()) return s;
-    return ProcessOutsidePoints();
-  }
-
-  std::vector<WorkFacet>& facets() { return facets_; }
-  const Vec& interior() const { return interior_; }
-
- private:
-  Status BuildInitialSimplex(const std::vector<int>& simplex) {
-    const size_t d = dim_;
-    interior_.assign(d, 0.0);
-    for (int id : simplex) {
-      for (size_t j = 0; j < d; ++j) interior_[j] += points_[id][j];
-    }
-    for (size_t j = 0; j < d; ++j) interior_[j] /= (d + 1);
-
-    // One facet per omitted simplex vertex.
-    for (size_t omit = 0; omit <= d; ++omit) {
-      WorkFacet f;
-      for (size_t i = 0; i <= d; ++i) {
-        if (i != omit) f.vertices.push_back(simplex[i]);
-      }
-      Result<Hyperplane> plane =
-          FitHyperplane(points_, f.vertices, interior_);
-      if (!plane.ok()) return plane.status();
-      f.plane = std::move(plane).value();
-      f.neighbors.assign(d, -1);
-      facets_.push_back(std::move(f));
-    }
-    // Wire neighbors: facet `omit` and facet `other` share the ridge
-    // missing both simplex vertices. In facet `omit`, the position of
-    // simplex vertex `other` is the slot whose neighbor is facet `other`.
-    for (size_t omit = 0; omit <= d; ++omit) {
-      WorkFacet& f = facets_[omit];
-      for (size_t pos = 0; pos < d; ++pos) {
-        int v = f.vertices[pos];
-        // Find which simplex slot v occupies.
-        for (size_t other = 0; other <= d; ++other) {
-          if (simplex[other] == v) {
-            f.neighbors[pos] = static_cast<int>(other);
-            break;
-          }
-        }
-      }
-    }
-    return Status::Ok();
-  }
-
-  Status AssignInitialOutsideSets(const std::vector<int>& simplex) {
-    std::set<int> in_simplex(simplex.begin(), simplex.end());
-    for (int p = 0; p < static_cast<int>(points_.size()); ++p) {
-      if (in_simplex.count(p)) continue;
-      AssignPoint(p, 0, facets_.size());
-    }
-    return Status::Ok();
-  }
-
-  // Assigns point p to the facet (among [first, last)) it is furthest
-  // above, if any.
-  void AssignPoint(int p, size_t first, size_t last) {
-    double best = options_.eps;
-    int best_facet = -1;
-    for (size_t f = first; f < last; ++f) {
-      if (!facets_[f].alive) continue;
-      double h = facets_[f].plane.Evaluate(points_[p]);
-      if (h > best) {
-        best = h;
-        best_facet = static_cast<int>(f);
-      }
-    }
-    if (best_facet >= 0) facets_[best_facet].outside.push_back(p);
-  }
-
-  Status ProcessOutsidePoints() {
-    // Work queue of facets that may have outside points.
-    std::vector<int> queue;
-    for (size_t f = 0; f < facets_.size(); ++f) {
-      if (!facets_[f].outside.empty()) queue.push_back(static_cast<int>(f));
-    }
-    size_t iterations = 0;
-    const size_t max_iterations = 64 * points_.size() + 1024;
-    while (!queue.empty()) {
-      if (++iterations > max_iterations) {
-        return Status::Internal("convex hull failed to converge");
-      }
-      int fid = queue.back();
-      queue.pop_back();
-      WorkFacet& f = facets_[fid];
-      if (!f.alive || f.outside.empty()) continue;
-
-      // Furthest outside point of this facet.
-      int apex = -1;
-      double best = -1.0;
-      for (int p : f.outside) {
-        double h = f.plane.Evaluate(points_[p]);
-        if (h > best) {
-          best = h;
-          apex = p;
-        }
-      }
-      if (best <= options_.eps) {
-        f.outside.clear();
-        continue;
-      }
-
-      Status s = InsertPoint(apex, fid, &queue);
-      if (!s.ok()) return s;
-    }
-    return Status::Ok();
-  }
-
-  Status InsertPoint(int apex, int seed_facet, std::vector<int>* queue) {
-    // 1. Visible set: BFS over neighbors from the seed facet.
-    std::vector<int> visible;
-    std::vector<int> stack = {seed_facet};
-    facets_[seed_facet].visible = true;
-    while (!stack.empty()) {
-      int fid = stack.back();
-      stack.pop_back();
-      visible.push_back(fid);
-      for (int nb : facets_[fid].neighbors) {
-        WorkFacet& g = facets_[nb];
-        if (g.visible || !g.alive) continue;
-        if (g.plane.Evaluate(points_[apex]) > options_.eps) {
-          g.visible = true;
-          stack.push_back(nb);
-        }
-      }
-    }
-
-    // 2. Horizon ridges: (visible facet, slot) whose neighbor is hidden.
-    struct Horizon {
-      std::vector<int> ridge;  // d-1 vertices
-      int outer;               // the non-visible facet across the ridge
-      int outer_slot;          // slot in `outer` pointing back
-    };
-    std::vector<Horizon> horizon;
-    for (int fid : visible) {
-      WorkFacet& f = facets_[fid];
-      for (size_t pos = 0; pos < dim_; ++pos) {
-        int nb = f.neighbors[pos];
-        if (facets_[nb].visible) continue;
-        Horizon h;
-        for (size_t i = 0; i < dim_; ++i) {
-          if (i != pos) h.ridge.push_back(f.vertices[i]);
-        }
-        h.outer = nb;
-        h.outer_slot = -1;
-        for (size_t i = 0; i < dim_; ++i) {
-          if (facets_[nb].neighbors[i] == fid) {
-            h.outer_slot = static_cast<int>(i);
-            break;
-          }
-        }
-        if (h.outer_slot < 0) {
-          return Status::Internal("hull adjacency corrupted");
-        }
-        horizon.push_back(std::move(h));
-      }
-    }
-    if (horizon.empty()) {
-      return Status::Internal("empty horizon for outside point");
-    }
-
-    // 3. Build one new facet per horizon ridge.
-    size_t first_new = facets_.size();
-    for (Horizon& h : horizon) {
-      WorkFacet nf;
-      nf.vertices = h.ridge;
-      nf.vertices.push_back(apex);
-      Result<Hyperplane> plane =
-          FitHyperplane(points_, nf.vertices, interior_);
-      if (!plane.ok()) return plane.status();
-      nf.plane = std::move(plane).value();
-      nf.neighbors.assign(dim_, -1);
-      // Slot `dim_-1` holds the apex, so the ridge opposite the apex is
-      // the horizon ridge itself: its neighbor is the outer facet.
-      nf.neighbors[dim_ - 1] = h.outer;
-      int nf_id = static_cast<int>(facets_.size());
-      facets_.push_back(std::move(nf));
-      facets_[h.outer].neighbors[h.outer_slot] = nf_id;
-    }
-
-    // 4. Wire the ridges shared between pairs of new facets. Two new
-    // facets share the ridge {apex} + (ridge \ {v}); key on the sorted
-    // ridge vertices excluding the apex.
-    std::map<std::vector<int>, std::pair<int, int>> half_ridges;
-    for (size_t nf_id = first_new; nf_id < facets_.size(); ++nf_id) {
-      WorkFacet& nf = facets_[nf_id];
-      for (size_t pos = 0; pos + 1 < dim_; ++pos) {  // skip apex slot
-        std::vector<int> key;
-        for (size_t i = 0; i + 1 < dim_; ++i) {
-          if (i != pos) key.push_back(nf.vertices[i]);
-        }
-        std::sort(key.begin(), key.end());
-        auto it = half_ridges.find(key);
-        if (it == half_ridges.end()) {
-          half_ridges.emplace(std::move(key),
-                              std::make_pair(static_cast<int>(nf_id),
-                                             static_cast<int>(pos)));
-        } else {
-          auto [other_id, other_pos] = it->second;
-          nf.neighbors[pos] = other_id;
-          facets_[other_id].neighbors[other_pos] = static_cast<int>(nf_id);
-          half_ridges.erase(it);
-        }
-      }
-    }
-    if (!half_ridges.empty()) {
-      return Status::Internal("unmatched new-facet ridges");
-    }
-
-    // 5. Redistribute the outside points of the visible facets.
-    std::vector<int> orphans;
-    for (int fid : visible) {
-      WorkFacet& f = facets_[fid];
-      for (int p : f.outside) {
-        if (p != apex) orphans.push_back(p);
-      }
-      f.outside.clear();
-      f.alive = false;
-      f.visible = false;
-    }
-    for (int p : orphans) {
-      AssignPoint(p, first_new, facets_.size());
-    }
-    for (size_t nf_id = first_new; nf_id < facets_.size(); ++nf_id) {
-      if (!facets_[nf_id].outside.empty()) {
-        queue->push_back(static_cast<int>(nf_id));
-      }
-    }
-    return Status::Ok();
-  }
-
-  const std::vector<Vec>& points_;
-  const ConvexHullOptions& options_;
-  size_t dim_;
-  std::vector<WorkFacet> facets_;
-  Vec interior_;
-};
-
-}  // namespace
-
-Result<std::vector<int>> FindInitialSimplex(const std::vector<Vec>& points,
-                                            size_t dim, double tol) {
-  const int n = static_cast<int>(points.size());
-  if (n < static_cast<int>(dim) + 1) {
-    return Status::FailedPrecondition("too few points");
-  }
-  std::vector<int> chosen;
+// FindInitialSimplex over the n row-major points `pts`: writes the d+1
+// chosen ids to `chosen`. `scratch` holds the orthonormal basis (d
+// rows), the candidate's residual and the best residual so far.
+Status FindSimplex(const double* pts, size_t n, size_t d, double tol,
+                   std::vector<double>* scratch, std::vector<int>* chosen) {
+  if (n < d + 1) return Status::FailedPrecondition("too few points");
+  chosen->clear();
   // Seed with the lexicographically smallest point for determinism.
-  int first = 0;
-  for (int i = 1; i < n; ++i) {
-    if (points[i] < points[first]) first = i;
+  size_t first = 0;
+  for (size_t i = 1; i < n; ++i) {
+    if (std::lexicographical_compare(pts + i * d, pts + i * d + d,
+                                     pts + first * d, pts + first * d + d)) {
+      first = i;
+    }
   }
-  chosen.push_back(first);
-  // Orthonormal basis of span{p - points[first]} built incrementally.
-  std::vector<Vec> basis;
-  while (chosen.size() < dim + 1) {
+  chosen->push_back(static_cast<int>(first));
+  const double* base = pts + first * d;
+  scratch->resize((d + 2) * d);
+  double* basis = scratch->data();
+  double* r = basis + d * d;
+  double* best_residual = r + d;
+  // Orthonormal basis of span{p - base}, built incrementally.
+  size_t rank = 0;
+  while (chosen->size() < d + 1) {
     int best = -1;
     double best_dist = tol;
-    Vec best_residual;
-    for (int i = 0; i < n; ++i) {
-      Vec r = Sub(points[i], points[first]);
-      for (const Vec& b : basis) {
-        double c = Dot(r, b);
-        for (size_t j = 0; j < r.size(); ++j) r[j] -= c * b[j];
+    for (size_t i = 0; i < n; ++i) {
+      const double* p = pts + i * d;
+      for (size_t j = 0; j < d; ++j) r[j] = p[j] - base[j];
+      for (size_t b = 0; b < rank; ++b) {
+        const double* row = basis + b * d;
+        double c = Dot(VecView(r, d), VecView(row, d));
+        for (size_t j = 0; j < d; ++j) r[j] -= c * row[j];
       }
-      double dist = Norm(r);
+      double dist = Norm(VecView(r, d));
       if (dist > best_dist) {
         best_dist = dist;
-        best = i;
-        best_residual = std::move(r);
+        best = static_cast<int>(i);
+        std::swap(r, best_residual);
       }
     }
     if (best < 0) {
       return Status::FailedPrecondition(
           "points are affinely dependent (lower-dimensional input)");
     }
-    chosen.push_back(best);
-    NormalizeInPlace(best_residual);
-    basis.push_back(std::move(best_residual));
+    chosen->push_back(best);
+    const double norm = Norm(VecView(best_residual, d));
+    double* row = basis + rank * d;
+    for (size_t j = 0; j < d; ++j) {
+      row[j] = norm < 1e-300 ? best_residual[j] : best_residual[j] / norm;
+    }
+    ++rank;
   }
+  return Status::Ok();
+}
+
+}  // namespace
+
+Status HullBuilder::Build(const double* coords, size_t n, size_t dim,
+                          const ConvexHullOptions& options) {
+  if (n == 0) return Status::InvalidArgument("empty point set");
+  if (dim < 2) return Status::InvalidArgument("dimension must be >= 2");
+  options_ = &options;
+  n_ = n;
+  dim_ = dim;
+  std::optional<Rng> joggle_rng;
+  double magnitude = options.joggle_magnitude;
+  Status last = Status::Ok();
+  int attempts = options.enable_joggle ? options.max_joggle_attempts : 1;
+  for (int attempt = 0; attempt < attempts; ++attempt) {
+    pts_ = coords;
+    if (attempt > 0) {
+      // Joggle: re-perturb the ORIGINAL coordinates so magnitudes don't
+      // accumulate across retries.
+      if (!joggle_rng) joggle_rng.emplace(options.joggle_seed);
+      joggled_coords_.assign(coords, coords + n * dim);
+      for (double& x : joggled_coords_) {
+        x += joggle_rng->Uniform(-magnitude, magnitude);
+      }
+      magnitude *= 10.0;
+      pts_ = joggled_coords_.data();
+    }
+    last = Run();
+    if (last.ok()) {
+      joggled_ = attempt > 0;
+      Compact();
+      return last;
+    }
+    if (last.code() != StatusCode::kFailedPrecondition &&
+        last.code() != StatusCode::kInternal) {
+      return last;  // non-degeneracy error: do not retry
+    }
+  }
+  return last;
+}
+
+Status HullBuilder::Run() {
+  if (n_ < dim_ + 1) {
+    return Status::FailedPrecondition("too few points for full-dim hull");
+  }
+  verts_.clear();
+  nbrs_.clear();
+  normals_.clear();
+  offsets_.clear();
+  alive_.clear();
+  visible_.clear();
+  head_.clear();
+  tail_.clear();
+  next_.resize(n_);
+  Status s = FindSimplex(pts_, n_, dim_, 1e-9, &simplex_scratch_, &simplex_);
+  if (!s.ok()) return s;
+  s = BuildInitialSimplex();
+  if (!s.ok()) return s;
+  const size_t initial = offsets_.size();
+  for (int p = 0; p < static_cast<int>(n_); ++p) {
+    if (std::find(simplex_.begin(), simplex_.end(), p) != simplex_.end()) {
+      continue;
+    }
+    AssignPoint(p, 0, initial);
+  }
+  return ProcessOutsidePoints();
+}
+
+Status HullBuilder::BuildInitialSimplex() {
+  const size_t d = dim_;
+  interior_.assign(d, 0.0);
+  for (int id : simplex_) {
+    for (size_t j = 0; j < d; ++j) interior_[j] += pts_[id * d + j];
+  }
+  for (size_t j = 0; j < d; ++j) interior_[j] /= (d + 1);
+
+  // One facet per omitted simplex vertex. Facet `omit` and facet `other`
+  // share the ridge missing both simplex vertices, so the slot of
+  // simplex vertex `other` in facet `omit` neighbours facet `other`.
+  for (size_t omit = 0; omit <= d; ++omit) {
+    const int f = NewFacet();
+    int* verts = verts_.data() + f * d;
+    size_t w = 0;
+    for (size_t i = 0; i <= d; ++i) {
+      if (i != omit) verts[w++] = simplex_[i];
+    }
+    Status s = FitPlane(f);
+    if (!s.ok()) return s;
+    for (size_t pos = 0; pos < d; ++pos) {
+      const size_t other = static_cast<size_t>(
+          std::find(simplex_.begin(), simplex_.end(), verts[pos]) -
+          simplex_.begin());
+      nbrs_[f * d + pos] = static_cast<int>(other);
+    }
+  }
+  return Status::Ok();
+}
+
+int HullBuilder::NewFacet() {
+  const size_t d = dim_;
+  const size_t f = offsets_.size();
+  verts_.resize((f + 1) * d);
+  nbrs_.resize((f + 1) * d, -1);
+  normals_.resize((f + 1) * d);
+  offsets_.push_back(0.0);
+  alive_.push_back(1);
+  visible_.push_back(0);
+  head_.push_back(-1);
+  tail_.push_back(-1);
+  return static_cast<int>(f);
+}
+
+Status HullBuilder::FitPlane(int f) {
+  const size_t d = dim_;
+  fit_vertices_.resize(d);
+  for (size_t i = 0; i < d; ++i) {
+    fit_vertices_[i] = pts_ + static_cast<size_t>(verts_[f * d + i]) * d;
+  }
+  return FitHyperplaneInto(fit_vertices_.data(), interior_, &fit_scratch_,
+                           normals_.data() + f * d, &offsets_[f]);
+}
+
+double HullBuilder::Height(size_t f, int p) const {
+  // Hyperplane::Evaluate over the packed arrays, same summation order.
+  const size_t d = dim_;
+  const double* normal = normals_.data() + f * d;
+  const double* x = pts_ + static_cast<size_t>(p) * d;
+  double dot = 0.0;
+  for (size_t j = 0; j < d; ++j) dot += normal[j] * x[j];
+  return dot - offsets_[f];
+}
+
+void HullBuilder::Append(int f, int p) {
+  next_[p] = -1;
+  if (tail_[f] < 0) {
+    head_[f] = p;
+  } else {
+    next_[tail_[f]] = p;
+  }
+  tail_[f] = p;
+}
+
+// Assigns point p to the facet (among [first, last)) it is furthest
+// above, if any.
+void HullBuilder::AssignPoint(int p, size_t first, size_t last) {
+  double best = options_->eps;
+  int best_facet = -1;
+  for (size_t f = first; f < last; ++f) {
+    if (!alive_[f]) continue;
+    double h = Height(f, p);
+    if (h > best) {
+      best = h;
+      best_facet = static_cast<int>(f);
+    }
+  }
+  if (best_facet >= 0) Append(best_facet, p);
+}
+
+Status HullBuilder::ProcessOutsidePoints() {
+  // Work queue of facets that may have outside points.
+  queue_.clear();
+  for (size_t f = 0; f < offsets_.size(); ++f) {
+    if (head_[f] >= 0) queue_.push_back(static_cast<int>(f));
+  }
+  size_t iterations = 0;
+  const size_t max_iterations = 64 * n_ + 1024;
+  while (!queue_.empty()) {
+    if (++iterations > max_iterations) {
+      return Status::Internal("convex hull failed to converge");
+    }
+    const int fid = queue_.back();
+    queue_.pop_back();
+    if (!alive_[fid] || head_[fid] < 0) continue;
+
+    // Furthest outside point of this facet.
+    int apex = -1;
+    double best = -1.0;
+    for (int p = head_[fid]; p >= 0; p = next_[p]) {
+      double h = Height(fid, p);
+      if (h > best) {
+        best = h;
+        apex = p;
+      }
+    }
+    if (best <= options_->eps) {
+      head_[fid] = tail_[fid] = -1;
+      continue;
+    }
+
+    Status s = InsertPoint(apex, fid);
+    if (!s.ok()) return s;
+  }
+  return Status::Ok();
+}
+
+Status HullBuilder::InsertPoint(int apex, int seed_facet) {
+  const size_t d = dim_;
+  // 1. Visible set: depth-first over neighbours from the seed facet.
+  visible_list_.clear();
+  stack_.assign(1, seed_facet);
+  visible_[seed_facet] = 1;
+  while (!stack_.empty()) {
+    const int fid = stack_.back();
+    stack_.pop_back();
+    visible_list_.push_back(fid);
+    for (size_t pos = 0; pos < d; ++pos) {
+      const int nb = nbrs_[fid * d + pos];
+      if (visible_[nb] || !alive_[nb]) continue;
+      if (Height(nb, apex) > options_->eps) {
+        visible_[nb] = 1;
+        stack_.push_back(nb);
+      }
+    }
+  }
+
+  // 2. Horizon ridges: (visible facet, slot) whose neighbour is hidden.
+  horizon_.clear();
+  for (int fid : visible_list_) {
+    for (size_t pos = 0; pos < d; ++pos) {
+      const int nb = nbrs_[fid * d + pos];
+      if (visible_[nb]) continue;
+      int back = -1;
+      for (size_t i = 0; i < d; ++i) {
+        if (nbrs_[nb * d + i] == fid) {
+          back = static_cast<int>(i);
+          break;
+        }
+      }
+      if (back < 0) return Status::Internal("hull adjacency corrupted");
+      horizon_.push_back(HorizonRidge{fid, static_cast<int>(pos), nb, back});
+    }
+  }
+  if (horizon_.empty()) {
+    return Status::Internal("empty horizon for outside point");
+  }
+
+  // 3. Build one new facet per horizon ridge: the ridge in its visible
+  // facet's vertex order, then the apex. Slot d-1 holds the apex, so
+  // the ridge opposite it is the horizon ridge: its neighbour is outer.
+  const size_t first_new = offsets_.size();
+  for (const HorizonRidge& h : horizon_) {
+    const int nf = NewFacet();
+    size_t w = 0;
+    for (size_t i = 0; i < d; ++i) {
+      if (i != static_cast<size_t>(h.slot)) {
+        verts_[nf * d + w++] = verts_[h.facet * d + i];
+      }
+    }
+    verts_[nf * d + d - 1] = apex;
+    Status s = FitPlane(nf);
+    if (!s.ok()) return s;
+    nbrs_[nf * d + d - 1] = h.outer;
+    nbrs_[h.outer * d + h.outer_slot] = nf;
+  }
+  const size_t last = offsets_.size();
+
+  // 4. Wire the ridges shared between pairs of new facets. Two new
+  // facets share the ridge {apex} + (ridge \ {v}); key each non-apex
+  // slot on its sorted d-2 ridge vertices and pair equal keys by
+  // sorting, in slot order within a key.
+  const size_t per = d - 1;
+  const size_t key_len = d - 2;
+  const size_t entries = (last - first_new) * per;
+  ridge_keys_.resize(entries * key_len);
+  ridge_order_.resize(entries);
+  for (size_t e = 0; e < entries; ++e) {
+    const int* verts = verts_.data() + (first_new + e / per) * d;
+    int* key = ridge_keys_.data() + e * key_len;
+    size_t w = 0;
+    for (size_t i = 0; i < per; ++i) {
+      if (i != e % per) key[w++] = verts[i];
+    }
+    std::sort(key, key + key_len);
+    ridge_order_[e] = static_cast<int>(e);
+  }
+  auto key_of = [&](int e) {
+    return ridge_keys_.data() + static_cast<size_t>(e) * key_len;
+  };
+  auto same_key = [&](int a, int b) {
+    return std::equal(key_of(a), key_of(a) + key_len, key_of(b));
+  };
+  std::sort(ridge_order_.begin(), ridge_order_.end(), [&](int a, int b) {
+    if (same_key(a, b)) return a < b;
+    return std::lexicographical_compare(key_of(a), key_of(a) + key_len,
+                                        key_of(b), key_of(b) + key_len);
+  });
+  for (size_t t = 0; t < entries;) {
+    size_t u = t + 1;
+    while (u < entries && same_key(ridge_order_[t], ridge_order_[u])) ++u;
+    if ((u - t) % 2 != 0) {
+      return Status::Internal("unmatched new-facet ridges");
+    }
+    for (; t < u; t += 2) {
+      const size_t a = static_cast<size_t>(ridge_order_[t]);
+      const size_t b = static_cast<size_t>(ridge_order_[t + 1]);
+      const size_t fa = first_new + a / per;
+      const size_t fb = first_new + b / per;
+      nbrs_[fa * d + a % per] = static_cast<int>(fb);
+      nbrs_[fb * d + b % per] = static_cast<int>(fa);
+    }
+  }
+
+  // 5. Redistribute the outside points of the visible facets.
+  orphans_.clear();
+  for (int fid : visible_list_) {
+    for (int p = head_[fid]; p >= 0; p = next_[p]) {
+      if (p != apex) orphans_.push_back(p);
+    }
+    head_[fid] = tail_[fid] = -1;
+    alive_[fid] = 0;
+    visible_[fid] = 0;
+  }
+  for (int p : orphans_) AssignPoint(p, first_new, last);
+  for (size_t nf = first_new; nf < last; ++nf) {
+    if (head_[nf] >= 0) queue_.push_back(static_cast<int>(nf));
+  }
+  return Status::Ok();
+}
+
+void HullBuilder::Compact() {
+  const size_t d = dim_;
+  const size_t total = offsets_.size();
+  remap_.resize(total);
+  size_t live = 0;
+  for (size_t f = 0; f < total; ++f) {
+    if (!alive_[f]) {
+      remap_[f] = -1;
+      continue;
+    }
+    remap_[f] = static_cast<int>(live);
+    if (live != f) {
+      std::copy_n(verts_.data() + f * d, d, verts_.data() + live * d);
+      std::copy_n(nbrs_.data() + f * d, d, nbrs_.data() + live * d);
+      std::copy_n(normals_.data() + f * d, d, normals_.data() + live * d);
+      offsets_[live] = offsets_[f];
+    }
+    ++live;
+  }
+  verts_.resize(live * d);
+  nbrs_.resize(live * d);
+  normals_.resize(live * d);
+  offsets_.resize(live);
+  for (int& nb : nbrs_) nb = remap_[nb];
+  is_vertex_.assign(n_, 0);
+  for (int v : verts_) is_vertex_[v] = 1;
+  vertex_ids_.clear();
+  for (size_t p = 0; p < n_; ++p) {
+    if (is_vertex_[p]) vertex_ids_.push_back(static_cast<int>(p));
+  }
+}
+
+Result<std::vector<int>> FindInitialSimplex(const std::vector<Vec>& points,
+                                            size_t dim, double tol) {
+  std::vector<double> coords;
+  coords.reserve(points.size() * dim);
+  for (const Vec& p : points) coords.insert(coords.end(), p.begin(), p.end());
+  std::vector<double> scratch;
+  std::vector<int> chosen;
+  Status s = FindSimplex(coords.data(), points.size(), dim, tol, &scratch,
+                         &chosen);
+  if (!s.ok()) return s;
   return chosen;
 }
 
@@ -363,56 +477,34 @@ Result<ConvexHull> ConvexHull::Build(const std::vector<Vec>& points,
   }
   const size_t d = points[0].size();
   if (d < 2) return Status::InvalidArgument("dimension must be >= 2");
-
-  Rng joggle_rng(options.joggle_seed);
-  double magnitude = options.joggle_magnitude;
-  std::vector<Vec> working = points;
-  Status last = Status::Ok();
-  int attempts = options.enable_joggle ? options.max_joggle_attempts : 1;
-  for (int attempt = 0; attempt < attempts; ++attempt) {
-    if (attempt > 0) {
-      // Joggle: re-perturb the ORIGINAL coordinates so magnitudes don't
-      // accumulate across retries.
-      working = points;
-      for (Vec& p : working) {
-        for (double& x : p) x += joggle_rng.Uniform(-magnitude, magnitude);
-      }
-      magnitude *= 10.0;
-    }
-    Builder builder(working, options);
-    last = builder.Run();
-    if (last.ok()) {
-      ConvexHull hull;
-      hull.dim_ = d;
-      hull.interior_ = builder.interior();
-      hull.joggled_ = attempt > 0;
-      // Compute the compaction remap before moving facet contents.
-      std::vector<int> remap(builder.facets().size(), -1);
-      int live = 0;
-      for (size_t i = 0; i < builder.facets().size(); ++i) {
-        if (builder.facets()[i].alive) remap[i] = live++;
-      }
-      std::set<int> vertex_set;
-      for (WorkFacet& f : builder.facets()) {
-        if (!f.alive) continue;
-        HullFacet out;
-        out.vertices = std::move(f.vertices);
-        out.plane = std::move(f.plane);
-        out.neighbors = std::move(f.neighbors);
-        for (int& nb : out.neighbors) nb = remap[nb];
-        for (int v : out.vertices) vertex_set.insert(v);
-        hull.facets_.push_back(std::move(out));
-      }
-      hull.vertex_indices_.assign(vertex_set.begin(), vertex_set.end());
-      hull.points_ = std::move(working);
-      return hull;
-    }
-    if (last.code() != StatusCode::kFailedPrecondition &&
-        last.code() != StatusCode::kInternal) {
-      return last;  // non-degeneracy error: do not retry
-    }
+  const size_t n = points.size();
+  ConvexHull hull;
+  hull.coords_.reserve(n * d);
+  for (const Vec& p : points) {
+    hull.coords_.insert(hull.coords_.end(), p.begin(), p.end());
   }
-  return last;
+  HullBuilder builder;
+  Status s = builder.Build(hull.coords_.data(), n, d, options);
+  if (!s.ok()) return s;
+  hull.dim_ = d;
+  hull.interior_ = builder.interior();
+  hull.joggled_ = builder.joggled();
+  if (hull.joggled_) {
+    hull.coords_.assign(builder.points(), builder.points() + n * d);
+  }
+  hull.facets_.resize(builder.facet_count());
+  for (size_t f = 0; f < hull.facets_.size(); ++f) {
+    HullFacet& out = hull.facets_[f];
+    out.vertices.assign(builder.facet_vertices(f),
+                        builder.facet_vertices(f) + d);
+    out.plane.normal.assign(builder.facet_normal(f),
+                            builder.facet_normal(f) + d);
+    out.plane.offset = builder.facet_offset(f);
+    out.neighbors.assign(builder.facet_neighbors(f),
+                         builder.facet_neighbors(f) + d);
+  }
+  hull.vertex_indices_ = builder.vertex_indices();
+  return hull;
 }
 
 bool ConvexHull::Contains(VecView x, double eps) const {
@@ -428,8 +520,10 @@ double ConvexHull::Volume() const {
   // hull was built on.
   double total = 0.0;
   const double dfact = Factorial(dim_);
+  std::vector<double> m;
   for (const HullFacet& f : facets_) {
-    total += SimplexDet(points_, f.vertices, interior_) / dfact;
+    total += SimplexDet(coords_.data(), f.vertices.data(), interior_, &m) /
+             dfact;
   }
   return total;
 }

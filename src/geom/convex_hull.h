@@ -34,11 +34,109 @@ struct ConvexHullOptions {
   uint64_t joggle_seed = 2014;
 };
 
-// Full-dimensional convex hull in d >= 2 dimensions, built with the
-// quickhull / Clarkson incremental strategy (outside sets, furthest-
-// point insertion, horizon-ridge patching). This is the library's
-// substitute for Qhull, used by the CP pruning method and by half-space
-// intersection (via duality).
+// The hull builder over flat storage: the quickhull / Clarkson
+// incremental strategy (outside sets, furthest-point insertion, horizon
+// ridge patching) with every facet, conflict list and scratch buffer
+// packed into reused arrays. A builder kept alive across calls only
+// grows capacity, so once warmed on a workload shape a build allocates
+// nothing. ConvexHull::Build wraps it; the half-space intersection runs
+// it directly on its dual points.
+class HullBuilder {
+ public:
+  // Builds the hull of the n points stored row-major at `coords`
+  // (n * dim doubles, which must outlive the builder's use of them).
+  // InvalidArgument for n == 0 or dim < 2; FailedPrecondition when the
+  // points do not span full dimension even after joggling.
+  Status Build(const double* coords, size_t n, size_t dim,
+               const ConvexHullOptions& options = {});
+
+  // ----- the last successful Build -----
+  // Live facets, in creation order. Facet f's d vertices and d
+  // neighbours (neighbour i shares the ridge opposite vertex i) are ints;
+  // its outward unit normal is row-major.
+  size_t facet_count() const { return offsets_.size(); }
+  const int* facet_vertices(size_t f) const {
+    return verts_.data() + f * dim_;
+  }
+  const int* facet_neighbors(size_t f) const {
+    return nbrs_.data() + f * dim_;
+  }
+  const double* facet_normal(size_t f) const {
+    return normals_.data() + f * dim_;
+  }
+  double facet_offset(size_t f) const { return offsets_[f]; }
+  // Sorted unique indices of input points that are hull vertices.
+  const std::vector<int>& vertex_indices() const { return vertex_ids_; }
+  // Centroid of the initial simplex, strictly inside the hull.
+  const Vec& interior() const { return interior_; }
+  // True if the build had to joggle the input (degenerate data).
+  bool joggled() const { return joggled_; }
+  // The coordinates the hull was built on, row-major: the input, or its
+  // joggled copy.
+  const double* points() const { return pts_; }
+
+ private:
+  // A horizon ridge: slot `slot` of visible facet `facet`, whose
+  // neighbour `outer` stays; `outer_slot` is outer's slot back.
+  struct HorizonRidge {
+    int facet;
+    int slot;
+    int outer;
+    int outer_slot;
+  };
+
+  Status Run();
+  Status BuildInitialSimplex();
+  int NewFacet();
+  Status FitPlane(int f);
+  double Height(size_t f, int p) const;
+  void Append(int f, int p);
+  void AssignPoint(int p, size_t first, size_t last);
+  Status ProcessOutsidePoints();
+  Status InsertPoint(int apex, int seed_facet);
+  void Compact();
+
+  const ConvexHullOptions* options_ = nullptr;
+  const double* pts_ = nullptr;
+  size_t n_ = 0;
+  size_t dim_ = 0;
+  std::vector<double> joggled_coords_;
+  bool joggled_ = false;
+  Vec interior_;
+
+  // Facets, dead ones included until Compact. A conflict list is linked
+  // through the points: head_/tail_ per facet, next_ per point, in
+  // append order.
+  std::vector<int> verts_;
+  std::vector<int> nbrs_;
+  std::vector<double> normals_;
+  std::vector<double> offsets_;
+  std::vector<uint8_t> alive_;
+  std::vector<uint8_t> visible_;
+  std::vector<int> head_;
+  std::vector<int> tail_;
+  std::vector<int> next_;
+
+  // Scratch.
+  std::vector<int> simplex_;
+  std::vector<double> simplex_scratch_;
+  std::vector<int> queue_;
+  std::vector<int> stack_;
+  std::vector<int> visible_list_;
+  std::vector<HorizonRidge> horizon_;
+  std::vector<int> ridge_keys_;
+  std::vector<int> ridge_order_;
+  std::vector<int> orphans_;
+  std::vector<const double*> fit_vertices_;
+  HyperplaneFitScratch fit_scratch_;
+  std::vector<int> remap_;
+  std::vector<uint8_t> is_vertex_;
+  std::vector<int> vertex_ids_;
+};
+
+// Full-dimensional convex hull in d >= 2 dimensions, built by
+// HullBuilder. This is the library's substitute for Qhull, used by the
+// CP pruning method and by polytope volumes.
 class ConvexHull {
  public:
   // Requires points.size() >= d + 1 spanning full dimension (possibly
@@ -67,16 +165,13 @@ class ConvexHull {
   // True if the build had to joggle the input (degenerate data).
   bool joggled() const { return joggled_; }
 
-  // The coordinates the hull was actually built on (joggled copies of
-  // the input when joggling kicked in). Facet vertex indices refer to
-  // this array, which is index-aligned with the input.
-  const std::vector<Vec>& points() const { return points_; }
-
  private:
   ConvexHull() = default;
 
   size_t dim_ = 0;
-  std::vector<Vec> points_;
+  // The coordinates the hull was built on, row-major (joggled copies of
+  // the input when joggling kicked in); facet vertex ids index them.
+  std::vector<double> coords_;
   std::vector<HullFacet> facets_;
   std::vector<int> vertex_indices_;
   Vec interior_;
@@ -85,8 +180,7 @@ class ConvexHull {
 
 // Greedily selects d+1 affinely independent points (indices) via
 // Gram-Schmidt distance-to-subspace maximization. Fails when the point
-// set is (numerically) lower-dimensional. Exposed for reuse by the FP
-// star builder and for tests.
+// set is (numerically) lower-dimensional. Exposed for tests.
 Result<std::vector<int>> FindInitialSimplex(const std::vector<Vec>& points,
                                             size_t dim, double tol = 1e-9);
 

@@ -547,6 +547,7 @@ Result<GirComputation> GirEngine::FinishGir(const FlatRTree& flat,
   stats.phase2_reads = p2.io.reads;
   stats.candidates = p2.candidates;
   stats.star_facets = p2.star_facets;
+  stats.star_facets_created = p2.star_facets_created;
   stats.constraints = region.constraints().size();
 
   // Half-space intersection (the paper runs Qhull here and charges it

@@ -52,6 +52,7 @@ struct GirStats {
   uint64_t phase2_reads = 0;
   size_t candidates = 0;   // |SL|, |SL ∩ CH| or #critical records
   size_t star_facets = 0;  // FP only: live incident facets (Fig. 8(b))
+  size_t star_facets_created = 0;  // FP only: facets created, dead included
   size_t constraints = 0;  // half-spaces in the final region
 
   double GirCpuMillis() const {

@@ -24,7 +24,7 @@ namespace gir {
 // excluded from CriticalRecordIds().
 //
 // Layout. Most facets die young: at IND d=4 (n=200k, k=20) a query
-// creates ~220 facets and ends with ~30 live (d=6: ~8150 and ~970).
+// creates ~125 facets and ends with ~30 live (d=6: ~4600 and ~1170).
 // So only live facets are stored, packed in ascending creation order:
 // normals (row-major, d per facet), offsets, vertex ids (apex first)
 // and, per facet, d-1 neighbour slots — slot s names the live facet

@@ -233,6 +233,7 @@ Result<Phase2Output> GirStarViaFp(const FlatRTree& tree,
       region->AddConstraint(std::move(c.normal), c.provenance);
       ++out.candidates;
     }
+    out.star_facets_created += pr.star.facets_created();
   }
   out.io = DiskManager::ThreadStats() - before;
   return out;

@@ -15,6 +15,10 @@ struct Phase2Output {
   // FP only: live facets of the incident star when the run finished
   // (the quantity of paper Figure 8(b)).
   size_t star_facets = 0;
+  // FP only: facets the star(s) created over the run, dead ones
+  // included (IncidentStar::facets_created(), summed over GIR*'s stars):
+  // the hull work Phase 2 paid.
+  size_t star_facets_created = 0;
   IoStats io;
 };
 

@@ -13,20 +13,9 @@ SkylineResult ContinueSkylineFromBrs(const FlatRTree& tree,
   IoStats before = DiskManager::ThreadStats();
   SkylineSet sl(&data);
   // Seed with the skyline of the encountered set T (all in memory).
-  // Processing in decreasing score order inserts likely-dominating
-  // records first, which keeps eviction work low. Scores are computed
-  // once up front instead of inside the sort comparator.
-  std::vector<RecordId> t_sorted = brs.encountered;
-  std::vector<double> t_scores(t_sorted.size());
-  for (size_t i = 0; i < t_sorted.size(); ++i) {
-    t_scores[i] = scoring.Score(data.Get(t_sorted[i]), weights);
-  }
-  std::vector<size_t> order(t_sorted.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return t_scores[a] > t_scores[b];
-  });
-  for (size_t i : order) sl.Insert(t_sorted[i]);
+  // T arrives in decreasing score order, which inserts likely-dominating
+  // records first and keeps eviction work low.
+  for (RecordId id : brs.encountered) sl.Insert(id);
 
   // Resume from the retained BRS heap.
   std::vector<PendingNode> heap = brs.pending;

@@ -1,7 +1,6 @@
 #include "topk/brs.h"
 
 #include <algorithm>
-#include <iterator>
 
 #include "topk/tree_kernels.h"
 
@@ -55,7 +54,6 @@ Result<TopKResult> RunBrs(const FlatRTree& tree,
     push(std::move(e));
   }
   ScoreBuffer buf;
-  std::vector<RecordId> fetched_records;
   while (!heap.empty() && out.result.size() < k) {
     std::pop_heap(heap.begin(), heap.end(), less);
     HeapEntry top = std::move(heap.back());
@@ -77,7 +75,6 @@ Result<TopKResult> RunBrs(const FlatRTree& tree,
         he.is_node = false;
         he.id = node.child(i);
         push(std::move(he));
-        fetched_records.push_back(node.child(i));
       }
     } else {
       for (size_t i = 0; i < count; ++i) {
@@ -91,10 +88,10 @@ Result<TopKResult> RunBrs(const FlatRTree& tree,
     }
   }
   // Drain the heap: remaining nodes feed Phase 2; remaining records are
-  // the encountered set T (already in memory, no further I/O). The
-  // comparator is a strict total order, so popping everything would
-  // emit the nodes in exactly descending comparator order: sort them
-  // into it instead of popping the records too.
+  // the encountered set T (fetched minus result, already in memory, no
+  // further I/O). The comparator is a strict total order, so popping
+  // everything would emit each kind in exactly descending comparator
+  // order: sort both into it instead of popping.
   auto nodes_end = std::partition(heap.begin(), heap.end(),
                                   [](const HeapEntry& e) { return e.is_node; });
   std::sort(heap.begin(), nodes_end,
@@ -110,12 +107,16 @@ Result<TopKResult> RunBrs(const FlatRTree& tree,
   // Sorted descending is already a valid heap order; normalize
   // explicitly for clarity.
   std::make_heap(out.pending.begin(), out.pending.end(), PendingNodeLess());
-  std::sort(fetched_records.begin(), fetched_records.end());
-  std::vector<RecordId> result_sorted = out.result;
-  std::sort(result_sorted.begin(), result_sorted.end());
-  std::set_difference(fetched_records.begin(), fetched_records.end(),
-                      result_sorted.begin(), result_sorted.end(),
-                      std::back_inserter(out.encountered));
+  // Records sort as (-score, id) pairs, the comparator's descending
+  // order, so the sort does not move the heap entries' boxes.
+  std::vector<std::pair<double, RecordId>> records;
+  records.reserve(static_cast<size_t>(heap.end() - nodes_end));
+  for (auto it = nodes_end; it != heap.end(); ++it) {
+    records.emplace_back(-it->key, it->id);
+  }
+  std::sort(records.begin(), records.end());
+  out.encountered.reserve(records.size());
+  for (const auto& r : records) out.encountered.push_back(r.second);
   out.io = DiskManager::ThreadStats() - before;
   return out;
 }
@@ -145,23 +146,22 @@ void EnsureSize(V* v, size_t n, size_t* grow_events) {
 }
 
 // Drains query slot `qs` after its search finished: remaining heap
-// nodes become `pending` (popped in comparator order, exactly as the
-// solo drain emits them), fetched non-result records become
-// `encountered`. Refills a retained TopKResult in place.
+// nodes become `pending` and remaining records `encountered`, each in
+// the order popping the heap would emit them, exactly as the solo
+// drain does. Refills a retained TopKResult in place.
 void FinalizeMultiQuery(const FlatRTree& tree,
-                        BrsFrontierArena::QuerySlot* qs,
-                        std::vector<RecordId>* sort_scratch,
-                        uint32_t charged, TopKResult* out) {
-  // The solo drain's sort: node entries in descending comparator order,
-  // which is the order popping the whole heap would emit them in.
+                        BrsFrontierArena::QuerySlot* qs, uint32_t charged,
+                        TopKResult* out) {
+  // The solo drain's sorts: each kind in descending comparator order.
   MultiHeapEntryLess less;
   auto nodes_end =
       std::partition(qs->heap.begin(), qs->heap.end(),
                      [](const MultiHeapEntry& e) { return e.is_node; });
-  std::sort(qs->heap.begin(), nodes_end,
-            [&](const MultiHeapEntry& a, const MultiHeapEntry& b) {
-              return less(b, a);
-            });
+  auto descending = [&](const MultiHeapEntry& a, const MultiHeapEntry& b) {
+    return less(b, a);
+  };
+  std::sort(qs->heap.begin(), nodes_end, descending);
+  std::sort(nodes_end, qs->heap.end(), descending);
   const size_t n_pending = static_cast<size_t>(nodes_end - qs->heap.begin());
   if (out->pending.size() < n_pending) out->pending.resize(n_pending);
   for (size_t idx = 0; idx < n_pending; ++idx) {
@@ -177,19 +177,16 @@ void FinalizeMultiQuery(const FlatRTree& tree,
       tree.PeekNode(top.parent).EntryMbbInto(top.slot, &pn.mbb);
     }
   }
-  qs->heap.clear();
   out->pending.resize(n_pending);
   // Identical normalization to the solo drain: entries were emitted in
   // descending comparator order, then heapified.
   std::make_heap(out->pending.begin(), out->pending.end(),
                  PendingNodeLess());
-  std::sort(qs->fetched.begin(), qs->fetched.end());
-  sort_scratch->assign(out->result.begin(), out->result.end());
-  std::sort(sort_scratch->begin(), sort_scratch->end());
   out->encountered.clear();
-  std::set_difference(qs->fetched.begin(), qs->fetched.end(),
-                      sort_scratch->begin(), sort_scratch->end(),
-                      std::back_inserter(out->encountered));
+  for (auto it = nodes_end; it != qs->heap.end(); ++it) {
+    out->encountered.push_back(it->id);
+  }
+  qs->heap.clear();
   out->io = IoStats{};
   out->io.reads = charged;
 }
@@ -236,7 +233,6 @@ Status RunBrsMulti(const FlatRTree& tree, const ScoringFunction& scoring,
   for (size_t q = 0; q < m; ++q) {
     BrsFrontierArena::QuerySlot& qs = arena->queries[q];
     qs.heap.clear();
-    qs.fetched.clear();
     arena->charged[q] = 0;
     TopKResult& o = (*out)[q];
     o.result.clear();
@@ -254,7 +250,7 @@ Status RunBrsMulti(const FlatRTree& tree, const ScoringFunction& scoring,
       ++remaining;
     } else {
       arena->active[q] = 0;
-      FinalizeMultiQuery(tree, &qs, &arena->sort_scratch, 0, &o);
+      FinalizeMultiQuery(tree, &qs, 0, &o);
     }
   }
 
@@ -279,8 +275,7 @@ Status RunBrsMulti(const FlatRTree& tree, const ScoringFunction& scoring,
       if (o.result.size() >= k || qs.heap.empty()) {
         arena->active[q] = 0;
         --remaining;
-        FinalizeMultiQuery(tree, &qs, &arena->sort_scratch,
-                           arena->charged[q], &o);
+        FinalizeMultiQuery(tree, &qs, arena->charged[q], &o);
         continue;
       }
       arena->demands.push_back(BrsFrontierArena::Demand{
@@ -384,7 +379,6 @@ Status RunBrsMulti(const FlatRTree& tree, const ScoringFunction& scoring,
           he.slot = static_cast<uint32_t>(e);
           qs.heap.push_back(he);
           std::push_heap(qs.heap.begin(), qs.heap.end(), less);
-          if (leaf) qs.fetched.push_back(node.child(e));
         }
       }
       stats->node_expansions += run;

@@ -31,7 +31,9 @@ struct PendingNodeLess {
 struct TopKResult {
   std::vector<RecordId> result;  // decreasing score order
   std::vector<double> scores;    // aligned with `result`
-  std::vector<RecordId> encountered;  // T: fetched non-result records
+  // T: the fetched non-result records in heap-pop order (descending
+  // score, lower id first on ties), strongest challengers first.
+  std::vector<RecordId> encountered;
   std::vector<PendingNode> pending;   // heap ordered by PendingNodeLess
   IoStats io;                         // page reads charged by this run
 };
@@ -109,7 +111,6 @@ struct MultiHeapEntry {
 struct BrsFrontierArena {
   struct QuerySlot {
     std::vector<MultiHeapEntry> heap;  // binary heap, HeapEntryLess order
-    std::vector<RecordId> fetched;     // leaf records pulled into memory
   };
   struct Demand {
     PageId page = kInvalidPage;
@@ -122,7 +123,6 @@ struct BrsFrontierArena {
   std::vector<PageId> prefetch_pages;  // round's unique unfetched pages
   std::vector<VecView> weight_rows;  // gathered weights of one page run
   std::vector<uint32_t> run_queries;  // query index per weight row
-  std::vector<RecordId> sort_scratch;  // result ids, sorted, per drain
   std::vector<uint32_t> charged;    // per query: node expansions so far
   std::vector<uint8_t> active;
   MultiScoreBuffer scores;

@@ -262,6 +262,55 @@ TEST(IncidentStarTest, FacetsCreatedMonotone) {
   }
 }
 
+TEST(IncidentStarTest, FinalStarIsInsertionOrderIndependent) {
+  // FP's first step inserts T in heap-pop order; that is only a speed
+  // choice if the final star does not depend on the order. The apex is
+  // the top record under a query q, as in FP, and every other record is
+  // inserted in id order, in descending score order and in reverse.
+  for (const char* dist : {"IND", "ANTI"}) {
+    for (size_t d = 3; d <= 6; ++d) {
+      const std::string where = std::string(dist) + " d=" + std::to_string(d);
+      Rng rng(7400 + d);
+      Dataset data = std::string(dist) == "IND"
+                         ? GenerateIndependent(1500, d, rng)
+                         : GenerateAnticorrelated(1500, d, rng);
+      Vec q(d);
+      for (double& x : q) x = rng.Uniform(0.2, 1.0);
+      std::vector<RecordId> by_id(data.size());
+      for (size_t i = 0; i < by_id.size(); ++i) {
+        by_id[i] = static_cast<RecordId>(i);
+      }
+      std::vector<RecordId> by_score = by_id;
+      std::stable_sort(by_score.begin(), by_score.end(),
+                       [&](RecordId a, RecordId b) {
+                         return Dot(data.Get(a), q) > Dot(data.Get(b), q);
+                       });
+      const RecordId apex = by_score.front();
+      by_score.erase(by_score.begin());
+      by_id.erase(std::find(by_id.begin(), by_id.end(), apex));
+      std::vector<RecordId> reversed(by_id.rbegin(), by_id.rend());
+      auto build = [&](const std::vector<RecordId>& order) {
+        IncidentStar star(data.Get(apex));
+        for (RecordId id : order) {
+          Result<bool> r = star.Insert(data.Get(id), id);
+          EXPECT_TRUE(r.ok()) << where << " record " << id;
+        }
+        return star;
+      };
+      const IncidentStar want = build(by_id);
+      EXPECT_GT(want.CriticalRecordIds().size(), 1u) << where;
+      for (const auto* order : {&by_score, &reversed}) {
+        const IncidentStar got = build(*order);
+        EXPECT_EQ(got.CriticalRecordIds(), want.CriticalRecordIds()) << where;
+        EXPECT_EQ(got.live_facet_count(), want.live_facet_count()) << where;
+      }
+      // Score order is the cheap one: fewer facets die on the way.
+      EXPECT_LE(build(by_score).facets_created(), want.facets_created())
+          << where;
+    }
+  }
+}
+
 // Checks the neighbour-slot invariant of every live facet: the apex
 // comes first, each of the d-1 slots names another live facet that
 // shares the apex ridge opposite vertex s+1, and that facet points back.

@@ -280,13 +280,16 @@ TEST(BrsTest, IoCountedOnlyForReadNodes) {
 // ----- the sort drain against the full-pop drain -----
 
 // BRS with the drain it had before the sort: pop the whole heap (a
-// std::priority_queue under the same strict total order) and keep the
-// nodes in pop order, then heapify. Entries are scored one at a time
-// through ScoringFunction::Score/MaxScore, so this is also the scalar
-// reference for the batched kernels. No I/O is charged here; the
-// comparison covers result, scores, encountered and the pending layout.
+// std::priority_queue under the same strict total order), keep the
+// nodes in pop order and heapify them, and keep the records in pop
+// order as T. Entries are scored one at a time through
+// ScoringFunction::Score/MaxScore, so this is also the scalar reference
+// for the batched kernels. No I/O is charged here; the comparison
+// covers result, scores, encountered and the pending layout. `fetched`,
+// when given, receives every record of every expanded leaf.
 TopKResult FullPopBrs(const FlatRTree& tree, const ScoringFunction& scoring,
-                      VecView weights, size_t k) {
+                      VecView weights, size_t k,
+                      std::vector<RecordId>* fetched = nullptr) {
   struct Entry {
     double key;
     bool is_node;
@@ -310,7 +313,6 @@ TopKResult FullPopBrs(const FlatRTree& tree, const ScoringFunction& scoring,
     e.id = static_cast<int32_t>(tree.root());
     heap.push(std::move(e));
   }
-  std::vector<RecordId> fetched;
   while (!heap.empty() && out.result.size() < k) {
     Entry top = heap.top();
     heap.pop();
@@ -329,7 +331,7 @@ TopKResult FullPopBrs(const FlatRTree& tree, const ScoringFunction& scoring,
         e.key = scoring.MaxScore(e.mbb, weights);
       } else {
         e.key = scoring.Score(tree.dataset().Get(e.id), weights);
-        fetched.push_back(e.id);
+        if (fetched != nullptr) fetched->push_back(e.id);
       }
       heap.push(std::move(e));
     }
@@ -342,15 +344,12 @@ TopKResult FullPopBrs(const FlatRTree& tree, const ScoringFunction& scoring,
       pn.page = static_cast<PageId>(top.id);
       pn.mbb = top.mbb;
       out.pending.push_back(std::move(pn));
+    } else {
+      out.encountered.push_back(top.id);
     }
     heap.pop();
   }
   std::make_heap(out.pending.begin(), out.pending.end(), PendingNodeLess());
-  std::sort(fetched.begin(), fetched.end());
-  std::vector<RecordId> result_sorted = out.result;
-  std::sort(result_sorted.begin(), result_sorted.end());
-  std::set_difference(fetched.begin(), fetched.end(), result_sorted.begin(),
-                      result_sorted.end(), std::back_inserter(out.encountered));
   return out;
 }
 
@@ -428,6 +427,71 @@ TEST(BrsTest, SortDrainEqualsFullPopDrain) {
                               std::to_string(q));
         }
       }
+    }
+  }
+}
+
+// T's contract: in heap-pop order (non-increasing score, lower id
+// first on ties) and, as a set, every record of every expanded leaf
+// minus the result.
+void ExpectEncounteredContract(const Dataset& data,
+                               const ScoringFunction& scoring, VecView w,
+                               const std::vector<RecordId>& fetched,
+                               const TopKResult& got,
+                               const std::string& where) {
+  for (size_t i = 1; i < got.encountered.size(); ++i) {
+    const RecordId a = got.encountered[i - 1];
+    const RecordId b = got.encountered[i];
+    const double sa = scoring.Score(data.Get(a), w);
+    const double sb = scoring.Score(data.Get(b), w);
+    ASSERT_GE(sa, sb) << where << " position " << i;
+    if (sa == sb) {
+      ASSERT_LT(a, b) << where << " tie at position " << i;
+    }
+  }
+  std::vector<RecordId> want = fetched;
+  std::sort(want.begin(), want.end());
+  std::vector<RecordId> result_sorted = got.result;
+  std::sort(result_sorted.begin(), result_sorted.end());
+  std::vector<RecordId> difference;
+  std::set_difference(want.begin(), want.end(), result_sorted.begin(),
+                      result_sorted.end(), std::back_inserter(difference));
+  std::vector<RecordId> as_set = got.encountered;
+  std::sort(as_set.begin(), as_set.end());
+  ASSERT_EQ(as_set, difference) << where;
+}
+
+TEST(BrsTest, EncounteredIsFetchedMinusResultInPopOrder) {
+  for (size_t d : {2u, 4u}) {
+    Rng rng(4200 + d);
+    Dataset data = GenerateIndependent(6000, d, rng);
+    DiskManager disk;
+    RTree source = RTree::BulkLoad(&data, &disk);
+    FlatRTree tree = FlatRTree::Freeze(source);
+    LinearScoring scoring(d);
+    std::vector<Vec> weights;
+    for (int q = 0; q < 6; ++q) {
+      Vec w(d);
+      for (double& x : w) x = rng.Uniform(0.05, 1.0);
+      weights.push_back(w);
+    }
+    std::vector<BrsMultiQuery> group;
+    for (const Vec& w : weights) group.push_back({VecView(w), 20});
+    BrsFrontierArena arena;
+    std::vector<TopKResult> multi;
+    ASSERT_TRUE(RunBrsMulti(tree, scoring, group, &arena, &multi).ok());
+    for (size_t q = 0; q < weights.size(); ++q) {
+      const std::string where =
+          "d=" + std::to_string(d) + " query " + std::to_string(q);
+      std::vector<RecordId> fetched;
+      FullPopBrs(tree, scoring, weights[q], 20, &fetched);
+      Result<TopKResult> solo = RunBrs(tree, scoring, weights[q], 20);
+      ASSERT_TRUE(solo.ok());
+      ASSERT_FALSE(solo->encountered.empty()) << where;
+      ExpectEncounteredContract(data, scoring, weights[q], fetched, *solo,
+                                where + " solo");
+      ExpectEncounteredContract(data, scoring, weights[q], fetched,
+                                multi[q], where + " multi");
     }
   }
 }
