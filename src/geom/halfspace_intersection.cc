@@ -69,7 +69,9 @@ Result<IntersectionResult> IntersectHalfspaces(
   // Drop exact duplicates: two rows that agree to ~1e-12 after
   // normalization describe the same half-space. Sorting the rounded
   // keys groups them; the first occurrence keeps its provenance and
-  // the input order is kept.
+  // the input order is kept. (GIR*'s systems are far larger than FP's,
+  // so a pairwise scan of the kept rows would be quadratic where it
+  // costs most.)
   const size_t candidates = s.source.size();
   s.keys.resize(candidates * stride);
   for (size_t t = 0; t < candidates * stride; ++t) {

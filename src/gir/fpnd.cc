@@ -398,7 +398,10 @@ Result<Phase2Output> RunFpNdPhase2(const FlatRTree& tree,
   // T arrives in heap-pop order, strongest records first (Quickhull's
   // farthest-point-first idea): early facets then sit close to the final
   // star, and about half as many facets are created and killed as in
-  // record-id order. The final star does not depend on the order.
+  // record-id order. On data in general position the final star does
+  // not depend on the order; with tied or coplanar records its vertex
+  // set can (which of two equal records, or which point of a shared
+  // face, becomes a vertex), but the region it bounds cannot.
   std::vector<RecordId> order;
   order.reserve(topk.encountered.size());
   std::vector<bool> taken(topk.encountered.size(), false);

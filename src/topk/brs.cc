@@ -94,8 +94,11 @@ Result<TopKResult> RunBrs(const FlatRTree& tree,
   // order: sort both into it instead of popping.
   auto nodes_end = std::partition(heap.begin(), heap.end(),
                                   [](const HeapEntry& e) { return e.is_node; });
-  std::sort(heap.begin(), nodes_end,
-            [&](const HeapEntry& a, const HeapEntry& b) { return less(b, a); });
+  auto descending = [&](const HeapEntry& a, const HeapEntry& b) {
+    return less(b, a);
+  };
+  std::sort(heap.begin(), nodes_end, descending);
+  std::sort(nodes_end, heap.end(), descending);
   out.pending.reserve(static_cast<size_t>(nodes_end - heap.begin()));
   for (auto it = heap.begin(); it != nodes_end; ++it) {
     PendingNode pn;
@@ -107,16 +110,10 @@ Result<TopKResult> RunBrs(const FlatRTree& tree,
   // Sorted descending is already a valid heap order; normalize
   // explicitly for clarity.
   std::make_heap(out.pending.begin(), out.pending.end(), PendingNodeLess());
-  // Records sort as (-score, id) pairs, the comparator's descending
-  // order, so the sort does not move the heap entries' boxes.
-  std::vector<std::pair<double, RecordId>> records;
-  records.reserve(static_cast<size_t>(heap.end() - nodes_end));
+  out.encountered.reserve(static_cast<size_t>(heap.end() - nodes_end));
   for (auto it = nodes_end; it != heap.end(); ++it) {
-    records.emplace_back(-it->key, it->id);
+    out.encountered.push_back(it->id);
   }
-  std::sort(records.begin(), records.end());
-  out.encountered.reserve(records.size());
-  for (const auto& r : records) out.encountered.push_back(r.second);
   out.io = DiskManager::ThreadStats() - before;
   return out;
 }

@@ -32,7 +32,10 @@ struct TopKResult {
   std::vector<RecordId> result;  // decreasing score order
   std::vector<double> scores;    // aligned with `result`
   // T: the fetched non-result records in heap-pop order (descending
-  // score, lower id first on ties), strongest challengers first.
+  // score, lower id first on ties), strongest challengers first. On
+  // data in general position FP's region does not depend on this
+  // order; with tied or coplanar records it is the same set, but its
+  // constraint list and provenance can follow the order.
   std::vector<RecordId> encountered;
   std::vector<PendingNode> pending;   // heap ordered by PendingNodeLess
   IoStats io;                         // page reads charged by this run

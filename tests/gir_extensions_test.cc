@@ -4,12 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <set>
 #include <string>
 
 #include "common/rng.h"
 #include "dataset/generators.h"
+#include "geom/halfspace_intersection.h"
 #include "gir/engine.h"
 #include "gir/fp_frontier.h"
 #include "gir/fpnd.h"
@@ -262,11 +264,38 @@ TEST(IncidentStarTest, FacetsCreatedMonotone) {
   }
 }
 
+// FP's insertion orders for the star tests: the apex is the top record
+// under q, and every other record comes in id order, in descending
+// score order and in reverse id order.
+struct InsertionOrders {
+  RecordId apex;
+  std::vector<RecordId> by_id;
+  std::vector<RecordId> by_score;
+  std::vector<RecordId> reversed;
+};
+
+InsertionOrders MakeInsertionOrders(const Dataset& data, VecView q) {
+  InsertionOrders o;
+  o.by_id.resize(data.size());
+  for (size_t i = 0; i < o.by_id.size(); ++i) {
+    o.by_id[i] = static_cast<RecordId>(i);
+  }
+  o.by_score = o.by_id;
+  std::stable_sort(o.by_score.begin(), o.by_score.end(),
+                   [&](RecordId a, RecordId b) {
+                     return Dot(data.Get(a), q) > Dot(data.Get(b), q);
+                   });
+  o.apex = o.by_score.front();
+  o.by_score.erase(o.by_score.begin());
+  o.by_id.erase(std::find(o.by_id.begin(), o.by_id.end(), o.apex));
+  o.reversed.assign(o.by_id.rbegin(), o.by_id.rend());
+  return o;
+}
+
 TEST(IncidentStarTest, FinalStarIsInsertionOrderIndependent) {
   // FP's first step inserts T in heap-pop order; that is only a speed
-  // choice if the final star does not depend on the order. The apex is
-  // the top record under a query q, as in FP, and every other record is
-  // inserted in id order, in descending score order and in reverse.
+  // choice if the final star does not depend on the order (here, on
+  // data in general position).
   for (const char* dist : {"IND", "ANTI"}) {
     for (size_t d = 3; d <= 6; ++d) {
       const std::string where = std::string(dist) + " d=" + std::to_string(d);
@@ -276,37 +305,92 @@ TEST(IncidentStarTest, FinalStarIsInsertionOrderIndependent) {
                          : GenerateAnticorrelated(1500, d, rng);
       Vec q(d);
       for (double& x : q) x = rng.Uniform(0.2, 1.0);
-      std::vector<RecordId> by_id(data.size());
-      for (size_t i = 0; i < by_id.size(); ++i) {
-        by_id[i] = static_cast<RecordId>(i);
-      }
-      std::vector<RecordId> by_score = by_id;
-      std::stable_sort(by_score.begin(), by_score.end(),
-                       [&](RecordId a, RecordId b) {
-                         return Dot(data.Get(a), q) > Dot(data.Get(b), q);
-                       });
-      const RecordId apex = by_score.front();
-      by_score.erase(by_score.begin());
-      by_id.erase(std::find(by_id.begin(), by_id.end(), apex));
-      std::vector<RecordId> reversed(by_id.rbegin(), by_id.rend());
+      const InsertionOrders o = MakeInsertionOrders(data, q);
       auto build = [&](const std::vector<RecordId>& order) {
-        IncidentStar star(data.Get(apex));
+        IncidentStar star(data.Get(o.apex));
         for (RecordId id : order) {
           Result<bool> r = star.Insert(data.Get(id), id);
           EXPECT_TRUE(r.ok()) << where << " record " << id;
         }
         return star;
       };
-      const IncidentStar want = build(by_id);
+      const IncidentStar want = build(o.by_id);
       EXPECT_GT(want.CriticalRecordIds().size(), 1u) << where;
-      for (const auto* order : {&by_score, &reversed}) {
+      for (const auto* order : {&o.by_score, &o.reversed}) {
         const IncidentStar got = build(*order);
         EXPECT_EQ(got.CriticalRecordIds(), want.CriticalRecordIds()) << where;
         EXPECT_EQ(got.live_facet_count(), want.live_facet_count()) << where;
       }
       // Score order is the cheap one: fewer facets die on the way.
-      EXPECT_LE(build(by_score).facets_created(), want.facets_created())
+      EXPECT_LE(build(o.by_score).facets_created(), want.facets_created())
           << where;
+    }
+  }
+}
+
+TEST(IncidentStarTest, TiedRecordsKeepTheRegionInAnyOrder) {
+  // On tied and coplanar records (coordinates on a 0.1 grid, a quarter
+  // of the rows repeated) the star's vertex set can depend on the
+  // insertion order: which of two equal records, or which point of a
+  // shared face, becomes a vertex. The region it bounds cannot: the
+  // constraints of the critical records, plus those of records whose
+  // insert failed (FP adds those directly), cut the same polytope from
+  // the unit cube in every order.
+  for (const char* dist : {"IND", "ANTI"}) {
+    for (size_t d = 3; d <= 6; ++d) {
+      const std::string where = std::string(dist) + " d=" + std::to_string(d);
+      Rng rng(7600 + d);
+      Dataset raw = std::string(dist) == "IND"
+                        ? GenerateIndependent(1200, d, rng)
+                        : GenerateAnticorrelated(1200, d, rng);
+      Dataset data(d);
+      Vec row(d);
+      for (size_t i = 0; i < raw.size(); ++i) {
+        VecView r = raw.Get(static_cast<RecordId>(i));
+        for (size_t j = 0; j < d; ++j) row[j] = std::round(r[j] * 10) / 10;
+        data.Append(row);
+        if (rng.Uniform(0.0, 1.0) < 0.25) data.Append(row);
+      }
+      Vec q(d);
+      for (double& x : q) x = rng.Uniform(0.2, 1.0);
+      const InsertionOrders o = MakeInsertionOrders(data, q);
+      VecView top = data.Get(o.apex);
+      auto region = [&](const std::vector<RecordId>& order) {
+        IncidentStar star(top);
+        std::vector<int> ids;
+        for (RecordId id : order) {
+          if (!star.Insert(data.Get(id), id).ok()) ids.push_back(id);
+        }
+        for (int id : star.CriticalRecordIds()) ids.push_back(id);
+        std::vector<Halfspace> ge(ids.size());
+        for (size_t c = 0; c < ids.size(); ++c) {
+          VecView p = data.Get(ids[c]);
+          ge[c].normal.resize(d);
+          for (size_t j = 0; j < d; ++j) ge[c].normal[j] = top[j] - p[j];
+        }
+        Result<IntersectionResult> cut = IntersectHalfspaces(ge, q);
+        EXPECT_TRUE(cut.ok()) << where;
+        std::vector<Vec> vertices;
+        if (cut.ok()) vertices = cut->polytope.vertices();
+        std::sort(vertices.begin(), vertices.end());
+        return vertices;
+      };
+      const std::vector<Vec> want = region(o.by_id);
+      EXPECT_GT(want.size(), d) << where;
+      for (const auto* order : {&o.by_score, &o.reversed}) {
+        const std::vector<Vec> got = region(*order);
+        ASSERT_EQ(got.size(), want.size()) << where;
+        for (const Vec& v : got) {
+          const bool matched = std::any_of(
+              want.begin(), want.end(), [&](const Vec& w) {
+                for (size_t j = 0; j < d; ++j) {
+                  if (std::abs(v[j] - w[j]) > 1e-9) return false;
+                }
+                return true;
+              });
+          EXPECT_TRUE(matched) << where;
+        }
+      }
     }
   }
 }
