@@ -725,6 +725,127 @@ void MarkAboveFacets(const double* normals, const double* offsets,
   }
 }
 
+// ----- MarkBoxesAboveFacets -----
+
+namespace {
+
+// One box against every facet, first hit wins: the scalar reference
+// and every tier's tail.
+bool BoxAboveAnyScalar(const double* normals, const double* offsets,
+                       size_t facet_n, size_t dim, double eps,
+                       const double* lo, const double* hi, size_t stride) {
+  for (size_t f = 0; f < facet_n; ++f) {
+    const double* nf = normals + f * dim;
+    double bound = 0.0;
+    for (size_t j = 0; j < dim; ++j) {
+      bound += std::max(nf[j] * lo[j * stride], nf[j] * hi[j * stride]);
+    }
+    if (bound - offsets[f] > eps) return true;
+  }
+  return false;
+}
+
+void MarkBoxesScalar(const double* normals, const double* offsets,
+                     size_t facet_n, size_t dim, double eps, const double* lo,
+                     const double* hi, size_t stride, uint8_t* mask,
+                     size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    if (mask[i] != 0) continue;
+    mask[i] = static_cast<uint8_t>(BoxAboveAnyScalar(
+        normals, offsets, facet_n, dim, eps, lo + i, hi + i, stride));
+  }
+}
+
+#if GIR_SIMD_X86
+void MarkBoxesSse2(const double* normals, const double* offsets,
+                   size_t facet_n, size_t dim, double eps, const double* lo,
+                   const double* hi, size_t stride, uint8_t* mask, size_t n) {
+  const __m128d veps = _mm_set1_pd(eps);
+  size_t i = 0;
+  for (; i + 2 <= n; i += 2) {
+    int done = (mask[i] != 0) | ((mask[i + 1] != 0) << 1);
+    for (size_t f = 0; f < facet_n && done != 3; ++f) {
+      const double* nf = normals + f * dim;
+      __m128d bound = _mm_setzero_pd();
+      for (size_t j = 0; j < dim; ++j) {
+        const __m128d w = _mm_set1_pd(nf[j]);
+        const __m128d a = _mm_mul_pd(w, _mm_loadu_pd(lo + j * stride + i));
+        const __m128d b = _mm_mul_pd(w, _mm_loadu_pd(hi + j * stride + i));
+        bound = _mm_add_pd(bound, _mm_max_pd(a, b));
+      }
+      const __m128d voff = _mm_set1_pd(offsets[f]);
+      done |= _mm_movemask_pd(_mm_cmpgt_pd(_mm_sub_pd(bound, voff), veps));
+    }
+    mask[i] = static_cast<uint8_t>(done & 1);
+    mask[i + 1] = static_cast<uint8_t>((done >> 1) & 1);
+  }
+  MarkBoxesScalar(normals, offsets, facet_n, dim, eps, lo + i, hi + i, stride,
+                  mask + i, n - i);
+}
+#endif
+
+#if GIR_SIMD_HAVE_AVX2_TARGET
+GIR_TARGET_AVX2 void MarkBoxesAvx2(const double* normals,
+                                   const double* offsets, size_t facet_n,
+                                   size_t dim, double eps, const double* lo,
+                                   const double* hi, size_t stride,
+                                   uint8_t* mask, size_t n) {
+  const __m256d veps = _mm256_set1_pd(eps);
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    int done = (mask[i] != 0) | ((mask[i + 1] != 0) << 1) |
+               ((mask[i + 2] != 0) << 2) | ((mask[i + 3] != 0) << 3);
+    for (size_t f = 0; f < facet_n && done != 0xF; ++f) {
+      const double* nf = normals + f * dim;
+      __m256d bound = _mm256_setzero_pd();
+      for (size_t j = 0; j < dim; ++j) {
+        const __m256d w = _mm256_set1_pd(nf[j]);
+        const __m256d a =
+            _mm256_mul_pd(w, _mm256_loadu_pd(lo + j * stride + i));
+        const __m256d b =
+            _mm256_mul_pd(w, _mm256_loadu_pd(hi + j * stride + i));
+        bound = _mm256_add_pd(bound, _mm256_max_pd(a, b));
+      }
+      const __m256d voff = _mm256_set1_pd(offsets[f]);
+      done |= _mm256_movemask_pd(
+          _mm256_cmp_pd(_mm256_sub_pd(bound, voff), veps, _CMP_GT_OQ));
+    }
+    mask[i] = static_cast<uint8_t>(done & 1);
+    mask[i + 1] = static_cast<uint8_t>((done >> 1) & 1);
+    mask[i + 2] = static_cast<uint8_t>((done >> 2) & 1);
+    mask[i + 3] = static_cast<uint8_t>((done >> 3) & 1);
+  }
+  MarkBoxesScalar(normals, offsets, facet_n, dim, eps, lo + i, hi + i, stride,
+                  mask + i, n - i);
+}
+#endif
+
+}  // namespace
+
+void MarkBoxesAboveFacets(const double* normals, const double* offsets,
+                          size_t facet_n, size_t dim, double eps,
+                          const double* lo, const double* hi, size_t stride,
+                          uint8_t* mask, size_t n) {
+  switch (ActiveTier()) {
+#if GIR_SIMD_HAVE_AVX2_TARGET
+    case Tier::kAvx2:
+      MarkBoxesAvx2(normals, offsets, facet_n, dim, eps, lo, hi, stride, mask,
+                    n);
+      return;
+#endif
+#if GIR_SIMD_X86
+    case Tier::kSse2:
+      MarkBoxesSse2(normals, offsets, facet_n, dim, eps, lo, hi, stride, mask,
+                    n);
+      return;
+#endif
+    default:
+      MarkBoxesScalar(normals, offsets, facet_n, dim, eps, lo, hi, stride,
+                      mask, n);
+      return;
+  }
+}
+
 // ----- dominance -----
 
 namespace {

@@ -112,6 +112,21 @@ void MarkAboveFacets(const double* normals, const double* offsets,
                      const double* planes, size_t stride, uint8_t* mask,
                      size_t n);
 
+// Marks the boxes that lie above any of `facet_n` facets (FP's node
+// test). Boxes are SoA: coordinate j of box i spans lo[j * stride + i]
+// .. hi[j * stride + i], i < n; facets are laid out as for
+// MarkAboveFacets. For each box and facet, every lane evaluates
+//     bound = 0;  bound += max(normal[j] * lo_j, normal[j] * hi_j)
+//     above = (bound - offset) > eps
+// over j = 0 .. dim-1, with a separate multiply and add, which is
+// exactly IncidentStar's box predicate (BoxAbove), so every tier
+// returns the same verdicts. mask[i] |= above; a box already marked is
+// not tested again, and testing a box stops at its first facet above.
+void MarkBoxesAboveFacets(const double* normals, const double* offsets,
+                          size_t facet_n, size_t dim, double eps,
+                          const double* lo, const double* hi, size_t stride,
+                          uint8_t* mask, size_t n);
+
 // ----- dominance kernels (exact comparisons; identical verdicts) -----
 
 // True when p dominates q ("larger is better": p >= q in every

@@ -75,11 +75,25 @@ class ThreadPool {
   // the remaining claimed iterations still run, and the first exception
   // is rethrown here on the calling thread once every iteration has
   // finished (it must not escape into a worker: an uncaught exception
-  // on a std::thread terminates the process). The body must not call
-  // ParallelFor on the same pool (the workers would deadlock waiting on
-  // themselves).
+  // on a std::thread terminates the process). A call with no helpers
+  // (n == 1, or a one-thread pool) runs inline on the caller, with no
+  // shared state. The body must not call ParallelFor on the same pool
+  // (the workers would deadlock waiting on themselves).
   void ParallelFor(size_t n, const std::function<void(size_t)>& body) {
     if (n == 0) return;
+    const size_t helpers = std::min(n, size()) - 1;
+    if (helpers == 0) {
+      std::exception_ptr error;
+      for (size_t i = 0; i < n; ++i) {
+        try {
+          body(i);
+        } catch (...) {
+          if (!error) error = std::current_exception();
+        }
+      }
+      if (error) std::rethrow_exception(error);
+      return;
+    }
     struct SharedState {
       std::atomic<size_t> next{0};
       std::atomic<size_t> done{0};
@@ -105,7 +119,6 @@ class ThreadPool {
         }
       }
     };
-    const size_t helpers = std::min(n, size()) - 1;
     for (size_t t = 0; t < helpers; ++t) Submit(claim);
     claim();
     finished.wait();

@@ -96,11 +96,13 @@ Result<Phase2Output> RunFp2dPhase2(const FlatRTree& tree,
     return false;
   };
   ScoreBuffer buf;
+  Mbb box;
   while (!heap.empty()) {
     std::pop_heap(heap.begin(), heap.end(), less);
-    PendingNode top = std::move(heap.back());
+    const PendingNode top = heap.back();
     heap.pop_back();
-    if (!box_can_update(top.mbb)) continue;  // below both interim facets
+    PendingNodeBox(tree, top, &box);
+    if (!box_can_update(box)) continue;  // below both interim facets
     FlatRTree::NodeView node = tree.ReadNode(top.page);
     const size_t count = node.count();
     if (node.is_leaf()) {
@@ -115,11 +117,9 @@ Result<Phase2Output> RunFp2dPhase2(const FlatRTree& tree,
     } else {
       ComputeEntryScores(scoring, node, weights, &buf);
       for (size_t i = 0; i < count; ++i) {
-        PendingNode pn;
-        pn.maxscore = buf.scores[i];
-        pn.page = static_cast<PageId>(node.child(i));
-        pn.mbb = node.EntryMbb(i);
-        heap.push_back(std::move(pn));
+        const PageId child = static_cast<PageId>(node.child(i));
+        const uint32_t slot = static_cast<uint32_t>(i);
+        heap.push_back(PendingNode{buf.scores[i], child, top.page, slot});
         std::push_heap(heap.begin(), heap.end(), less);
       }
     }

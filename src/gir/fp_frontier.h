@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -17,39 +19,62 @@
 
 namespace gir {
 
+// Sets mask[i] when box i of a batch of n g-mapped boxes lies above
+// some live facet; coordinate j of box i spans lo[j * stride + i] ..
+// hi[j * stride + i].
+using BoxMarker = std::function<void(const double* lo, const double* hi,
+                                     size_t stride, size_t n, uint8_t* mask)>;
+
 // Resumes the search from BRS's retained heap (`topk.pending`) in
-// maxscore order. Entries are plain data: a node's box is not stored
-// but read when the node is popped — from its parent's entry in the
-// frozen SoA planes, or, for an entry seeded from `pending`, from that
-// PendingNode — and mapped through g. The heap runs the std heap
-// algorithms with PendingNodeLess's comparison over the same sequence
-// of pushes and pops that a heap of PendingNode copies would see, so
-// the pop order, ties included, is the same.
+// maxscore order. Entries are plain PendingNodes: a node's box is not
+// stored but read from its parent's entry in the frozen SoA planes
+// (PendingNodeBox) and mapped through g. The heap runs the std heap
+// algorithms with PendingNodeLess.
+//
+// Entries below the star never enter the heap. Each batch — the seeded
+// `pending` set, then each expanded node's children, read straight
+// from its planes — goes through `mark` (one MarkBoxesAboveFacets call
+// per star), and the boxes it leaves unmarked are dropped. This is
+// safe: a box below every facet lies in the tangent cone of the hull
+// at the apex, inserts only widen that cone, so the pop-time test
+// would prune the box too, and a pruned node is never looked at again.
+// Pop order is unchanged for distinct keys (the kept entries see the
+// same pushes and pops); equal keys may pop in another order.
 class FrontierWalker {
  public:
   FrontierWalker(const FlatRTree& tree, const ScoringFunction& scoring,
-                 VecView weights, const std::vector<PendingNode>& pending)
-      : tree_(tree), scoring_(scoring), weights_(weights), pending_(pending) {
-    heap_.reserve(pending.size());
-    for (size_t i = 0; i < pending.size(); ++i) {
-      heap_.push_back(Entry{pending[i].maxscore, pending[i].page,
-                            kInvalidPage, static_cast<uint32_t>(i)});
+                 VecView weights, const std::vector<PendingNode>& pending,
+                 BoxMarker mark)
+      : tree_(tree),
+        scoring_(scoring),
+        weights_(weights),
+        mark_(std::move(mark)) {
+    const size_t dim = tree.dataset().dim();
+    const size_t n = pending.size();
+    raw_.resize(2 * dim * n);
+    for (size_t i = 0; i < n; ++i) {
+      PendingNodeBox(tree, pending[i], &box_);
+      for (size_t j = 0; j < dim; ++j) {
+        raw_[j * n + i] = box_.lo[j];
+        raw_[(dim + j) * n + i] = box_.hi[j];
+      }
     }
-    std::make_heap(heap_.begin(), heap_.end(), Less());
+    MarkBatch(raw_.data(), raw_.data() + dim * n, n, n);
+    heap_.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+      if (mask_[i]) heap_.push_back(pending[i]);
+    }
+    std::make_heap(heap_.begin(), heap_.end(), PendingNodeLess());
   }
 
   // Pops the node with the highest maxscore; false once none is left.
   bool Pop() {
     if (heap_.empty()) return false;
-    std::pop_heap(heap_.begin(), heap_.end(), Less());
+    std::pop_heap(heap_.begin(), heap_.end(), PendingNodeLess());
     top_ = heap_.back();
     heap_.pop_back();
-    if (top_.parent == kInvalidPage) {
-      scoring_.TransformInto(pending_[top_.slot].mbb, &g_box_);
-    } else {
-      tree_.PeekNode(top_.parent).EntryMbbInto(top_.slot, &box_);
-      scoring_.TransformInto(box_, &g_box_);
-    }
+    PendingNodeBox(tree_, top_, &box_);
+    scoring_.TransformInto(box_, &g_box_);
     return true;
   }
 
@@ -59,40 +84,55 @@ class FrontierWalker {
   bool leaf() const { return tree_.PeekNode(top_.page).is_leaf(); }
   const Mbb& g_box() const { return g_box_; }
 
-  // Pushes the children of the popped internal node; `node` is what
-  // tree.ReadNode(page()) returned.
+  // Pushes the children of the popped internal node that the marker
+  // keeps; `node` is what tree.ReadNode(page()) returned.
   void Expand(const FlatRTree::NodeView& node) {
-    ComputeEntryScores(scoring_, node, weights_, &buf_);
     const size_t count = node.count();
+    MarkBatch(node.lo(0), node.hi(0), node.plane_stride(), count);
+    ComputeEntryScores(scoring_, node, weights_, &buf_);
     for (size_t i = 0; i < count; ++i) {
-      heap_.push_back(Entry{buf_.scores[i], static_cast<PageId>(node.child(i)),
-                            top_.page, static_cast<uint32_t>(i)});
-      std::push_heap(heap_.begin(), heap_.end(), Less());
+      if (!mask_[i]) continue;
+      const PageId child = static_cast<PageId>(node.child(i));
+      const uint32_t slot = static_cast<uint32_t>(i);
+      heap_.push_back(PendingNode{buf_.scores[i], child, top_.page, slot});
+      std::push_heap(heap_.begin(), heap_.end(), PendingNodeLess());
     }
   }
 
  private:
-  struct Entry {
-    double maxscore;
-    PageId page;
-    PageId parent;  // kInvalidPage: seeded from pending_[slot]
-    uint32_t slot;  // entry index within `parent`
-  };
-  struct Less {
-    bool operator()(const Entry& a, const Entry& b) const {
-      return a.maxscore < b.maxscore;  // PendingNodeLess
+  // Maps n boxes (raw SoA planes, `stride` apart) through g and marks
+  // them into mask_.
+  void MarkBatch(const double* lo, const double* hi, size_t stride,
+                 size_t n) {
+    mask_.assign(n, 0);
+    if (n == 0) return;
+    if (scoring_.IsIdentityTransform()) {
+      mark_(lo, hi, stride, n, mask_.data());
+      return;
     }
-  };
+    const size_t dim = tree_.dataset().dim();
+    g_planes_.resize(2 * dim * n);
+    double* g_lo = g_planes_.data();
+    double* g_hi = g_lo + dim * n;
+    for (size_t j = 0; j < dim; ++j) {
+      scoring_.TransformDimBatch(j, lo + j * stride, n, g_lo + j * n);
+      scoring_.TransformDimBatch(j, hi + j * stride, n, g_hi + j * n);
+    }
+    mark_(g_lo, g_hi, n, n, mask_.data());
+  }
 
   const FlatRTree& tree_;
   const ScoringFunction& scoring_;
   VecView weights_;
-  const std::vector<PendingNode>& pending_;
-  std::vector<Entry> heap_;
-  Entry top_{};
+  BoxMarker mark_;
+  std::vector<PendingNode> heap_;
+  PendingNode top_{};
   Mbb box_;
   Mbb g_box_;
   ScoreBuffer buf_;
+  std::vector<double> raw_;       // the seeded boxes, SoA
+  std::vector<double> g_planes_;  // a batch through g, SoA
+  std::vector<uint8_t> mask_;
 };
 
 // A leaf's records mapped through g, as SoA planes: coordinate j of

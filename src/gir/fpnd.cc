@@ -329,6 +329,14 @@ void IncidentStar::MarkVisible(const int* pool, size_t pool_n,
                         eps_, planes, stride, mask, n);
 }
 
+void IncidentStar::MarkBoxesAbove(const double* lo, const double* hi,
+                                  size_t stride, size_t n,
+                                  uint8_t* mask) const {
+  simd::MarkBoxesAboveFacets(normals_.data(), offsets_.data(),
+                             offsets_.size(), dim_, eps_, lo, hi, stride,
+                             mask, n);
+}
+
 namespace {
 
 // Adds record `id`'s constraint directly: the fallback when every
@@ -344,6 +352,46 @@ void AddDirectConstraint(VecView g, RecordId id, GirRegion* region,
 }
 
 }  // namespace
+
+std::vector<size_t> MaxCoordinateSeeds(const Dataset& data,
+                                       const std::vector<RecordId>& t) {
+  // The picks are sequential (dimension j skips the up to j records
+  // already picked), so each dimension keeps its d best positions:
+  // value descending, then position ascending, values above -1e300.
+  const size_t dim = data.dim();
+  struct Best {
+    double value;
+    size_t pos;
+  };
+  std::vector<Best> best(dim * dim);
+  std::vector<size_t> held(dim, 0);
+  for (size_t i = 0; i < t.size(); ++i) {
+    VecView row = data.Get(t[i]);
+    for (size_t j = 0; j < dim; ++j) {
+      const double v = row[j];
+      Best* list = best.data() + j * dim;
+      size_t n = held[j];
+      // Later positions lose ties, so v enters only above a smaller
+      // value.
+      if (!(v > -1e300) || (n == dim && !(v > list[n - 1].value))) continue;
+      if (n < dim) held[j] = ++n;
+      size_t at = n - 1;
+      for (; at > 0 && v > list[at - 1].value; --at) list[at] = list[at - 1];
+      list[at] = Best{v, i};
+    }
+  }
+  std::vector<size_t> seeds;
+  for (size_t j = 0; j < dim; ++j) {
+    const Best* list = best.data() + j * dim;
+    for (size_t c = 0; c < held[j]; ++c) {
+      if (std::find(seeds.begin(), seeds.end(), list[c].pos) == seeds.end()) {
+        seeds.push_back(list[c].pos);
+        break;
+      }
+    }
+  }
+  return seeds;
+}
 
 Result<Phase2Output> RunFpNdPhase2(const FlatRTree& tree,
                                    const ScoringFunction& scoring,
@@ -404,28 +452,18 @@ Result<Phase2Output> RunFpNdPhase2(const FlatRTree& tree,
   // face, becomes a vertex), but the region it bounds cannot.
   std::vector<RecordId> order;
   order.reserve(topk.encountered.size());
-  std::vector<bool> taken(topk.encountered.size(), false);
+  std::vector<size_t> seeds;  // positions in T, processed first
   if (options.max_coordinate_seeding) {
-    // Process the per-dimension maxima of T first.
-    for (size_t j = 0; j < dim; ++j) {
-      int best = -1;
-      double best_val = -1e300;
-      for (size_t i = 0; i < topk.encountered.size(); ++i) {
-        if (taken[i]) continue;
-        double v = data.Get(topk.encountered[i])[j];
-        if (v > best_val) {
-          best_val = v;
-          best = static_cast<int>(i);
-        }
-      }
-      if (best >= 0) {
-        taken[best] = true;
-        order.push_back(topk.encountered[best]);
-      }
-    }
+    seeds = MaxCoordinateSeeds(data, topk.encountered);
+    for (size_t i : seeds) order.push_back(topk.encountered[i]);
+    std::sort(seeds.begin(), seeds.end());
   }
-  for (size_t i = 0; i < topk.encountered.size(); ++i) {
-    if (!taken[i]) order.push_back(topk.encountered[i]);
+  for (size_t i = 0, s = 0; i < topk.encountered.size(); ++i) {
+    if (s < seeds.size() && seeds[s] == i) {
+      ++s;
+      continue;
+    }
+    order.push_back(topk.encountered[i]);
   }
   Vec g;        // g(p) of the record being processed
   Vec joggled;  // joggle-retry copy of g
@@ -447,7 +485,12 @@ Result<Phase2Output> RunFpNdPhase2(const FlatRTree& tree,
   // --- Second step: refine from disk via the retained BRS heap. ---
   // A leaf's records are group-tested against the facets its box lies
   // above (LeafGroupTest); internal nodes keep the early-exit box test.
-  FrontierWalker walker(tree, scoring, weights, topk.pending);
+  // Only nodes whose box lies above a live facet enter the walk.
+  auto mark = [&star](const double* lo, const double* hi, size_t stride,
+                      size_t n, uint8_t* mask) {
+    star.MarkBoxesAbove(lo, hi, stride, n, mask);
+  };
+  FrontierWalker walker(tree, scoring, weights, topk.pending, mark);
   LeafGroupTest group;
   std::vector<double> planes;  // a leaf's records through g, SoA
   while (walker.Pop()) {

@@ -119,6 +119,14 @@ class IncidentStar {
   void MarkVisible(const int* pool, size_t pool_n, const double* planes,
                    size_t stride, size_t n, uint8_t* mask) const;
 
+  // mask[i] |= 1 when box i lies above a live facet (BoxAbove), for
+  // g-mapped boxes given as SoA planes (coordinate j of box i spans
+  // lo[j * stride + i] .. hi[j * stride + i], i < n): one
+  // simd::MarkBoxesAboveFacets call, so an unmarked box is exactly one
+  // BoxBelowAllFacets accepts.
+  void MarkBoxesAbove(const double* lo, const double* hi, size_t stride,
+                      size_t n, uint8_t* mask) const;
+
   // Valid until the next star-changing Insert.
   VecView apex() const { return VecView(coords_.data(), dim_); }
 
@@ -179,6 +187,13 @@ struct FpOptions {
   bool phase1_tightening = false;
   double eps = 1e-10;
 };
+
+// Paper §6.3.1's seeding: for each dimension j in turn, the position in
+// `t` of the record with the largest coordinate j (raw data space) not
+// picked for an earlier dimension, the lowest position on ties. Found
+// in one pass over t; at most d positions.
+std::vector<size_t> MaxCoordinateSeeds(const Dataset& data,
+                                       const std::vector<RecordId>& t);
 
 // Facet Pruning for d > 2 (also correct for d == 2; the engine uses the
 // specialised angular variant there). Consumes the encountered set T

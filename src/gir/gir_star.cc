@@ -169,9 +169,16 @@ Result<Phase2Output> GirStarViaFp(const FlatRTree& tree,
   }
 
   // Step 2: one walk for all stars, which share the popped node's
-  // g-box. A node is pruned when it lies below every star; a read leaf
-  // is group-tested per star, and a star whose pool is empty skips it.
-  FrontierWalker walker(tree, scoring, weights, topk.pending);
+  // g-box. A node is pruned when it lies below every star (and enters
+  // the walk only when it lies above some star); a read leaf is
+  // group-tested per star, and a star whose pool is empty skips it.
+  auto mark = [&stars](const double* lo, const double* hi, size_t stride,
+                       size_t n, uint8_t* mask) {
+    for (const PerRecord& pr : stars) {
+      pr.star.MarkBoxesAbove(lo, hi, stride, n, mask);
+    }
+  };
+  FrontierWalker walker(tree, scoring, weights, topk.pending, mark);
   std::vector<LeafGroupTest> groups(stars.size());
   std::vector<double> planes;  // a leaf's records through g, SoA
   while (walker.Pop()) {

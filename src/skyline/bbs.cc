@@ -21,14 +21,16 @@ SkylineResult ContinueSkylineFromBrs(const FlatRTree& tree,
   std::vector<PendingNode> heap = brs.pending;
   PendingNodeLess less;
   std::make_heap(heap.begin(), heap.end(), less);
+  Mbb box;
   Vec corner;
   while (!heap.empty()) {
     std::pop_heap(heap.begin(), heap.end(), less);
-    PendingNode top = std::move(heap.back());
+    const PendingNode top = heap.back();
     heap.pop_back();
     // BBS pruning: a node whose top corner is dominated can contain no
     // skyline record.
-    if (sl.DominatedByMember(top.mbb.TopCorner())) continue;
+    PendingNodeBox(tree, top, &box);
+    if (sl.DominatedByMember(box.TopCorner())) continue;
     FlatRTree::NodeView node = tree.ReadNode(top.page);
     const size_t count = node.count();
     if (node.is_leaf()) {
@@ -43,11 +45,11 @@ SkylineResult ContinueSkylineFromBrs(const FlatRTree& tree,
       for (size_t i = 0; i < count; ++i) {
         node.EntryTopCorner(i, &corner);
         if (sl.DominatedByMember(corner)) continue;
-        PendingNode pn;
-        pn.mbb = node.EntryMbb(i);
-        pn.maxscore = scoring.MaxScore(pn.mbb, weights);
-        pn.page = static_cast<PageId>(node.child(i));
-        heap.push_back(std::move(pn));
+        // MaxScore reads only the top corner: the same sum, bitwise.
+        const double maxscore = scoring.Score(corner, weights);
+        const PageId child = static_cast<PageId>(node.child(i));
+        const uint32_t slot = static_cast<uint32_t>(i);
+        heap.push_back(PendingNode{maxscore, child, top.page, slot});
         std::push_heap(heap.begin(), heap.end(), less);
       }
     }

@@ -8,128 +8,28 @@ namespace gir {
 
 namespace {
 
-struct HeapEntry {
-  double key;
-  bool is_node;
-  int32_t id;  // PageId for nodes, RecordId for records
-  Mbb mbb;     // valid for nodes only
-};
+using Record = BrsFrontierArena::Record;
+using QuerySlot = BrsFrontierArena::QuerySlot;
 
-struct HeapEntryLess {
-  bool operator()(const HeapEntry& a, const HeapEntry& b) const {
-    if (a.key != b.key) return a.key < b.key;
-    // Deterministic tie-break: prefer records over nodes, then lower id,
-    // so runs are reproducible across platforms.
-    if (a.is_node != b.is_node) return a.is_node;
+// BRS's pop order within each kind, as "a pops after b": higher key
+// first, then lower id. Across kinds, see RecordPopsBeforeNode.
+struct RecordLess {
+  bool operator()(const Record& a, const Record& b) const {
+    if (a.score != b.score) return a.score < b.score;
     return a.id > b.id;
   }
 };
 
-}  // namespace
+struct NodeLess {
+  bool operator()(const PendingNode& a, const PendingNode& b) const {
+    if (a.maxscore != b.maxscore) return a.maxscore < b.maxscore;
+    return a.page > b.page;
+  }
+};
 
-Result<TopKResult> RunBrs(const FlatRTree& tree,
-                          const ScoringFunction& scoring, VecView weights,
-                          size_t k) {
-  if (k == 0) return Status::InvalidArgument("k must be positive");
-  if (weights.size() != tree.dataset().dim()) {
-    return Status::InvalidArgument("weight dimensionality mismatch");
-  }
-  TopKResult out;
-  IoStats before = DiskManager::ThreadStats();
-  // A binary max-heap driven by the std heap algorithms (what
-  // std::priority_queue does), kept as a plain vector so the drain can
-  // partition it.
-  std::vector<HeapEntry> heap;
-  HeapEntryLess less;
-  auto push = [&](HeapEntry&& e) {
-    heap.push_back(std::move(e));
-    std::push_heap(heap.begin(), heap.end(), less);
-  };
-  if (tree.root() != kInvalidPage) {
-    HeapEntry e;
-    e.mbb = tree.PeekNode(tree.root()).mbb();
-    e.key = scoring.MaxScore(e.mbb, weights);
-    e.is_node = true;
-    e.id = static_cast<int32_t>(tree.root());
-    push(std::move(e));
-  }
-  ScoreBuffer buf;
-  while (!heap.empty() && out.result.size() < k) {
-    std::pop_heap(heap.begin(), heap.end(), less);
-    HeapEntry top = std::move(heap.back());
-    heap.pop_back();
-    if (!top.is_node) {
-      out.result.push_back(top.id);
-      out.scores.push_back(top.key);
-      continue;
-    }
-    Status read = tree.FetchPage(static_cast<PageId>(top.id));
-    if (!read.ok()) return read;
-    FlatRTree::NodeView node = tree.PeekNode(static_cast<PageId>(top.id));
-    const size_t count = node.count();
-    ComputeEntryScores(scoring, node, weights, &buf);
-    if (node.is_leaf()) {
-      for (size_t i = 0; i < count; ++i) {
-        HeapEntry he;
-        he.key = buf.scores[i];
-        he.is_node = false;
-        he.id = node.child(i);
-        push(std::move(he));
-      }
-    } else {
-      for (size_t i = 0; i < count; ++i) {
-        HeapEntry he;
-        he.key = buf.scores[i];
-        he.is_node = true;
-        he.id = node.child(i);
-        he.mbb = node.EntryMbb(i);
-        push(std::move(he));
-      }
-    }
-  }
-  // Drain the heap: remaining nodes feed Phase 2; remaining records are
-  // the encountered set T (fetched minus result, already in memory, no
-  // further I/O). The comparator is a strict total order, so popping
-  // everything would emit each kind in exactly descending comparator
-  // order: sort both into it instead of popping.
-  auto nodes_end = std::partition(heap.begin(), heap.end(),
-                                  [](const HeapEntry& e) { return e.is_node; });
-  auto descending = [&](const HeapEntry& a, const HeapEntry& b) {
-    return less(b, a);
-  };
-  std::sort(heap.begin(), nodes_end, descending);
-  std::sort(nodes_end, heap.end(), descending);
-  out.pending.reserve(static_cast<size_t>(nodes_end - heap.begin()));
-  for (auto it = heap.begin(); it != nodes_end; ++it) {
-    PendingNode pn;
-    pn.maxscore = it->key;
-    pn.page = static_cast<PageId>(it->id);
-    pn.mbb = std::move(it->mbb);
-    out.pending.push_back(std::move(pn));
-  }
-  // Sorted descending is already a valid heap order; normalize
-  // explicitly for clarity.
-  std::make_heap(out.pending.begin(), out.pending.end(), PendingNodeLess());
-  out.encountered.reserve(static_cast<size_t>(heap.end() - nodes_end));
-  for (auto it = nodes_end; it != heap.end(); ++it) {
-    out.encountered.push_back(it->id);
-  }
-  out.io = DiskManager::ThreadStats() - before;
-  return out;
+bool RecordPopsBeforeNode(const Record& r, const PendingNode& n) {
+  return r.score >= n.maxscore;  // records win ties
 }
-
-namespace {
-
-// ----- shared-traversal multi-query executor -----
-
-// Same strict total order as HeapEntryLess, over the plain-data entry.
-struct MultiHeapEntryLess {
-  bool operator()(const MultiHeapEntry& a, const MultiHeapEntry& b) const {
-    if (a.key != b.key) return a.key < b.key;
-    if (a.is_node != b.is_node) return a.is_node;
-    return a.id > b.id;
-  }
-};
 
 // Grows v to at least n elements, counting the growth for the arena's
 // steady-state accounting. Never shrinks: surplus capacity is the whole
@@ -142,53 +42,98 @@ void EnsureSize(V* v, size_t n, size_t* grow_events) {
   }
 }
 
-// Drains query slot `qs` after its search finished: remaining heap
-// nodes become `pending` and remaining records `encountered`, each in
-// the order popping the heap would emit them, exactly as the solo
-// drain does. Refills a retained TopKResult in place.
-void FinalizeMultiQuery(const FlatRTree& tree,
-                        BrsFrontierArena::QuerySlot* qs, uint32_t charged,
-                        TopKResult* out) {
-  // The solo drain's sorts: each kind in descending comparator order.
-  MultiHeapEntryLess less;
-  auto nodes_end =
-      std::partition(qs->heap.begin(), qs->heap.end(),
-                     [](const MultiHeapEntry& e) { return e.is_node; });
-  auto descending = [&](const MultiHeapEntry& a, const MultiHeapEntry& b) {
-    return less(b, a);
-  };
-  std::sort(qs->heap.begin(), nodes_end, descending);
-  std::sort(nodes_end, qs->heap.end(), descending);
-  const size_t n_pending = static_cast<size_t>(nodes_end - qs->heap.begin());
-  if (out->pending.size() < n_pending) out->pending.resize(n_pending);
-  for (size_t idx = 0; idx < n_pending; ++idx) {
-    const MultiHeapEntry& top = qs->heap[idx];
-    PendingNode& pn = out->pending[idx];
-    pn.maxscore = top.key;
-    pn.page = static_cast<PageId>(top.id);
-    if (top.parent == kInvalidPage) {
-      // Root entry (only reachable when the root was never expanded;
-      // the solo run reads the same box).
-      pn.mbb = tree.PeekNode(pn.page).mbb();
-    } else {
-      tree.PeekNode(top.parent).EntryMbbInto(top.slot, &pn.mbb);
-    }
+// `room` is k minus the records already popped. With `room` candidates
+// in the frontier, an entry behind all of them can never be popped.
+bool Full(const QuerySlot& qs, size_t room) {
+  return qs.candidates.size() == room;
+}
+
+void AddRecord(QuerySlot* qs, size_t room, const Record& r) {
+  std::vector<Record>& c = qs->candidates;
+  if (!Full(*qs, room)) {
+    c.insert(std::upper_bound(c.begin(), c.end(), r, RecordLess()), r);
+    return;
   }
-  out->pending.resize(n_pending);
-  // Identical normalization to the solo drain: entries were emitted in
-  // descending comparator order, then heapified.
+  if (RecordLess()(r, c.front())) {
+    qs->dead_records.push_back(r);
+    return;
+  }
+  // r displaces the last candidate: shift the ones below r's place down.
+  qs->dead_records.push_back(c.front());
+  auto pos = std::upper_bound(c.begin() + 1, c.end(), r, RecordLess());
+  std::move(c.begin() + 1, pos, c.begin());
+  *(pos - 1) = r;
+}
+
+void AddNode(QuerySlot* qs, size_t room, const PendingNode& n) {
+  if (Full(*qs, room) && RecordPopsBeforeNode(qs->candidates.front(), n)) {
+    qs->dead_nodes.push_back(n);
+    return;
+  }
+  qs->nodes.push_back(n);
+  std::push_heap(qs->nodes.begin(), qs->nodes.end(), NodeLess());
+}
+
+// Pops the candidates that sit above the next node (all of them when no
+// node is left) into the result, up to k.
+void PopRecords(QuerySlot* qs, size_t k, TopKResult* o) {
+  std::vector<Record>& c = qs->candidates;
+  while (o->result.size() < k && !c.empty() &&
+         (qs->nodes.empty() ||
+          RecordPopsBeforeNode(c.back(), qs->nodes.front()))) {
+    o->result.push_back(c.back().id);
+    o->scores.push_back(c.back().score);
+    c.pop_back();
+  }
+}
+
+// Emits query slot `qs` after its search finished: the nodes left in
+// the frontier and the dead ones become `pending`, the dead records T,
+// each sorted in the order popping a full heap would emit it. No
+// candidate is left: the search stops at k results, or with no node
+// left after popping every candidate. Refills a retained TopKResult in
+// place.
+void FinalizeQuery(QuerySlot* qs, uint32_t charged, TopKResult* out) {
+  auto descending = [](const auto& less) {
+    return [less](const auto& a, const auto& b) { return less(b, a); };
+  };
+  out->pending.assign(qs->nodes.begin(), qs->nodes.end());
+  out->pending.insert(out->pending.end(), qs->dead_nodes.begin(),
+                      qs->dead_nodes.end());
+  std::sort(out->pending.begin(), out->pending.end(), descending(NodeLess()));
+  // Sorted descending is already a valid heap order, but make_heap can
+  // permute equal keys: heapify anyway, so every consumer that
+  // re-heapifies `pending` sees the same layout.
   std::make_heap(out->pending.begin(), out->pending.end(),
                  PendingNodeLess());
+  std::sort(qs->dead_records.begin(), qs->dead_records.end(),
+            descending(RecordLess()));
   out->encountered.clear();
-  for (auto it = nodes_end; it != qs->heap.end(); ++it) {
-    out->encountered.push_back(it->id);
-  }
-  qs->heap.clear();
+  for (const Record& r : qs->dead_records) out->encountered.push_back(r.id);
+  qs->nodes.clear();
+  qs->dead_nodes.clear();
+  qs->dead_records.clear();
   out->io = IoStats{};
   out->io.reads = charged;
 }
 
 }  // namespace
+
+Result<TopKResult> RunBrs(const FlatRTree& tree,
+                          const ScoringFunction& scoring, VecView weights,
+                          size_t k) {
+  thread_local BrsFrontierArena arena;
+  arena.group.assign(1, BrsMultiQuery{weights, k});
+  IoStats before = DiskManager::ThreadStats();
+  BrsMultiOptions options;
+  options.prefetch = false;  // one page per round: nothing to overlap
+  Status st = RunBrsMulti(tree, scoring, arena.group, &arena, &arena.results,
+                          nullptr, nullptr, options);
+  if (!st.ok()) return st;
+  TopKResult out = std::move(arena.results[0]);
+  out.io = DiskManager::ThreadStats() - before;
+  return out;
+}
 
 Status RunBrsMulti(const FlatRTree& tree, const ScoringFunction& scoring,
                    const std::vector<BrsMultiQuery>& queries,
@@ -225,11 +170,13 @@ Status RunBrsMulti(const FlatRTree& tree, const ScoringFunction& scoring,
     arena->serial = 1;
   }
 
-  MultiHeapEntryLess less;
   size_t remaining = 0;
   for (size_t q = 0; q < m; ++q) {
-    BrsFrontierArena::QuerySlot& qs = arena->queries[q];
-    qs.heap.clear();
+    QuerySlot& qs = arena->queries[q];
+    qs.candidates.clear();
+    qs.nodes.clear();
+    qs.dead_records.clear();
+    qs.dead_nodes.clear();
     arena->charged[q] = 0;
     TopKResult& o = (*out)[q];
     o.result.clear();
@@ -237,47 +184,38 @@ Status RunBrsMulti(const FlatRTree& tree, const ScoringFunction& scoring,
     o.encountered.clear();
     o.io = IoStats{};
     if (tree.root() != kInvalidPage) {
-      MultiHeapEntry e;
-      e.key = scoring.MaxScore(tree.PeekNode(tree.root()).mbb(),
-                               queries[q].weights);
-      e.is_node = true;
-      e.id = static_cast<int32_t>(tree.root());
-      qs.heap.push_back(e);  // heap of one
+      PendingNode root;
+      root.maxscore = scoring.MaxScore(tree.PeekNode(tree.root()).mbb(),
+                                       queries[q].weights);
+      root.page = tree.root();
+      qs.nodes.push_back(root);  // heap of one
       arena->active[q] = 1;
       ++remaining;
     } else {
       arena->active[q] = 0;
-      FinalizeMultiQuery(tree, &qs, 0, &o);
+      FinalizeQuery(&qs, 0, &o);
     }
   }
 
   while (remaining > 0) {
-    // Phase A: per query, drain the records sitting above the next
-    // node (exactly the pops a solo run would do), then either finish
-    // or demand that node.
+    // Phase A: per query, pop the candidate records above the next node
+    // (exactly the pops a full-heap search would do), then either
+    // finish or demand that node.
     arena->demands.clear();
     for (size_t q = 0; q < m; ++q) {
       if (!arena->active[q]) continue;
-      BrsFrontierArena::QuerySlot& qs = arena->queries[q];
+      QuerySlot& qs = arena->queries[q];
       TopKResult& o = (*out)[q];
       const size_t k = queries[q].k;
-      while (!qs.heap.empty() && o.result.size() < k &&
-             !qs.heap.front().is_node) {
-        std::pop_heap(qs.heap.begin(), qs.heap.end(), less);
-        const MultiHeapEntry top = qs.heap.back();
-        qs.heap.pop_back();
-        o.result.push_back(top.id);
-        o.scores.push_back(top.key);
-      }
-      if (o.result.size() >= k || qs.heap.empty()) {
+      PopRecords(&qs, k, &o);
+      if (o.result.size() >= k || qs.nodes.empty()) {
         arena->active[q] = 0;
         --remaining;
-        FinalizeMultiQuery(tree, &qs, arena->charged[q], &o);
+        FinalizeQuery(&qs, arena->charged[q], &o);
         continue;
       }
       arena->demands.push_back(BrsFrontierArena::Demand{
-          static_cast<PageId>(qs.heap.front().id),
-          static_cast<uint32_t>(q)});
+          qs.nodes.front().page, static_cast<uint32_t>(q)});
     }
     if (arena->demands.empty()) break;
     ++stats->rounds;
@@ -361,21 +299,21 @@ Status RunBrsMulti(const FlatRTree& tree, const ScoringFunction& scoring,
       const bool leaf = node.is_leaf();
       for (size_t r = 0; r < run; ++r) {
         const uint32_t q = arena->run_queries[r];
-        BrsFrontierArena::QuerySlot& qs = arena->queries[q];
-        // Pop the demanded node (it is still this query's heap top).
-        std::pop_heap(qs.heap.begin(), qs.heap.end(), less);
-        qs.heap.pop_back();
+        QuerySlot& qs = arena->queries[q];
+        // Pop the demanded node (it is still this query's frontier top).
+        std::pop_heap(qs.nodes.begin(), qs.nodes.end(), NodeLess());
+        qs.nodes.pop_back();
         ++arena->charged[q];
+        const size_t room = queries[q].k - (*out)[q].result.size();
         const double* row = arena->scores.scores.data() + r * count;
         for (size_t e = 0; e < count; ++e) {
-          MultiHeapEntry he;
-          he.key = row[e];
-          he.is_node = !leaf;
-          he.id = node.child(e);
-          he.parent = page;
-          he.slot = static_cast<uint32_t>(e);
-          qs.heap.push_back(he);
-          std::push_heap(qs.heap.begin(), qs.heap.end(), less);
+          if (leaf) {
+            AddRecord(&qs, room, Record{row[e], node.child(e)});
+          } else {
+            const PageId child = static_cast<PageId>(node.child(e));
+            const uint32_t slot = static_cast<uint32_t>(e);
+            AddNode(&qs, room, PendingNode{row[e], child, page, slot});
+          }
         }
       }
       stats->node_expansions += run;

@@ -12,11 +12,14 @@
 namespace gir {
 
 // An R-tree node left unexplored by BRS, keyed by its maxscore. The
-// GIR Phase-2 algorithms resume the search from these.
+// GIR Phase-2 algorithms resume the search from these. Plain data: the
+// node's box is not stored but read from its entry in the parent's SoA
+// planes (PendingNodeBox).
 struct PendingNode {
   double maxscore = 0.0;
   PageId page = kInvalidPage;
-  Mbb mbb;
+  PageId parent = kInvalidPage;  // page holding the entry; invalid: root
+  uint32_t slot = 0;             // entry index within `parent`
 };
 
 struct PendingNodeLess {
@@ -24,6 +27,17 @@ struct PendingNodeLess {
     return a.maxscore < b.maxscore;  // max-heap
   }
 };
+
+// The box of a pending node, resolved from its parent's planes (the
+// root's own box when it has no parent): bitwise the entry's Mbb.
+inline void PendingNodeBox(const FlatRTree& tree, const PendingNode& pn,
+                           Mbb* out) {
+  if (pn.parent == kInvalidPage) {
+    *out = tree.PeekNode(pn.page).mbb();
+  } else {
+    tree.PeekNode(pn.parent).EntryMbbInto(pn.slot, out);
+  }
+}
 
 // Output of BRS: the ordered top-k plus everything Phase 2 needs — the
 // set T of non-result records already fetched from disk, and the search
@@ -37,19 +51,30 @@ struct TopKResult {
   // order; with tied or coplanar records it is the same set, but its
   // constraint list and provenance can follow the order.
   std::vector<RecordId> encountered;
-  std::vector<PendingNode> pending;   // heap ordered by PendingNodeLess
-  IoStats io;                         // page reads charged by this run
+  // The unexplored nodes: sorted in descending (maxscore, lower page
+  // first) order, then heapified by PendingNodeLess (which leaves
+  // distinct keys sorted).
+  std::vector<PendingNode> pending;
+  IoStats io;  // page reads charged by this run
 };
 
 // Branch-and-bound Ranked Search (Tao et al., Inf. Syst. 2007): an
-// I/O-optimal top-k over an R-tree for monotone scoring functions. A
-// max-heap holds node entries keyed by maxscore and records keyed by
-// score; popped records are final results.
+// I/O-optimal top-k over an R-tree for monotone scoring functions,
+// popping node entries (keyed by maxscore) and records (keyed by score)
+// in one strict total order: higher key first, a record before a node
+// on equal keys, then lower id first. Popped records are final results.
 //
-// Runs over the frozen representation, scoring each node with the
-// batched SoA kernels. Returns InvalidArgument for k == 0 or weight
-// dimensionality mismatch. When the dataset has fewer than k records,
-// returns them all.
+// Only candidates are kept in the frontier. A record or node that
+// already has k - |result| candidate records above it in that order can
+// never be popped (they all pop first, and then the search stops), so
+// it goes straight to T or `pending`. Records and nodes leave a
+// frontier in exactly the order popping the full heap would, so the
+// result, scores, T, `pending` and the reads match the textbook
+// full-heap search bit for bit.
+//
+// A width-1 RunBrsMulti over a thread-local arena. Returns
+// InvalidArgument for k == 0 or weight dimensionality mismatch. When
+// the dataset has fewer than k records, returns them all.
 Result<TopKResult> RunBrs(const FlatRTree& tree,
                           const ScoringFunction& scoring, VecView weights,
                           size_t k);
@@ -92,19 +117,6 @@ struct BrsMultiOptions {
   bool prefetch = true;
 };
 
-// Heap entry of the shared executor: plain data only, so the pooled
-// per-query heaps never allocate per push. A node entry remembers the
-// parent page + slot it came from, letting the pending-node drain
-// materialize its Mbb on demand (bitwise equal to the solo path's
-// retained copy) instead of storing boxes in the heap.
-struct MultiHeapEntry {
-  double key = 0.0;
-  int32_t id = 0;  // PageId for nodes, RecordId for records
-  bool is_node = false;
-  PageId parent = kInvalidPage;  // node entries: page holding the entry
-  uint32_t slot = 0;             // node entries: index within parent
-};
-
 // Pooled scratch of the shared-traversal executor, recycled across
 // groups with the same discipline as LpWorkspace: buffers only ever
 // grow, so once warmed on a workload shape the executor performs zero
@@ -112,8 +124,20 @@ struct MultiHeapEntry {
 // global operator-new counter). All members are internal to
 // RunBrsMulti; callers just keep the object alive between calls.
 struct BrsFrontierArena {
+  // One query's frontier, plain data only, so the pooled buffers never
+  // allocate per push. Records that can still be popped sit in
+  // `candidates`; nodes that can still be expanded in `nodes`. Entries
+  // that can no longer be popped go straight to `dead_records` (T) and
+  // `dead_nodes` (pending), sorted once when the query finishes.
+  struct Record {
+    double score;
+    RecordId id;
+  };
   struct QuerySlot {
-    std::vector<MultiHeapEntry> heap;  // binary heap, HeapEntryLess order
+    std::vector<Record> candidates;  // ascending pop order; top at back
+    std::vector<PendingNode> nodes;  // binary max-heap in pop order
+    std::vector<Record> dead_records;
+    std::vector<PendingNode> dead_nodes;
   };
   struct Demand {
     PageId page = kInvalidPage;
@@ -143,16 +167,16 @@ struct BrsFrontierArena {
 
 // Shared-traversal BRS over one frozen tree: runs every query's
 // branch-and-bound search in lockstep rounds — each round expands
-// exactly one node per still-active query, after draining the records
-// above it — so each query's pop sequence, heap contents, termination
-// point and drained pending/encountered sets are exactly those of a
-// solo RunBrs. The sharing is across queries: all queries demanding the
-// same page in a round score its SoA planes in one
-// ComputeEntryScoresMulti call, and a page already fetched for any
+// exactly one node per still-active query, after popping the candidate
+// records above it — so each query's pop sequence, termination point
+// and pending/encountered sets are exactly those of a query run alone
+// (RunBrs is the width-1 case). The sharing is across queries: all
+// queries demanding the same page in a round score its SoA planes in
+// one ComputeEntryScoresMulti call, and a page already fetched for any
 // group member earlier is re-served from memory without touching the
 // DiskManager. Each query's io is *charged* as if it ran alone
-// (io.reads == its node expansions, bit-identical to RunBrs), while
-// `stats` reports the amortized physical reads actually performed.
+// (io.reads == its node expansions), while `stats` reports the
+// amortized physical reads actually performed.
 //
 // (*out)[i] receives query i's TopKResult; `out` is resized up (never
 // shrunk), and a retained `out` re-fills its vectors in place, so a

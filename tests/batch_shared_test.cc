@@ -99,8 +99,10 @@ void ExpectSameTopK(const TopKResult& a, const TopKResult& b) {
   for (size_t p = 0; p < a.pending.size(); ++p) {
     EXPECT_EQ(a.pending[p].maxscore, b.pending[p].maxscore);
     EXPECT_EQ(a.pending[p].page, b.pending[p].page);
-    EXPECT_EQ(a.pending[p].mbb.lo, b.pending[p].mbb.lo);
-    EXPECT_EQ(a.pending[p].mbb.hi, b.pending[p].mbb.hi);
+    // Same (parent, slot): the same entry of the same tree, so the same
+    // resolved box.
+    EXPECT_EQ(a.pending[p].parent, b.pending[p].parent);
+    EXPECT_EQ(a.pending[p].slot, b.pending[p].slot);
   }
 }
 

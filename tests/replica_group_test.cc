@@ -9,6 +9,7 @@
 #include "serve/replica_group.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <filesystem>
@@ -42,9 +43,30 @@ class TierGuard {
   simd::Tier saved_;
 };
 
+// This run's own directory under TempDir(), removed when the run ends:
+// copies of the binary running at once (say, ctest -j over two build
+// trees) never share a file.
+const std::filesystem::path& RunDir() {
+  static const std::filesystem::path dir = [] {
+    std::filesystem::path d =
+        std::filesystem::path(testing::TempDir()) /
+        ("replica_group_test_" + std::to_string(::getpid()));
+    std::filesystem::remove_all(d);
+    std::filesystem::create_directories(d);
+    return d;
+  }();
+  return dir;
+}
+
+class RunDirCleanup : public testing::Environment {
+ public:
+  void TearDown() override { std::filesystem::remove_all(RunDir()); }
+};
+testing::Environment* const kRunDirCleanup =
+    testing::AddGlobalTestEnvironment(new RunDirCleanup);
+
 std::string FreshDir(const std::string& name) {
-  const std::string dir =
-      (std::filesystem::path(testing::TempDir()) / name).string();
+  const std::string dir = (RunDir() / name).string();
   std::filesystem::remove_all(dir);
   return dir;
 }
@@ -526,10 +548,52 @@ TEST(RouterTest, ValidatesPolicyAtTheBoundary) {
   EXPECT_EQ(reply.status().code(), StatusCode::kInvalidArgument);
 }
 
+// A revived replica rejoins only through its breaker: until the
+// backoff ends, no probe runs and no request reaches it. So reviving
+// one replica and killing another can leave every admitted replica
+// down, though two are up — the interleaving the chaos schedule below
+// must wait out.
+TEST(RouterTest, BreakerKeepsARevivedReplicaOutUntilItsBackoffEnds) {
+  Leader leader("rt_backoff_leader");
+  auto group = ReplicaGroup::Open(ThreeReplicas("rt_backoff"), leader.store);
+  ASSERT_TRUE(group.ok());
+  RouterOptions opts;
+  opts.breaker_open_ms = 600000.0;  // outlives the test
+  opts.breaker_max_open_ms = 600000.0;
+  opts.hedge = false;
+  Router router(group->get(), opts);
+  const auto weights = SpreadWeights(30);
+  // Kills replica r and routes until its breaker opens.
+  auto kill_until_open = [&](size_t r) {
+    (*group)->replica(r)->Kill();
+    for (const Vec& w : weights) {
+      auto reply = router.Route(w, kK, Phase2Method::kFP);
+      ASSERT_TRUE(reply.ok()) << reply.status().message();
+      if (router.Snapshot().replicas[r].state == BreakerState::kOpen) return;
+    }
+    FAIL() << "breaker of replica " << r << " never opened";
+  };
+  kill_until_open(0);
+  (*group)->replica(0)->Revive();
+  kill_until_open(1);
+  (*group)->replica(1)->Revive();
+  (*group)->replica(2)->Kill();
+  router.RunHealthChecks();  // 0 and 1 are still backing off
+  RouterMetrics m = router.Snapshot();
+  EXPECT_EQ(m.replicas[0].state, BreakerState::kOpen);
+  EXPECT_EQ(m.replicas[1].state, BreakerState::kOpen);
+  auto reply = router.Route(weights[0], kK, Phase2Method::kFP);
+  ASSERT_FALSE(reply.ok());
+  EXPECT_EQ(reply.status().code(), StatusCode::kUnavailable);
+}
+
 // Chaos: a seeded kill/revive schedule across the trace. With at most
 // one replica down at a time, every request is served, every reply is
 // bit-identical to the fault-free reference, and no pinned read is
-// ever answered from behind its pin.
+// ever answered from behind its pin. "Down" counts the breaker: before
+// the next kill, the schedule waits until a probe has closed the
+// revived replica's breaker (otherwise a 2-8 ms backoff can outlive a
+// 20-request period, and two replicas are out at once).
 TEST(RouterTest, ChaosKillScheduleServesBitIdenticalReplies) {
   TierGuard guard;
   Leader leader("rt_chaos_leader");
@@ -550,7 +614,19 @@ TEST(RouterTest, ChaosKillScheduleServesBitIdenticalReplies) {
   const auto weights = SpreadWeights(120, 31337);
   for (size_t q = 0; q < weights.size(); ++q) {
     if (q % 20 == 0) {
-      if (down >= 0) (*group)->replica(static_cast<size_t>(down))->Revive();
+      if (down >= 0) {
+        const size_t up = static_cast<size_t>(down);
+        (*group)->replica(up)->Revive();
+        // Wait on the breaker, not on time; the deadline only bounds a
+        // broken router.
+        Stopwatch waited;
+        router.RunHealthChecks();
+        while (router.Snapshot().replicas[up].state != BreakerState::kClosed) {
+          ASSERT_LT(waited.ElapsedMillis(), 10000.0) << "replica " << up;
+          std::this_thread::yield();
+          router.RunHealthChecks();
+        }
+      }
       down = static_cast<int>(chaos.UniformInt(3));
       (*group)->replica(static_cast<size_t>(down))->Kill();
       router.RunHealthChecks();

@@ -357,6 +357,85 @@ TEST(SimdDispatchTest, MarkAboveFacetsVerdictsIdentical) {
   }
 }
 
+// MarkBoxesAboveFacets against IncidentStar's scalar box predicate
+// (bound = 0; bound += max(n_j * lo_j, n_j * hi_j); bound - offset >
+// eps), over every live facet: boxes whose top bound lands on a facet,
+// degenerate (point) boxes, zero coordinates that make -0 and +0
+// products, pre-marked boxes, a stride wider than the batch and
+// lane-count remainders.
+TEST(SimdDispatchTest, MarkBoxesAboveFacetsVerdictsIdentical) {
+  TierGuard guard;
+  const std::vector<simd::Tier> tiers = AvailableTiers();
+  Rng rng(4343);
+  for (size_t d = 2; d <= 9; ++d) {
+    for (size_t facets : {0u, 1u, 13u}) {
+      std::vector<double> normals(facets * d);
+      std::vector<double> offsets(facets);
+      for (double& x : normals) x = rng.Uniform(-1.0, 1.0);
+      for (double& x : offsets) x = rng.Uniform(0.0, 2.0);
+      for (size_t n : {1u, 2u, 3u, 5u, 8u, 31u, 64u, 67u}) {
+        const size_t stride = n + 3;
+        std::vector<double> lo(d * stride);
+        std::vector<double> hi(d * stride);
+        for (size_t i = 0; i < n; ++i) {
+          for (size_t j = 0; j < d; ++j) {
+            double a = rng.Uniform();
+            double b = rng.Uniform();
+            if (i % 5 == 1) a = b;                 // a point box
+            if (i % 7 == 2) a = 0.0;               // -0 * 0 products
+            lo[j * stride + i] = std::min(a, b);
+            hi[j * stride + i] = std::max(a, b);
+          }
+          if (i % 3 == 0 && facets > 0) {
+            // Put the box's bound for one facet on (or next to) its
+            // offset by moving the hi corner along the last coordinate.
+            const size_t f = rng.UniformInt(facets);
+            const double* nf = normals.data() + f * d;
+            if (nf[d - 1] > 0.0) {
+              double rest = 0.0;
+              for (size_t j = 0; j + 1 < d; ++j) {
+                rest += std::max(nf[j] * lo[j * stride + i],
+                                 nf[j] * hi[j * stride + i]);
+              }
+              const double top = (offsets[f] - rest) / nf[d - 1];
+              hi[(d - 1) * stride + i] = top;
+              lo[(d - 1) * stride + i] = std::min(top, 0.0);
+            }
+          }
+        }
+        for (double eps : {1e-10, 0.0}) {
+          std::vector<uint8_t> want(n, 0);
+          for (size_t f = 0; f < facets; ++f) {
+            const double* nf = normals.data() + f * d;
+            for (size_t i = 0; i < n; ++i) {
+              double bound = 0.0;
+              for (size_t j = 0; j < d; ++j) {
+                bound += std::max(nf[j] * lo[j * stride + i],
+                                  nf[j] * hi[j * stride + i]);
+              }
+              if (bound - offsets[f] > eps) want[i] = 1;
+            }
+          }
+          for (simd::Tier tier : tiers) {
+            simd::ForceTier(tier);
+            std::vector<uint8_t> got(n, 0);
+            got[n - 1] = 1;  // a set byte stays set
+            simd::MarkBoxesAboveFacets(normals.data(), offsets.data(), facets,
+                                       d, eps, lo.data(), hi.data(), stride,
+                                       got.data(), n);
+            for (size_t i = 0; i < n; ++i) {
+              const uint8_t expect = i + 1 == n ? 1 : want[i];
+              ASSERT_EQ(got[i], expect)
+                  << simd::TierName(tier) << " d=" << d << " facets="
+                  << facets << " n=" << n << " box " << i;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 // Whole-engine sweep: identical top-k ids and scores, identical region
 // constraints, identical IoStats on every tier (kernel bit-identity
 // implies identical traversal decisions, so page-read counts match).

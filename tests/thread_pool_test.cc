@@ -145,5 +145,26 @@ TEST(ThreadPoolTest, LoneIterationExceptionIsRethrown) {
       std::logic_error);
 }
 
+TEST(ThreadPoolTest, HelperlessCallRunsInlineAndFinishesAfterAThrow) {
+  // A one-thread pool has no helper to submit: every iteration runs on
+  // the caller, and one that throws does not stop the rest.
+  ThreadPool pool(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<int> ran(5, 0);
+  bool all_on_caller = true;
+  try {
+    pool.ParallelFor(ran.size(), [&](size_t i) {
+      all_on_caller &= std::this_thread::get_id() == caller;
+      ran[i] = 1;
+      if (i == 1 || i == 3) throw std::runtime_error(std::to_string(i));
+    });
+    ADD_FAILURE() << "no exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), "1");  // the first one thrown
+  }
+  EXPECT_TRUE(all_on_caller);
+  EXPECT_EQ(ran, std::vector<int>(5, 1));
+}
+
 }  // namespace
 }  // namespace gir

@@ -277,23 +277,31 @@ TEST(BrsTest, IoCountedOnlyForReadNodes) {
   EXPECT_LT(r->io.reads, tree.node_count() / 4);
 }
 
-// ----- the sort drain against the full-pop drain -----
+// ----- the candidates-only search against the full-pop search -----
 
-// BRS with the drain it had before the sort: pop the whole heap (a
-// std::priority_queue under the same strict total order), keep the
-// nodes in pop order and heapify them, and keep the records in pop
-// order as T. Entries are scored one at a time through
-// ScoringFunction::Score/MaxScore, so this is also the scalar reference
-// for the batched kernels. No I/O is charged here; the comparison
-// covers result, scores, encountered and the pending layout. `fetched`,
-// when given, receives every record of every expanded leaf.
-TopKResult FullPopBrs(const FlatRTree& tree, const ScoringFunction& scoring,
-                      VecView weights, size_t k,
-                      std::vector<RecordId>* fetched = nullptr) {
+// The textbook BRS: every entry goes into one heap (a
+// std::priority_queue under the same strict total order), and after
+// the k-th result the whole heap is popped: the nodes in pop order,
+// then heapified, become `pending`, and the records in pop order T.
+// Entries are scored one at a time through ScoringFunction::Score/
+// MaxScore, so this is also the scalar reference for the batched
+// kernels. `io.reads` counts the expanded nodes, and `boxes[i]` is the
+// box of pending[i], copied when its entry was pushed. `fetched`, when
+// given, receives every record of every expanded leaf.
+struct FullPop {
+  TopKResult topk;
+  std::vector<Mbb> boxes;
+};
+
+FullPop FullPopBrs(const FlatRTree& tree, const ScoringFunction& scoring,
+                   VecView weights, size_t k,
+                   std::vector<RecordId>* fetched = nullptr) {
   struct Entry {
     double key;
     bool is_node;
     int32_t id;
+    PageId parent;
+    uint32_t slot;
     Mbb mbb;
   };
   struct Less {
@@ -311,6 +319,8 @@ TopKResult FullPopBrs(const FlatRTree& tree, const ScoringFunction& scoring,
     e.key = scoring.MaxScore(e.mbb, weights);
     e.is_node = true;
     e.id = static_cast<int32_t>(tree.root());
+    e.parent = kInvalidPage;
+    e.slot = 0;
     heap.push(std::move(e));
   }
   while (!heap.empty() && out.result.size() < k) {
@@ -321,11 +331,14 @@ TopKResult FullPopBrs(const FlatRTree& tree, const ScoringFunction& scoring,
       out.scores.push_back(top.key);
       continue;
     }
+    ++out.io.reads;
     FlatRTree::NodeView node = tree.PeekNode(static_cast<PageId>(top.id));
     for (size_t i = 0; i < node.count(); ++i) {
       Entry e;
       e.is_node = !node.is_leaf();
       e.id = node.child(i);
+      e.parent = static_cast<PageId>(top.id);
+      e.slot = static_cast<uint32_t>(i);
       if (e.is_node) {
         e.mbb = node.EntryMbb(i);
         e.key = scoring.MaxScore(e.mbb, weights);
@@ -336,41 +349,58 @@ TopKResult FullPopBrs(const FlatRTree& tree, const ScoringFunction& scoring,
       heap.push(std::move(e));
     }
   }
+  std::vector<std::pair<PendingNode, Mbb>> pending;
   while (!heap.empty()) {
     const Entry& top = heap.top();
     if (top.is_node) {
-      PendingNode pn;
-      pn.maxscore = top.key;
-      pn.page = static_cast<PageId>(top.id);
-      pn.mbb = top.mbb;
-      out.pending.push_back(std::move(pn));
+      const PageId page = static_cast<PageId>(top.id);
+      pending.emplace_back(PendingNode{top.key, page, top.parent, top.slot},
+                           top.mbb);
     } else {
       out.encountered.push_back(top.id);
     }
     heap.pop();
   }
-  std::make_heap(out.pending.begin(), out.pending.end(), PendingNodeLess());
-  return out;
+  // The same comparisons as heapifying the PendingNodes alone, so the
+  // same permutation.
+  std::make_heap(pending.begin(), pending.end(),
+                 [](const std::pair<PendingNode, Mbb>& a,
+                    const std::pair<PendingNode, Mbb>& b) {
+                   return PendingNodeLess()(a.first, b.first);
+                 });
+  FullPop result;
+  for (auto& [pn, box] : pending) {
+    out.pending.push_back(pn);
+    result.boxes.push_back(std::move(box));
+  }
+  result.topk = std::move(out);
+  return result;
 }
 
-void ExpectSameDrain(const TopKResult& want, const TopKResult& got,
-                     const std::string& where) {
-  ASSERT_EQ(got.result, want.result) << where;
-  ASSERT_EQ(got.scores, want.scores) << where;
-  ASSERT_EQ(got.encountered, want.encountered) << where;
-  ASSERT_EQ(got.pending.size(), want.pending.size()) << where;
-  for (size_t i = 0; i < want.pending.size(); ++i) {
-    ASSERT_EQ(got.pending[i].maxscore, want.pending[i].maxscore) << where;
-    ASSERT_EQ(got.pending[i].page, want.pending[i].page)
-        << where << " pending slot " << i;
-    ASSERT_EQ(got.pending[i].mbb.lo, want.pending[i].mbb.lo) << where;
-    ASSERT_EQ(got.pending[i].mbb.hi, want.pending[i].mbb.hi) << where;
+void ExpectSameDrain(const FlatRTree& tree, const FullPop& want,
+                     const TopKResult& got, const std::string& where) {
+  ASSERT_EQ(got.result, want.topk.result) << where;
+  ASSERT_EQ(got.scores, want.topk.scores) << where;
+  ASSERT_EQ(got.encountered, want.topk.encountered) << where;
+  ASSERT_EQ(got.io.reads, want.topk.io.reads) << where;
+  ASSERT_EQ(got.pending.size(), want.topk.pending.size()) << where;
+  Mbb box;
+  for (size_t i = 0; i < want.topk.pending.size(); ++i) {
+    const PendingNode& w = want.topk.pending[i];
+    const PendingNode& g = got.pending[i];
+    ASSERT_EQ(g.maxscore, w.maxscore) << where;
+    ASSERT_EQ(g.page, w.page) << where << " pending slot " << i;
+    ASSERT_EQ(g.parent, w.parent) << where;
+    ASSERT_EQ(g.slot, w.slot) << where;
+    PendingNodeBox(tree, g, &box);
+    ASSERT_EQ(box.lo, want.boxes[i].lo) << where;
+    ASSERT_EQ(box.hi, want.boxes[i].hi) << where;
   }
 }
 
 // Coordinates on a coarse grid plus duplicated rows: many records and
 // nodes tie on score and maxscore, so the (key, is_node, id) order's
-// tie-breaks decide the drain.
+// tie-breaks decide which entries a search keeps, pops and drains.
 TEST(BrsTest, SortDrainEqualsFullPopDrain) {
   for (size_t d : {2u, 3u, 4u}) {
     Rng rng(4100 + d);
@@ -391,20 +421,22 @@ TEST(BrsTest, SortDrainEqualsFullPopDrain) {
       for (double& x : w) x = 0.25 * static_cast<double>(1 + rng.UniformInt(4));
       weights.push_back(w);
     }
-    for (const char* sname : {"Linear", "Polynomial"}) {
+    for (const char* sname : {"Linear", "Polynomial", "Mixed"}) {
       std::unique_ptr<ScoringFunction> scoring = MakeScoring(sname, d);
-      for (size_t k : {1u, 10u, 40u}) {
-        std::vector<TopKResult> want;
+      for (size_t k : {size_t{1}, size_t{20}, size_t{100}, rows.size()}) {
+        std::vector<FullPop> want;
         for (size_t q = 0; q < weights.size(); ++q) {
           const std::string where = std::string(sname) + " d=" +
                                     std::to_string(d) + " k=" +
                                     std::to_string(k) + " query " +
                                     std::to_string(q);
           want.push_back(FullPopBrs(flat, *scoring, weights[q], k));
-          ASSERT_FALSE(want.back().pending.empty()) << where;
+          if (k < rows.size()) {
+            ASSERT_FALSE(want.back().topk.pending.empty()) << where;
+          }
           Result<TopKResult> solo = RunBrs(flat, *scoring, weights[q], k);
           ASSERT_TRUE(solo.ok());
-          ExpectSameDrain(want.back(), *solo, where + " solo");
+          ExpectSameDrain(flat, want.back(), *solo, where + " solo");
           // Width 1: one query per RunBrsMulti call.
           BrsFrontierArena arena;
           std::vector<TopKResult> one;
@@ -412,7 +444,7 @@ TEST(BrsTest, SortDrainEqualsFullPopDrain) {
                                   {BrsMultiQuery{VecView(weights[q]), k}},
                                   &arena, &one)
                           .ok());
-          ExpectSameDrain(want.back(), one[0], where + " width 1");
+          ExpectSameDrain(flat, want.back(), one[0], where + " width 1");
         }
         // Width 8: the whole group in one lockstep walk.
         std::vector<BrsMultiQuery> group;
@@ -421,7 +453,7 @@ TEST(BrsTest, SortDrainEqualsFullPopDrain) {
         std::vector<TopKResult> multi;
         ASSERT_TRUE(RunBrsMulti(flat, *scoring, group, &arena, &multi).ok());
         for (size_t q = 0; q < weights.size(); ++q) {
-          ExpectSameDrain(want[q], multi[q],
+          ExpectSameDrain(flat, want[q], multi[q],
                           std::string(sname) + " d=" + std::to_string(d) +
                               " k=" + std::to_string(k) + " width 8 query " +
                               std::to_string(q));
