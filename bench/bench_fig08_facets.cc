@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
         Dataset data =
             MakeNamedDataset(dists[di], params.n, d, params.seed + d);
         DiskManager disk;
-        GirEngineOptions opt;
+        GirEngineOptions opt = PaperOptions();
         opt.materialize_polytope = false;
         auto engine = OpenEngineOrDie(
       EngineConfig::FromDataset(&data, &disk, MakeScoring("Linear", d), opt));

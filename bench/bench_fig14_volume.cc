@@ -63,8 +63,8 @@ int main(int argc, char** argv) {
       Dataset data =
           MakeNamedDataset(dists[di], params.n, d, params.seed + d);
       DiskManager disk;
-      auto engine = OpenEngineOrDie(
-      EngineConfig::FromDataset(&data, &disk, MakeScoring("Linear", d)));
+      auto engine = OpenEngineOrDie(EngineConfig::FromDataset(
+          &data, &disk, MakeScoring("Linear", d), PaperOptions()));
       Rng rng(params.seed + 5 * d);
       panel_a[di].push_back(AvgLog10Volume(
           *engine, params.k, static_cast<int>(params.queries), rng));
@@ -98,10 +98,10 @@ int main(int argc, char** argv) {
                                    params.seed);
   DiskManager disk_house;
   DiskManager disk_hotel;
-  auto eng_house = OpenEngineOrDie(
-      EngineConfig::FromDataset(&house, &disk_house, MakeScoring("Linear", 6)));
-  auto eng_hotel = OpenEngineOrDie(
-      EngineConfig::FromDataset(&hotel, &disk_hotel, MakeScoring("Linear", 4)));
+  auto eng_house = OpenEngineOrDie(EngineConfig::FromDataset(
+      &house, &disk_house, MakeScoring("Linear", 6), PaperOptions()));
+  auto eng_hotel = OpenEngineOrDie(EngineConfig::FromDataset(
+      &hotel, &disk_hotel, MakeScoring("Linear", 4), PaperOptions()));
   PrintTitle("Figure 14(b): log10(volume ratio) vs k (real-data sims)");
   PrintHeader("k", {"HOUSE", "HOTEL"});
   for (int64_t k : ks) {
@@ -122,8 +122,8 @@ int main(int argc, char** argv) {
   for (int64_t d = 2; d <= std::min<int64_t>(dmax, 5); ++d) {
     Dataset data = MakeNamedDataset("IND", params.n, d, params.seed + d);
     DiskManager disk;
-    auto engine = OpenEngineOrDie(
-      EngineConfig::FromDataset(&data, &disk, MakeScoring("Linear", d)));
+    auto engine = OpenEngineOrDie(EngineConfig::FromDataset(
+        &data, &disk, MakeScoring("Linear", d), PaperOptions()));
     Rng rng(params.seed + 9 * d);
     double sum_stb = 0.0;
     double sum_gir = 0.0;

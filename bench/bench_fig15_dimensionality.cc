@@ -33,8 +33,8 @@ int main(int argc, char** argv) {
       Dataset data =
           MakeNamedDataset(dists[di], params.n, d, params.seed + d);
       DiskManager disk;
-      auto engine = OpenEngineOrDie(
-      EngineConfig::FromDataset(&data, &disk, MakeScoring("Linear", d)));
+      auto engine = OpenEngineOrDie(EngineConfig::FromDataset(
+          &data, &disk, MakeScoring("Linear", d), PaperOptions()));
       std::vector<double> cpu_row, io_row;
       for (Phase2Method m :
            {Phase2Method::kCP, Phase2Method::kSP, Phase2Method::kFP}) {

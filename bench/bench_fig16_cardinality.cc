@@ -28,8 +28,8 @@ int main(int argc, char** argv) {
   for (int64_t n : ns) {
     Dataset data = MakeNamedDataset("IND", n, dim, params.seed);
     DiskManager disk;
-    auto engine = OpenEngineOrDie(
-      EngineConfig::FromDataset(&data, &disk, MakeScoring("Linear", dim)));
+    auto engine = OpenEngineOrDie(EngineConfig::FromDataset(
+        &data, &disk, MakeScoring("Linear", dim), PaperOptions()));
     std::vector<double> cpu_row, io_row;
     for (Phase2Method m :
          {Phase2Method::kCP, Phase2Method::kSP, Phase2Method::kFP}) {

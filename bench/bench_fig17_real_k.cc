@@ -37,8 +37,8 @@ int main(int argc, char** argv) {
                 rs.dim, static_cast<long long>(params.queries));
     Dataset data = MakeNamedDataset(rs.name, n, rs.dim, params.seed);
     DiskManager disk;
-    auto engine = OpenEngineOrDie(
-      EngineConfig::FromDataset(&data, &disk, MakeScoring("Linear", rs.dim)));
+    auto engine = OpenEngineOrDie(EngineConfig::FromDataset(
+        &data, &disk, MakeScoring("Linear", rs.dim), PaperOptions()));
     std::vector<std::vector<double>> cpu, io;
     for (int64_t k : ks) {
       std::vector<double> cpu_row, io_row;

@@ -34,8 +34,8 @@ int main(int argc, char** argv) {
     std::vector<double> cpu_row, io_row;
     for (const std::string& fn : functions) {
       DiskManager disk;
-      auto engine = OpenEngineOrDie(
-      EngineConfig::FromDataset(&data, &disk, MakeScoring(fn, 4)));
+      auto engine = OpenEngineOrDie(EngineConfig::FromDataset(
+          &data, &disk, MakeScoring(fn, 4), PaperOptions()));
       Rng rng(params.seed + 13 * k);
       MethodCost c = MeasureGir(*engine, Phase2Method::kSP, k,
                                 static_cast<int>(params.queries), rng);

@@ -59,6 +59,15 @@ inline Dataset MakeNamedDataset(const std::string& name, size_t n,
   return std::move(d).value();
 }
 
+// The engine as the paper evaluated it: FP without footnote 7's
+// Phase-1 tightening (on by default in the library), so the figures
+// that time or count FP mirror the paper's setup.
+inline GirEngineOptions PaperOptions() {
+  GirEngineOptions options;
+  options.fp.phase1_tightening = false;
+  return options;
+}
+
 // The paper issues random queries; weights are bounded away from zero
 // so every dimension participates.
 inline Vec RandomQuery(Rng& rng, size_t dim) {

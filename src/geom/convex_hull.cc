@@ -113,7 +113,8 @@ Status HullBuilder::Build(const double* coords, size_t n, size_t dim,
                           const ConvexHullOptions& options) {
   if (n == 0) return Status::InvalidArgument("empty point set");
   if (dim < 2) return Status::InvalidArgument("dimension must be >= 2");
-  options_ = &options;
+  options_ = options;
+  built_ = false;
   n_ = n;
   dim_ = dim;
   std::optional<Rng> joggle_rng;
@@ -136,6 +137,7 @@ Status HullBuilder::Build(const double* coords, size_t n, size_t dim,
     last = Run();
     if (last.ok()) {
       joggled_ = attempt > 0;
+      built_ = true;
       Compact();
       return last;
     }
@@ -145,6 +147,32 @@ Status HullBuilder::Build(const double* coords, size_t n, size_t dim,
     }
   }
   return last;
+}
+
+Status HullBuilder::Extend(const double* coords, size_t n) {
+  if (!built_ || joggled_) {
+    return Status::FailedPrecondition("no unjoggled hull to extend");
+  }
+  if (n < n_) return Status::InvalidArgument("extend cannot drop points");
+  built_ = false;
+  pts_ = coords;
+  // Compact left the live facets packed; reset their per-facet marks.
+  const size_t live = offsets_.size();
+  alive_.assign(live, 1);
+  visible_.assign(live, 0);
+  head_.assign(live, -1);
+  tail_.assign(live, -1);
+  next_.resize(n);
+  const size_t first_new = n_;
+  n_ = n;
+  for (size_t p = first_new; p < n; ++p) {
+    AssignPoint(static_cast<int>(p), 0, live);
+  }
+  Status s = ProcessOutsidePoints();
+  if (!s.ok()) return s;
+  built_ = true;
+  Compact();
+  return s;
 }
 
 Status HullBuilder::Run() {
@@ -251,7 +279,7 @@ void HullBuilder::Append(int f, int p) {
 // Assigns point p to the facet (among [first, last)) it is furthest
 // above, if any.
 void HullBuilder::AssignPoint(int p, size_t first, size_t last) {
-  double best = options_->eps;
+  double best = options_.eps;
   int best_facet = -1;
   for (size_t f = first; f < last; ++f) {
     if (!alive_[f]) continue;
@@ -290,7 +318,7 @@ Status HullBuilder::ProcessOutsidePoints() {
         apex = p;
       }
     }
-    if (best <= options_->eps) {
+    if (best <= options_.eps) {
       head_[fid] = tail_[fid] = -1;
       continue;
     }
@@ -314,7 +342,7 @@ Status HullBuilder::InsertPoint(int apex, int seed_facet) {
     for (size_t pos = 0; pos < d; ++pos) {
       const int nb = nbrs_[fid * d + pos];
       if (visible_[nb] || !alive_[nb]) continue;
-      if (Height(nb, apex) > options_->eps) {
+      if (Height(nb, apex) > options_.eps) {
         visible_[nb] = 1;
         stack_.push_back(nb);
       }

@@ -50,6 +50,18 @@ class HullBuilder {
   Status Build(const double* coords, size_t n, size_t dim,
                const ConvexHullOptions& options = {});
 
+  // Grows the last successful, unjoggled Build to the hull of the first
+  // n points at `coords`, whose leading points must be the ones it was
+  // built on, bit for bit (the caller appended; the array
+  // may have moved). The new points are assigned to the facets they lie
+  // above and inserted furthest first, as in Build; the old facets,
+  // interior point and options stay. On data in general position the
+  // result is the hull Build(coords, n) would return, with facets and
+  // vertices in another order. FailedPrecondition when the last Build
+  // joggled or failed; any failure leaves the builder needing a fresh
+  // Build. Allocates nothing once its buffers have grown.
+  Status Extend(const double* coords, size_t n);
+
   // ----- the last successful Build -----
   // Live facets, in creation order. Facet f's d vertices and d
   // neighbours (neighbour i shares the ridge opposite vertex i) are ints;
@@ -96,7 +108,8 @@ class HullBuilder {
   Status InsertPoint(int apex, int seed_facet);
   void Compact();
 
-  const ConvexHullOptions* options_ = nullptr;
+  ConvexHullOptions options_;
+  bool built_ = false;  // the last Build or Extend succeeded
   const double* pts_ = nullptr;
   size_t n_ = 0;
   size_t dim_ = 0;

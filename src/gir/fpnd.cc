@@ -353,37 +353,68 @@ void AddDirectConstraint(VecView g, RecordId id, GirRegion* region,
 
 }  // namespace
 
-std::vector<size_t> MaxCoordinateSeeds(const Dataset& data,
-                                       const std::vector<RecordId>& t) {
-  // The picks are sequential (dimension j skips the up to j records
-  // already picked), so each dimension keeps its d best positions:
-  // value descending, then position ascending, values above -1e300.
-  const size_t dim = data.dim();
-  struct Best {
-    double value;
-    size_t pos;
-  };
-  std::vector<Best> best(dim * dim);
-  std::vector<size_t> held(dim, 0);
-  for (size_t i = 0; i < t.size(); ++i) {
-    VecView row = data.Get(t[i]);
-    for (size_t j = 0; j < dim; ++j) {
-      const double v = row[j];
-      Best* list = best.data() + j * dim;
-      size_t n = held[j];
-      // Later positions lose ties, so v enters only above a smaller
-      // value.
-      if (!(v > -1e300) || (n == dim && !(v > list[n - 1].value))) continue;
-      if (n < dim) held[j] = ++n;
-      size_t at = n - 1;
-      for (; at > 0 && v > list[at - 1].value; --at) list[at] = list[at - 1];
-      list[at] = Best{v, i};
-    }
+ConeFilter::ConeFilter(const std::vector<Vec>& vertices, VecView gk)
+    : dim_(gk.size()) {
+  normals_.reserve(vertices.size() * dim_);
+  offsets_.reserve(vertices.size());
+  all_.reserve(vertices.size());
+  for (const Vec& v : vertices) {
+    normals_.insert(normals_.end(), v.begin(), v.end());
+    offsets_.push_back(Dot(gk, v));
+    all_.push_back(static_cast<int>(all_.size()));
   }
+}
+
+void ConeFilter::KeepPoints(const double* planes, size_t stride, size_t n,
+                            uint8_t* mask) {
+  if (empty() || n == 0) return;
+  above_.assign(n, 0);
+  simd::MarkAboveFacets(normals_.data(), offsets_.data(), all_.data(),
+                        all_.size(), dim_, 0.0, planes, stride, above_.data(),
+                        n);
+  for (size_t i = 0; i < n; ++i) mask[i] &= above_[i];
+}
+
+void ConeFilter::KeepBoxes(const double* lo, const double* hi, size_t stride,
+                           size_t n, uint8_t* mask) {
+  if (empty() || n == 0) return;
+  // The kernel skips boxes already marked: pre-mark those the caller
+  // dropped, so only kept boxes are tested.
+  above_.resize(n);
+  for (size_t i = 0; i < n; ++i) above_[i] = mask[i] == 0;
+  simd::MarkBoxesAboveFacets(normals_.data(), offsets_.data(),
+                             offsets_.size(), dim_, 0.0, lo, hi, stride,
+                             above_.data(), n);
+  for (size_t i = 0; i < n; ++i) mask[i] &= above_[i];
+}
+
+MaxCoordinateSeeder::MaxCoordinateSeeder(size_t dim)
+    : dim_(dim), best_(dim * dim), held_(dim, 0) {}
+
+void MaxCoordinateSeeder::Offer(VecView row, size_t pos) {
+  // The picks are sequential (dimension j skips the up to j records
+  // already picked), so each dimension keeps its d best positions.
+  const size_t dim = dim_;
+  for (size_t j = 0; j < dim; ++j) {
+    const double v = row[j];
+    Best* list = best_.data() + j * dim;
+    size_t n = held_[j];
+    // Later positions lose ties, so v enters only above a smaller
+    // value.
+    if (!(v > -1e300) || (n == dim && !(v > list[n - 1].value))) continue;
+    if (n < dim) held_[j] = ++n;
+    size_t at = n - 1;
+    for (; at > 0 && v > list[at - 1].value; --at) list[at] = list[at - 1];
+    list[at] = Best{v, pos};
+  }
+}
+
+std::vector<size_t> MaxCoordinateSeeder::Seeds() const {
+  const size_t dim = dim_;
   std::vector<size_t> seeds;
   for (size_t j = 0; j < dim; ++j) {
-    const Best* list = best.data() + j * dim;
-    for (size_t c = 0; c < held[j]; ++c) {
+    const Best* list = best_.data() + j * dim;
+    for (size_t c = 0; c < held_[j]; ++c) {
       if (std::find(seeds.begin(), seeds.end(), list[c].pos) == seeds.end()) {
         seeds.push_back(list[c].pos);
         break;
@@ -411,105 +442,111 @@ Result<Phase2Output> RunFpNdPhase2(const FlatRTree& tree,
   IncidentStar star(gk, options.eps);
   Rng joggle_rng(0xFACE7);
 
-  // Footnote-7 tightening: vertices of the interim Phase-1 region
-  // (its constraints are already in `region`). A record p whose
-  // constraint (g_k - g(p))·v >= 0 holds at every vertex v is redundant
-  // inside the final intersection and can be skipped outright.
-  std::vector<Vec> cone_vertices;
+  // Footnote 7: the cone is the region as Phase 1 left it. The region's
+  // next materialization grows the cone's dual hull by the Phase-2
+  // constraints. A cone from a joggled hull has inexact vertices, so it
+  // filters nothing.
+  ConeFilter cone;
   if (options.phase1_tightening && !region->constraints().empty()) {
-    Result<IntersectionResult> cone =
-        IntersectHalfspaces(region->AsHalfspaces(), region->query());
-    if (cone.ok() && !cone->polytope.empty()) {
-      cone_vertices = cone->polytope.vertices();
-      // The cone's interior point warm-starts the final region
-      // materialization: the Phase-2 constraints usually leave it
-      // feasible, so the engine's intersection skips its LP.
-      region->SeedInteriorWitness(cone->interior);
+    const Polytope& cone_polytope = region->polytope();
+    if (!region->polytope_joggled()) {
+      cone = ConeFilter(cone_polytope.vertices(), gk);
     }
   }
-  auto record_redundant_in_cone = [&](const Vec& g) {
-    if (cone_vertices.empty()) return false;
-    for (const Vec& v : cone_vertices) {
-      if (Dot(gk, v) < Dot(g, v)) return false;
-    }
-    return true;
-  };
-  auto box_redundant_in_cone = [&](const Mbb& g_box) {
-    if (cone_vertices.empty()) return false;
-    for (const Vec& v : cone_vertices) {
-      if (g_box.MaxDot(v) > Dot(gk, v)) return false;
-    }
-    return true;
-  };
 
   // --- First step: the encountered set T (paper §6.3.1). ---
+  // One pass over T's rows decides the pre-filter (dominated by p_k),
+  // picks the max-coordinate seeds and maps each record through g into
+  // SoA planes; one kernel pass then applies the cone.
+  const std::vector<RecordId>& t = topk.encountered;
+  const size_t n = t.size();
+  MaxCoordinateSeeder seeder(dim);
+  std::vector<double> t_planes(dim * n);
+  std::vector<uint8_t> t_keep(n);
+  Vec g(dim);  // g(p) of the record being processed
+  const bool identity = scoring.IsIdentityTransform();
+  for (size_t i = 0; i < n; ++i) {
+    // T's rows lie scattered over the dataset: fetch ahead.
+    if (i + 8 < n) __builtin_prefetch(data.Get(t[i + 8]).data());
+    VecView p_raw = data.Get(t[i]);
+    if (options.max_coordinate_seeding) seeder.Offer(p_raw, i);
+    t_keep[i] = !Dominates(pk_raw, p_raw);
+    VecView p_g = p_raw;
+    if (!identity) {
+      scoring.TransformInto(p_raw, &g);
+      p_g = g;
+    }
+    for (size_t j = 0; j < dim; ++j) t_planes[j * n + i] = p_g[j];
+  }
+  cone.KeepPoints(t_planes.data(), n, n, t_keep.data());
   // T arrives in heap-pop order, strongest records first (Quickhull's
   // farthest-point-first idea): early facets then sit close to the final
   // star, and about half as many facets are created and killed as in
   // record-id order. On data in general position the final star does
   // not depend on the order; with tied or coplanar records its vertex
   // set can (which of two equal records, or which point of a shared
-  // face, becomes a vertex), but the region it bounds cannot.
-  std::vector<RecordId> order;
-  order.reserve(topk.encountered.size());
-  std::vector<size_t> seeds;  // positions in T, processed first
-  if (options.max_coordinate_seeding) {
-    seeds = MaxCoordinateSeeds(data, topk.encountered);
-    for (size_t i : seeds) order.push_back(topk.encountered[i]);
-    std::sort(seeds.begin(), seeds.end());
-  }
-  for (size_t i = 0, s = 0; i < topk.encountered.size(); ++i) {
+  // face, becomes a vertex), but the region it bounds cannot. The seeds
+  // go first.
+  Vec joggled;  // joggle-retry copy of g
+  auto insert_from_t = [&](size_t i) {
+    if (!t_keep[i]) return;
+    for (size_t j = 0; j < dim; ++j) g[j] = t_planes[j * n + i];
+    if (!InsertWithJoggle(star, g, t[i], nullptr, joggle_rng, &joggled)
+             .ok()) {
+      AddDirectConstraint(g, t[i], region, gk, position);
+    }
+  };
+  std::vector<size_t> seeds = seeder.Seeds();
+  for (size_t i : seeds) insert_from_t(i);
+  std::sort(seeds.begin(), seeds.end());
+  for (size_t i = 0, s = 0; i < n; ++i) {
     if (s < seeds.size() && seeds[s] == i) {
       ++s;
       continue;
     }
-    order.push_back(topk.encountered[i]);
-  }
-  Vec g;        // g(p) of the record being processed
-  Vec joggled;  // joggle-retry copy of g
-  // The paper's pre-filter and footnote 7: true when record `id` needs
-  // no insert; otherwise leaves g(p) in `g`.
-  auto skip_record = [&](RecordId id) {
-    VecView p_raw = data.Get(id);
-    if (Dominates(pk_raw, p_raw)) return true;
-    scoring.TransformInto(p_raw, &g);
-    return options.phase1_tightening && record_redundant_in_cone(g);
-  };
-  for (RecordId id : order) {
-    if (skip_record(id)) continue;
-    if (!InsertWithJoggle(star, g, id, nullptr, joggle_rng, &joggled).ok()) {
-      AddDirectConstraint(g, id, region, gk, position);
-    }
+    insert_from_t(i);
   }
 
   // --- Second step: refine from disk via the retained BRS heap. ---
-  // A leaf's records are group-tested against the facets its box lies
-  // above (LeafGroupTest); internal nodes keep the early-exit box test.
-  // Only nodes whose box lies above a live facet enter the walk.
-  auto mark = [&star](const double* lo, const double* hi, size_t stride,
-                      size_t n, uint8_t* mask) {
-    star.MarkBoxesAbove(lo, hi, stride, n, mask);
+  // Only nodes whose box lies above a live facet and is not redundant
+  // in the cone enter the walk (the cone never changes, so a box it
+  // drops at push time it would drop at pop time). A leaf's records are
+  // group-tested against the facets its box lies above (LeafGroupTest)
+  // and the cone; internal nodes keep the early-exit box test.
+  auto mark = [&star, &cone](const double* lo, const double* hi,
+                             size_t stride, size_t count, uint8_t* mask) {
+    star.MarkBoxesAbove(lo, hi, stride, count, mask);
+    cone.KeepBoxes(lo, hi, stride, count, mask);
   };
   FrontierWalker walker(tree, scoring, weights, topk.pending, mark);
   LeafGroupTest group;
   std::vector<double> planes;  // a leaf's records through g, SoA
+  std::vector<uint8_t> leaf_keep;
   while (walker.Pop()) {
     const Mbb& g_box = walker.g_box();
     if (!walker.leaf()) {
-      if (star.BoxBelowAllFacets(g_box) || box_redundant_in_cone(g_box)) {
-        continue;
-      }
+      if (star.BoxBelowAllFacets(g_box)) continue;
       walker.Expand(tree.ReadNode(walker.page()));
       continue;
     }
-    if (!group.Reset(star, g_box) || box_redundant_in_cone(g_box)) continue;
+    if (!group.Reset(star, g_box)) continue;
     FlatRTree::NodeView node = tree.ReadNode(walker.page());
     const size_t count = node.count();
-    group.Test(star, LeafGPlanes(scoring, node, dim, &planes), count);
-    for (size_t i = 0; i < count; ++i) {
-      if (!group.Marked(i)) continue;
+    const GPlanes gp = LeafGPlanes(scoring, node, dim, &planes);
+    group.Test(star, gp, count);
+    // Inserts only mark records after the first marked one, so the cone
+    // needs testing from there on.
+    size_t first = 0;
+    while (first < count && !group.Marked(first)) ++first;
+    leaf_keep.assign(count, 1);
+    cone.KeepPoints(gp.base + first, gp.stride, count - first,
+                    leaf_keep.data() + first);
+    for (size_t i = first; i < count; ++i) {
+      if (!group.Marked(i) || !leaf_keep[i]) continue;
       const RecordId id = node.child(i);
-      if (skip_record(id)) continue;
+      VecView p_raw = data.Get(id);
+      if (Dominates(pk_raw, p_raw)) continue;
+      scoring.TransformInto(p_raw, &g);
       if (!group.Insert(star, g, id, i, joggle_rng, &joggled)) {
         AddDirectConstraint(g, id, region, gk, position);
       }

@@ -178,22 +178,82 @@ struct FpOptions {
   // Paper §6.3.1 heuristic: feed the per-dimension maxima of T first so
   // early facets prune aggressively. Exposed for the ablation bench.
   bool max_coordinate_seeding = true;
-  // Paper footnote 7: map the interim Phase-1 GIR into query-space
-  // vertices and skip any record/node whose overtaking constraint
-  // already holds everywhere on that polytope (it would be redundant in
-  // the final intersection). Tightens disk fetches at the price of one
-  // small half-space intersection up front. Off by default to mirror
-  // the paper's evaluated configuration.
-  bool phase1_tightening = false;
+  // Paper footnote 7: skip every record and node whose overtaking
+  // constraint already holds on the whole Phase-1 cone (ConeFilter).
+  // The region is the same set either way, with fewer constraints and
+  // fewer Phase-2 reads. The region's final materialization grows the
+  // cone's dual hull (DualHullIntersection::Extend) instead of building
+  // a second one, so the filter costs no second intersection. A cone
+  // whose hull only built joggled filters nothing. On by default. The
+  // paper evaluated
+  // FP without it, so the paper-figure benches pin it off.
+  bool phase1_tightening = true;
   double eps = 1e-10;
 };
 
-// Paper §6.3.1's seeding: for each dimension j in turn, the position in
-// `t` of the record with the largest coordinate j (raw data space) not
-// picked for an earlier dimension, the lowest position on ties. Found
-// in one pass over t; at most d positions.
-std::vector<size_t> MaxCoordinateSeeds(const Dataset& data,
-                                       const std::vector<RecordId>& t);
+// Footnote 7's filter. The Phase-1 cone is the Phase-1 region clipped
+// to the unit cube; the final region lies inside it. A record p whose
+// constraint (g_k - g(p))·v >= 0 holds at every cone vertex v holds on
+// the whole cone, so it is redundant in the final intersection and FP
+// skips p; a node whose g-box bound holds at every vertex is skipped
+// with all its records.
+//
+// The vertices are packed once as planes: normal v, offset
+// Dot(g_k, v). A point or box is kept when it lies above some plane by
+// the facet kernels' test at eps = 0 (simd::MarkAboveFacets,
+// simd::MarkBoxesAboveFacets, every tier bit-identical): dot - offset
+// > 0, with the dot summed as Dot sums it and a box's bound as
+// Mbb::MaxDot does. For finite doubles that is exactly offset < dot, so
+// a kept point is one the scalar per-vertex test Dot(g_k, v) < Dot(g, v)
+// keeps, and a kept box one with Mbb::MaxDot(v) > Dot(g_k, v) at some v.
+// The vertices must be exact: FP builds no filter from a cone whose
+// dual hull joggled. An empty filter (no cone) keeps everything.
+class ConeFilter {
+ public:
+  ConeFilter() = default;
+  ConeFilter(const std::vector<Vec>& vertices, VecView gk);
+
+  bool empty() const { return offsets_.empty(); }
+
+  // mask[i] &= point i lies above some plane; points are SoA planes
+  // (coordinate j of point i at planes[j * stride + i], i < n).
+  void KeepPoints(const double* planes, size_t stride, size_t n,
+                  uint8_t* mask);
+  // mask[i] &= box i lies above some plane; boxes are SoA planes
+  // (coordinate j of box i spans lo[j * stride + i] .. hi[j * stride +
+  // i]). Boxes already at 0 are not tested.
+  void KeepBoxes(const double* lo, const double* hi, size_t stride, size_t n,
+                 uint8_t* mask);
+
+ private:
+  size_t dim_ = 0;
+  std::vector<double> normals_;  // the vertices, row-major
+  std::vector<double> offsets_;  // Dot(g_k, v) per vertex
+  std::vector<int> all_;         // 0 .. planes-1: the kernels' pool
+  std::vector<uint8_t> above_;   // scratch
+};
+
+// Paper §6.3.1's seeding: for each dimension j in turn, the position of
+// the record with the largest coordinate j (raw data space) not picked
+// for an earlier dimension, the lowest position on ties. Offer the rows
+// in position order, then read Seeds(); at most d positions.
+class MaxCoordinateSeeder {
+ public:
+  explicit MaxCoordinateSeeder(size_t dim);
+  void Offer(VecView row, size_t pos);
+  std::vector<size_t> Seeds() const;
+
+ private:
+  struct Best {
+    double value;
+    size_t pos;
+  };
+  size_t dim_;
+  // Each dimension keeps its d best positions: value descending, then
+  // position ascending, values above -1e300.
+  std::vector<Best> best_;
+  std::vector<size_t> held_;
+};
 
 // Facet Pruning for d > 2 (also correct for d == 2; the engine uses the
 // specialised angular variant there). Consumes the encountered set T

@@ -69,17 +69,20 @@ namespace {
 // Dense rows of the AdmitsGain LP: the region's constraints as
 // `-normal·x <= 0`, then the cube rows `x_j <= 1`, `-x_j <= 0` — the
 // exact row order the historical per-call solver used, so pivoting (and
-// the verdicts) are unchanged. Assembled into reusable buffers.
-void AssembleGainLp(const std::vector<GirConstraint>& constraints, size_t dim,
+// the verdicts) are unchanged. Assembled into reusable buffers; the
+// normal of constraint i is normal_at(i).
+template <typename NormalAt>
+void AssembleGainLp(size_t rows, NormalAt normal_at, size_t dim,
                     std::vector<double>* a, std::vector<double>* b) {
-  const size_t m = constraints.size() + 2 * dim;
+  const size_t m = rows + 2 * dim;
   a->resize(m * dim);
   b->resize(m);
   std::fill(a->begin(), a->end(), 0.0);
   double* ap = a->data();
   size_t i = 0;
-  for (const GirConstraint& c : constraints) {
-    for (size_t j = 0; j < dim; ++j) ap[i * dim + j] = -1.0 * c.normal[j];
+  for (size_t r = 0; r < rows; ++r) {
+    const double* normal = normal_at(r);
+    for (size_t j = 0; j < dim; ++j) ap[i * dim + j] = -1.0 * normal[j];
     (*b)[i] = 0.0;
     ++i;
   }
@@ -115,7 +118,10 @@ bool GirRegion::AdmitsGain(VecView gain, double eps) const {
   static thread_local std::vector<double> a;
   static thread_local std::vector<double> b;
   static thread_local LpWorkspace ws;
-  AssembleGainLp(constraints_, dim_, &a, &b);
+  AssembleGainLp(
+      constraints_.size(),
+      [this](size_t r) { return constraints_[r].normal.data(); }, dim_, &a,
+      &b);
   LpBatchItem item;
   SolveLpBatch(a.data(), b.data(), b.size(), dim_, gain.data(), 1, &ws,
                &item);
@@ -125,21 +131,26 @@ bool GirRegion::AdmitsGain(VecView gain, double eps) const {
   return item.objective > eps;
 }
 
-size_t GirRegion::FirstAdmittedGain(const double* gains, size_t count,
-                                    LpWorkspace* ws, double eps) const {
+namespace {
+
+template <typename NormalAt>
+size_t FirstAdmittedGainImpl(size_t rows, NormalAt normal_at, VecView query,
+                             const double* gains, size_t count,
+                             LpWorkspace* ws, double eps) {
   static thread_local std::vector<double> a;
   static thread_local std::vector<double> b;
+  const size_t dim = query.size();
   bool prepared = false;
   bool prepare_failed = false;
   for (size_t t = 0; t < count; ++t) {
-    VecView gain(gains + t * dim_, dim_);
-    int fast = GainFastPath(gain, query_, eps);
+    VecView gain(gains + t * dim, dim);
+    int fast = GainFastPath(gain, query, eps);
     if (fast == 1) return t;
     if (fast == 0) continue;
     if (!prepared) {
-      AssembleGainLp(constraints_, dim_, &a, &b);
+      AssembleGainLp(rows, normal_at, dim, &a, &b);
       prepare_failed =
-          ws->Prepare(a.data(), b.data(), b.size(), dim_) !=
+          ws->Prepare(a.data(), b.data(), b.size(), dim) !=
           LpStatus::kOptimal;
       prepared = true;
     }
@@ -153,6 +164,25 @@ size_t GirRegion::FirstAdmittedGain(const double* gains, size_t count,
   return count;
 }
 
+}  // namespace
+
+size_t GirRegion::FirstAdmittedGain(const double* gains, size_t count,
+                                    LpWorkspace* ws, double eps) const {
+  return FirstAdmittedGainImpl(
+      constraints_.size(),
+      [this](size_t r) { return constraints_[r].normal.data(); }, query_,
+      gains, count, ws, eps);
+}
+
+size_t FirstAdmittedGain(const double* normals, size_t rows, VecView query,
+                         const double* gains, size_t count, LpWorkspace* ws,
+                         double eps) {
+  const size_t dim = query.size();
+  return FirstAdmittedGainImpl(
+      rows, [normals, dim](size_t r) { return normals + r * dim; }, query,
+      gains, count, ws, eps);
+}
+
 std::vector<Halfspace> GirRegion::AsHalfspaces() const {
   std::vector<Halfspace> out;
   out.reserve(constraints_.size());
@@ -162,12 +192,29 @@ std::vector<Halfspace> GirRegion::AsHalfspaces() const {
   return out;
 }
 
+const std::vector<Halfspace>& GirRegion::HalfspacesScratch() const {
+  // Per-thread rows whose normals keep their capacity, so a warmed
+  // materialization copies the constraints without allocating.
+  static thread_local std::vector<Halfspace> rows;
+  rows.resize(constraints_.size());
+  for (size_t i = 0; i < constraints_.size(); ++i) {
+    rows[i].normal.assign(constraints_[i].normal.begin(),
+                          constraints_[i].normal.end());
+    rows[i].offset = 0.0;
+  }
+  return rows;
+}
+
 void GirRegion::Materialize() const {
   if (polytope_.has_value()) return;
   IntersectionOptions options;
   options.warm_start = interior_witness_;
-  Result<IntersectionResult> r =
-      IntersectHalfspaces(AsHalfspaces(), query_, options);
+  DualHullIntersection& hull = ThreadDualHullIntersection();
+  const std::vector<Halfspace>& rows = HalfspacesScratch();
+  Result<IntersectionResult> r = hull.serial() == hull_serial_
+                                     ? hull.Extend(rows, query_, options)
+                                     : hull.Intersect(rows, query_, options);
+  hull_serial_ = hull.serial();
   if (r.ok()) {
     polytope_ = std::move(r).value();
     if (!polytope_->interior.empty()) {
@@ -188,6 +235,11 @@ const Polytope& GirRegion::polytope() const {
 const std::vector<int>& GirRegion::nonredundant_indices() const {
   Materialize();
   return polytope_->nonredundant;
+}
+
+bool GirRegion::polytope_joggled() const {
+  Materialize();
+  return polytope_->joggled;
 }
 
 std::vector<BoundaryEvent> GirRegion::BoundaryEvents() const {

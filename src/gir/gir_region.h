@@ -1,6 +1,7 @@
 #ifndef GIR_GIR_GIR_REGION_H_
 #define GIR_GIR_GIR_REGION_H_
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -72,13 +73,6 @@ class GirRegion {
     polytope_.reset();
   }
 
-  // Offers a known strictly interior point (e.g. the centre of the
-  // Phase-1 cone computed by FP's tightening pass) as the warm start
-  // for the next materialization.
-  void SeedInteriorWitness(Vec point) const {
-    interior_witness_ = std::move(point);
-  }
-
   // True when q' (inside the unit cube) satisfies every constraint: the
   // original top-k result is guaranteed to be preserved at q'.
   bool Contains(VecView q, double eps = 0.0) const;
@@ -100,6 +94,10 @@ class GirRegion {
   // available (a degenerate/empty region yields an empty polytope).
   const Polytope& polytope() const;
   const std::vector<int>& nonredundant_indices() const;
+
+  // True when the materialized polytope came from a joggled dual hull
+  // (degenerate constraints), so its vertices are only approximate.
+  bool polytope_joggled() const;
 
   // The facets of the region that stem from data constraints (not the
   // cube), with their human-readable result perturbations.
@@ -143,6 +141,8 @@ class GirRegion {
 
  private:
   void Materialize() const;
+  // The constraints as half-spaces, in reused per-thread storage.
+  const std::vector<Halfspace>& HalfspacesScratch() const;
 
   size_t dim_;
   Vec query_;
@@ -150,10 +150,24 @@ class GirRegion {
   std::vector<GirConstraint> constraints_;
 
   mutable std::optional<IntersectionResult> polytope_;
-  // Last interior point a materialization used (or a caller-seeded
-  // candidate); reused across consecutive constraint additions.
+  // Last interior point a materialization used; reused across
+  // consecutive constraint additions.
   mutable Vec interior_witness_;
+  // Serial of the thread's DualHullIntersection state this region's
+  // last materialization left (DualHullIntersection::serial). While the
+  // state still holds it, the next materialization grows that hull by
+  // the constraints added since instead of building a second one: FP's
+  // footnote-7 cone grows into the final region.
+  mutable uint64_t hull_serial_ = 0;
 };
+
+// GirRegion::FirstAdmittedGain for a constraint system stored flat:
+// `normals` holds `rows` constraint normals, query.size() doubles each,
+// and `query` is the region's query vector. Same fast paths, same LPs,
+// same verdicts.
+size_t FirstAdmittedGain(const double* normals, size_t rows, VecView query,
+                         const double* gains, size_t count, LpWorkspace* ws,
+                         double eps = 1e-9);
 
 }  // namespace gir
 

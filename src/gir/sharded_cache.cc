@@ -1,6 +1,8 @@
 #include "gir/sharded_cache.h"
 
+#include <algorithm>
 #include <cstring>
+#include <utility>
 
 namespace gir {
 
@@ -30,31 +32,111 @@ size_t ShardedGirCache::HomeShard(VecView q) const {
   return static_cast<size_t>(h % shards_.size());
 }
 
+bool ShardedGirCache::Slots::Contains(const Header& h, VecView q) const {
+  if (q.size() != h.dim) return false;
+  const size_t d = h.dim;
+  const double* row = normals(h);
+  for (size_t r = 0; r < h.rows; ++r, row += d) {
+    double dot = 0.0;
+    for (size_t j = 0; j < d; ++j) dot += row[j] * q[j];
+    if (dot < 0.0) return false;
+  }
+  return true;
+}
+
+ShardedGirCache::Slots::Header ShardedGirCache::Slots::Begin(
+    size_t k, uint64_t version, VecView query, const RecordId* result,
+    size_t result_count) {
+  Header h{k,           version,          query.size(), data.size(), 0,
+           results.size(), result_count};
+  data.insert(data.end(), query.begin(), query.end());
+  results.insert(results.end(), result, result + result_count);
+  live_data += query.size();
+  return h;
+}
+
+void ShardedGirCache::Slots::AppendRow(Header* h, const double* normal) {
+  data.insert(data.end(), normal, normal + h->dim);
+  ++h->rows;
+  live_data += h->dim;
+}
+
+void ShardedGirCache::Slots::AppendCopy(const Slots& from, const Header& h) {
+  Header copy = Begin(h.k, h.version, VecView(from.query(h), h.dim),
+                      from.results.data() + h.result_begin, h.result_count);
+  const double* row = from.normals(h);
+  for (size_t r = 0; r < h.rows; ++r, row += h.dim) AppendRow(&copy, row);
+  headers.push_back(copy);
+}
+
+void ShardedGirCache::Slots::Erase(size_t i) {
+  live_data -= (1 + headers[i].rows) * headers[i].dim;
+  headers.erase(headers.begin() + static_cast<std::ptrdiff_t>(i));
+}
+
+void ShardedGirCache::Slots::CompactIfSparse() {
+  if (data.size() <= 2 * live_data + 1024) return;
+  Slots packed;
+  packed.headers.reserve(headers.size());
+  packed.data.reserve(live_data);
+  packed.results.reserve(results.size());
+  for (const Header& h : headers) packed.AppendCopy(*this, h);
+  *this = std::move(packed);
+}
+
+void ShardedGirCache::Slots::Clear() {
+  headers.clear();
+  data.clear();
+  results.clear();
+  live_data = 0;
+}
+
+namespace {
+
+bool InUnitCube(VecView q) {
+  for (double x : q) {
+    if (x < 0.0 || x > 1.0) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
 bool ShardedGirCache::ProbeShardExact(Shard& shard, size_t shard_index,
                                       VecView q, size_t k, uint64_t version,
                                       Lookup* out, int* partial_shard) {
+  const bool in_cube = InUnitCube(q);
   std::lock_guard<std::mutex> lock(shard.mu);
-  for (auto it = shard.entries.begin(); it != shard.entries.end();) {
-    if (it->version < version) {
-      it = shard.entries.erase(it);  // stale epoch, unservable forever
+  Slots& slots = shard.slots;
+  for (size_t i = 0; i < slots.headers.size();) {
+    const Slots::Header& h = slots.headers[i];
+    // Entries lie about a kilobyte apart: fetch the next one's rows
+    // while this one is tested.
+    if (i + 1 < slots.headers.size()) {
+      __builtin_prefetch(slots.normals(slots.headers[i + 1]));
+    }
+    if (h.version < version) {
+      slots.Erase(i);  // stale epoch, unservable forever
       continue;
     }
-    if (it->version > version || !it->region.Contains(q)) {
+    if (h.version > version || !in_cube || !slots.Contains(h, q)) {
       // A *newer* stamp means this probe raced an in-flight update
       // (survivors are re-stamped just before the version bump): skip,
       // never erase — the next-epoch probes will serve it.
-      ++it;
+      ++i;
       continue;
     }
-    if (k > it->k) {
+    if (k > h.k) {
       if (*partial_shard < 0) *partial_shard = static_cast<int>(shard_index);
-      ++it;
+      ++i;
       continue;
     }
     out->kind = HitKind::kExact;
-    out->records.assign(it->result.begin(), it->result.begin() + k);
+    const RecordId* result = slots.results.data() + h.result_begin;
+    out->records.assign(result, result + k);
     hits_.fetch_add(1, std::memory_order_relaxed);
-    shard.entries.splice(shard.entries.begin(), shard.entries, it);
+    std::rotate(slots.headers.begin(), slots.headers.begin() + i,
+                slots.headers.begin() + i + 1);
     return true;
   }
   return false;
@@ -62,19 +144,24 @@ bool ShardedGirCache::ProbeShardExact(Shard& shard, size_t shard_index,
 
 bool ShardedGirCache::ProbeShardAny(Shard& shard, VecView q, size_t k,
                                     uint64_t version, Lookup* out) {
+  if (!InUnitCube(q)) return false;
   std::lock_guard<std::mutex> lock(shard.mu);
-  for (auto it = shard.entries.begin(); it != shard.entries.end(); ++it) {
-    if (it->version != version || !it->region.Contains(q)) continue;
-    if (k <= it->k) {
+  Slots& slots = shard.slots;
+  for (size_t i = 0; i < slots.headers.size(); ++i) {
+    const Slots::Header& h = slots.headers[i];
+    if (h.version != version || !slots.Contains(h, q)) continue;
+    const RecordId* result = slots.results.data() + h.result_begin;
+    if (k <= h.k) {
       out->kind = HitKind::kExact;
-      out->records.assign(it->result.begin(), it->result.begin() + k);
+      out->records.assign(result, result + k);
       hits_.fetch_add(1, std::memory_order_relaxed);
     } else {
       out->kind = HitKind::kPartial;
-      out->records = it->result;
+      out->records.assign(result, result + h.result_count);
       partial_hits_.fetch_add(1, std::memory_order_relaxed);
     }
-    shard.entries.splice(shard.entries.begin(), shard.entries, it);
+    std::rotate(slots.headers.begin(), slots.headers.begin() + i,
+                slots.headers.begin() + i + 1);
     return true;
   }
   return false;
@@ -109,25 +196,30 @@ ShardedGirCache::Lookup ShardedGirCache::Probe(VecView q, size_t k,
 void ShardedGirCache::Insert(size_t k, std::vector<RecordId> result,
                              const GirRegion& region, uint64_t version) {
   Shard& shard = *shards_[HomeShard(region.query())];
+  const bool in_cube = InUnitCube(region.query());
+  std::lock_guard<std::mutex> lock(shard.mu);
+  Slots& slots = shard.slots;
   // Skip the insert when the shard already covers this query at least
   // as well — concurrent identical queries would otherwise fill the
   // LRU list with duplicates, evicting distinct regions.
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (const Entry& e : shard.entries) {
-      if (e.k >= k && e.version == version &&
-          e.region.Contains(region.query())) {
-        return;
-      }
+  for (const Slots::Header& h : slots.headers) {
+    if (h.k >= k && h.version == version && in_cube &&
+        slots.Contains(h, region.query())) {
+      return;
     }
   }
-  // Copy the constraints outside the lock: sharding is supposed to
-  // bound lock hold times, and a region can carry thousands of normals.
-  // A duplicate slipping in between the check and this push is benign.
-  Entry entry{k, std::move(result), region.ConstraintsOnly(), version};
-  std::lock_guard<std::mutex> lock(shard.mu);
-  shard.entries.push_front(std::move(entry));
-  while (shard.entries.size() > per_shard_capacity_) shard.entries.pop_back();
+  // The rows are plain doubles, so copying them under the lock costs
+  // about as much as the containment test above.
+  Slots::Header h =
+      slots.Begin(k, version, region.query(), result.data(), result.size());
+  for (const GirConstraint& c : region.constraints()) {
+    slots.AppendRow(&h, c.normal.data());
+  }
+  slots.headers.insert(slots.headers.begin(), h);
+  while (slots.headers.size() > per_shard_capacity_) {
+    slots.Erase(slots.headers.size() - 1);
+  }
+  slots.CompactIfSparse();
 }
 
 UpdateInvalidation ShardedGirCache::InvalidateForUpdates(
@@ -136,52 +228,51 @@ UpdateInvalidation ShardedGirCache::InvalidateForUpdates(
     uint64_t new_version) {
   UpdateInvalidation out;
   // Member scratch, reused across every entry of every shard and across
-  // calls: the LP workspace (tableau recycled, each entry's piercing
-  // LPs share one Prepare and warm-start each other — see
-  // GirRegion::FirstAdmittedGain), the flattened gain matrix, and the
+  // calls: the swapped-out storage, the LP workspace (tableau recycled,
+  // each entry's piercing LPs share one Prepare and warm-start each
+  // other — see FirstAdmittedGain), the flattened gain matrix, and the
   // transformed k-th record.
+  Slots& working = invalidate_slots_;
   LpWorkspace& lp_ws = invalidate_ws_;
   std::vector<double>& gains = invalidate_gains_;
   Vec& gk = invalidate_gk_;
   for (auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
-    // Splice the shard's list out under the lock and run the (possibly
+    // Swap the shard's storage out under the lock and run the (possibly
     // many) piercing LPs unlocked: concurrent probes see an empty shard
     // and just miss — indistinguishable from eviction, and it keeps the
     // "sharding bounds lock hold times" promise during updates. Entries
-    // inserted while we work land in the live list and are merged back
-    // under at the end (they carry the old epoch's stamp, so the *next*
-    // invalidation pass retires them as laggards).
-    std::list<Entry> working;
+    // inserted while we work land in the shard's (empty) storage and
+    // are merged back under at the end (they carry the old epoch's
+    // stamp, so the *next* invalidation pass retires them as laggards).
+    working.Clear();
     {
       std::lock_guard<std::mutex> lock(shard.mu);
-      working.splice(working.begin(), shard.entries);
+      std::swap(working, shard.slots);
     }
-    for (auto it = working.begin(); it != working.end();) {
+    for (size_t i = 0; i < working.headers.size();) {
+      Slots::Header& h = working.headers[i];
       ++out.entries_before;
       // Only entries at the currently-published epoch were validated
       // against every batch so far; older stamps were inserted by
       // queries that computed on a retired snapshot and must not be
       // resurrected by a re-stamp they never earned.
-      if (it->version + 1 != new_version) {
+      if (h.version + 1 != new_version) {
         ++out.stale_evicted;
-        it = working.erase(it);
+        working.Erase(i);
         continue;
       }
-      bool evict = false;
+      const RecordId* result = working.results.data() + h.result_begin;
       // Deletes: a result that lost a member is wrong everywhere.
+      bool evict = false;
       for (RecordId d : deleted) {
-        for (RecordId r : it->result) {
-          if (r == d) {
-            evict = true;
-            break;
-          }
-        }
+        evict = std::find(result, result + h.result_count, d) !=
+                result + h.result_count;
         if (evict) break;
       }
       if (evict) {
         ++out.delete_evicted;
-        it = working.erase(it);
+        working.Erase(i);
         continue;
       }
       // Inserts: evict iff some insert can outscore the cached k-th
@@ -189,7 +280,7 @@ UpdateInvalidation ShardedGirCache::InvalidateForUpdates(
       // shared setup, decision-equivalent to testing each insert in
       // order and stopping at the first pierce.
       if (!inserted_g.empty()) {
-        scoring.TransformInto(dataset.Get(it->result.back()), &gk);
+        scoring.TransformInto(dataset.Get(result[h.result_count - 1]), &gk);
         const size_t dim = gk.size();
         const size_t count = inserted_g.size();
         gains.resize(count * dim);
@@ -198,8 +289,9 @@ UpdateInvalidation ShardedGirCache::InvalidateForUpdates(
             gains[t * dim + j] = inserted_g[t][j] - gk[j];
           }
         }
-        size_t first =
-            it->region.FirstAdmittedGain(gains.data(), count, &lp_ws);
+        size_t first = FirstAdmittedGain(
+            working.normals(h), h.rows, VecView(working.query(h), h.dim),
+            gains.data(), count, &lp_ws);
         // lp_tests keeps its historical meaning: (entry, insert) pairs
         // examined before the verdict, not simplex solves.
         out.lp_tests += first < count ? first + 1 : count;
@@ -207,27 +299,30 @@ UpdateInvalidation ShardedGirCache::InvalidateForUpdates(
       }
       if (evict) {
         ++out.insert_evicted;
-        it = working.erase(it);
+        working.Erase(i);
         continue;
       }
-      it->version = new_version;
+      h.version = new_version;
       ++out.survived;
-      ++it;
+      ++i;
     }
+    working.CompactIfSparse();
     std::lock_guard<std::mutex> lock(shard.mu);
     // Survivors keep MRU priority over entries that raced in meanwhile.
-    shard.entries.splice(shard.entries.begin(), working);
-    while (shard.entries.size() > per_shard_capacity_) {
-      shard.entries.pop_back();
+    for (const Slots::Header& h : shard.slots.headers) {
+      if (working.headers.size() >= per_shard_capacity_) break;
+      working.AppendCopy(shard.slots, h);
     }
+    std::swap(working, shard.slots);
   }
+  working.Clear();
   return out;
 }
 
 void ShardedGirCache::Clear() {
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
-    shard->entries.clear();
+    shard->slots.Clear();
   }
 }
 
@@ -235,7 +330,7 @@ size_t ShardedGirCache::size() const {
   size_t total = 0;
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
-    total += shard->entries.size();
+    total += shard->slots.headers.size();
   }
   return total;
 }

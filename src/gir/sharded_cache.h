@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -37,7 +36,9 @@ struct UpdateInvalidation {
 //
 // Thread-safe (Probe/Insert/Clear/size from any thread;
 // InvalidateForUpdates is single-writer — see its comment): entries are
-// spread across independently-locked shards, each an LRU list. Inserts
+// spread across independently-locked shards, each an LRU list stored
+// flat (see Slots), so a probe runs its containment dot products over
+// contiguous rows with an early exit and no pointer chasing. Inserts
 // touch exactly one shard (chosen by hashing the query vector, so
 // clustered workloads spread while repeats co-locate); probes scan
 // shards starting from the inserting query's home shard, taking one
@@ -50,14 +51,6 @@ struct UpdateInvalidation {
 // single LRU list would; with one shard it is exactly one LRU list.
 class ShardedGirCache {
  public:
-  struct Entry {
-    size_t k = 0;
-    std::vector<RecordId> result;
-    GirRegion region;
-    // Dataset epoch the result is valid for.
-    uint64_t version = 0;
-  };
-
   enum class HitKind {
     kMiss,
     // Requested k <= cached k: the prefix of the cached result is the
@@ -86,9 +79,9 @@ class ShardedGirCache {
 
   // Inserts a computed GIR into the home shard of its query vector,
   // stamped with the dataset version it was computed at, evicting that
-  // shard's LRU tail beyond the per-shard capacity. Only the constraint
-  // system of the region is copied; any materialized polytope stays
-  // with the caller (containment probes never need it).
+  // shard's LRU tail beyond the per-shard capacity. Only the query and
+  // the constraint normals are copied, as packed rows; any materialized
+  // polytope stays with the caller (containment probes never need it).
   void Insert(size_t k, std::vector<RecordId> result, const GirRegion& region,
               uint64_t version = 0);
 
@@ -112,10 +105,10 @@ class ShardedGirCache {
   // so it is evicted outright rather than resurrected.
   // `dataset` must resolve the entries' record ids (the post-update
   // snapshot: tombstones keep deleted coordinates readable). The LPs
-  // run outside the shard locks (each shard's list is spliced out and
-  // merged back), so concurrent probes are never stalled — they miss
-  // on the in-flight shard, which is safe. Single writer: this method
-  // reuses unsynchronized member scratch (LP workspace, gain matrix),
+  // run outside the shard locks (each shard's storage is swapped out
+  // and merged back), so concurrent probes are never stalled — they
+  // miss on the in-flight shard, which is safe. Single writer: this
+  // method reuses unsynchronized member scratch (LP workspace, gains),
   // so at most one InvalidateForUpdates may run at a time — callers
   // must serialize update application, as GirEngine::ApplyUpdates'
   // writer mutex does. Probe/Insert stay safe to call concurrently.
@@ -142,9 +135,54 @@ class ShardedGirCache {
   uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
 
  private:
+  // One shard's entries, packed. Headers are kept in recency order
+  // (front = most recently used); each names its query and constraint
+  // normals, dim doubles per row in one array, and its result ids in
+  // another. Dropping a header leaves its rows behind as garbage until
+  // CompactIfSparse packs the arrays again.
+  struct Slots {
+    struct Header {
+      size_t k;
+      uint64_t version;  // dataset epoch the result is valid for
+      size_t dim;
+      size_t data_begin;  // the query at data[data_begin], then the rows
+      size_t rows;
+      size_t result_begin;
+      size_t result_count;
+    };
+    std::vector<Header> headers;
+    std::vector<double> data;
+    std::vector<RecordId> results;
+    size_t live_data = 0;  // doubles the headers still name
+
+    const double* query(const Header& h) const {
+      return data.data() + h.data_begin;
+    }
+    const double* normals(const Header& h) const {
+      return data.data() + h.data_begin + h.dim;
+    }
+    // GirRegion::Contains(q) at eps = 0 over the packed rows, for a q
+    // already known to lie in the unit cube.
+    bool Contains(const Header& h, VecView q) const;
+    // Appends an entry's query and result and returns its header, not
+    // yet listed; AppendRow then adds its constraint normals.
+    Header Begin(size_t k, uint64_t version, VecView query,
+                 const RecordId* result, size_t result_count);
+    void AppendRow(Header* h, const double* normal);
+    // Appends a copy of `from`'s entry `h` and lists it last.
+    void AppendCopy(const Slots& from, const Header& h);
+    // Unlists header i; its arrays become garbage.
+    void Erase(size_t i);
+    // Copies the listed entries into fresh arrays, in header order, once
+    // the garbage outweighs the live rows (amortized over the evictions
+    // that made it).
+    void CompactIfSparse();
+    void Clear();
+  };
+
   struct Shard {
     mutable std::mutex mu;
-    std::list<Entry> entries;  // front = most recently used
+    Slots slots;
   };
 
   size_t HomeShard(VecView q) const;
@@ -161,10 +199,12 @@ class ShardedGirCache {
   size_t per_shard_capacity_;
   std::vector<std::unique_ptr<Shard>> shards_;
   // Scratch reused across InvalidateForUpdates calls (single writer, as
-  // with the engine's update path): LP workspace with the recycled
-  // tableau, flattened gain matrix, transformed k-th record. With these
-  // warm, the steady-state invalidation loop performs zero heap
-  // allocations (asserted by lp_workspace_test).
+  // with the engine's update path): the storage a shard is swapped out
+  // into, LP workspace with the recycled tableau, flattened gain
+  // matrix, transformed k-th record. With these warm, the steady-state
+  // invalidation loop performs zero heap allocations (asserted by
+  // lp_workspace_test).
+  Slots invalidate_slots_;
   LpWorkspace invalidate_ws_;
   std::vector<double> invalidate_gains_;
   Vec invalidate_gk_;

@@ -275,7 +275,9 @@ TEST(FpSeedingTest, OnePassPicksMatchTheDPassLoop) {
         for (size_t i = 0; i < size; ++i) {
           t.push_back(static_cast<RecordId>(rng.UniformInt(data.size())));
         }
-        ASSERT_EQ(MaxCoordinateSeeds(data, t), DPassSeeds(data, t))
+        MaxCoordinateSeeder seeder(d);
+        for (size_t i = 0; i < t.size(); ++i) seeder.Offer(data.Get(t[i]), i);
+        ASSERT_EQ(seeder.Seeds(), DPassSeeds(data, t))
             << "d=" << d << " |T|=" << size << " rep " << rep;
       }
     }

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdlib>
 #include <new>
+#include <string>
+#include <utility>
 
 #include "common/rng.h"
 #include "geom/halfspace_intersection.h"
@@ -320,6 +322,251 @@ TEST(IntersectionTest, WarmCallAllocatesOnlyItsOutputs) {
     Result<IntersectionResult> r = IntersectHalfspaces(ge, q);
     const uint64_t after = g_allocations.load(std::memory_order_relaxed);
     ASSERT_TRUE(r.ok());
+    ASSERT_FALSE(r->nonredundant.empty());
+    const uint64_t outputs = (1 + r->polytope.vertices().size()) +
+                             (1 + r->polytope.facets().size()) + 1 + 1;
+    EXPECT_EQ(after - before, outputs) << "d=" << d;
+  }
+}
+
+// ----- growing a kept dual hull (DualHullIntersection::Extend) -----
+
+// True when a and b list the same vertices within 1e-9, both ways.
+::testing::AssertionResult SameVertexSet(const Polytope& a,
+                                         const Polytope& b) {
+  for (const auto& pair : {std::make_pair(&a, &b), std::make_pair(&b, &a)}) {
+    for (const Vec& v : pair.first->vertices()) {
+      double nearest = 1e300;
+      for (const Vec& w : pair.second->vertices()) {
+        nearest = std::min(nearest, LInfDistance(v, w));
+      }
+      if (nearest > 1e-9) {
+        return ::testing::AssertionFailure()
+               << "vertex " << ToString(v) << " unmatched ("
+               << a.vertices().size() << " vs " << b.vertices().size()
+               << " vertices)";
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// m random half-spaces with the query strictly inside. Through the
+// origin (offset 0) like a GIR's rows when `cone`; otherwise with
+// random offsets, so the system is in general position.
+std::vector<Halfspace> RandomRows(Rng& rng, const Vec& q, int m, bool cone) {
+  std::vector<Halfspace> rows;
+  for (int i = 0; i < m; ++i) {
+    Vec n(q.size());
+    for (double& x : n) x = rng.Uniform(-1.0, 1.0);
+    if (Dot(n, q) < 0) n = Scale(n, -1.0);
+    const double offset = cone ? 0.0 : Dot(n, q) * rng.Uniform(0.2, 0.9);
+    rows.push_back(Halfspace{std::move(n), offset});
+  }
+  return rows;
+}
+
+// An extended hull gives the fresh intersection's region: the same
+// vertices, and the same non-redundant rows. GIR-like cones have every
+// row tight at the apex, where rounding decides which of the rows that
+// touch the region only there the dual hull reports (it depends on
+// the insertion order); for them the rows that support a real facet
+// must agree, and every reported row must touch the region.
+TEST(DualHullIntersectionTest, ExtendMatchesAFreshIntersection) {
+  Rng rng(23);
+  for (size_t d = 2; d <= 6; ++d) {
+    for (int trial = 0; trial < 16; ++trial) {
+      const bool cone = trial % 2 == 0;
+      const std::string where = "d=" + std::to_string(d) + " trial " +
+                                std::to_string(trial);
+      Vec q(d);
+      for (double& x : q) x = rng.Uniform(0.2, 0.8);
+      std::vector<Halfspace> ge =
+          RandomRows(rng, q, 3 + static_cast<int>(rng.UniformInt(6)), cone);
+      const size_t base = ge.size();
+      for (const Halfspace& h :
+           RandomRows(rng, q, 1 + static_cast<int>(rng.UniformInt(8)), cone)) {
+        ge.push_back(h);
+      }
+      // Appended copies of kept rows: exact and scaled.
+      ge.push_back(ge[0]);
+      ge.push_back(Halfspace{Scale(ge[1].normal, 2.5), 2.5 * ge[1].offset});
+      const std::vector<Halfspace> first(ge.begin(), ge.begin() + base);
+
+      DualHullIntersection kept;
+      ASSERT_TRUE(kept.Intersect(first, q).ok()) << where;
+      Result<IntersectionResult> grown = kept.Extend(ge, q);
+      ASSERT_TRUE(grown.ok()) << where;
+      EXPECT_TRUE(kept.last_extended()) << where;
+      Result<IntersectionResult> fresh = IntersectHalfspaces(ge, q);
+      ASSERT_TRUE(fresh.ok()) << where;
+      EXPECT_TRUE(SameVertexSet(grown->polytope, fresh->polytope)) << where;
+      EXPECT_EQ(grown->interior, fresh->interior) << where;
+      if (!cone) {
+        EXPECT_EQ(grown->nonredundant, fresh->nonredundant) << where;
+        continue;
+      }
+      const std::vector<Vec>& vertices = fresh->polytope.vertices();
+      auto tight_rank = [&](int idx) {
+        std::vector<Vec> tight;
+        for (const Vec& v : vertices) {
+          if (std::fabs(Dot(ge[idx].normal, v) - ge[idx].offset) <=
+              1e-9 * Norm(ge[idx].normal)) {
+            tight.push_back(v);
+          }
+        }
+        return AffineRank(tight);
+      };
+      auto facet_rows = [&](const std::vector<int>& reported) {
+        std::vector<int> out;
+        for (int idx : reported) {
+          EXPECT_GE(tight_rank(idx), 0) << where << " row " << idx;
+          if (tight_rank(idx) + 1 >= static_cast<int>(d)) out.push_back(idx);
+        }
+        return out;
+      };
+      EXPECT_EQ(facet_rows(grown->nonredundant),
+                facet_rows(fresh->nonredundant))
+          << where;
+    }
+  }
+}
+
+// An appended row equal to a cube row takes over that row's dual point
+// and is reported, as in a fresh intersection, where the input row
+// comes first.
+TEST(DualHullIntersectionTest, AppendedCopyOfACubeRowIsReported) {
+  const Vec q = {0.6, 0.3, 0.5};
+  std::vector<Halfspace> ge = {Halfspace{{1.0, -1.0, 0.0}, 0.0}};
+  DualHullIntersection kept;
+  ASSERT_TRUE(kept.Intersect(ge, q).ok());
+  ge.push_back(Halfspace{{0.0, 2.0, 0.0}, 0.0});  // 2 y >= 0: the cube's
+  Result<IntersectionResult> grown = kept.Extend(ge, q);
+  ASSERT_TRUE(grown.ok());
+  EXPECT_TRUE(kept.last_extended());
+  Result<IntersectionResult> fresh = IntersectHalfspaces(ge, q);
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(fresh->nonredundant, (std::vector<int>{0, 1}));
+  EXPECT_EQ(grown->nonredundant, fresh->nonredundant);
+  EXPECT_TRUE(SameVertexSet(grown->polytope, fresh->polytope));
+}
+
+// Where Extend's contract does not hold it returns exactly what
+// IntersectHalfspaces returns.
+void ExpectSameBits(const IntersectionResult& a, const IntersectionResult& b) {
+  EXPECT_EQ(a.polytope.vertices(), b.polytope.vertices());
+  ASSERT_EQ(a.polytope.facets().size(), b.polytope.facets().size());
+  for (size_t f = 0; f < a.polytope.facets().size(); ++f) {
+    EXPECT_EQ(a.polytope.facets()[f].normal, b.polytope.facets()[f].normal);
+    EXPECT_EQ(a.polytope.facets()[f].offset, b.polytope.facets()[f].offset);
+  }
+  EXPECT_EQ(a.nonredundant, b.nonredundant);
+  EXPECT_EQ(a.interior, b.interior);
+  EXPECT_EQ(a.joggled, b.joggled);
+}
+
+// Extend checks that the system begins with the kept rows: an edited,
+// reordered or dropped row gives a fresh intersection.
+TEST(DualHullIntersectionTest, SystemThatDoesNotBeginWithTheKeptRowsFallsBack) {
+  Rng rng(37);
+  for (size_t d = 2; d <= 6; ++d) {
+    Vec q(d);
+    for (double& x : q) x = rng.Uniform(0.3, 0.7);
+    const std::vector<Halfspace> first = RandomRows(rng, q, 6, /*cone=*/true);
+    std::vector<Halfspace> grown_rows = first;
+    for (const Halfspace& h : RandomRows(rng, q, 3, /*cone=*/true)) {
+      grown_rows.push_back(h);
+    }
+    std::vector<std::vector<Halfspace>> edits(3, grown_rows);
+    edits[0][2].normal[0] = std::nextafter(edits[0][2].normal[0], 2.0);
+    std::swap(edits[1][0], edits[1][1]);
+    edits[2].erase(edits[2].begin() + 3);
+    for (size_t e = 0; e < edits.size(); ++e) {
+      DualHullIntersection kept;
+      ASSERT_TRUE(kept.Intersect(first, q).ok());
+      const uint64_t serial = kept.serial();
+      Result<IntersectionResult> grown = kept.Extend(edits[e], q);
+      Result<IntersectionResult> fresh = IntersectHalfspaces(edits[e], q);
+      ASSERT_TRUE(grown.ok());
+      ASSERT_TRUE(fresh.ok());
+      EXPECT_FALSE(kept.last_extended()) << "d=" << d << " edit " << e;
+      EXPECT_NE(kept.serial(), serial);
+      ExpectSameBits(*grown, *fresh);
+    }
+  }
+}
+
+TEST(DualHullIntersectionTest, RowCuttingOffTheQueryFallsBack) {
+  Rng rng(29);
+  for (size_t d = 2; d <= 6; ++d) {
+    Vec q(d);
+    for (double& x : q) x = rng.Uniform(0.3, 0.7);
+    std::vector<Halfspace> ge = RandomRows(rng, q, 5, /*cone=*/true);
+    DualHullIntersection kept;
+    ASSERT_TRUE(kept.Intersect(ge, q).ok());
+    // Cuts the query off but keeps part of the cone: the fresh build
+    // needs another centre.
+    Vec n(d, 0.0);
+    n[0] = 1.0;
+    ge.push_back(Halfspace{n, q[0] + 0.05});
+    Result<IntersectionResult> grown = kept.Extend(ge, q);
+    Result<IntersectionResult> fresh = IntersectHalfspaces(ge, q);
+    ASSERT_TRUE(grown.ok());
+    ASSERT_TRUE(fresh.ok());
+    EXPECT_FALSE(kept.last_extended()) << "d=" << d;
+    ExpectSameBits(*grown, *fresh);
+  }
+}
+
+TEST(DualHullIntersectionTest, JoggledHullFallsBack) {
+  // Without the cube, these rows' dual points (centre 0) are collinear:
+  // the dual hull only builds joggled, so it is not kept.
+  IntersectionOptions unclipped;
+  unclipped.clip_to_unit_cube = false;
+  const Vec q = {0.0, 0.0};
+  std::vector<Halfspace> ge = {Halfspace{{1.0, 0.0}, -1.0},
+                               Halfspace{{-1.0, 0.0}, -1.0},
+                               Halfspace{{1.0, 0.0}, -2.0}};
+  DualHullIntersection kept;
+  Result<IntersectionResult> first = kept.Intersect(ge, q, unclipped);
+  ASSERT_TRUE(first.ok());
+  EXPECT_TRUE(first->joggled);
+  ge.push_back(Halfspace{{0.0, 1.0}, -1.0});
+  Result<IntersectionResult> grown = kept.Extend(ge, q, unclipped);
+  Result<IntersectionResult> fresh = IntersectHalfspaces(ge, q, unclipped);
+  ASSERT_TRUE(grown.ok());
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_FALSE(kept.last_extended());
+  ExpectSameBits(*grown, *fresh);
+
+  // The builder itself refuses to grow a joggled hull.
+  const std::vector<double> collinear = {-1.0, 0.0, 1.0, 0.0, -0.5, 0.0,
+                                         0.0,  1.0};
+  HullBuilder hull;
+  ASSERT_TRUE(hull.Build(collinear.data(), 3, 2).ok());
+  EXPECT_TRUE(hull.joggled());
+  EXPECT_EQ(hull.Extend(collinear.data(), 4).code(),
+            StatusCode::kFailedPrecondition);
+}
+
+// Once warm, growing the cone's hull allocates only what it returns,
+// as a fresh intersection does.
+TEST(DualHullIntersectionTest, WarmExtendAllocatesOnlyItsOutputs) {
+  Rng rng(31);
+  for (size_t d = 2; d <= 6; ++d) {
+    Vec q(d);
+    for (double& x : q) x = rng.Uniform(0.2, 0.8);
+    const std::vector<Halfspace> ge = RandomCone(rng, q, 10);
+    const std::vector<Halfspace> first(ge.begin(), ge.begin() + 5);
+    DualHullIntersection kept;
+    ASSERT_TRUE(kept.Intersect(first, q).ok());  // warm-up
+    ASSERT_TRUE(kept.Extend(ge, q).ok());
+    ASSERT_TRUE(kept.Intersect(first, q).ok());
+    const uint64_t before = g_allocations.load(std::memory_order_relaxed);
+    Result<IntersectionResult> r = kept.Extend(ge, q);
+    const uint64_t after = g_allocations.load(std::memory_order_relaxed);
+    ASSERT_TRUE(r.ok());
+    ASSERT_TRUE(kept.last_extended());
     ASSERT_FALSE(r->nonredundant.empty());
     const uint64_t outputs = (1 + r->polytope.vertices().size()) +
                              (1 + r->polytope.facets().size()) + 1 + 1;
