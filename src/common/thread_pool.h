@@ -8,6 +8,7 @@
 #include <deque>
 #include <functional>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -150,6 +151,17 @@ class ThreadPool {
   bool stop_ = false;
   std::vector<std::thread> workers_;
 };
+
+// A short-lived pool for one-off set-up work over `rows` records (bulk
+// load, freeze): one worker per hardware thread. Null — the callers
+// then run inline — on a single core, and below a few thousand
+// records, where waking workers costs more than it saves.
+inline std::unique_ptr<ThreadPool> MakeSetupPool(size_t rows) {
+  constexpr size_t kMinRows = 16384;
+  const unsigned cores = std::thread::hardware_concurrency();
+  if (cores <= 1 || rows < kMinRows) return nullptr;
+  return std::make_unique<ThreadPool>(cores);
+}
 
 }  // namespace gir
 

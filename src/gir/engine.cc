@@ -8,6 +8,7 @@
 #include <unordered_set>
 
 #include "common/stopwatch.h"
+#include "common/thread_pool.h"
 #include "dataset/csv.h"
 #include "gir/brute_force.h"
 #include "gir/cp.h"
@@ -60,25 +61,16 @@ GirEngine::GirEngine(const Dataset* dataset, Dataset* mutable_dataset,
       mutable_dataset_(mutable_dataset),
       disk_(disk),
       scoring_(std::move(scoring)),
-      options_(options),
-      tree_(RTree::BulkLoad(dataset, disk)) {
-  // Epoch 0. A read-only engine's image reads the caller's dataset
-  // directly (nothing can mutate it through this engine); an updatable
-  // engine's must not alias the mutable master — an ApplyUpdates append
-  // can reallocate the master's storage under an in-flight epoch-0
-  // reader — so it owns a copy, like every later epoch.
-  auto snap = std::make_shared<Snapshot>();
-  snap->dataset =
-      mutable_dataset_ == nullptr
-          ? std::shared_ptr<const Dataset>(dataset_, [](const Dataset*) {})
-          : std::make_shared<const Dataset>(*dataset_);
-  snap->flat = FlatRTree::Freeze(*tree_, snap->dataset.get());
-  snap->version = 0;
-  snapshot_ = std::move(snap);
+      options_(options) {
+  // Epoch 0. One short-lived pool serves the whole set-up: the bulk
+  // load's slabs, then the freeze's node ranges.
+  std::unique_ptr<ThreadPool> pool = MakeSetupPool(dataset->size());
+  tree_.emplace(RTree::BulkLoad(dataset, disk, RTreeOptions{}, pool.get()));
+  Publish(FreezeEpoch(/*version=*/0, pool.get()));
 }
 
 GirEngine::GirEngine(std::unique_ptr<Dataset> owned, RTree tree,
-                     uint64_t version, DiskManager* disk,
+                     uint64_t version, bool defer_freeze, DiskManager* disk,
                      std::unique_ptr<ScoringFunction> scoring,
                      const GirEngineOptions& options)
     : owned_dataset_(std::move(owned)),
@@ -88,15 +80,14 @@ GirEngine::GirEngine(std::unique_ptr<Dataset> owned, RTree tree,
       scoring_(std::move(scoring)),
       options_(options),
       tree_(std::move(tree)) {
-  // Publish the recovered epoch exactly like a post-update refreeze:
-  // an immutable dataset image plus a flat arena frozen from the
-  // restored master tree, stamped with the recovered version.
-  auto snap = std::make_shared<Snapshot>();
-  snap->dataset = std::make_shared<const Dataset>(*dataset_);
-  snap->flat = FlatRTree::Freeze(*tree_, snap->dataset.get());
-  snap->version = version;
-  snapshot_ = std::move(snap);
+  // Publish the recovered epoch exactly like a post-update refreeze,
+  // stamped with the recovered version. A WAL replay that follows
+  // freezes once after its last batch instead.
   version_.store(version, std::memory_order_release);
+  if (!defer_freeze) {
+    std::unique_ptr<ThreadPool> pool = MakeSetupPool(dataset_->size());
+    Publish(FreezeEpoch(version, pool.get()));
+  }
 }
 
 GirEngine::GirEngine(std::shared_ptr<const Dataset> dataset, FlatRTree flat,
@@ -222,7 +213,8 @@ Result<std::unique_ptr<GirEngine>> GirEngine::Open(EngineConfig config) {
       if (!rec.ok()) return rec.status();
       std::unique_ptr<GirEngine> engine(new GirEngine(
           std::move(rec->dataset), std::move(*rec->tree), rec->version,
-          config.disk, std::move(config.scoring), config.options));
+          /*defer_freeze=*/!config.wal_dir.empty(), config.disk,
+          std::move(config.scoring), config.options));
       if (!config.wal_dir.empty()) {
         // Two-phase recovery: the snapshot restored the newest durable
         // epoch; now re-apply every committed WAL batch past it.
@@ -264,8 +256,9 @@ Result<std::unique_ptr<GirEngine>> GirEngine::Open(EngineConfig config) {
           const uint64_t base_version = (*arena)->version();
           RTree tree = RTree::BulkLoad(ds->get(), config.disk);
           std::unique_ptr<GirEngine> engine(new GirEngine(
-              std::move(*ds), std::move(tree), base_version, config.disk,
-              std::move(config.scoring), config.options));
+              std::move(*ds), std::move(tree), base_version,
+              /*defer_freeze=*/true, config.disk, std::move(config.scoring),
+              config.options));
           Status attached = engine->AttachWal(config, /*replay=*/true);
           if (!attached.ok()) return attached;
           return engine;
@@ -323,19 +316,28 @@ Status GirEngine::AttachWal(const EngineConfig& config, bool replay) {
     for (const WalStore::ReplayRecord& rec : log->records) {
       // Replay repeats the exact pre-crash mutation sequence — same
       // batches, same order, same epoch stamps — so the resulting
-      // master (and its refrozen snapshots) is bit-identical to the
-      // engine that originally acknowledged them. No lock: the engine
-      // is not published yet.
-      Result<UpdateStats> applied =
-          ApplyUpdatesLocked(rec.batch, nullptr, /*log_to_wal=*/false);
+      // master is bit-identical to the engine that originally
+      // acknowledged them. No lock: the engine is not published yet.
+      UpdateStats stats;
+      std::vector<RecordId> new_ids;
+      Status applied =
+          MutateLocked(rec.batch, /*log_to_wal=*/false, &stats, &new_ids);
       if (!applied.ok()) {
-        return Status::DataLoss(
-            "wal replay failed at epoch " + std::to_string(rec.epoch) + ": " +
-            applied.status().message());
+        return Status::DataLoss("wal replay failed at epoch " +
+                                std::to_string(rec.epoch) + ": " +
+                                applied.message());
       }
+      version_.store(dataset_version() + 1, std::memory_order_release);
       ++wal_recovery_.replayed_batches;
     }
     wal_recovery_.replayed_to = dataset_version();
+    // One freeze for the whole tail. Freeze reads the master only, so
+    // this image is bitwise the one a per-batch refreeze would have
+    // published last.
+    if (LoadSnapshot() == nullptr || wal_recovery_.replayed_batches > 0) {
+      std::unique_ptr<ThreadPool> pool = MakeSetupPool(dataset_->size());
+      Publish(FreezeEpoch(dataset_version(), pool.get()));
+    }
   }
   Result<std::unique_ptr<WalWriter>> writer = WalWriter::Open(
       wal_store_.get(), dataset_version(), dim, config.wal);
@@ -572,9 +574,9 @@ Result<UpdateStats> GirEngine::ApplyUpdates(const UpdateBatch& batch,
   return ApplyUpdatesLocked(batch, cache, /*log_to_wal=*/true);
 }
 
-Result<UpdateStats> GirEngine::ApplyUpdatesLocked(const UpdateBatch& batch,
-                                                  ShardedGirCache* cache,
-                                                  bool log_to_wal) {
+Status GirEngine::MutateLocked(const UpdateBatch& batch, bool log_to_wal,
+                               UpdateStats* stats,
+                               std::vector<RecordId>* new_ids) {
   // Validate the whole batch — including the index invariant that every
   // live delete id is actually present in the master tree — before
   // logging or mutating anything: a failed batch leaves dataset, tree
@@ -606,19 +608,18 @@ Result<UpdateStats> GirEngine::ApplyUpdatesLocked(const UpdateBatch& batch,
       return Status::Internal("live record missing from the R*-tree");
     }
   }
-  UpdateStats stats;
   Stopwatch sw;
-  const uint64_t new_version = version_.load(std::memory_order_relaxed) + 1;
 
   // 1. Make the batch durable before touching any state. This is the
   // ack point: once the group commit covers the record, a crash at any
   // later step replays the batch on recovery; if the commit fails, the
   // caller sees the error with the engine exactly as it was.
   if (log_to_wal && wal_ != nullptr) {
+    const uint64_t new_version = version_.load(std::memory_order_relaxed) + 1;
     Status logged = wal_->AppendDurable(batch, new_version);
     if (!logged.ok()) return logged;
-    stats.wal_logged = true;
-    stats.wal_ms = sw.ElapsedMillis();
+    stats->wal_logged = true;
+    stats->wal_ms = sw.ElapsedMillis();
     sw.Restart();
   }
 
@@ -630,22 +631,53 @@ Result<UpdateStats> GirEngine::ApplyUpdatesLocked(const UpdateBatch& batch,
     }
     mutable_dataset_->MarkDeleted(id);
   }
-  std::vector<RecordId> new_ids;
-  new_ids.reserve(batch.inserts.size());
+  new_ids->reserve(batch.inserts.size());
   for (const Vec& p : batch.inserts) {
     const RecordId id = mutable_dataset_->AppendRecord(p);
     tree_->Insert(id);
-    new_ids.push_back(id);
+    new_ids->push_back(id);
   }
-  stats.apply_ms = sw.ElapsedMillis();
+  stats->apply_ms = sw.ElapsedMillis();
+  return Status::Ok();
+}
+
+std::shared_ptr<GirEngine::Snapshot> GirEngine::FreezeEpoch(
+    uint64_t version, ThreadPool* pool) const {
+  // A read-only engine's image reads the caller's dataset directly
+  // (nothing can mutate it through this engine); an updatable engine's
+  // must not alias the mutable master — an ApplyUpdates append can
+  // reallocate the master's storage under an in-flight reader — so it
+  // owns a copy.
+  auto snap = std::make_shared<Snapshot>();
+  snap->dataset =
+      mutable_dataset_ == nullptr
+          ? std::shared_ptr<const Dataset>(dataset_, [](const Dataset*) {})
+          : std::make_shared<const Dataset>(*mutable_dataset_);
+  snap->flat = FlatRTree::Freeze(*tree_, snap->dataset.get(), pool);
+  snap->version = version;
+  return snap;
+}
+
+void GirEngine::Publish(std::shared_ptr<const Snapshot> snap) {
+  const uint64_t version = snap->version;
+  std::atomic_store_explicit(&snapshot_, std::move(snap),
+                             std::memory_order_release);
+  version_.store(version, std::memory_order_release);
+}
+
+Result<UpdateStats> GirEngine::ApplyUpdatesLocked(const UpdateBatch& batch,
+                                                  ShardedGirCache* cache,
+                                                  bool log_to_wal) {
+  UpdateStats stats;
+  std::vector<RecordId> new_ids;
+  Status mutated = MutateLocked(batch, log_to_wal, &stats, &new_ids);
+  if (!mutated.ok()) return mutated;
+  const uint64_t new_version = version_.load(std::memory_order_relaxed) + 1;
 
   // 3. Refreeze into a fresh epoch: an immutable dataset image plus a
   // flat arena bound to it. Readers of older epochs are untouched.
-  sw.Restart();
-  auto snap = std::make_shared<Snapshot>();
-  snap->dataset = std::make_shared<const Dataset>(*mutable_dataset_);
-  snap->flat = FlatRTree::Freeze(*tree_, snap->dataset.get());
-  snap->version = new_version;
+  Stopwatch sw;
+  std::shared_ptr<Snapshot> snap = FreezeEpoch(new_version, nullptr);
   stats.refreeze_ms = sw.ElapsedMillis();
 
   // 4. Incremental cache invalidation, before the epoch flips: doomed
@@ -671,10 +703,7 @@ Result<UpdateStats> GirEngine::ApplyUpdatesLocked(const UpdateBatch& batch,
   stats.invalidate_ms = sw.ElapsedMillis();
 
   // 5. Publish the epoch.
-  std::atomic_store_explicit(&snapshot_,
-                             std::shared_ptr<const Snapshot>(std::move(snap)),
-                             std::memory_order_release);
-  version_.store(new_version, std::memory_order_release);
+  Publish(std::move(snap));
 
   stats.applied_inserts = batch.inserts.size();
   stats.applied_deletes = batch.deletes.size();

@@ -447,9 +447,12 @@ class GirEngine {
             DiskManager* disk, std::unique_ptr<ScoringFunction> scoring,
             const GirEngineOptions& options);
 
-  // Restore path: adopts recovered state instead of bulk-loading.
+  // Restore path: adopts recovered state instead of bulk-loading. With
+  // `defer_freeze` it publishes no snapshot: a WAL replay follows, and
+  // AttachWal freezes once after its last batch.
   GirEngine(std::unique_ptr<Dataset> owned, RTree tree, uint64_t version,
-            DiskManager* disk, std::unique_ptr<ScoringFunction> scoring,
+            bool defer_freeze, DiskManager* disk,
+            std::unique_ptr<ScoringFunction> scoring,
             const GirEngineOptions& options);
 
   // Arena path: serves straight from the mapping — no master tree, no
@@ -468,11 +471,28 @@ class GirEngine {
                                  Phase2Method method, bool order_sensitive)
       const;
 
-  // Body of ApplyUpdates; requires update_mu_. Replay passes
-  // log_to_wal = false (the records being applied came *from* the log).
+  // Body of ApplyUpdates; requires update_mu_.
   Result<UpdateStats> ApplyUpdatesLocked(const UpdateBatch& batch,
                                          ShardedGirCache* cache,
                                          bool log_to_wal);
+
+  // ApplyUpdates' first half, up to the refreeze: validates the batch,
+  // logs it when `log_to_wal` (replay passes false: its records came
+  // *from* the log), and mutates the master tree and dataset. Fills the
+  // wal and apply fields of `stats` and the inserted records' ids. A
+  // failed batch leaves dataset, tree and WAL untouched. Requires
+  // update_mu_ (or an unpublished engine).
+  Status MutateLocked(const UpdateBatch& batch, bool log_to_wal,
+                      UpdateStats* stats, std::vector<RecordId>* new_ids);
+
+  // A snapshot of the master tree at `version`: Freeze (node ranges on
+  // `pool` when non-null) over a copy of the master dataset, or over
+  // the caller's dataset itself on a read-only engine.
+  std::shared_ptr<Snapshot> FreezeEpoch(uint64_t version,
+                                        ThreadPool* pool) const;
+
+  // Makes `snap` the current epoch and its version the engine's.
+  void Publish(std::shared_ptr<const Snapshot> snap);
 
   // Attaches the WAL named by `config` to a freshly-opened updatable
   // engine: replays committed records past the engine's epoch when

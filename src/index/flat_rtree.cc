@@ -1,9 +1,11 @@
 #include "index/flat_rtree.h"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
 #include "common/simd.h"
+#include "common/thread_pool.h"
 
 namespace gir {
 
@@ -44,19 +46,19 @@ FlatRTree& FlatRTree::operator=(FlatRTree&& other) noexcept {
   meta_ = std::move(other.meta_);
   root_ = other.root_;
   record_count_ = other.record_count_;
-  // Vector moves transfer the heap buffers, so re-anchoring on our own
-  // vectors keeps the owned case valid; the mapped case keeps the
+  // Moves transfer the heap buffers, so re-anchoring on our own
+  // buffers keeps the owned case valid; the mapped case keeps the
   // source's (mapping-stable) pointers.
-  coords_base_ = arena_ != nullptr ? other.coords_base_ : coords_.data();
+  coords_base_ = arena_ != nullptr ? other.coords_base_ : coords_.get();
   children_base_ =
-      arena_ != nullptr ? other.children_base_ : children_.data();
+      arena_ != nullptr ? other.children_base_ : children_.get();
   other.coords_base_ = nullptr;
   other.children_base_ = nullptr;
   return *this;
 }
 
-FlatRTree FlatRTree::Freeze(const RTree& tree,
-                            const Dataset* dataset_override) {
+FlatRTree FlatRTree::Freeze(const RTree& tree, const Dataset* dataset_override,
+                            ThreadPool* pool) {
   FlatRTree flat;
   flat.dataset_ = dataset_override != nullptr ? dataset_override
                                               : &tree.dataset();
@@ -67,31 +69,49 @@ FlatRTree FlatRTree::Freeze(const RTree& tree,
   flat.root_ = tree.root();
   flat.record_count_ = tree.size();
 
+  // The arrays are left uninitialized here: each node range writes
+  // every slot of its own nodes (unused ones too), so the first touch
+  // of a page, and its fault, happens on the thread that packs it.
   const size_t n = tree.node_count();
-  flat.coords_.assign(n * flat.node_stride_, 0.0);
-  flat.children_.assign(n * flat.capacity_, -1);
+  const size_t dim = flat.dim_;
+  const size_t cap = flat.capacity_;
+  const size_t stride = flat.node_stride_;
+  flat.coords_.reset(new double[n * stride]);
+  flat.children_.reset(new int32_t[n * cap]);
   flat.meta_.resize(n);
-  for (size_t p = 0; p < n; ++p) {
+  auto pack = [&](size_t p) {
     const RTreeNode& node = tree.PeekNode(static_cast<PageId>(p));
-    assert(node.entries.size() <= flat.capacity_);
+    const size_t count = node.entries.size();
+    assert(count <= cap);
     FlatNodeMeta& meta = flat.meta_[p];
-    meta.count = static_cast<uint32_t>(node.entries.size());
+    meta.count = static_cast<uint32_t>(count);
     meta.level = node.level;
     meta.is_leaf = node.is_leaf;
-    meta.mbb = node.ComputeMbb(flat.dim_);
-    double* coords = flat.coords_.data() + p * flat.node_stride_;
-    int32_t* children = flat.children_.data() + p * flat.capacity_;
-    for (size_t e = 0; e < node.entries.size(); ++e) {
+    meta.mbb = node.ComputeMbb(dim);
+    double* coords = flat.coords_.get() + p * stride;
+    int32_t* children = flat.children_.get() + p * cap;
+    std::fill(coords, coords + stride, 0.0);
+    std::fill(children + count, children + cap, -1);
+    for (size_t e = 0; e < count; ++e) {
       const RTreeEntry& entry = node.entries[e];
       children[e] = entry.child;
-      for (size_t j = 0; j < flat.dim_; ++j) {
-        coords[j * flat.capacity_ + e] = entry.mbb.lo[j];
-        coords[(flat.dim_ + j) * flat.capacity_ + e] = entry.mbb.hi[j];
+      for (size_t j = 0; j < dim; ++j) {
+        coords[j * cap + e] = entry.mbb.lo[j];
+        coords[(dim + j) * cap + e] = entry.mbb.hi[j];
       }
     }
+  };
+  if (pool == nullptr) {
+    for (size_t p = 0; p < n; ++p) pack(p);
+  } else {
+    // A few ranges per thread even out the nodes' uneven fill.
+    const size_t ranges = std::min(n, 4 * pool->size());
+    pool->ParallelFor(ranges, [&](size_t r) {
+      for (size_t p = n * r / ranges; p < n * (r + 1) / ranges; ++p) pack(p);
+    });
   }
-  flat.coords_base_ = flat.coords_.data();
-  flat.children_base_ = flat.children_.data();
+  flat.coords_base_ = flat.coords_.get();
+  flat.children_base_ = flat.children_.get();
   return flat;
 }
 

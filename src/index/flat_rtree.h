@@ -12,6 +12,8 @@
 
 namespace gir {
 
+class ThreadPool;
+
 // Read-only, cache-friendly image of an RTree, produced by Freeze() —
 // or mapped straight from an on-disk arena file by FromArena().
 //
@@ -125,8 +127,13 @@ class FlatRTree {
   // copy so in-flight readers never observe the master mutating. The
   // override must hold bit-identical coordinates for every record id in
   // the tree.
+  //
+  // `pool` (when non-null) packs node ranges in parallel; the image is
+  // the same bytes either way. Open and recovery pass their set-up pool;
+  // ApplyUpdates freezes inline.
   static FlatRTree Freeze(const RTree& tree,
-                          const Dataset* dataset_override = nullptr);
+                          const Dataset* dataset_override = nullptr,
+                          ThreadPool* pool = nullptr);
 
   // Maps an image straight from a validated arena file: the coordinate
   // planes and children arrays are served from the read-only mapping
@@ -206,9 +213,9 @@ class FlatRTree {
   size_t dim_ = 0;
   size_t capacity_ = 0;
   size_t node_stride_ = 0;  // doubles per node behind coords_base_
-  // Owned storage (Freeze). Empty when arena-backed.
-  std::vector<double> coords_;
-  std::vector<int32_t> children_;
+  // Owned storage (Freeze). Null when arena-backed.
+  std::unique_ptr<double[]> coords_;
+  std::unique_ptr<int32_t[]> children_;
   // Hot-array bases: the owned vectors' data, or spans of the mapping.
   const double* coords_base_ = nullptr;
   const int32_t* children_base_ = nullptr;

@@ -3,7 +3,12 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstring>
+#include <memory>
 #include <set>
+#include <utility>
+
+#include "common/thread_pool.h"
 
 namespace gir {
 
@@ -423,21 +428,145 @@ void RTree::Split(PageId page, std::vector<PageId>& path) {
 
 namespace {
 
-// Recursive Sort-Tile-Recursive partitioning: tiles `ids` (record ids or
-// node indices) into runs of at most `capacity`, sorting each axis in
-// turn. `key` maps an element and an axis to its sort coordinate.
-template <typename Key>
-void StrTile(std::vector<int32_t>& ids, size_t lo, size_t hi, size_t axis,
-             size_t dims, size_t capacity, const Key& key,
+// Points packed row-major beside their ids: row i is the point of
+// ids[i]. Sort-Tile-Recursive permutes rows and ids together, so a
+// slab's sort keys are contiguous and no comparison chases an id into
+// the dataset.
+struct PackedPoints {
+  size_t dim = 0;
+  std::vector<double> rows;
+  std::vector<int32_t> ids;
+
+  const double* row(size_t i) const { return rows.data() + i * dim; }
+};
+
+using SortKey = std::pair<double, uint32_t>;  // (coordinate, position)
+
+bool KeyLess(const SortKey& a, const SortKey& b) { return a.first < b.first; }
+
+// Buffers of SortByAxis for n points, allocated once by the loading
+// thread and left uninitialized (every sort writes before it reads).
+// The sort of rows [lo, hi) uses the same range of each buffer, so
+// slabs tiling in parallel share them without overlap, the workers
+// allocate nothing, and a page first faults on the thread sorting it.
+struct SortScratch {
+  SortScratch(size_t n, size_t dim)
+      : keys(new SortKey[n]),
+        buffer(new SortKey[n]),
+        rows(new double[n * dim]),
+        ids(new int32_t[n]) {}
+
+  std::unique_ptr<SortKey[]> keys;
+  std::unique_ptr<SortKey[]> buffer;
+  std::unique_ptr<double[]> rows;
+  std::unique_ptr<int32_t[]> ids;
+};
+
+// Keys from which a sort tries RadixSortDistinct first.
+constexpr size_t kRadixSortKeys = 1024;
+
+// The bits of `x` as an unsigned integer that orders like x under `<`
+// (apart from -0 < +0 and NaNs, which KeyLess treats as ties).
+uint64_t OrderedBits(double x) {
+  uint64_t u;
+  std::memcpy(&u, &x, sizeof(u));
+  return (u >> 63) != 0 ? ~u : u | (uint64_t{1} << 63);
+}
+
+// LSD radix sort of keys[0, n) by OrderedBits of the key, 11 bits a
+// pass, ping-ponging with buffer[0, n); a pass whose digit every key
+// shares is skipped. Returns the array that holds the result. Only a
+// sequence of distinct keys has a single sorted order, which std::sort
+// produces too; so this returns null, with both arrays in no defined
+// order, as soon as two neighbours of the result compare equal under
+// KeyLess.
+SortKey* RadixSortDistinct(SortKey* keys, SortKey* buffer, size_t n) {
+  constexpr int kDigitBits = 11;
+  constexpr int kPasses = (64 + kDigitBits - 1) / kDigitBits;
+  constexpr size_t kBuckets = size_t{1} << kDigitBits;
+  auto digit = [](uint64_t bits, int pass) {
+    return static_cast<size_t>((bits >> (pass * kDigitBits)) &
+                               (kBuckets - 1));
+  };
+  std::vector<uint32_t> counts(kPasses * kBuckets, 0);
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t bits = OrderedBits(keys[i].first);
+    for (int pass = 0; pass < kPasses; ++pass) {
+      ++counts[pass * kBuckets + digit(bits, pass)];
+    }
+  }
+  for (int pass = 0; pass < kPasses; ++pass) {
+    uint32_t* count = counts.data() + pass * kBuckets;
+    if (count[digit(OrderedBits(keys[0].first), pass)] == n) continue;
+    uint32_t offset = 0;
+    for (size_t b = 0; b < kBuckets; ++b) {
+      const uint32_t c = count[b];
+      count[b] = offset;
+      offset += c;
+    }
+    for (size_t i = 0; i < n; ++i) {
+      buffer[count[digit(OrderedBits(keys[i].first), pass)]++] = keys[i];
+    }
+    std::swap(keys, buffer);
+  }
+  for (size_t i = 1; i < n; ++i) {
+    if (!KeyLess(keys[i - 1], keys[i])) return nullptr;
+  }
+  return keys;
+}
+
+// Sorts rows [lo, hi) of `pts` by coordinate `axis`. std::sort sees the
+// (key, position) pairs in the order it would see the ids, and compares
+// keys only, so every comparison has the outcome it has in an id sort
+// keyed on the same coordinate: the permutation, ties included, is the
+// one that sort produces. A large range first tries RadixSortDistinct,
+// whose order is the same whenever it succeeds.
+void SortByAxis(PackedPoints* pts, size_t lo, size_t hi, size_t axis,
+                SortScratch* s) {
+  const size_t n = hi - lo;
+  const size_t dim = pts->dim;
+  SortKey* keys = s->keys.get() + lo;
+  auto load_keys = [&] {
+    for (size_t i = 0; i < n; ++i) {
+      keys[i] = {pts->rows[(lo + i) * dim + axis], static_cast<uint32_t>(i)};
+    }
+  };
+  load_keys();
+  const SortKey* sorted = nullptr;
+  if (n >= kRadixSortKeys) {
+    sorted = RadixSortDistinct(keys, s->buffer.get() + lo, n);
+    if (sorted == nullptr) load_keys();  // a tie: sort the id order instead
+  }
+  if (sorted == nullptr) {
+    std::sort(keys, keys + n, KeyLess);
+    sorted = keys;
+  }
+  double* rows = s->rows.get() + lo * dim;
+  int32_t* ids = s->ids.get() + lo;
+  for (size_t i = 0; i < n; ++i) {
+    const size_t from = lo + sorted[i].second;
+    std::copy_n(pts->row(from), dim, rows + i * dim);
+    ids[i] = pts->ids[from];
+  }
+  std::copy_n(rows, n * dim, pts->rows.begin() + lo * dim);
+  std::copy_n(ids, n, pts->ids.begin() + lo);
+}
+
+// Recursive Sort-Tile-Recursive partitioning: tiles rows [lo, hi) of
+// `pts` into runs of at most `capacity`, sorting each axis in turn.
+// With a pool, the slabs of this level tile in parallel (each on its
+// own rows, into its own runs, concatenated in slab order); deeper
+// levels run on the slab's thread.
+void StrTile(PackedPoints* pts, size_t lo, size_t hi, size_t axis,
+             size_t capacity, SortScratch* scratch, ThreadPool* pool,
              std::vector<std::pair<size_t, size_t>>* runs) {
   const size_t n = hi - lo;
+  const size_t dims = pts->dim;
   if (n <= capacity) {
     runs->emplace_back(lo, hi);
     return;
   }
-  std::sort(ids.begin() + lo, ids.begin() + hi, [&](int32_t a, int32_t b) {
-    return key(a, axis) < key(b, axis);
-  });
+  SortByAxis(pts, lo, hi, axis, scratch);
   // Balanced partitioning (sizes differ by at most one) keeps trailing
   // runs from falling far below the fill target.
   auto balanced = [](size_t total, size_t parts, size_t part) {
@@ -454,84 +583,129 @@ void StrTile(std::vector<int32_t>& ids, size_t lo, size_t hi, size_t axis,
   const double pages = std::ceil(static_cast<double>(n) / capacity);
   const size_t slabs = static_cast<size_t>(std::ceil(
       std::pow(pages, 1.0 / static_cast<double>(dims - axis))));
-  for (size_t s = 0; s < slabs; ++s) {
-    size_t start = lo + balanced(n, slabs, s);
-    size_t stop = lo + balanced(n, slabs, s + 1);
+  std::vector<std::vector<std::pair<size_t, size_t>>> slab_runs(
+      pool != nullptr ? slabs : 0);
+  auto tile_slab = [&](size_t s) {
+    const size_t start = lo + balanced(n, slabs, s);
+    const size_t stop = lo + balanced(n, slabs, s + 1);
     if (start < stop) {
-      StrTile(ids, start, stop, axis + 1, dims, capacity, key, runs);
+      StrTile(pts, start, stop, axis + 1, capacity, scratch, nullptr,
+              pool != nullptr ? &slab_runs[s] : runs);
     }
+  };
+  if (pool == nullptr) {
+    for (size_t s = 0; s < slabs; ++s) tile_slab(s);
+    return;
   }
+  pool->ParallelFor(slabs, tile_slab);
+  for (const auto& r : slab_runs) runs->insert(runs->end(), r.begin(), r.end());
+}
+
+// Tiles every row of `pts` (the scratch lives only for the tiling).
+std::vector<std::pair<size_t, size_t>> TileAll(PackedPoints* pts,
+                                               size_t capacity,
+                                               ThreadPool* pool) {
+  std::vector<std::pair<size_t, size_t>> runs;
+  SortScratch scratch(pts->ids.size(), pts->dim);
+  StrTile(pts, 0, pts->ids.size(), 0, capacity, &scratch, pool, &runs);
+  return runs;
 }
 
 }  // namespace
 
 RTree RTree::BulkLoad(const Dataset* dataset, DiskManager* disk,
                       const RTreeOptions& options) {
+  std::unique_ptr<ThreadPool> pool = MakeSetupPool(dataset->live_size());
+  return BulkLoad(dataset, disk, options, pool.get());
+}
+
+RTree RTree::BulkLoad(const Dataset* dataset, DiskManager* disk,
+                      const RTreeOptions& options, ThreadPool* pool) {
   RTree tree(dataset, disk, options);
   tree.bulk_loaded_ = true;
   const size_t dim = dataset->dim();
 
   // Only live records are indexed; tombstoned slots stay out of the
   // tree (their ids remain resolvable through the dataset).
-  std::vector<int32_t> ids;
-  ids.reserve(dataset->live_size());
+  PackedPoints pts;
+  pts.dim = dim;
+  pts.rows.reserve(dataset->live_size() * dim);
+  pts.ids.reserve(dataset->live_size());
   for (size_t i = 0; i < dataset->size(); ++i) {
-    if (dataset->IsLive(static_cast<RecordId>(i))) {
-      ids.push_back(static_cast<int32_t>(i));
+    const RecordId id = static_cast<RecordId>(i);
+    if (dataset->IsLive(id)) {
+      const VecView p = dataset->Get(id);
+      pts.rows.insert(pts.rows.end(), p.begin(), p.end());
+      pts.ids.push_back(id);
     }
   }
-  const size_t n = ids.size();
+  const size_t n = pts.ids.size();
   if (n == 0) return tree;
-  std::vector<std::pair<size_t, size_t>> runs;
-  StrTile(
-      ids, 0, n, 0, dim, tree.capacity_,
-      [&](int32_t id, size_t axis) { return dataset->Get(id)[axis]; }, &runs);
+  std::vector<std::pair<size_t, size_t>> runs =
+      TileAll(&pts, tree.capacity_, pool);
 
+  // Leaves, built on the calling thread: every entry's Mbb is allocated
+  // here, so the master tree's heap does not spread over the workers'
+  // malloc arenas. A node's box (kept for its parent's entry) and
+  // center (its sort key one level up) are folded in entry order, as
+  // RTreeNode::ComputeMbb folds them.
   std::vector<PageId> level_pages;
-  std::vector<Vec> level_centers;
+  std::vector<Mbb> level_boxes;
+  auto add_center = [](const Mbb& box, PackedPoints* centers) {
+    const Vec center = box.Center();
+    centers->rows.insert(centers->rows.end(), center.begin(), center.end());
+    centers->ids.push_back(static_cast<int32_t>(centers->ids.size()));
+  };
+  // The centers of the level just built, each keyed by its position in
+  // the level: the next level tiles them.
+  PackedPoints centers;
+  centers.dim = dim;
   for (auto [lo, hi] : runs) {
     PageId page = tree.NewNode(/*is_leaf=*/true, /*level=*/0);
     RTreeNode& node = tree.nodes_[page];
+    node.entries.resize(hi - lo);
+    Mbb box = Mbb::EmptyBox(dim);
     for (size_t i = lo; i < hi; ++i) {
-      RTreeEntry e;
-      e.mbb = Mbb::OfPoint(dataset->Get(ids[i]));
-      e.child = ids[i];
-      node.entries.push_back(std::move(e));
+      RTreeEntry& e = node.entries[i - lo];
+      e.mbb.lo.assign(pts.row(i), pts.row(i) + dim);
+      e.mbb.hi = e.mbb.lo;
+      e.child = pts.ids[i];
+      box.ExpandTo(VecView(pts.row(i), dim));
     }
+    add_center(box, &centers);
     level_pages.push_back(page);
-    level_centers.push_back(node.ComputeMbb(dim).Center());
+    level_boxes.push_back(std::move(box));
   }
   tree.record_count_ = n;
+  pts = PackedPoints();  // hand its memory back before the upper levels
 
   // Upper levels.
   int level = 1;
   while (level_pages.size() > 1) {
-    std::vector<int32_t> node_ids(level_pages.size());
-    for (size_t i = 0; i < level_pages.size(); ++i) {
-      node_ids[i] = static_cast<int32_t>(i);
-    }
-    runs.clear();
-    StrTile(
-        node_ids, 0, node_ids.size(), 0, dim, tree.capacity_,
-        [&](int32_t id, size_t axis) { return level_centers[id][axis]; },
-        &runs);
+    runs = TileAll(&centers, tree.capacity_, pool);
+    PackedPoints next_centers;
+    next_centers.dim = dim;
     std::vector<PageId> next_pages;
-    std::vector<Vec> next_centers;
+    std::vector<Mbb> next_boxes;
     for (auto [lo, hi] : runs) {
       PageId page = tree.NewNode(/*is_leaf=*/false, level);
       RTreeNode& node = tree.nodes_[page];
+      node.entries.resize(hi - lo);
+      Mbb box = Mbb::EmptyBox(dim);
       for (size_t i = lo; i < hi; ++i) {
-        PageId child = level_pages[node_ids[i]];
-        RTreeEntry e;
-        e.mbb = tree.nodes_[child].ComputeMbb(dim);
-        e.child = static_cast<int32_t>(child);
-        node.entries.push_back(std::move(e));
+        const size_t child = static_cast<size_t>(centers.ids[i]);
+        RTreeEntry& e = node.entries[i - lo];
+        e.mbb = level_boxes[child];
+        e.child = static_cast<int32_t>(level_pages[child]);
+        box.ExpandTo(e.mbb);
       }
+      add_center(box, &next_centers);
       next_pages.push_back(page);
-      next_centers.push_back(node.ComputeMbb(dim).Center());
+      next_boxes.push_back(std::move(box));
     }
     level_pages = std::move(next_pages);
-    level_centers = std::move(next_centers);
+    level_boxes = std::move(next_boxes);
+    centers = std::move(next_centers);
     ++level;
   }
   tree.root_ = level_pages[0];

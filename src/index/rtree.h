@@ -11,6 +11,8 @@
 
 namespace gir {
 
+class ThreadPool;
+
 // One slot of an R-tree node: for internal nodes `child` is a PageId,
 // for leaves it is a RecordId (and the MBB is the point itself).
 struct RTreeEntry {
@@ -69,9 +71,16 @@ class RTree {
   bool Contains(RecordId id) const;
 
   // Sort-Tile-Recursive bulk load of the live records of the dataset
-  // (tombstoned records are skipped).
+  // (tombstoned records are skipped). It tiles a packed copy of the
+  // live rows, the slabs below axis 0 in parallel on a short-lived
+  // MakeSetupPool (inline below a few thousand records).
   static RTree BulkLoad(const Dataset* dataset, DiskManager* disk,
                         const RTreeOptions& options = {});
+  // The same load with the slabs tiled on `pool` (null: inline). Every
+  // pool builds the identical tree: page ids, levels, entry order, MBB
+  // bits and DiskManager counters.
+  static RTree BulkLoad(const Dataset* dataset, DiskManager* disk,
+                        const RTreeOptions& options, ThreadPool* pool);
 
   // Reassembles a tree from explicit nodes (used by the page codec when
   // restoring a persisted image; not part of the query API). Page ids

@@ -129,6 +129,82 @@ INSTANTIATE_TEST_SUITE_P(
         TightenCase{"IND", 3, 10, 8}, TightenCase{"IND", 4, 20, 8},
         TightenCase{"ANTI", 4, 10, 10}, TightenCase{"COR", 5, 10, 10}));
 
+// A Phase-1 cone whose dual hull only built joggled. In ANTI d=4 with a
+// constant column every top-k row shares that coordinate, so the
+// Phase-1 normals are coplanar and, on some queries, the cone's hull
+// needs a joggle. FP must build no ConeFilter from such a cone's
+// inexact vertices: its Phase 2 then runs exactly as with tightening
+// off (a filter would skip records and change the candidates), and the
+// region is the same set.
+TEST(TighteningJoggledConeTest, FpBuildsNoFilterFromAJoggledCone) {
+  const int d = 4;
+  const size_t k = 20;
+  Rng rng(3000 + d);
+  Result<Dataset> generated = GenerateByName("ANTI", 4000, d, rng);
+  ASSERT_TRUE(generated.ok());
+  std::vector<Vec> rows;
+  for (size_t i = 0; i < generated->size(); ++i) {
+    Vec row = generated->GetVec(static_cast<RecordId>(i));
+    row[0] = 0.5;
+    rows.push_back(std::move(row));
+  }
+  const Dataset data = Dataset::FromRows(rows);
+  DiskManager disk_a;
+  GirEngineOptions plain;
+  plain.fp.phase1_tightening = false;
+  auto engine_a = OpenEngineOrDie(EngineConfig::FromDataset(
+      &data, &disk_a, MakeScoring("Linear", d), plain));
+  DiskManager disk_b;
+  auto engine_b = OpenEngineOrDie(
+      EngineConfig::FromDataset(&data, &disk_b, MakeScoring("Linear", d)));
+  const ScoringFunction& scoring = engine_b->scoring();
+  const GirEngine::PinnedIndex pin = engine_b->PinIndex();
+
+  Rng oracle_rng(5000 + d);
+  int joggled = 0;
+  for (int trial = 0; trial < 48; ++trial) {
+    Vec w(d);
+    for (int j = 0; j < d; ++j) w[j] = rng.Uniform(0.1, 1.0);
+    Result<GirComputation> a = engine_a->ComputeGir(w, k, Phase2Method::kFP);
+    Result<GirComputation> b = engine_b->ComputeGir(w, k, Phase2Method::kFP);
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(b.ok());
+    auto phase1_cone = [&] {
+      GirRegion cone(d, w, b->topk.result);
+      AddPhase1Constraints(data, scoring, b->topk.result, &cone);
+      cone.polytope();
+      return cone;
+    };
+    GirRegion on = phase1_cone();
+    if (!on.polytope_joggled()) continue;
+    ++joggled;
+    GirRegion off = phase1_cone();
+    FpOptions tight_options;
+    ASSERT_TRUE(tight_options.phase1_tightening);
+    FpOptions plain_options;
+    plain_options.phase1_tightening = false;
+    Result<Phase2Output> p_on =
+        RunFpNdPhase2(*pin.flat, scoring, w, b->topk, &on, tight_options);
+    Result<Phase2Output> p_off =
+        RunFpNdPhase2(*pin.flat, scoring, w, b->topk, &off, plain_options);
+    ASSERT_TRUE(p_on.ok());
+    ASSERT_TRUE(p_off.ok());
+    EXPECT_EQ(p_on->candidates, p_off->candidates) << "trial " << trial;
+    EXPECT_EQ(p_on->io.reads, p_off->io.reads) << "trial " << trial;
+    EXPECT_EQ(p_on->star_facets_created, p_off->star_facets_created)
+        << "trial " << trial;
+    ASSERT_EQ(on.constraints().size(), off.constraints().size());
+    for (size_t i = 0; i < on.constraints().size(); ++i) {
+      EXPECT_EQ(on.constraints()[i].normal, off.constraints()[i].normal)
+          << "trial " << trial << " constraint " << i;
+    }
+    EXPECT_TRUE(oracle::SameRegion(a->region, b->region, data, scoring,
+                                   oracle_rng))
+        << "trial " << trial;
+  }
+  EXPECT_GT(joggled, 0) << "no query reached a joggled Phase-1 cone";
+}
+
 // ---------- STB (Soliman et al.) baseline ----------
 TEST(StbTest, BallIsInsideTheGir) {
   Rng rng(61);

@@ -1,11 +1,25 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "dataset/generators.h"
+#include "gir/engine.h"
+#include "index/flat_rtree.h"
 #include "index/mbb.h"
 #include "index/rtree.h"
+#include "storage/snapshot_store.h"
+#include "topk/scoring.h"
 
 namespace gir {
 namespace {
@@ -79,7 +93,253 @@ TEST_P(RTreeBuildTest, InsertValidates) {
   ASSERT_TRUE(tree.Validate().ok()) << tree.Validate().ToString();
 }
 
-INSTANTIATE_TEST_SUITE_P(Dims, RTreeBuildTest, ::testing::Values(2, 4, 6));
+// The STR bulk load as first written, kept as the reference the packed,
+// parallel loader must reproduce node for node: ids sorted in place by
+// keys read through Dataset::Get, leaves and upper levels built entry
+// by entry. Pages are numbered in creation order, as NewNode numbers
+// them.
+struct ReferenceTree {
+  std::vector<RTreeNode> nodes;
+  PageId root = kInvalidPage;
+};
+
+template <typename Key>
+void ReferenceStrTile(std::vector<int32_t>& ids, size_t lo, size_t hi,
+                      size_t axis, size_t dims, size_t capacity,
+                      const Key& key,
+                      std::vector<std::pair<size_t, size_t>>* runs) {
+  const size_t n = hi - lo;
+  if (n <= capacity) {
+    runs->emplace_back(lo, hi);
+    return;
+  }
+  std::sort(ids.begin() + lo, ids.begin() + hi, [&](int32_t a, int32_t b) {
+    return key(a, axis) < key(b, axis);
+  });
+  auto balanced = [](size_t total, size_t parts, size_t part) {
+    return total * part / parts;
+  };
+  if (axis + 1 == dims) {
+    const size_t chunks = (n + capacity - 1) / capacity;
+    for (size_t c = 0; c < chunks; ++c) {
+      runs->emplace_back(lo + balanced(n, chunks, c),
+                         lo + balanced(n, chunks, c + 1));
+    }
+    return;
+  }
+  const double pages = std::ceil(static_cast<double>(n) / capacity);
+  const size_t slabs = static_cast<size_t>(std::ceil(
+      std::pow(pages, 1.0 / static_cast<double>(dims - axis))));
+  for (size_t s = 0; s < slabs; ++s) {
+    const size_t start = lo + balanced(n, slabs, s);
+    const size_t stop = lo + balanced(n, slabs, s + 1);
+    if (start < stop) {
+      ReferenceStrTile(ids, start, stop, axis + 1, dims, capacity, key, runs);
+    }
+  }
+}
+
+ReferenceTree ReferenceBulkLoad(const Dataset& data, size_t capacity) {
+  ReferenceTree tree;
+  const size_t dim = data.dim();
+  std::vector<int32_t> ids;
+  for (size_t i = 0; i < data.size(); ++i) {
+    if (data.IsLive(static_cast<RecordId>(i))) {
+      ids.push_back(static_cast<int32_t>(i));
+    }
+  }
+  if (ids.empty()) return tree;
+  auto new_node = [&](bool is_leaf, int level) {
+    tree.nodes.emplace_back();
+    tree.nodes.back().is_leaf = is_leaf;
+    tree.nodes.back().level = level;
+    return static_cast<PageId>(tree.nodes.size() - 1);
+  };
+  std::vector<std::pair<size_t, size_t>> runs;
+  ReferenceStrTile(
+      ids, 0, ids.size(), 0, dim, capacity,
+      [&](int32_t id, size_t axis) { return data.Get(id)[axis]; }, &runs);
+  std::vector<PageId> level_pages;
+  std::vector<Vec> level_centers;
+  for (auto [lo, hi] : runs) {
+    const PageId page = new_node(/*is_leaf=*/true, /*level=*/0);
+    for (size_t i = lo; i < hi; ++i) {
+      RTreeEntry e;
+      e.mbb = Mbb::OfPoint(data.Get(ids[i]));
+      e.child = ids[i];
+      tree.nodes[page].entries.push_back(std::move(e));
+    }
+    level_pages.push_back(page);
+    level_centers.push_back(tree.nodes[page].ComputeMbb(dim).Center());
+  }
+  int level = 1;
+  while (level_pages.size() > 1) {
+    std::vector<int32_t> node_ids(level_pages.size());
+    for (size_t i = 0; i < node_ids.size(); ++i) {
+      node_ids[i] = static_cast<int32_t>(i);
+    }
+    runs.clear();
+    ReferenceStrTile(
+        node_ids, 0, node_ids.size(), 0, dim, capacity,
+        [&](int32_t id, size_t axis) { return level_centers[id][axis]; },
+        &runs);
+    std::vector<PageId> next_pages;
+    std::vector<Vec> next_centers;
+    for (auto [lo, hi] : runs) {
+      const PageId page = new_node(/*is_leaf=*/false, level);
+      for (size_t i = lo; i < hi; ++i) {
+        const PageId child = level_pages[node_ids[i]];
+        RTreeEntry e;
+        e.mbb = tree.nodes[child].ComputeMbb(dim);
+        e.child = static_cast<int32_t>(child);
+        tree.nodes[page].entries.push_back(std::move(e));
+      }
+      next_pages.push_back(page);
+      next_centers.push_back(tree.nodes[page].ComputeMbb(dim).Center());
+    }
+    level_pages = std::move(next_pages);
+    level_centers = std::move(next_centers);
+    ++level;
+  }
+  tree.root = level_pages[0];
+  return tree;
+}
+
+bool SameBits(const Vec& a, const Vec& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// Node-by-node identity with the reference, plus the DiskManager
+// counters a load leaves behind (one allocation and one write a node).
+void ExpectMatchesReference(const RTree& tree, const DiskManager& disk,
+                            const ReferenceTree& ref, const std::string& what) {
+  ASSERT_EQ(tree.node_count(), ref.nodes.size()) << what;
+  ASSERT_EQ(tree.root(), ref.root) << what;
+  for (size_t p = 0; p < ref.nodes.size(); ++p) {
+    const RTreeNode& got = tree.PeekNode(static_cast<PageId>(p));
+    const RTreeNode& want = ref.nodes[p];
+    ASSERT_EQ(got.is_leaf, want.is_leaf) << what << " page " << p;
+    ASSERT_EQ(got.level, want.level) << what << " page " << p;
+    ASSERT_EQ(got.entries.size(), want.entries.size())
+        << what << " page " << p;
+    for (size_t e = 0; e < want.entries.size(); ++e) {
+      ASSERT_EQ(got.entries[e].child, want.entries[e].child)
+          << what << " page " << p << " entry " << e;
+      ASSERT_TRUE(SameBits(got.entries[e].mbb.lo, want.entries[e].mbb.lo) &&
+                  SameBits(got.entries[e].mbb.hi, want.entries[e].mbb.hi))
+          << what << " page " << p << " entry " << e;
+    }
+  }
+  EXPECT_EQ(disk.allocated_pages(), ref.nodes.size()) << what;
+  const IoStats io = disk.stats();
+  EXPECT_EQ(io.writes, ref.nodes.size()) << what;
+  EXPECT_EQ(io.reads, 0u) << what;
+}
+
+// The data shapes the loader must tile exactly as the reference does:
+// general position, ties (quantized and exact duplicates, which also
+// send every radix sort back to std::sort), a constant column, and
+// tombstones.
+Dataset MakeStrCase(const std::string& kind, size_t n, size_t d, Rng& rng) {
+  const std::string dist =
+      kind == "ANTI" ? "ANTI" : (kind == "COR" ? "COR" : "IND");
+  Dataset base = *GenerateByName(dist, n, d, rng);
+  if (kind == "IND" || kind == "ANTI" || kind == "COR") return base;
+  Dataset out(d);
+  for (size_t i = 0; i < n; ++i) {
+    Vec row = base.GetVec(static_cast<RecordId>(i));
+    if (kind == "quantized") {
+      for (double& x : row) x = std::round(x * 8.0) / 8.0;
+    } else if (kind == "duplicates") {
+      row = base.GetVec(static_cast<RecordId>(i / 3));
+    } else if (kind == "constant_column") {
+      row[d / 2] = 0.5;
+    }
+    out.Append(row);
+  }
+  if (kind == "tombstones") {
+    for (size_t i = 0; i < n; i += 7) out.MarkDeleted(static_cast<RecordId>(i));
+  }
+  return out;
+}
+
+TEST_P(RTreeBuildTest, BulkLoadMatchesReferenceStr) {
+  const size_t d = static_cast<size_t>(GetParam());
+  ThreadPool one(1);
+  ThreadPool wide(std::max(1u, std::thread::hardware_concurrency()));
+  size_t capacity = 0;
+  {
+    Dataset probe(d);
+    DiskManager disk;
+    capacity = RTree(&probe, &disk).Capacity();
+  }
+  const size_t sizes[] = {0, 1, capacity, capacity + 1, 50000};
+  const char* kinds[] = {"IND",        "ANTI",       "COR",
+                         "quantized",  "duplicates", "constant_column",
+                         "tombstones"};
+  for (size_t n : sizes) {
+    for (const char* kind : kinds) {
+      Rng rng(1000 * d + n);
+      const Dataset data = MakeStrCase(kind, n, d, rng);
+      const ReferenceTree ref = ReferenceBulkLoad(data, capacity);
+      for (ThreadPool* pool : {&one, &wide}) {
+        const std::string what = std::string(kind) + " d=" +
+                                 std::to_string(d) + " n=" +
+                                 std::to_string(n) + " threads=" +
+                                 std::to_string(pool->size());
+        DiskManager disk;
+        const RTree tree = RTree::BulkLoad(&data, &disk, {}, pool);
+        ExpectMatchesReference(tree, disk, ref, what);
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+// A bulk-loaded engine's first checkpoint is byte for byte the arena of
+// the reference tree frozen over the same rows.
+TEST(RTreeTest, BulkLoadedEngineArenaMatchesReferenceArena) {
+  Rng rng(77);
+  Dataset data = MakeStrCase("tombstones", 50000, 4, rng);
+  const std::filesystem::path root =
+      std::filesystem::path(testing::TempDir()) / "str_reference_arena";
+  std::filesystem::remove_all(root);
+
+  DiskManager engine_disk;
+  std::unique_ptr<GirEngine> engine = OpenEngineOrDie(
+      EngineConfig::FromDataset(&data, &engine_disk, MakeScoring("Linear", 4)));
+  SnapshotStore engine_store((root / "engine").string());
+  Result<GirEngine::CheckpointStats> cp = engine->Checkpoint(&engine_store);
+  ASSERT_TRUE(cp.ok()) << cp.status().ToString();
+
+  DiskManager ref_disk;
+  const size_t capacity = RTree(&data, &ref_disk).Capacity();
+  ReferenceTree ref = ReferenceBulkLoad(data, capacity);
+  const RTree ref_tree = RTree::FromParts(&data, &ref_disk,
+                                          std::move(ref.nodes), ref.root,
+                                          data.live_size());
+  const FlatRTree ref_flat = FlatRTree::Freeze(ref_tree);
+  SnapshotStore ref_store((root / "reference").string());
+  Result<SnapshotStore::WriteStats> wrote =
+      ref_store.WriteArena(ref_flat, cp->version);
+  ASSERT_TRUE(wrote.ok()) << wrote.status().ToString();
+
+  const std::string got = ReadFileBytes(cp->arena_path);
+  const std::string want = ReadFileBytes(wrote->path);
+  ASSERT_FALSE(want.empty());
+  EXPECT_TRUE(got == want) << "arena bytes differ (" << got.size() << " vs "
+                           << want.size() << " bytes)";
+  std::filesystem::remove_all(root);
+}
+
+INSTANTIATE_TEST_SUITE_P(Dims, RTreeBuildTest,
+                         ::testing::Values(2, 3, 4, 5, 6));
 
 TEST(RTreeTest, RangeQueryMatchesLinearScan) {
   Rng rng(9);
