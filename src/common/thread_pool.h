@@ -154,10 +154,12 @@ class ThreadPool {
 
 // A short-lived pool for one-off set-up work over `rows` records (bulk
 // load, freeze): one worker per hardware thread. Null — the callers
-// then run inline — on a single core, and below a few thousand
-// records, where waking workers costs more than it saves.
+// then run inline — on a single core, and below 8192 records: on 4
+// vCPUs a pool saved ~1 ms of a 4.7 ms bulk load plus freeze at 8192
+// rows, and nothing at 4096, where starting the workers cost the
+// freeze what the slabs gained.
 inline std::unique_ptr<ThreadPool> MakeSetupPool(size_t rows) {
-  constexpr size_t kMinRows = 16384;
+  constexpr size_t kMinRows = 8192;
   const unsigned cores = std::thread::hardware_concurrency();
   if (cores <= 1 || rows < kMinRows) return nullptr;
   return std::make_unique<ThreadPool>(cores);

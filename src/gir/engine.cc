@@ -70,7 +70,7 @@ GirEngine::GirEngine(const Dataset* dataset, Dataset* mutable_dataset,
 }
 
 GirEngine::GirEngine(std::unique_ptr<Dataset> owned, RTree tree,
-                     uint64_t version, bool defer_freeze, DiskManager* disk,
+                     uint64_t version, DiskManager* disk,
                      std::unique_ptr<ScoringFunction> scoring,
                      const GirEngineOptions& options)
     : owned_dataset_(std::move(owned)),
@@ -80,14 +80,7 @@ GirEngine::GirEngine(std::unique_ptr<Dataset> owned, RTree tree,
       scoring_(std::move(scoring)),
       options_(options),
       tree_(std::move(tree)) {
-  // Publish the recovered epoch exactly like a post-update refreeze,
-  // stamped with the recovered version. A WAL replay that follows
-  // freezes once after its last batch instead.
   version_.store(version, std::memory_order_release);
-  if (!defer_freeze) {
-    std::unique_ptr<ThreadPool> pool = MakeSetupPool(dataset_->size());
-    Publish(FreezeEpoch(version, pool.get()));
-  }
 }
 
 GirEngine::GirEngine(std::shared_ptr<const Dataset> dataset, FlatRTree flat,
@@ -213,9 +206,14 @@ Result<std::unique_ptr<GirEngine>> GirEngine::Open(EngineConfig config) {
       if (!rec.ok()) return rec.status();
       std::unique_ptr<GirEngine> engine(new GirEngine(
           std::move(rec->dataset), std::move(*rec->tree), rec->version,
-          /*defer_freeze=*/!config.wal_dir.empty(), config.disk,
-          std::move(config.scoring), config.options));
-      if (!config.wal_dir.empty()) {
+          config.disk, std::move(config.scoring), config.options));
+      if (config.wal_dir.empty()) {
+        // Publish the recovered epoch like a post-update refreeze,
+        // stamped with the recovered version.
+        std::unique_ptr<ThreadPool> pool =
+            MakeSetupPool(engine->dataset_->size());
+        engine->Publish(engine->FreezeEpoch(rec->version, pool.get()));
+      } else {
         // Two-phase recovery: the snapshot restored the newest durable
         // epoch; now re-apply every committed WAL batch past it.
         Status attached = engine->AttachWal(config, /*replay=*/true);
@@ -256,9 +254,8 @@ Result<std::unique_ptr<GirEngine>> GirEngine::Open(EngineConfig config) {
           const uint64_t base_version = (*arena)->version();
           RTree tree = RTree::BulkLoad(ds->get(), config.disk);
           std::unique_ptr<GirEngine> engine(new GirEngine(
-              std::move(*ds), std::move(tree), base_version,
-              /*defer_freeze=*/true, config.disk, std::move(config.scoring),
-              config.options));
+              std::move(*ds), std::move(tree), base_version, config.disk,
+              std::move(config.scoring), config.options));
           Status attached = engine->AttachWal(config, /*replay=*/true);
           if (!attached.ok()) return attached;
           return engine;
@@ -331,13 +328,11 @@ Status GirEngine::AttachWal(const EngineConfig& config, bool replay) {
       ++wal_recovery_.replayed_batches;
     }
     wal_recovery_.replayed_to = dataset_version();
-    // One freeze for the whole tail. Freeze reads the master only, so
-    // this image is bitwise the one a per-batch refreeze would have
-    // published last.
-    if (LoadSnapshot() == nullptr || wal_recovery_.replayed_batches > 0) {
-      std::unique_ptr<ThreadPool> pool = MakeSetupPool(dataset_->size());
-      Publish(FreezeEpoch(dataset_version(), pool.get()));
-    }
+    // One freeze for the whole tail (the restored engine published
+    // nothing yet). Freeze reads the master only, so this image is
+    // bitwise the one a per-batch refreeze would have published last.
+    std::unique_ptr<ThreadPool> pool = MakeSetupPool(dataset_->size());
+    Publish(FreezeEpoch(dataset_version(), pool.get()));
   }
   Result<std::unique_ptr<WalWriter>> writer = WalWriter::Open(
       wal_store_.get(), dataset_version(), dim, config.wal);

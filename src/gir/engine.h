@@ -447,12 +447,11 @@ class GirEngine {
             DiskManager* disk, std::unique_ptr<ScoringFunction> scoring,
             const GirEngineOptions& options);
 
-  // Restore path: adopts recovered state instead of bulk-loading. With
-  // `defer_freeze` it publishes no snapshot: a WAL replay follows, and
-  // AttachWal freezes once after its last batch.
+  // Restore path: adopts recovered state instead of bulk-loading and
+  // publishes no snapshot. Open freezes and publishes the recovered
+  // epoch, or AttachWal's replay does so once after its last batch.
   GirEngine(std::unique_ptr<Dataset> owned, RTree tree, uint64_t version,
-            bool defer_freeze, DiskManager* disk,
-            std::unique_ptr<ScoringFunction> scoring,
+            DiskManager* disk, std::unique_ptr<ScoringFunction> scoring,
             const GirEngineOptions& options);
 
   // Arena path: serves straight from the mapping — no master tree, no

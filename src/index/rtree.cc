@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstring>
 #include <memory>
 #include <set>
 #include <utility>
@@ -440,9 +439,15 @@ struct PackedPoints {
   const double* row(size_t i) const { return rows.data() + i * dim; }
 };
 
-using SortKey = std::pair<double, uint32_t>;  // (coordinate, position)
+// A coordinate and the position of its row in the range being sorted.
+// Trivially constructible, so the scratch below really starts
+// uninitialized.
+struct SortKey {
+  double key;
+  uint32_t pos;
+};
 
-bool KeyLess(const SortKey& a, const SortKey& b) { return a.first < b.first; }
+bool KeyLess(const SortKey& a, const SortKey& b) { return a.key < b.key; }
 
 // Buffers of SortByAxis for n points, allocated once by the loading
 // thread and left uninitialized (every sort writes before it reads).
@@ -451,100 +456,31 @@ bool KeyLess(const SortKey& a, const SortKey& b) { return a.first < b.first; }
 // allocate nothing, and a page first faults on the thread sorting it.
 struct SortScratch {
   SortScratch(size_t n, size_t dim)
-      : keys(new SortKey[n]),
-        buffer(new SortKey[n]),
-        rows(new double[n * dim]),
-        ids(new int32_t[n]) {}
+      : keys(new SortKey[n]), rows(new double[n * dim]), ids(new int32_t[n]) {}
 
   std::unique_ptr<SortKey[]> keys;
-  std::unique_ptr<SortKey[]> buffer;
   std::unique_ptr<double[]> rows;
   std::unique_ptr<int32_t[]> ids;
 };
-
-// Keys from which a sort tries RadixSortDistinct first.
-constexpr size_t kRadixSortKeys = 1024;
-
-// The bits of `x` as an unsigned integer that orders like x under `<`
-// (apart from -0 < +0 and NaNs, which KeyLess treats as ties).
-uint64_t OrderedBits(double x) {
-  uint64_t u;
-  std::memcpy(&u, &x, sizeof(u));
-  return (u >> 63) != 0 ? ~u : u | (uint64_t{1} << 63);
-}
-
-// LSD radix sort of keys[0, n) by OrderedBits of the key, 11 bits a
-// pass, ping-ponging with buffer[0, n); a pass whose digit every key
-// shares is skipped. Returns the array that holds the result. Only a
-// sequence of distinct keys has a single sorted order, which std::sort
-// produces too; so this returns null, with both arrays in no defined
-// order, as soon as two neighbours of the result compare equal under
-// KeyLess.
-SortKey* RadixSortDistinct(SortKey* keys, SortKey* buffer, size_t n) {
-  constexpr int kDigitBits = 11;
-  constexpr int kPasses = (64 + kDigitBits - 1) / kDigitBits;
-  constexpr size_t kBuckets = size_t{1} << kDigitBits;
-  auto digit = [](uint64_t bits, int pass) {
-    return static_cast<size_t>((bits >> (pass * kDigitBits)) &
-                               (kBuckets - 1));
-  };
-  std::vector<uint32_t> counts(kPasses * kBuckets, 0);
-  for (size_t i = 0; i < n; ++i) {
-    const uint64_t bits = OrderedBits(keys[i].first);
-    for (int pass = 0; pass < kPasses; ++pass) {
-      ++counts[pass * kBuckets + digit(bits, pass)];
-    }
-  }
-  for (int pass = 0; pass < kPasses; ++pass) {
-    uint32_t* count = counts.data() + pass * kBuckets;
-    if (count[digit(OrderedBits(keys[0].first), pass)] == n) continue;
-    uint32_t offset = 0;
-    for (size_t b = 0; b < kBuckets; ++b) {
-      const uint32_t c = count[b];
-      count[b] = offset;
-      offset += c;
-    }
-    for (size_t i = 0; i < n; ++i) {
-      buffer[count[digit(OrderedBits(keys[i].first), pass)]++] = keys[i];
-    }
-    std::swap(keys, buffer);
-  }
-  for (size_t i = 1; i < n; ++i) {
-    if (!KeyLess(keys[i - 1], keys[i])) return nullptr;
-  }
-  return keys;
-}
 
 // Sorts rows [lo, hi) of `pts` by coordinate `axis`. std::sort sees the
 // (key, position) pairs in the order it would see the ids, and compares
 // keys only, so every comparison has the outcome it has in an id sort
 // keyed on the same coordinate: the permutation, ties included, is the
-// one that sort produces. A large range first tries RadixSortDistinct,
-// whose order is the same whenever it succeeds.
+// one that sort produces.
 void SortByAxis(PackedPoints* pts, size_t lo, size_t hi, size_t axis,
                 SortScratch* s) {
   const size_t n = hi - lo;
   const size_t dim = pts->dim;
   SortKey* keys = s->keys.get() + lo;
-  auto load_keys = [&] {
-    for (size_t i = 0; i < n; ++i) {
-      keys[i] = {pts->rows[(lo + i) * dim + axis], static_cast<uint32_t>(i)};
-    }
-  };
-  load_keys();
-  const SortKey* sorted = nullptr;
-  if (n >= kRadixSortKeys) {
-    sorted = RadixSortDistinct(keys, s->buffer.get() + lo, n);
-    if (sorted == nullptr) load_keys();  // a tie: sort the id order instead
+  for (size_t i = 0; i < n; ++i) {
+    keys[i] = {pts->rows[(lo + i) * dim + axis], static_cast<uint32_t>(i)};
   }
-  if (sorted == nullptr) {
-    std::sort(keys, keys + n, KeyLess);
-    sorted = keys;
-  }
+  std::sort(keys, keys + n, KeyLess);
   double* rows = s->rows.get() + lo * dim;
   int32_t* ids = s->ids.get() + lo;
   for (size_t i = 0; i < n; ++i) {
-    const size_t from = lo + sorted[i].second;
+    const size_t from = lo + keys[i].pos;
     std::copy_n(pts->row(from), dim, rows + i * dim);
     ids[i] = pts->ids[from];
   }

@@ -238,9 +238,8 @@ void ExpectMatchesReference(const RTree& tree, const DiskManager& disk,
 }
 
 // The data shapes the loader must tile exactly as the reference does:
-// general position, ties (quantized and exact duplicates, which also
-// send every radix sort back to std::sort), a constant column, and
-// tombstones.
+// general position, ties (quantized and exact duplicates), a constant
+// column, and tombstones.
 Dataset MakeStrCase(const std::string& kind, size_t n, size_t d, Rng& rng) {
   const std::string dist =
       kind == "ANTI" ? "ANTI" : (kind == "COR" ? "COR" : "IND");
