@@ -132,6 +132,16 @@ Result<ArenaEpoch> LoadArenaEpoch(const std::string& path, DiskManager* disk) {
   return LoadArenaEpoch(std::move(*arena), disk);
 }
 
+// The master tree frozen into `arena`, over `dataset` (BuildDataset of
+// the same file). The mapping is released when this returns.
+Result<RTree> ThawArena(std::shared_ptr<const ArenaFile> arena,
+                        const Dataset* dataset, DiskManager* disk) {
+  Result<FlatRTree> flat =
+      FlatRTree::FromArena(std::move(arena), dataset, disk);
+  if (!flat.ok()) return flat.status();
+  return RTree::Thaw(*flat, dataset, disk);
+}
+
 bool IsDirectory(const std::string& path) {
   struct stat st;
   return ::stat(path.c_str(), &st) == 0 && S_ISDIR(st.st_mode);
@@ -147,7 +157,6 @@ Result<std::unique_ptr<GirEngine>> GirEngine::Open(EngineConfig config) {
     return Status::InvalidArgument("EngineConfig needs a scoring function");
   }
   if ((config.source == EngineConfig::Source::kCsv ||
-       config.source == EngineConfig::Source::kSnapshotDir ||
        config.source == EngineConfig::Source::kArena) &&
       config.path.empty()) {
     // Fail fast and by name: an empty path would otherwise surface as a
@@ -200,27 +209,6 @@ Result<std::unique_ptr<GirEngine>> GirEngine::Open(EngineConfig config) {
       }
       return engine;
     }
-    case EngineConfig::Source::kSnapshotDir: {
-      SnapshotStore store(config.path);
-      Result<SnapshotStore::Recovered> rec = store.RecoverLatest(config.disk);
-      if (!rec.ok()) return rec.status();
-      std::unique_ptr<GirEngine> engine(new GirEngine(
-          std::move(rec->dataset), std::move(*rec->tree), rec->version,
-          config.disk, std::move(config.scoring), config.options));
-      if (config.wal_dir.empty()) {
-        // Publish the recovered epoch like a post-update refreeze,
-        // stamped with the recovered version.
-        std::unique_ptr<ThreadPool> pool =
-            MakeSetupPool(engine->dataset_->size());
-        engine->Publish(engine->FreezeEpoch(rec->version, pool.get()));
-      } else {
-        // Two-phase recovery: the snapshot restored the newest durable
-        // epoch; now re-apply every committed WAL batch past it.
-        Status attached = engine->AttachWal(config, /*replay=*/true);
-        if (!attached.ok()) return attached;
-      }
-      return engine;
-    }
     case EngineConfig::Source::kArena: {
       Result<std::shared_ptr<const ArenaFile>> arena =
           Status::Internal("unreachable");
@@ -237,44 +225,32 @@ Result<std::unique_ptr<GirEngine>> GirEngine::Open(EngineConfig config) {
       }
       if (!arena.ok()) return arena.status();
 
-      if (!config.wal_dir.empty()) {
-        // Two-phase recovery, arena flavour: a committed WAL tail past
-        // the arena epoch forces the updatable rebuild path — replayed
-        // batches mutate a master rebuilt from the arena rows. Results
-        // are identical to the pre-crash engine (the update-vs-rebuild
-        // bit-identity property); with no tail the zero-copy mmap fast
-        // path below still applies.
-        WalStore probe(config.wal_dir, config.wal_injector);
-        Result<WalStore::ReplayLog> log =
-            probe.ReadCommitted((*arena)->version());
-        if (!log.ok()) return log.status();
-        if (!log->records.empty()) {
-          Result<std::unique_ptr<Dataset>> ds = (*arena)->BuildDataset();
-          if (!ds.ok()) return ds.status();
-          const uint64_t base_version = (*arena)->version();
-          RTree tree = RTree::BulkLoad(ds->get(), config.disk);
-          std::unique_ptr<GirEngine> engine(new GirEngine(
-              std::move(*ds), std::move(tree), base_version, config.disk,
-              std::move(config.scoring), config.options));
-          Status attached = engine->AttachWal(config, /*replay=*/true);
-          if (!attached.ok()) return attached;
-          return engine;
-        }
+      if (config.wal_dir.empty()) {
+        // Read-only replica engine: serves straight from the mapping.
+        Result<ArenaEpoch> epoch =
+            LoadArenaEpoch(std::move(*arena), config.disk);
+        if (!epoch.ok()) return epoch.status();
+        return std::unique_ptr<GirEngine>(new GirEngine(
+            std::move(epoch->dataset), std::move(epoch->flat),
+            epoch->version, config.disk, std::move(config.scoring),
+            config.options));
       }
-
-      Result<ArenaEpoch> epoch = LoadArenaEpoch(std::move(*arena), config.disk);
-      if (!epoch.ok()) return epoch.status();
+      // Two-phase recovery: thaw the master out of the arena's node
+      // pages (the mapping is dropped with the image), then replay the
+      // committed WAL tail past the arena epoch, which may be empty.
+      // Page ids, free list and entry bits are the pre-crash master's,
+      // so the recovered engine charges the pre-crash simulated I/O.
+      Result<std::unique_ptr<Dataset>> ds = (*arena)->BuildDataset();
+      if (!ds.ok()) return ds.status();
+      const uint64_t version = (*arena)->version();
+      Result<RTree> tree =
+          ThawArena(std::move(*arena), ds->get(), config.disk);
+      if (!tree.ok()) return tree.status();
       std::unique_ptr<GirEngine> engine(new GirEngine(
-          std::move(epoch->dataset), std::move(epoch->flat), epoch->version,
-          config.disk, std::move(config.scoring), config.options));
-      if (!config.wal_dir.empty()) {
-        // Read-only mmap engine: expose the store (for delta shipping /
-        // inspection) but no writer — arena engines take no updates.
-        engine->wal_store_ = std::make_unique<WalStore>(config.wal_dir,
-                                                        config.wal_injector);
-        engine->wal_recovery_.recovered_epoch = epoch->version;
-        engine->wal_recovery_.replayed_to = epoch->version;
-      }
+          std::move(*ds), std::move(*tree), version, config.disk,
+          std::move(config.scoring), config.options));
+      Status attached = engine->AttachWal(config, /*replay=*/true);
+      if (!attached.ok()) return attached;
       return engine;
     }
   }

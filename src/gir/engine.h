@@ -120,48 +120,50 @@ struct GirEngineOptions {
 //                                is the mutable master.
 //   FromCsv(path)                loads the CSV into an engine-owned
 //                                mutable master (updatable).
-//   FromSnapshotDir(dir)         recovers the newest valid snapshot in
-//                                `dir` (SnapshotStore::RecoverLatest)
-//                                into an updatable engine.
 //   FromArena(path)              mmaps an arena file (storage/
-//                                arena_file.h) and serves straight from
-//                                the mapping: no rebuild, no refreeze,
-//                                read-only. `path` may be the file
+//                                arena_file.h). `path` may be the file
 //                                itself or a snapshot directory — the
 //                                newest valid arena-*.garn then wins
 //                                (SnapshotStore::RecoverLatestArena).
+//                                Without a WAL the engine serves
+//                                straight from the mapping: no rebuild,
+//                                no refreeze, read-only. With one
+//                                (WithWal) it is updatable: the master
+//                                R*-tree is thawed out of the arena's
+//                                node pages (RTree::Thaw) and the WAL
+//                                tail past the arena epoch replayed.
 struct EngineConfig {
   enum class Source {
     kDataset,         // caller-owned immutable dataset
     kMutableDataset,  // caller-owned mutable master dataset
     kCsv,             // CSV file, loaded into an engine-owned master
-    kSnapshotDir,     // newest valid .gsnp epoch in a directory
     kArena,           // mmap'd arena file (or newest in a directory)
   };
 
   Source source = Source::kDataset;
   const Dataset* dataset = nullptr;    // kDataset
   Dataset* mutable_dataset = nullptr;  // kMutableDataset
-  std::string path;                    // kCsv / kSnapshotDir / kArena
+  std::string path;                    // kCsv / kArena
   DiskManager* disk = nullptr;         // required, all sources
   std::unique_ptr<ScoringFunction> scoring;  // required, all sources
   GirEngineOptions options;
 
   // ----- durable update log (optional) -----
-  // Non-empty: ApplyUpdates appends each batch to an epoch-segmented
-  // WAL under this directory and acknowledges only after the record is
-  // fsync-durable (see storage/wal.h). For kSnapshotDir and kArena
-  // sources, Open additionally replays every committed WAL batch past
-  // the recovered epoch (two-phase recovery); other sources attach a
-  // fresh log at the current epoch without replaying — their dataset
-  // is caller-supplied and need not match any logged history, so the
-  // directory should be fresh or recovered-from.
+  // Non-empty: the engine is updatable, and ApplyUpdates appends each
+  // batch to an epoch-segmented WAL under this directory and
+  // acknowledges only after the record is fsync-durable (see
+  // storage/wal.h). For a kArena source, Open first replays every
+  // committed WAL batch past the arena epoch (two-phase recovery; the
+  // tail may be empty); other sources attach a fresh log at the current
+  // epoch without replaying — their dataset is caller-supplied and need
+  // not match any logged history, so the directory should be fresh or
+  // recovered-from. kDataset (const) refuses a WAL.
   std::string wal_dir;
   WalOptions wal;                        // group-commit knobs
   FaultInjector* wal_injector = nullptr; // non-owning; may be null
 
   // Chains onto a factory:
-  //   GirEngine::Open(EngineConfig::FromSnapshotDir(dir, &disk, scoring)
+  //   GirEngine::Open(EngineConfig::FromArena(dir, &disk, scoring)
   //                       .WithWal(wal_dir));
   EngineConfig&& WithWal(std::string dir, WalOptions wal_options = {},
                          FaultInjector* injector = nullptr) && {
@@ -202,17 +204,6 @@ struct EngineConfig {
     EngineConfig c;
     c.source = Source::kCsv;
     c.path = std::move(path);
-    c.disk = disk;
-    c.scoring = std::move(scoring);
-    c.options = options;
-    return c;
-  }
-  static EngineConfig FromSnapshotDir(std::string dir, DiskManager* disk,
-                                      std::unique_ptr<ScoringFunction> scoring,
-                                      GirEngineOptions options = {}) {
-    EngineConfig c;
-    c.source = Source::kSnapshotDir;
-    c.path = std::move(dir);
     c.disk = disk;
     c.scoring = std::move(scoring);
     c.options = options;
@@ -385,15 +376,15 @@ class GirEngine {
   // and wal_truncated comes back false. Serialized with ApplyUpdates.
   Result<CheckpointStats> Checkpoint(SnapshotStore* store);
 
-  // Arena-backed engines only (Open with a kArena source): swaps the
-  // served epoch to the arena file at `path` — mmap the new file,
-  // validate it end to end, publish it with one atomic pointer swap.
-  // In-flight readers finish on the mapping they pinned; the old file
-  // is munmapped when the last of them drains. This is the replica
-  // epoch-advance path: a follower serves arena epoch N while a leader
-  // publishes N+1 via SnapshotStore::WriteArena, then the follower
-  // advances with no rebuild and no reader stall. Returns the new
-  // epoch's version; FailedPrecondition on a non-arena engine,
+  // Read-only arena engines only (Open with a kArena source and no
+  // WAL): swaps the served epoch to the arena file at `path` — mmap the
+  // new file, validate it end to end, publish it with one atomic
+  // pointer swap. In-flight readers finish on the mapping they pinned;
+  // the old file is munmapped when the last of them drains. This is the
+  // replica epoch-advance path: a follower serves arena epoch N while a
+  // leader publishes N+1 via SnapshotStore::WriteArena, then the
+  // follower advances with no rebuild and no reader stall. Returns the
+  // new epoch's version; FailedPrecondition on an updatable engine,
   // DataLoss/NotFound/InvalidArgument when the file is damaged,
   // missing, or from a different dataset shape.
   Result<uint64_t> AdvanceToArena(const std::string& path);
@@ -404,9 +395,9 @@ class GirEngine {
   }
 
   // True when the engine keeps a mutable master R*-tree (every source
-  // except kArena). Arena engines serve the frozen image only; tree()
-  // must not be called on them. Queries run on PinIndex().flat, which
-  // every engine has.
+  // except kArena without a WAL). Read-only arena engines serve the
+  // frozen image only; tree() must not be called on them. Queries run
+  // on PinIndex().flat, which every engine has.
   bool has_master_tree() const { return tree_.has_value(); }
   const RTree& tree() const { return *tree_; }
   // The currently-published frozen image. The reference stays valid
@@ -447,15 +438,15 @@ class GirEngine {
             DiskManager* disk, std::unique_ptr<ScoringFunction> scoring,
             const GirEngineOptions& options);
 
-  // Restore path: adopts recovered state instead of bulk-loading and
-  // publishes no snapshot. Open freezes and publishes the recovered
-  // epoch, or AttachWal's replay does so once after its last batch.
+  // Restore path: adopts a thawed master instead of bulk-loading and
+  // publishes no snapshot; AttachWal's replay publishes once, after its
+  // last batch.
   GirEngine(std::unique_ptr<Dataset> owned, RTree tree, uint64_t version,
             DiskManager* disk, std::unique_ptr<ScoringFunction> scoring,
             const GirEngineOptions& options);
 
-  // Arena path: serves straight from the mapping — no master tree, no
-  // refreeze, read-only. `flat` must be FromArena over `dataset`, which
+  // Read-only arena path: serves straight from the mapping — no master
+  // tree, no refreeze. `flat` must be FromArena over `dataset`, which
   // the published snapshot takes ownership of.
   GirEngine(std::shared_ptr<const Dataset> dataset, FlatRTree flat,
             uint64_t version, DiskManager* disk,

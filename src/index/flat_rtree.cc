@@ -140,17 +140,23 @@ Result<FlatRTree> FlatRTree::FromArena(
   flat.children_base_ = arena->children();
   // Per-node metadata: the POD headers plus the MBB planes are small
   // (O(nodes * dim)), rebuilt on the heap because FlatNodeMeta carries
-  // an allocated Mbb. Child ids must stay inside the arena — a valid
-  // CRC proves integrity, not semantics, so the structural checks here
-  // are what keeps a hostile-but-checksummed file from walking a
-  // traversal out of bounds.
+  // an allocated Mbb. A valid CRC proves integrity, not semantics, so
+  // the structural checks here keep a hostile-but-checksummed file from
+  // walking a traversal out of bounds: a leaf's children must be rows
+  // of the dataset, an internal node's must be pages one level down
+  // (levels fall strictly, so no walk can cycle).
   const size_t n = arena->node_count();
+  const ArenaNodeMeta* metas = arena->node_meta();
   const int64_t node_limit = static_cast<int64_t>(n);
+  const int64_t row_limit = static_cast<int64_t>(arena->dataset_rows());
   flat.meta_.resize(n);
   for (size_t p = 0; p < n; ++p) {
-    const ArenaNodeMeta& m = arena->node_meta()[p];
+    const ArenaNodeMeta& m = metas[p];
     if (m.count > flat.capacity_) {
       return Status::DataLoss("arena node entry count exceeds capacity");
+    }
+    if ((m.is_leaf != 0) != (m.level == 0)) {
+      return Status::DataLoss("arena leaf flag inconsistent with level");
     }
     FlatNodeMeta& meta = flat.meta_[p];
     meta.count = m.count;
@@ -159,12 +165,18 @@ Result<FlatRTree> FlatRTree::FromArena(
     const double* box = arena->node_mbbs() + p * 2 * flat.dim_;
     meta.mbb.lo.assign(box, box + flat.dim_);
     meta.mbb.hi.assign(box + flat.dim_, box + 2 * flat.dim_);
-    if (!meta.is_leaf) {
-      const int32_t* children = flat.children_base_ + p * flat.capacity_;
-      for (uint32_t e = 0; e < m.count; ++e) {
-        if (children[e] < 0 || children[e] >= node_limit) {
-          return Status::DataLoss("arena child page id out of range");
+    const int32_t* children = flat.children_base_ + p * flat.capacity_;
+    for (uint32_t e = 0; e < m.count; ++e) {
+      const int32_t c = children[e];
+      if (meta.is_leaf) {
+        if (c < 0 || c >= row_limit) {
+          return Status::DataLoss("arena leaf record id out of range");
         }
+      } else if (c < 0 || c >= node_limit) {
+        return Status::DataLoss("arena child page id out of range");
+      } else if (static_cast<int64_t>(metas[c].level) !=
+                 static_cast<int64_t>(m.level) - 1) {
+        return Status::DataLoss("arena child level is not its parent's - 1");
       }
     }
   }

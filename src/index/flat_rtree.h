@@ -37,11 +37,11 @@ class ThreadPool;
 // count is identical across them (property-tested per SIMD tier).
 //
 // Every query algorithm runs on this image; the mutable tree only
-// builds, updates and snapshots. Page ids are preserved 1:1 from the
-// source tree, and ReadNode charges exactly one simulated page read per
-// node access. Leaf entry planes hold the record coordinates themselves
-// (a leaf MBB is its point), which is what makes leaf scoring a pure
-// SoA streaming loop.
+// builds and updates, and RTree::Thaw rebuilds it from an image. Page
+// ids are preserved 1:1 from the source tree, and ReadNode charges
+// exactly one simulated page read per node access. Leaf entry planes
+// hold the record coordinates themselves (a leaf MBB is its point),
+// which is what makes leaf scoring a pure SoA streaming loop.
 // Fixed-size per-node header of the flat arena (an implementation
 // detail of FlatRTree, at namespace scope only so NodeView's inline
 // accessors can see the complete type).
@@ -142,7 +142,10 @@ class FlatRTree {
   // record image the arena was written with (ArenaFile::BuildDataset)
   // and must outlive the image; the shared_ptr keeps the mapping alive
   // for as long as any reader holds this image. InvalidArgument when
-  // the dataset's shape does not match the arena's header.
+  // the dataset's shape does not match the arena's header; DataLoss when
+  // a node is inconsistent (entry count over capacity, leaf flag not
+  // matching level 0, leaf record id outside the dataset, child page out
+  // of range or not one level below its parent).
   static Result<FlatRTree> FromArena(std::shared_ptr<const ArenaFile> arena,
                                      const Dataset* dataset,
                                      DiskManager* disk);

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "common/thread_pool.h"
+#include "index/flat_rtree.h"
 
 namespace gir {
 
@@ -57,7 +58,8 @@ PageId RTree::NewNode(bool is_leaf, int level) {
 
 void RTree::FreeNode(PageId page) {
   nodes_[page].entries.clear();
-  free_pages_.push_back(page);
+  free_pages_.insert(
+      std::upper_bound(free_pages_.begin(), free_pages_.end(), page), page);
 }
 
 size_t RTree::height() const {
@@ -648,39 +650,67 @@ RTree RTree::BulkLoad(const Dataset* dataset, DiskManager* disk,
   return tree;
 }
 
-RTree RTree::FromParts(const Dataset* dataset, DiskManager* disk,
-                       std::vector<RTreeNode> nodes, PageId root,
-                       size_t record_count) {
+Result<RTree> RTree::Thaw(const FlatRTree& flat, const Dataset* dataset,
+                         DiskManager* disk) {
   RTree tree(dataset, disk, RTreeOptions{});
-  for (size_t i = 0; i < nodes.size(); ++i) disk->Allocate();
-  tree.nodes_ = std::move(nodes);
-  tree.root_ = root;
-  tree.record_count_ = record_count;
+  if (flat.dataset().dim() != dataset->dim() ||
+      flat.Capacity() != tree.capacity_) {
+    return Status::InvalidArgument(
+        "frozen image shape does not match the dataset and page size");
+  }
   tree.bulk_loaded_ = true;  // fill invariants are unknown; be lenient
-  // Recover the free list: pages a pre-persist Delete dissolved are
-  // exactly the ones unreachable from the root (the codec serializes
-  // every page slot to keep ids stable). Without this, churn on a
-  // restored tree would leak those slots forever.
-  std::vector<bool> reachable(tree.nodes_.size(), false);
-  if (tree.root_ != kInvalidPage) {
-    std::vector<PageId> stack = {tree.root_};
-    reachable[tree.root_] = true;
-    while (!stack.empty()) {
-      const RTreeNode& node = tree.nodes_[stack.back()];
-      stack.pop_back();
-      if (node.is_leaf) continue;
-      for (const RTreeEntry& e : node.entries) {
-        reachable[e.child] = true;
-        stack.push_back(static_cast<PageId>(e.child));
+  const size_t n = flat.node_count();
+  const size_t dim = dataset->dim();
+  tree.nodes_.resize(n);
+  for (size_t p = 0; p < n; ++p) {
+    disk->Allocate();
+    const FlatRTree::NodeView view = flat.PeekNode(static_cast<PageId>(p));
+    tree.nodes_[p].is_leaf = view.is_leaf();
+    tree.nodes_[p].level = view.level();
+  }
+  // Entries are copied for the pages the root reaches; the rest are the
+  // slots Delete freed, which Freeze wrote empty.
+  std::vector<bool> reached(n, false);
+  std::vector<PageId> stack;
+  auto reach = [&](size_t page) {
+    if (page >= n || reached[page]) return false;
+    reached[page] = true;
+    stack.push_back(static_cast<PageId>(page));
+    return true;
+  };
+  if (flat.root() != kInvalidPage && !reach(flat.root())) {
+    return Status::DataLoss("frozen image root page out of range");
+  }
+  size_t records = 0;
+  while (!stack.empty()) {
+    const PageId page = stack.back();
+    stack.pop_back();
+    const FlatRTree::NodeView view = flat.PeekNode(page);
+    RTreeNode& node = tree.nodes_[page];
+    node.entries.resize(view.count());
+    for (size_t e = 0; e < view.count(); ++e) {
+      RTreeEntry& entry = node.entries[e];
+      entry.child = view.child(e);
+      entry.mbb.lo.resize(dim);
+      entry.mbb.hi.resize(dim);
+      for (size_t j = 0; j < dim; ++j) {
+        entry.mbb.lo[j] = view.lo(j)[e];
+        entry.mbb.hi[j] = view.hi(j)[e];
+      }
+      if (!view.is_leaf() && !reach(static_cast<size_t>(entry.child))) {
+        return Status::DataLoss("frozen image page reached twice");
       }
     }
+    if (view.is_leaf()) records += view.count();
   }
-  for (size_t i = 0; i < tree.nodes_.size(); ++i) {
-    if (!reachable[i]) {
-      tree.nodes_[i].entries.clear();
-      tree.free_pages_.push_back(static_cast<PageId>(i));
-    }
+  if (records != flat.size()) {
+    return Status::DataLoss("frozen image leaves do not hold its records");
   }
+  for (size_t p = 0; p < n; ++p) {
+    if (!reached[p]) tree.free_pages_.push_back(static_cast<PageId>(p));
+  }
+  tree.root_ = flat.root();
+  tree.record_count_ = records;
   return tree;
 }
 

@@ -11,6 +11,7 @@
 
 namespace gir {
 
+class FlatRTree;
 class ThreadPool;
 
 // One slot of an R-tree node: for internal nodes `child` is a PageId,
@@ -43,9 +44,10 @@ struct RTreeOptions {
 // bulk loader (Leutenegger et al.) is provided for benchmark-scale
 // construction.
 //
-// The mutable tree is the build, update and snapshot structure; queries
-// run on its frozen image (FlatRTree::Freeze), whose ReadNode charges
-// one page read per node access to the DiskManager.
+// The mutable tree is the build and update structure; queries run on
+// its frozen image (FlatRTree::Freeze), whose ReadNode charges one page
+// read per node access to the DiskManager. RTree::Thaw turns a frozen
+// image, such as one mapped from an arena file, back into the tree.
 class RTree {
  public:
   // Builds an empty tree. `dataset` and `disk` must outlive the tree.
@@ -82,16 +84,20 @@ class RTree {
   static RTree BulkLoad(const Dataset* dataset, DiskManager* disk,
                         const RTreeOptions& options, ThreadPool* pool);
 
-  // Reassembles a tree from explicit nodes (used by the page codec when
-  // restoring a persisted image; not part of the query API). Page ids
-  // are re-allocated densely in node order; pages unreachable from the
-  // root (slots a pre-persist Delete dissolved) are recovered onto the
-  // free list.
-  static RTree FromParts(const Dataset* dataset, DiskManager* disk,
-                         std::vector<RTreeNode> nodes, PageId root,
-                         size_t record_count);
+  // Rebuilds the tree `flat` was frozen from, the inverse of
+  // FlatRTree::Freeze: every page keeps its id, level and leaf flag,
+  // every entry its child and the bits of its box (read off the lo/hi
+  // planes). Pages the root does not reach go back on the free list.
+  // `dataset` is the record image the tree indexes and `disk` a fresh
+  // DiskManager, which gets one allocation per page and no writes.
+  // InvalidArgument when `dataset`'s dimensionality or `disk`'s page
+  // size gives another node shape than the image's; DataLoss when a
+  // page is reached twice or the leaves hold another record count than
+  // the image claims.
+  static Result<RTree> Thaw(const FlatRTree& flat, const Dataset* dataset,
+                            DiskManager* disk);
 
-  // Accounting-free node access (Freeze, the page codec, validation).
+  // Accounting-free node access (Freeze, validation).
   const RTreeNode& PeekNode(PageId page) const { return nodes_[page]; }
 
   PageId root() const { return root_; }
@@ -145,7 +151,9 @@ class RTree {
   size_t capacity_;
   size_t min_entries_;
   std::vector<RTreeNode> nodes_;
-  std::vector<PageId> free_pages_;  // dissolved by CondenseTree, reusable
+  // Pages dissolved by CondenseTree, reusable; sorted by id, so the
+  // list is a function of which slots are free and Thaw rebuilds it.
+  std::vector<PageId> free_pages_;
   PageId root_ = kInvalidPage;
   size_t record_count_ = 0;
   bool bulk_loaded_ = false;

@@ -47,8 +47,8 @@ void PutU64(uint8_t* p, size_t* at, uint64_t v) {
   *at += sizeof(v);
 }
 
-// Bounds-checked header reader (same discipline as the snapshot
-// parser): a truncated file can never walk the parser off the mapping.
+// Bounds-checked header reader: a truncated file can never walk the
+// parser off the mapping.
 struct Cursor {
   const uint8_t* p = nullptr;
   size_t n = 0;

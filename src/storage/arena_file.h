@@ -37,10 +37,9 @@ class FlatRTree;
 //   body:   each section's payload at its offset, zero-padded up to the
 //           next kArenaAlign boundary.
 //
-// Durability: SnapshotStore::WriteArena publishes these files with the
-// same discipline as snapshots — temp name, fsync, atomic rename, fsync
-// of the directory — and the same injected-fault surface (torn tail,
-// flipped byte). ArenaFile::Open validates the magic, the header CRC
+// Durability: SnapshotStore::WriteArena publishes these files crash-
+// safely — temp name, fsync, atomic rename, fsync of the directory —
+// under an injected-fault surface (torn tail, flipped byte). ArenaFile::Open validates the magic, the header CRC
 // and every section CRC before serving a single byte, so a torn or
 // corrupt file is rejected at open, never mapped into an engine.
 constexpr uint32_t kArenaMagic = 0x4E524147;  // "GARN"

@@ -28,7 +28,7 @@ struct FaultPlan {
   double read_latency_rate = 0.0;
   double latency_spike_ms = 0.0;
 
-  // ----- snapshot publishes (SnapshotStore::WriteSnapshot) -----
+  // ----- arena publishes (SnapshotStore::WriteArena, ShipArenaFrom) -----
   // Probability the published file is truncated mid-section (a crash
   // between rename and data reaching the platter: the name exists, the
   // tail bytes do not).
@@ -82,7 +82,7 @@ class FaultInjector {
   // Returns Ok (possibly after a real latency stall) or kUnavailable.
   Status OnPageRead(uint32_t page);
 
-  // Consulted by the snapshot writer once per published file. `op` is
+  // Consulted by the arena writer once per published file. `op` is
   // the write ordinal the decision was drawn at — feed it to ShapeDraw
   // to derive the tear point / corrupted byte deterministically.
   struct WriteDecision {

@@ -18,10 +18,10 @@ namespace gir {
 // Epoch-segmented write-ahead log for GirEngine update batches.
 //
 // An acknowledged ApplyUpdates batch must survive a crash even when no
-// snapshot/arena epoch was published afterwards. The engine appends the
+// arena epoch was published afterwards. The engine appends the
 // serialized batch here and waits for it to be fsync-durable *before*
 // mutating the master or publishing the refrozen epoch; recovery then
-// becomes two-phase — restore the newest valid snapshot/arena epoch,
+// becomes two-phase — restore the newest valid arena epoch,
 // replay every committed WAL record past it.
 //
 // Segment layout (little-endian), one file per checkpoint interval,
@@ -145,7 +145,7 @@ class WalStore {
   };
 
   // Checkpoint GC: removes every segment whose records are all covered
-  // by a durable epoch snapshot/arena at `durable_epoch` — i.e. whose
+  // by a durable arena epoch at `durable_epoch` — i.e. whose
   // successor segment's base is <= durable_epoch. The highest-base
   // segment is never removed (it is the active tail), mirroring the
   // SnapshotStore::GarbageCollect discipline of never widening a

@@ -4,22 +4,29 @@
 // normals and charged IoStats — across every data distribution, scoring
 // function and forced SIMD tier; damaged arena files (torn tail,
 // flipped byte) are rejected at open by checksum and skipped by
-// directory recovery; epoch advance on a follower is one validated
-// pointer swap; and the frontier prefetcher's counters fire only on the
-// mapped image under shared traversal.
+// directory recovery; CRC-valid arenas whose node structure is broken
+// are rejected by FromArena or Thaw; epoch advance on a follower is one
+// validated pointer swap; and the frontier prefetcher's counters fire
+// only on the mapped image under shared traversal.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "common/simd.h"
 #include "dataset/generators.h"
 #include "gir/batch_engine.h"
 #include "gir/engine.h"
+#include "index/flat_rtree.h"
+#include "index/rtree.h"
 #include "storage/arena_file.h"
 #include "storage/disk_manager.h"
 #include "storage/fault_injector.h"
@@ -390,6 +397,138 @@ TEST(ArenaMmapTest, ArenaFileResidencyControls) {
 
   PageId pages[1] = {root};
   arena.PrefetchNodes(pages, 1);  // advisory; must not crash or throw
+}
+
+// ----- structure a checksum cannot vouch for -----
+
+// Rewrites the payload of section `kind` of an arena image through
+// `patch(payload)`, then re-stamps that section's CRC and the header
+// CRC, so the damage passes every checksum ArenaFile::Open verifies.
+// Offsets follow the header layout in storage/arena_file.h: 80 fixed
+// bytes, then one 32-byte entry per section (u64 offset at +8, u32 CRC
+// at +24), then the header CRC.
+void PatchSection(std::vector<uint8_t>* image, ArenaSection kind,
+                  const std::function<void(uint8_t*)>& patch) {
+  constexpr size_t kHeaderFixed = 80;
+  constexpr size_t kEntryBytes = 32;
+  uint8_t* entry = image->data() + kHeaderFixed +
+                   (static_cast<size_t>(kind) - 1) * kEntryBytes;
+  uint64_t offset = 0;
+  uint64_t length = 0;
+  std::memcpy(&offset, entry + 8, sizeof(offset));
+  std::memcpy(&length, entry + 16, sizeof(length));
+  patch(image->data() + offset);
+  const uint32_t crc = Crc32(image->data() + offset, length);
+  std::memcpy(entry + 24, &crc, sizeof(crc));
+  const size_t header_bytes = kHeaderFixed + kArenaSectionCount * kEntryBytes;
+  const uint32_t header_crc = Crc32(image->data(), header_bytes);
+  std::memcpy(image->data() + header_bytes, &header_crc, sizeof(header_crc));
+}
+
+// Every structural check behind FromArena and Thaw rejects a CRC-valid
+// arena with DataLoss: a leaf record id past the dataset (FP would read
+// past it), a leaf flag that disagrees with the level, a child page out
+// of range or not one level down (a walk could cycle), and a page two
+// parents share (Thaw; the read-only mapping has no master to corrupt).
+TEST(ArenaMmapTest, StructurallyDamagedArenaIsRejected) {
+  const size_t d = 3;
+  Dataset data = MakeDist("IND", 400, d, kDataSeed + 9);
+  DiskManager disk;
+  auto engine = OpenEngineOrDie(
+      EngineConfig::FromDataset(&data, &disk, MakeScoring("Linear", d)));
+  const FlatRTree& flat = engine->flat_tree();
+  ASSERT_EQ(flat.height(), 2u);  // a root over leaves
+  const PageId root = flat.root();
+  const size_t cap = flat.Capacity();
+  const PageId leaf = static_cast<PageId>(flat.PeekNode(root).child(0));
+  auto meta_of = [](uint8_t* payload, PageId page) {
+    return reinterpret_cast<ArenaNodeMeta*>(payload) + page;
+  };
+  auto child_slot = [cap](uint8_t* payload, PageId page, size_t e) {
+    return reinterpret_cast<int32_t*>(payload) + page * cap + e;
+  };
+
+  struct Case {
+    const char* name;
+    ArenaSection section;
+    std::function<void(uint8_t*)> patch;
+    bool maps;  // FromArena accepts it; only Thaw can reject
+  };
+  const std::vector<Case> cases = {
+      {"leaf record id out of range", ArenaSection::kChildren,
+       [&](uint8_t* p) {
+         *child_slot(p, leaf, 0) = static_cast<int32_t>(data.size());
+       },
+       false},
+      {"negative leaf record id", ArenaSection::kChildren,
+       [&](uint8_t* p) { *child_slot(p, leaf, 0) = -1; }, false},
+      {"leaf flag on an internal level", ArenaSection::kNodeMeta,
+       [&](uint8_t* p) { meta_of(p, root)->is_leaf = 1; }, false},
+      {"level-0 node not flagged leaf", ArenaSection::kNodeMeta,
+       [&](uint8_t* p) { meta_of(p, leaf)->is_leaf = 0; }, false},
+      {"child page out of range", ArenaSection::kChildren,
+       [&](uint8_t* p) {
+         *child_slot(p, root, 0) = static_cast<int32_t>(flat.node_count());
+       },
+       false},
+      {"child not one level down", ArenaSection::kNodeMeta,
+       [&](uint8_t* p) { meta_of(p, root)->level = 2; }, false},
+      {"page reached twice", ArenaSection::kChildren,
+       [&](uint8_t* p) { *child_slot(p, root, 1) = *child_slot(p, root, 0); },
+       true},
+  };
+  const std::string dir = FreshDir("arena_structure");
+  std::filesystem::create_directories(dir);
+  const std::vector<uint8_t> clean = BuildArenaImage(flat, 1);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::vector<uint8_t> image = clean;
+    PatchSection(&image, c.section, c.patch);
+    const std::string path = dir + "/patched.garn";
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(reinterpret_cast<const char*>(image.data()),
+                static_cast<std::streamsize>(image.size()));
+    }
+    auto arena = ArenaFile::Open(path);
+    ASSERT_TRUE(arena.ok()) << arena.status().message();  // CRCs hold
+    auto rows = (*arena)->BuildDataset();
+    ASSERT_TRUE(rows.ok());
+    DiskManager open_disk;
+    auto mapped = FlatRTree::FromArena(*arena, rows->get(), &open_disk);
+    if (!c.maps) {
+      ASSERT_FALSE(mapped.ok());
+      EXPECT_EQ(mapped.status().code(), StatusCode::kDataLoss);
+      continue;
+    }
+    ASSERT_TRUE(mapped.ok()) << mapped.status().message();
+    auto thawed = RTree::Thaw(*mapped, rows->get(), &open_disk);
+    ASSERT_FALSE(thawed.ok());
+    EXPECT_EQ(thawed.status().code(), StatusCode::kDataLoss);
+    // The updatable open thaws, so it refuses the file as a whole.
+    DiskManager engine_disk;
+    auto reopened = GirEngine::Open(
+        EngineConfig::FromArena(path, &engine_disk, MakeScoring("Linear", d))
+            .WithWal(FreshDir("arena_structure_wal")));
+    ASSERT_FALSE(reopened.ok());
+    EXPECT_EQ(reopened.status().code(), StatusCode::kDataLoss);
+  }
+
+  // The unpatched image maps and thaws.
+  const std::string path = dir + "/clean.garn";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(clean.data()),
+              static_cast<std::streamsize>(clean.size()));
+  }
+  auto arena = ArenaFile::Open(path);
+  ASSERT_TRUE(arena.ok());
+  auto rows = (*arena)->BuildDataset();
+  ASSERT_TRUE(rows.ok());
+  DiskManager clean_disk;
+  auto mapped = FlatRTree::FromArena(*arena, rows->get(), &clean_disk);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().message();
+  EXPECT_TRUE(RTree::Thaw(*mapped, rows->get(), &clean_disk).ok());
 }
 
 }  // namespace

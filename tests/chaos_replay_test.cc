@@ -4,7 +4,7 @@
 // gets exactly one explicit outcome (conservation), every *served*
 // result is bit-identical to the fault-free reference — degradation is
 // allowed, wrong answers and silent drops are not — and a fixed plan
-// replays the same fault schedule run after run. A snapshot-recovery
+// replays the same fault schedule run after run. An arena-recovery
 // epilogue then proves the post-chaos engine state survives a crash.
 // GIR_CHAOS_STRESS=1 (the stress-labeled CTest variant) scales the
 // schedule up ~6x.
@@ -20,7 +20,6 @@
 #include "dataset/generators.h"
 #include "gir/batch_engine.h"
 #include "gir/engine.h"
-#include "index/rtree_codec.h"
 #include "serve/replay.h"
 #include "storage/disk_manager.h"
 #include "storage/fault_injector.h"
@@ -221,7 +220,7 @@ TEST(ChaosReplayTest, PostChaosStateSurvivesCrashAndRecovery) {
   ASSERT_TRUE(trace.ok());
 
   // Run the chaos trace to mutate the engine through many epochs, then
-  // snapshot the survivor state.
+  // checkpoint the survivor state.
   Dataset data = FreshData(trace->config);
   DiskManager disk;
   auto engine = OpenEngineOrDie(
@@ -242,21 +241,22 @@ TEST(ChaosReplayTest, PostChaosStateSurvivesCrashAndRecovery) {
   disk.AttachFaultInjector(nullptr);
   ASSERT_GT(engine->dataset_version(), 0u);
 
-  const std::string dir =
-      (std::filesystem::path(testing::TempDir()) / "chaos_recovery")
-          .string();
+  const std::filesystem::path tmp = testing::TempDir();
+  const std::string dir = (tmp / "chaos_recovery").string();
+  const std::string wal_dir = (tmp / "chaos_recovery_wal").string();
   std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(wal_dir);
   SnapshotStore store(dir);
-  ASSERT_TRUE(store
-                  .WriteSnapshot(engine->dataset(), engine->tree(),
-                                 engine->dataset_version())
-                  .ok());
+  ASSERT_TRUE(engine->Checkpoint(&store).ok());
 
-  // "Crash", recover, and serve: the restored engine answers every
-  // probe bit-identically — including the simulated I/O charged.
+  // "Crash", recover an updatable engine (the master thawed out of the
+  // arena), and serve: the restored engine answers every probe
+  // bit-identically — including the simulated I/O charged.
   DiskManager disk2;
-  auto restored = OpenEngineOrDie(EngineConfig::FromSnapshotDir(
-      dir, &disk2, MakeScoring("Linear", trace->config.dim)));
+  auto restored = OpenEngineOrDie(
+      EngineConfig::FromArena(dir, &disk2,
+                              MakeScoring("Linear", trace->config.dim))
+          .WithWal(wal_dir));
   ASSERT_NE(restored, nullptr);
   EXPECT_EQ(restored->dataset_version(), engine->dataset_version());
   Rng rng(31);
@@ -278,9 +278,9 @@ TEST(ChaosReplayTest, PostChaosStateSurvivesCrashAndRecovery) {
 // WAL crash-point sweep: a single injected fault — torn append, corrupt
 // append, or fsync EIO — is walked across every commit ordinal (killing
 // the writer before, during and after each group commit in turn). For
-// every crash point, recovery from snapshot + WAL must reproduce
-// exactly the acknowledged prefix: every acked batch survives
-// bit-identically, no batch whose ack failed is ever replayed.
+// every crash point, recovery from the epoch-0 checkpoint arena + WAL
+// must reproduce exactly the acknowledged prefix: every acked batch
+// survives bit-identically, no batch whose ack failed is ever replayed.
 TEST(ChaosReplayTest, WalCrashPointSweepPreservesExactlyTheAckedPrefix) {
   TierGuard guard;
   ASSERT_EQ(simd::ForceTier(simd::Tier::kScalar), simd::Tier::kScalar);
@@ -338,8 +338,7 @@ TEST(ChaosReplayTest, WalCrashPointSweepPreservesExactlyTheAckedPrefix) {
           EngineConfig::FromDataset(&*data, &disk, MakeScoring("Linear", d))
               .WithWal(wal_dir, WalOptions{}, &fi));
       SnapshotStore store(snap_dir);
-      ASSERT_TRUE(
-          store.WriteSnapshot(engine->dataset(), engine->tree(), 0).ok());
+      ASSERT_TRUE(engine->Checkpoint(&store).ok());
 
       uint64_t acked = 0;
       for (uint64_t e = 1; e <= epochs; ++e) {
@@ -369,8 +368,7 @@ TEST(ChaosReplayTest, WalCrashPointSweepPreservesExactlyTheAckedPrefix) {
       // nothing else, bit-identically.
       DiskManager disk2;
       auto restored = OpenEngineOrDie(
-          EngineConfig::FromSnapshotDir(snap_dir, &disk2,
-                                        MakeScoring("Linear", d))
+          EngineConfig::FromArena(snap_dir, &disk2, MakeScoring("Linear", d))
               .WithWal(wal_dir));
       EXPECT_EQ(restored->dataset_version(), acked);
       const Dataset& want = reference->dataset();

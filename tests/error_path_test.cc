@@ -395,8 +395,7 @@ TEST(PolicyValidationTest, MalformedExecPolicyIsInvalidArgument) {
 
 TEST(PolicyValidationTest, EngineConfigFileSourcesNeedAPath) {
   DiskManager disk;
-  for (auto make : {&EngineConfig::FromCsv, &EngineConfig::FromSnapshotDir,
-                    &EngineConfig::FromArena}) {
+  for (auto make : {&EngineConfig::FromCsv, &EngineConfig::FromArena}) {
     auto engine = GirEngine::Open(
         make("", &disk, MakeScoring("Linear", kDim), GirEngineOptions{}));
     ASSERT_FALSE(engine.ok());

@@ -4,8 +4,8 @@
 #include <cmath>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
+#include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -18,6 +18,7 @@
 #include "index/flat_rtree.h"
 #include "index/mbb.h"
 #include "index/rtree.h"
+#include "storage/arena_file.h"
 #include "storage/snapshot_store.h"
 #include "topk/scoring.h"
 
@@ -210,10 +211,10 @@ bool SameBits(const Vec& a, const Vec& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
-// Node-by-node identity with the reference, plus the DiskManager
-// counters a load leaves behind (one allocation and one write a node).
-void ExpectMatchesReference(const RTree& tree, const DiskManager& disk,
-                            const ReferenceTree& ref, const std::string& what) {
+// Node-by-node identity with the reference: page ids, levels, entry
+// order, children and MBB bits.
+void ExpectSameNodes(const RTree& tree, const ReferenceTree& ref,
+                     const std::string& what) {
   ASSERT_EQ(tree.node_count(), ref.nodes.size()) << what;
   ASSERT_EQ(tree.root(), ref.root) << what;
   for (size_t p = 0; p < ref.nodes.size(); ++p) {
@@ -231,6 +232,14 @@ void ExpectMatchesReference(const RTree& tree, const DiskManager& disk,
           << what << " page " << p << " entry " << e;
     }
   }
+}
+
+// ExpectSameNodes plus the DiskManager counters a load leaves behind
+// (one allocation and one write a node).
+void ExpectMatchesReference(const RTree& tree, const DiskManager& disk,
+                            const ReferenceTree& ref, const std::string& what) {
+  ExpectSameNodes(tree, ref, what);
+  if (::testing::Test::HasFatalFailure()) return;
   EXPECT_EQ(disk.allocated_pages(), ref.nodes.size()) << what;
   const IoStats io = disk.stats();
   EXPECT_EQ(io.writes, ref.nodes.size()) << what;
@@ -296,14 +305,9 @@ TEST_P(RTreeBuildTest, BulkLoadMatchesReferenceStr) {
   }
 }
 
-std::string ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string(std::istreambuf_iterator<char>(in), {});
-}
-
-// A bulk-loaded engine's first checkpoint is byte for byte the arena of
-// the reference tree frozen over the same rows.
-TEST(RTreeTest, BulkLoadedEngineArenaMatchesReferenceArena) {
+// A bulk-loaded engine's master is the reference tree node for node,
+// and its first checkpoint thaws back into that same tree.
+TEST(RTreeTest, BulkLoadedEngineCheckpointThawsToReferenceTree) {
   Rng rng(77);
   Dataset data = MakeStrCase("tombstones", 50000, 4, rng);
   const std::filesystem::path root =
@@ -313,28 +317,183 @@ TEST(RTreeTest, BulkLoadedEngineArenaMatchesReferenceArena) {
   DiskManager engine_disk;
   std::unique_ptr<GirEngine> engine = OpenEngineOrDie(
       EngineConfig::FromDataset(&data, &engine_disk, MakeScoring("Linear", 4)));
-  SnapshotStore engine_store((root / "engine").string());
+  SnapshotStore engine_store(root.string());
   Result<GirEngine::CheckpointStats> cp = engine->Checkpoint(&engine_store);
   ASSERT_TRUE(cp.ok()) << cp.status().ToString();
 
   DiskManager ref_disk;
   const size_t capacity = RTree(&data, &ref_disk).Capacity();
-  ReferenceTree ref = ReferenceBulkLoad(data, capacity);
-  const RTree ref_tree = RTree::FromParts(&data, &ref_disk,
-                                          std::move(ref.nodes), ref.root,
-                                          data.live_size());
-  const FlatRTree ref_flat = FlatRTree::Freeze(ref_tree);
-  SnapshotStore ref_store((root / "reference").string());
-  Result<SnapshotStore::WriteStats> wrote =
-      ref_store.WriteArena(ref_flat, cp->version);
-  ASSERT_TRUE(wrote.ok()) << wrote.status().ToString();
+  const ReferenceTree ref = ReferenceBulkLoad(data, capacity);
+  ExpectSameNodes(engine->tree(), ref, "engine master");
 
-  const std::string got = ReadFileBytes(cp->arena_path);
-  const std::string want = ReadFileBytes(wrote->path);
-  ASSERT_FALSE(want.empty());
-  EXPECT_TRUE(got == want) << "arena bytes differ (" << got.size() << " vs "
-                           << want.size() << " bytes)";
+  Result<std::shared_ptr<const ArenaFile>> arena =
+      ArenaFile::Open(cp->arena_path);
+  ASSERT_TRUE(arena.ok()) << arena.status().ToString();
+  Result<std::unique_ptr<Dataset>> rows = (*arena)->BuildDataset();
+  ASSERT_TRUE(rows.ok());
+  DiskManager thaw_disk;
+  Result<FlatRTree> flat =
+      FlatRTree::FromArena(*arena, rows->get(), &thaw_disk);
+  ASSERT_TRUE(flat.ok()) << flat.status().ToString();
+  Result<RTree> thawed = RTree::Thaw(*flat, rows->get(), &thaw_disk);
+  ASSERT_TRUE(thawed.ok()) << thawed.status().ToString();
+  ExpectSameNodes(*thawed, ref, "thawed checkpoint");
   std::filesystem::remove_all(root);
+}
+
+// ----- Thaw: the inverse of Freeze -----
+
+// A master tree over its own dataset, mutated the way ApplyUpdates
+// mutates it: deletes (tree, then tombstone) before inserts.
+struct ChurnedTree {
+  std::unique_ptr<Dataset> data;
+  std::unique_ptr<DiskManager> disk;
+  std::optional<RTree> tree;
+
+  void Apply(size_t deletes, size_t inserts, Rng& rng) {
+    std::vector<RecordId> live;
+    for (size_t i = 0; i < data->size(); ++i) {
+      if (data->IsLive(static_cast<RecordId>(i))) {
+        live.push_back(static_cast<RecordId>(i));
+      }
+    }
+    for (size_t c = 0; c < deletes && !live.empty(); ++c) {
+      const size_t at = static_cast<size_t>(rng.UniformInt(live.size()));
+      ASSERT_TRUE(tree->Delete(live[at]));
+      data->MarkDeleted(live[at]);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(at));
+    }
+    for (size_t c = 0; c < inserts; ++c) {
+      Vec p(data->dim());
+      for (double& x : p) x = rng.Uniform();
+      tree->Insert(data->AppendRecord(p));
+    }
+  }
+};
+
+// The arena bytes `tree` freezes to (over its own dataset).
+std::vector<uint8_t> ArenaBytes(const RTree& tree) {
+  return BuildArenaImage(FlatRTree::Freeze(tree), /*version=*/0);
+}
+
+// Pages reachable from the root; the rest are on the free list.
+size_t ReachablePages(const RTree& tree) {
+  if (tree.root() == kInvalidPage) return 0;
+  size_t reached = 0;
+  std::vector<PageId> stack = {tree.root()};
+  while (!stack.empty()) {
+    const RTreeNode& node = tree.PeekNode(stack.back());
+    stack.pop_back();
+    ++reached;
+    if (node.is_leaf) continue;
+    for (const RTreeEntry& e : node.entries) {
+      stack.push_back(static_cast<PageId>(e.child));
+    }
+  }
+  return reached;
+}
+
+// Persists `src` as an arena file, maps it, and thaws the master back
+// over the arena's own dataset image, as GirEngine::Open does.
+ChurnedTree PersistAndThaw(const ChurnedTree& src, const std::string& dir) {
+  ChurnedTree out;
+  SnapshotStore store(dir);
+  Result<SnapshotStore::WriteStats> wrote =
+      store.WriteArena(FlatRTree::Freeze(*src.tree), /*version=*/0);
+  EXPECT_TRUE(wrote.ok());
+  if (!wrote.ok()) return out;
+  Result<std::shared_ptr<const ArenaFile>> arena = ArenaFile::Open(wrote->path);
+  EXPECT_TRUE(arena.ok());
+  if (!arena.ok()) return out;
+  Result<std::unique_ptr<Dataset>> rows = (*arena)->BuildDataset();
+  EXPECT_TRUE(rows.ok());
+  if (!rows.ok()) return out;
+  out.data = std::move(*rows);
+  out.disk = std::make_unique<DiskManager>();
+  Result<FlatRTree> flat =
+      FlatRTree::FromArena(*arena, out.data.get(), out.disk.get());
+  EXPECT_TRUE(flat.ok()) << flat.status().ToString();
+  if (!flat.ok()) return out;
+  Result<RTree> thawed = RTree::Thaw(*flat, out.data.get(), out.disk.get());
+  EXPECT_TRUE(thawed.ok()) << thawed.status().ToString();
+  if (thawed.ok()) out.tree.emplace(std::move(*thawed));
+  return out;
+}
+
+// Freeze(Thaw(FromArena(a))) is `a` byte for byte after churn that
+// dissolved nodes (so the free list holds several pages), and the
+// thawed tree stays bitwise the never-persisted one under the same
+// further batches; likewise for a drained, rootless tree.
+TEST(RTreeThawTest, ThawedTreeFreezesAndChurnsBitwiseLikeTheOriginal) {
+  const std::string dir =
+      (std::filesystem::path(testing::TempDir()) / "rtree_thaw").string();
+  for (size_t d : {2, 4, 6}) {
+    SCOPED_TRACE("d=" + std::to_string(d));
+    Rng rng(3100 + d);
+    ChurnedTree original;
+    original.data =
+        std::make_unique<Dataset>(GenerateIndependent(1500, d, rng));
+    original.disk = std::make_unique<DiskManager>();
+    original.tree.emplace(
+        RTree::BulkLoad(original.data.get(), original.disk.get()));
+    for (int batch = 0; batch < 6; ++batch) {
+      original.Apply(/*deletes=*/150, /*inserts=*/40, rng);
+    }
+    ASSERT_TRUE(original.tree->Validate().ok());
+    ASSERT_GE(original.tree->node_count() - ReachablePages(*original.tree),
+              2u)
+        << "the churn freed fewer than two pages";
+
+    std::filesystem::remove_all(dir);
+    ChurnedTree thawed = PersistAndThaw(original, dir);
+    ASSERT_TRUE(thawed.tree.has_value());
+    ASSERT_TRUE(thawed.tree->Validate().ok());
+    EXPECT_EQ(thawed.disk->allocated_pages(), original.tree->node_count());
+    EXPECT_EQ(ArenaBytes(*thawed.tree), ArenaBytes(*original.tree));
+
+    // The same further batches on both: equal bytes after each.
+    Rng rng_a(4200 + d);
+    Rng rng_b(4200 + d);
+    for (int batch = 0; batch < 4; ++batch) {
+      original.Apply(/*deletes=*/150, /*inserts=*/100, rng_a);
+      thawed.Apply(/*deletes=*/150, /*inserts=*/100, rng_b);
+      ASSERT_EQ(ArenaBytes(*thawed.tree), ArenaBytes(*original.tree))
+          << "after batch " << batch;
+    }
+
+    // Drain both: the rootless image thaws, and both trees regrow
+    // identically from it.
+    original.Apply(original.data->live_size(), 0, rng_a);
+    ASSERT_EQ(original.tree->size(), 0u);
+    ASSERT_EQ(original.tree->root(), kInvalidPage);
+    std::filesystem::remove_all(dir);
+    ChurnedTree drained = PersistAndThaw(original, dir);
+    ASSERT_TRUE(drained.tree.has_value());
+    EXPECT_EQ(drained.tree->size(), 0u);
+    EXPECT_EQ(ArenaBytes(*drained.tree), ArenaBytes(*original.tree));
+    Rng regrow_a(4300 + d);
+    Rng regrow_b(4300 + d);
+    original.Apply(0, /*inserts=*/300, regrow_a);
+    drained.Apply(0, /*inserts=*/300, regrow_b);
+    ASSERT_TRUE(drained.tree->Validate().ok());
+    EXPECT_EQ(ArenaBytes(*drained.tree), ArenaBytes(*original.tree));
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// The page-budget invariant the capacity formula promises: a node's 16
+// header bytes plus Capacity() entries of 2d doubles and one child id
+// fit one page, and bulk-loaded trees respect the capacity.
+TEST(RTreeTest, EveryNodeOfLargeTreeFitsItsPage) {
+  Rng rng(9);
+  for (size_t d = 2; d <= 8; ++d) {
+    Dataset data = GenerateIndependent(3000, d, rng);
+    DiskManager disk;
+    RTree tree = RTree::BulkLoad(&data, &disk);
+    EXPECT_LE(16 + tree.Capacity() * (16 * d + 4), disk.page_size_bytes())
+        << "d=" << d;
+    EXPECT_TRUE(tree.Validate().ok()) << "d=" << d;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Dims, RTreeBuildTest,

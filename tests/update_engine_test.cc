@@ -17,8 +17,8 @@
 #include "gir/batch_engine.h"
 #include "gir/engine.h"
 #include "gir/sharded_cache.h"
+#include "index/flat_rtree.h"
 #include "index/rtree.h"
-#include "index/rtree_codec.h"
 
 namespace gir {
 namespace {
@@ -111,10 +111,10 @@ TEST(RTreeDeleteTest, DeleteMaintainsInvariantsAndRangeQueries) {
   EXPECT_LE(tree.node_count(), nodes_before + 1);
 }
 
-// The page codec must round-trip post-Delete state: freed pages are
-// recovered onto the free list of the loaded tree (no arena growth on
-// further churn), and a fully-drained tree loads back as empty.
-TEST(RTreeDeleteTest, CodecRoundTripsChurnedAndDrainedTrees) {
+// Freeze then Thaw must round-trip post-Delete state: freed pages are
+// recovered onto the free list of the thawed tree (no arena growth on
+// further churn), and a fully-drained tree thaws back as empty.
+TEST(RTreeDeleteTest, ThawRoundTripsChurnedAndDrainedTrees) {
   Dataset data = MakeData("IND", 300, 3, 12);
   DiskManager disk;
   RTree tree(&data, &disk);
@@ -126,10 +126,8 @@ TEST(RTreeDeleteTest, CodecRoundTripsChurnedAndDrainedTrees) {
   for (RecordId id : deleted) ASSERT_TRUE(tree.Delete(id));
   ASSERT_TRUE(tree.Validate().ok());
 
-  Result<std::vector<uint8_t>> image = SaveRTreeImage(tree);
-  ASSERT_TRUE(image.ok());
   DiskManager disk2;
-  Result<RTree> loaded = LoadRTreeImage(&data, &disk2, *image);
+  Result<RTree> loaded = RTree::Thaw(FlatRTree::Freeze(tree), &data, &disk2);
   ASSERT_TRUE(loaded.ok()) << loaded.status().message();
   ASSERT_TRUE(loaded->Validate().ok());
   EXPECT_EQ(loaded->size(), tree.size());
@@ -146,14 +144,13 @@ TEST(RTreeDeleteTest, CodecRoundTripsChurnedAndDrainedTrees) {
   ASSERT_TRUE(loaded->Validate().ok());
   EXPECT_LE(loaded->node_count(), nodes_before + 1);
 
-  // Drain completely: the rootless image must load back.
+  // Drain completely: the rootless image must thaw back.
   std::vector<RecordId> rest = tree.RangeQuery(all);
   for (RecordId id : rest) ASSERT_TRUE(tree.Delete(id));
   EXPECT_EQ(tree.size(), 0u);
-  Result<std::vector<uint8_t>> empty_image = SaveRTreeImage(tree);
-  ASSERT_TRUE(empty_image.ok());
   DiskManager disk3;
-  Result<RTree> drained = LoadRTreeImage(&data, &disk3, *empty_image);
+  Result<RTree> drained =
+      RTree::Thaw(FlatRTree::Freeze(tree), &data, &disk3);
   ASSERT_TRUE(drained.ok()) << drained.status().message();
   EXPECT_EQ(drained->size(), 0u);
   // And it is usable again.

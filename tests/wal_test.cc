@@ -1,6 +1,6 @@
 // Durability contract of the write-ahead log: every batch ApplyUpdates
 // acknowledges survives any crash bit-identically (two-phase recovery:
-// newest valid snapshot/arena epoch + committed WAL replay), no batch
+// newest valid arena epoch, thawed, + committed WAL replay), no batch
 // whose ack failed is ever replayed, a torn tail truncates at the first
 // bad record, replay is idempotent across repeated crashes, and
 // checkpoints reclaim exactly the segments they made obsolete.
@@ -19,7 +19,8 @@
 #include "common/rng.h"
 #include "dataset/generators.h"
 #include "gir/engine.h"
-#include "index/rtree_codec.h"
+#include "index/flat_rtree.h"
+#include "storage/arena_file.h"
 #include "storage/disk_manager.h"
 #include "storage/fault_injector.h"
 #include "storage/snapshot_store.h"
@@ -79,10 +80,15 @@ void ExpectSameDataset(const Dataset& a, const Dataset& b) {
   }
 }
 
+// The arena bytes an engine's master tree freezes to: page ids, free
+// pages, entry order and bits, and the dataset image.
+std::vector<uint8_t> MasterImage(const GirEngine& engine) {
+  return BuildArenaImage(FlatRTree::Freeze(engine.tree()), /*version=*/0);
+}
+
 // Bitwise query probes: ids, raw score doubles and the simulated I/O
 // charged must all agree.
-void ExpectBitIdenticalQueries(GirEngine* a, GirEngine* b, size_t d,
-                               bool compare_io = true) {
+void ExpectBitIdenticalQueries(GirEngine* a, GirEngine* b, size_t d) {
   Rng rng(41);
   for (int probe = 0; probe < 8; ++probe) {
     Vec w(d);
@@ -93,9 +99,7 @@ void ExpectBitIdenticalQueries(GirEngine* a, GirEngine* b, size_t d,
     ASSERT_TRUE(rb.ok()) << rb.status().message();
     EXPECT_EQ(ra->topk.result, rb->topk.result) << "probe " << probe;
     EXPECT_EQ(ra->topk.scores, rb->topk.scores) << "probe " << probe;
-    if (compare_io) {
-      EXPECT_EQ(ra->topk.io.reads, rb->topk.io.reads) << "probe " << probe;
-    }
+    EXPECT_EQ(ra->topk.io.reads, rb->topk.io.reads) << "probe " << probe;
   }
 }
 
@@ -423,12 +427,13 @@ TEST(WalEngineTest, AcknowledgedBatchesSurviveCrashBitIdentically) {
           .WithWal(wal_dir));
   ASSERT_TRUE(engine->has_wal());
 
-  // Epoch 1, then a snapshot, then two more acked epochs that exist
-  // ONLY in the WAL when the "crash" hits.
+  // Epoch 1, then an arena, then two more acked epochs that exist ONLY
+  // in the WAL when the "crash" hits. The arena is published without
+  // cutting the log (a checkpoint that crashed between its publish and
+  // its WAL truncation), so replay must skip the covered epoch 1.
   ASSERT_TRUE(engine->ApplyUpdates(MixedBatch(1, d)).ok());
   SnapshotStore store(snap_dir);
-  ASSERT_TRUE(
-      store.WriteSnapshot(engine->dataset(), engine->tree(), 1).ok());
+  ASSERT_TRUE(store.WriteArena(engine->flat_tree(), 1).ok());
   auto up2 = engine->ApplyUpdates(MixedBatch(2, d));
   ASSERT_TRUE(up2.ok());
   EXPECT_TRUE(up2->wal_logged);
@@ -439,8 +444,7 @@ TEST(WalEngineTest, AcknowledgedBatchesSurviveCrashBitIdentically) {
   // survive. Two-phase recovery must reach epoch 3.
   DiskManager disk2;
   auto restored = OpenEngineOrDie(
-      EngineConfig::FromSnapshotDir(snap_dir, &disk2,
-                                    MakeScoring("Linear", d))
+      EngineConfig::FromArena(snap_dir, &disk2, MakeScoring("Linear", d))
           .WithWal(wal_dir));
   EXPECT_EQ(restored->dataset_version(), 3u);
   EXPECT_EQ(restored->wal_recovery().recovered_epoch, 1u);
@@ -451,11 +455,7 @@ TEST(WalEngineTest, AcknowledgedBatchesSurviveCrashBitIdentically) {
   // Bit-identical to the pre-crash engine: dataset bytes, the master
   // tree's page image, query ids/scores and the simulated I/O charged.
   ExpectSameDataset(engine->dataset(), restored->dataset());
-  auto img_a = SaveRTreeImage(engine->tree());
-  auto img_b = SaveRTreeImage(restored->tree());
-  ASSERT_TRUE(img_a.ok());
-  ASSERT_TRUE(img_b.ok());
-  EXPECT_EQ(*img_a, *img_b);
+  EXPECT_EQ(MasterImage(*engine), MasterImage(*restored));
   ExpectBitIdenticalQueries(engine.get(), restored.get(), d);
 
   // The epoch sequence continues where the acks left off.
@@ -475,8 +475,7 @@ TEST(WalEngineTest, ReplayIsIdempotentAcrossRepeatedCrashes) {
           .WithWal(wal_dir));
   ASSERT_TRUE(engine->ApplyUpdates(MixedBatch(1, d)).ok());
   SnapshotStore store(snap_dir);
-  ASSERT_TRUE(
-      store.WriteSnapshot(engine->dataset(), engine->tree(), 1).ok());
+  ASSERT_TRUE(engine->Checkpoint(&store).ok());
   ASSERT_TRUE(engine->ApplyUpdates(MixedBatch(2, d)).ok());
   ASSERT_TRUE(engine->ApplyUpdates(MixedBatch(3, d)).ok());
   const size_t rows = engine->dataset().size();
@@ -484,11 +483,10 @@ TEST(WalEngineTest, ReplayIsIdempotentAcrossRepeatedCrashes) {
 
   // Crash #1 mid-operation, recover (replays 2..3), then crash again
   // BEFORE any checkpoint — the second recovery replays the very same
-  // records over the same snapshot. Nothing may duplicate.
+  // records over the same arena. Nothing may duplicate.
   DiskManager disk2;
   auto first = OpenEngineOrDie(
-      EngineConfig::FromSnapshotDir(snap_dir, &disk2,
-                                    MakeScoring("Linear", d))
+      EngineConfig::FromArena(snap_dir, &disk2, MakeScoring("Linear", d))
           .WithWal(wal_dir));
   EXPECT_EQ(first->dataset_version(), 3u);
   EXPECT_EQ(first->dataset().size(), rows);
@@ -496,8 +494,7 @@ TEST(WalEngineTest, ReplayIsIdempotentAcrossRepeatedCrashes) {
 
   DiskManager disk3;
   auto second = OpenEngineOrDie(
-      EngineConfig::FromSnapshotDir(snap_dir, &disk3,
-                                    MakeScoring("Linear", d))
+      EngineConfig::FromArena(snap_dir, &disk3, MakeScoring("Linear", d))
           .WithWal(wal_dir));
   EXPECT_EQ(second->dataset_version(), 3u);
   EXPECT_EQ(second->wal_recovery().replayed_batches, 2u);
@@ -610,8 +607,7 @@ TEST(WalEngineTest, TornAppendFailsTheAckAndRecoveryTruncatesTheTail) {
           .WithWal(wal_dir, WalOptions{}, &fi));
   ASSERT_TRUE(engine->ApplyUpdates(MixedBatch(1, d)).ok());
   SnapshotStore store(snap_dir);
-  ASSERT_TRUE(
-      store.WriteSnapshot(engine->dataset(), engine->tree(), 1).ok());
+  ASSERT_TRUE(engine->Checkpoint(&store).ok());
   ASSERT_TRUE(engine->ApplyUpdates(MixedBatch(2, d)).ok());
 
   auto torn = engine->ApplyUpdates(MixedBatch(3, d));
@@ -624,8 +620,7 @@ TEST(WalEngineTest, TornAppendFailsTheAckAndRecoveryTruncatesTheTail) {
   // torn tail and lands exactly on the acknowledged prefix.
   DiskManager disk2;
   auto restored = OpenEngineOrDie(
-      EngineConfig::FromSnapshotDir(snap_dir, &disk2,
-                                    MakeScoring("Linear", d))
+      EngineConfig::FromArena(snap_dir, &disk2, MakeScoring("Linear", d))
           .WithWal(wal_dir));
   EXPECT_EQ(restored->dataset_version(), 2u);
   EXPECT_EQ(restored->wal_recovery().replayed_batches, 1u);
@@ -662,8 +657,7 @@ TEST(WalEngineTest, AckedBatchAfterTornTailRecoverySurvivesASecondCrash) {
           .WithWal(wal_dir, WalOptions{}, &fi));
   ASSERT_TRUE(engine->ApplyUpdates(MixedBatch(1, d)).ok());
   SnapshotStore store(snap_dir);
-  ASSERT_TRUE(
-      store.WriteSnapshot(engine->dataset(), engine->tree(), 1).ok());
+  ASSERT_TRUE(engine->Checkpoint(&store).ok());
   ASSERT_TRUE(engine->ApplyUpdates(MixedBatch(2, d)).ok());
   ASSERT_FALSE(engine->ApplyUpdates(MixedBatch(3, d)).ok());  // torn
 
@@ -671,8 +665,7 @@ TEST(WalEngineTest, AckedBatchAfterTornTailRecoverySurvivesASecondCrash) {
   // engine — it goes to a fresh segment past the sanitized tail.
   DiskManager disk2;
   auto restored = OpenEngineOrDie(
-      EngineConfig::FromSnapshotDir(snap_dir, &disk2,
-                                    MakeScoring("Linear", d))
+      EngineConfig::FromArena(snap_dir, &disk2, MakeScoring("Linear", d))
           .WithWal(wal_dir));
   EXPECT_EQ(restored->dataset_version(), 2u);
   EXPECT_EQ(restored->wal_recovery().segments_truncated, 1u);
@@ -684,8 +677,7 @@ TEST(WalEngineTest, AckedBatchAfterTornTailRecoverySurvivesASecondCrash) {
   // the truncated pre-crash one and the post-recovery one.
   DiskManager disk3;
   auto again = OpenEngineOrDie(
-      EngineConfig::FromSnapshotDir(snap_dir, &disk3,
-                                    MakeScoring("Linear", d))
+      EngineConfig::FromArena(snap_dir, &disk3, MakeScoring("Linear", d))
           .WithWal(wal_dir));
   EXPECT_EQ(again->dataset_version(), 3u);
   EXPECT_EQ(again->wal_recovery().replayed_batches, 2u);  // epochs 2, 3
@@ -730,13 +722,12 @@ TEST(WalEngineTest, CheckpointRotatesAndTruncatesObsoleteSegments) {
   EXPECT_EQ(restored->dataset_version(), 3u);
   EXPECT_EQ(restored->wal_recovery().recovered_epoch, 2u);
   EXPECT_EQ(restored->wal_recovery().replayed_batches, 1u);
-  EXPECT_TRUE(restored->has_master_tree());  // replay needed a rebuild
+  EXPECT_TRUE(restored->has_master_tree());
   ExpectSameDataset(engine->dataset(), restored->dataset());
-  // Rebuilt from the arena image, not the page-identical snapshot: the
-  // update-vs-rebuild property guarantees identical results, not
-  // identical page accounting.
-  ExpectBitIdenticalQueries(engine.get(), restored.get(), d,
-                            /*compare_io=*/false);
+  // Thawed from the arena's node pages: page ids and free list are the
+  // pre-crash master's, so the simulated I/O matches too.
+  EXPECT_EQ(MasterImage(*engine), MasterImage(*restored));
+  ExpectBitIdenticalQueries(engine.get(), restored.get(), d);
 }
 
 TEST(WalEngineTest, DamagedCheckpointKeepsEveryWalSegment) {
@@ -771,7 +762,10 @@ TEST(WalEngineTest, DamagedCheckpointKeepsEveryWalSegment) {
   EXPECT_EQ(log->tail_epoch, 2u);  // both epochs still replayable
 }
 
-TEST(WalEngineTest, ArenaWithNoWalTailServesReadOnlyFromTheMapping) {
+// WithWal means updatable: an arena + WAL restart right after a
+// checkpoint (an empty tail) thaws the master, opens the writer, and
+// its next batches match a never-restarted engine bitwise.
+TEST(WalEngineTest, ArenaWithNoWalTailOpensUpdatable) {
   const size_t d = 3;
   Dataset data = FreshData(160, d);
   DiskManager disk;
@@ -783,21 +777,34 @@ TEST(WalEngineTest, ArenaWithNoWalTailServesReadOnlyFromTheMapping) {
   ASSERT_TRUE(engine->ApplyUpdates(MixedBatch(1, d)).ok());
   SnapshotStore store(snap_dir);
   ASSERT_TRUE(engine->Checkpoint(&store).ok());
+  engine.reset();  // the leader restarts
 
-  // Checkpoint at epoch 1 left no committed tail: the arena open takes
-  // the mmap fast path — read-only, no master tree, no writer.
   DiskManager disk2;
-  auto served = OpenEngineOrDie(
+  auto restored = OpenEngineOrDie(
       EngineConfig::FromArena(snap_dir, &disk2, MakeScoring("Linear", d))
           .WithWal(wal_dir));
-  EXPECT_EQ(served->dataset_version(), 1u);
-  EXPECT_FALSE(served->has_master_tree());
-  EXPECT_FALSE(served->has_wal());
-  EXPECT_NE(served->wal_store(), nullptr);
-  EXPECT_EQ(served->ApplyUpdates(MixedBatch(2, d)).status().code(),
-            StatusCode::kFailedPrecondition);
-  ExpectBitIdenticalQueries(engine.get(), served.get(), d,
-                            /*compare_io=*/false);
+  EXPECT_EQ(restored->dataset_version(), 1u);
+  EXPECT_TRUE(restored->has_master_tree());
+  EXPECT_TRUE(restored->has_wal());
+  EXPECT_EQ(restored->wal_recovery().replayed_batches, 0u);
+
+  // The never-restarted timeline: the same batches on a fresh engine.
+  Dataset ref_data = FreshData(160, d);
+  DiskManager ref_disk;
+  auto reference = OpenEngineOrDie(EngineConfig::FromDataset(
+      &ref_data, &ref_disk, MakeScoring("Linear", d)));
+  ASSERT_TRUE(reference->ApplyUpdates(MixedBatch(1, d)).ok());
+  EXPECT_EQ(MasterImage(*reference), MasterImage(*restored));
+  for (uint64_t e = 2; e <= 3; ++e) {
+    auto up = restored->ApplyUpdates(MixedBatch(e, d));
+    ASSERT_TRUE(up.ok()) << up.status().message();
+    EXPECT_TRUE(up->wal_logged);
+    EXPECT_EQ(up->version, e);
+    ASSERT_TRUE(reference->ApplyUpdates(MixedBatch(e, d)).ok());
+    ExpectSameDataset(reference->dataset(), restored->dataset());
+    EXPECT_EQ(MasterImage(*reference), MasterImage(*restored));
+    ExpectBitIdenticalQueries(reference.get(), restored.get(), d);
+  }
 }
 
 TEST(WalEngineTest, ReadOnlyDatasetSourceRefusesAWal) {
