@@ -345,7 +345,7 @@ void BM_NodeEntryScores(benchmark::State& state) {
 BENCHMARK(BM_NodeEntryScores)->Arg(4)->Arg(6)->Unit(benchmark::kMillisecond);
 
 // The SoA kernel under each forced dispatch tier (Arg(0): 0=scalar,
-// 1=sse2, 2=avx2; clamped to what the CPU supports). Isolates what the
+// 1=avx2; clamped to what the CPU supports). Isolates what the
 // runtime dispatch layer buys in *this* build, no ISA flags needed.
 void BM_NodeEntryScoresTier(benchmark::State& state) {
   const simd::Tier saved = simd::ActiveTier();
@@ -384,7 +384,6 @@ void BM_NodeEntryScoresTier(benchmark::State& state) {
 BENCHMARK(BM_NodeEntryScoresTier)
     ->Args({0, 4})
     ->Args({1, 4})
-    ->Args({2, 4})
     ->Unit(benchmark::kMillisecond);
 
 // Incremental skyline (the k-dominance hot loop): Arg(0)=0 replays the

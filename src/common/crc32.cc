@@ -167,9 +167,10 @@ uint32_t Crc32(const void* data, size_t n, uint32_t seed) {
   const auto* p = static_cast<const uint8_t*>(data);
   uint32_t c = seed ^ 0xFFFFFFFFu;
 #if GIR_CRC32_CLMUL
-  // The folding kernel rides on the SIMD dispatch: any vector tier on a
-  // CPU with PCLMULQDQ; GIR_SIMD=scalar keeps the table loop.
-  if (n >= kFoldMinBytes && simd::ActiveTier() != simd::Tier::kScalar &&
+  // The folding kernel rides on the SIMD dispatch: it runs only when the
+  // active tier is AVX2 and the CPU has PCLMULQDQ; the scalar tier
+  // (GIR_SIMD=scalar, or a CPU without AVX2) keeps the table loop.
+  if (n >= kFoldMinBytes && simd::ActiveTier() == simd::Tier::kAvx2 &&
       CpuHasClmul()) {
     const size_t blocks = n & ~size_t{15};
     c = FoldUpdate(c, p, blocks);

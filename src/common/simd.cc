@@ -6,23 +6,16 @@
 #include <cstdlib>
 #include <cstring>
 
-// x86 vector paths: SSE2 is part of the x86-64 baseline, AVX2 bodies
-// are compiled with a function-level target attribute so this
-// translation unit builds (and the binary runs) without -march flags.
-// Everything else falls back to the scalar loops.
-#if defined(__x86_64__) || defined(_M_X64)
-#define GIR_SIMD_X86 1
-#include <immintrin.h>
-#else
-#define GIR_SIMD_X86 0
-#endif
-
-#if GIR_SIMD_X86 && (defined(__GNUC__) || defined(__clang__))
+// x86 vector paths: AVX2 bodies are compiled with a function-level
+// target attribute so this translation unit builds (and the binary
+// runs) without -march flags. Every other CPU runs the scalar loops.
+#if (defined(__x86_64__) || defined(_M_X64)) && \
+    (defined(__GNUC__) || defined(__clang__))
 #define GIR_SIMD_HAVE_AVX2_TARGET 1
 #define GIR_TARGET_AVX2 __attribute__((target("avx2")))
+#include <immintrin.h>
 #else
 #define GIR_SIMD_HAVE_AVX2_TARGET 0
-#define GIR_TARGET_AVX2
 #endif
 
 namespace gir {
@@ -31,14 +24,10 @@ namespace simd {
 namespace {
 
 Tier Detect() {
-#if GIR_SIMD_X86 && (defined(__GNUC__) || defined(__clang__))
+#if GIR_SIMD_HAVE_AVX2_TARGET
   if (__builtin_cpu_supports("avx2")) return Tier::kAvx2;
-  return Tier::kSse2;  // baseline for x86-64
-#elif GIR_SIMD_X86
-  return Tier::kSse2;
-#else
-  return Tier::kScalar;
 #endif
+  return Tier::kScalar;
 }
 
 Tier ClampToDetected(Tier t) {
@@ -54,7 +43,6 @@ Tier TierFromEnv() {
     return DetectedTier();
   }
   if (std::strcmp(env, "scalar") == 0) return Tier::kScalar;
-  if (std::strcmp(env, "sse2") == 0) return ClampToDetected(Tier::kSse2);
   if (std::strcmp(env, "avx2") == 0) return ClampToDetected(Tier::kAvx2);
   return DetectedTier();  // unknown value: ignore
 }
@@ -87,8 +75,6 @@ const char* TierName(Tier t) {
   switch (t) {
     case Tier::kScalar:
       return "scalar";
-    case Tier::kSse2:
-      return "sse2";
     case Tier::kAvx2:
       return "avx2";
   }
@@ -102,33 +88,6 @@ namespace {
 void AxpyScalar(double w, const double* x, double* acc, size_t n) {
   for (size_t i = 0; i < n; ++i) acc[i] += w * x[i];
 }
-
-#if GIR_SIMD_X86
-void AxpySse2(double w, const double* x, double* acc, size_t n) {
-  const __m128d vw = _mm_set1_pd(w);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    __m128d a0 = _mm_loadu_pd(acc + i);
-    __m128d a1 = _mm_loadu_pd(acc + i + 2);
-    __m128d a2 = _mm_loadu_pd(acc + i + 4);
-    __m128d a3 = _mm_loadu_pd(acc + i + 6);
-    a0 = _mm_add_pd(a0, _mm_mul_pd(vw, _mm_loadu_pd(x + i)));
-    a1 = _mm_add_pd(a1, _mm_mul_pd(vw, _mm_loadu_pd(x + i + 2)));
-    a2 = _mm_add_pd(a2, _mm_mul_pd(vw, _mm_loadu_pd(x + i + 4)));
-    a3 = _mm_add_pd(a3, _mm_mul_pd(vw, _mm_loadu_pd(x + i + 6)));
-    _mm_storeu_pd(acc + i, a0);
-    _mm_storeu_pd(acc + i + 2, a1);
-    _mm_storeu_pd(acc + i + 4, a2);
-    _mm_storeu_pd(acc + i + 6, a3);
-  }
-  for (; i + 2 <= n; i += 2) {
-    __m128d a = _mm_loadu_pd(acc + i);
-    a = _mm_add_pd(a, _mm_mul_pd(vw, _mm_loadu_pd(x + i)));
-    _mm_storeu_pd(acc + i, a);
-  }
-  for (; i < n; ++i) acc[i] += w * x[i];
-}
-#endif
 
 #if GIR_SIMD_HAVE_AVX2_TARGET
 GIR_TARGET_AVX2 void AxpyAvx2(double w, const double* x, double* acc,
@@ -167,11 +126,6 @@ void Axpy(double w, const double* x, double* acc, size_t n) {
       AxpyAvx2(w, x, acc, n);
       return;
 #endif
-#if GIR_SIMD_X86
-    case Tier::kSse2:
-      AxpySse2(w, x, acc, n);
-      return;
-#endif
     default:
       AxpyScalar(w, x, acc, n);
       return;
@@ -185,17 +139,6 @@ namespace {
 void SquareScalar(const double* x, double* out, size_t n) {
   for (size_t i = 0; i < n; ++i) out[i] = x[i] * x[i];
 }
-
-#if GIR_SIMD_X86
-void SquareSse2(const double* x, double* out, size_t n) {
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    __m128d v = _mm_loadu_pd(x + i);
-    _mm_storeu_pd(out + i, _mm_mul_pd(v, v));
-  }
-  for (; i < n; ++i) out[i] = x[i] * x[i];
-}
-#endif
 
 #if GIR_SIMD_HAVE_AVX2_TARGET
 GIR_TARGET_AVX2 void SquareAvx2(const double* x, double* out, size_t n) {
@@ -217,11 +160,6 @@ void Square(const double* x, double* out, size_t n) {
       SquareAvx2(x, out, n);
       return;
 #endif
-#if GIR_SIMD_X86
-    case Tier::kSse2:
-      SquareSse2(x, out, n);
-      return;
-#endif
     default:
       SquareScalar(x, out, n);
       return;
@@ -235,16 +173,6 @@ namespace {
 void SqrtScalar(const double* x, double* out, size_t n) {
   for (size_t i = 0; i < n; ++i) out[i] = std::sqrt(x[i]);
 }
-
-#if GIR_SIMD_X86
-void SqrtSse2(const double* x, double* out, size_t n) {
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    _mm_storeu_pd(out + i, _mm_sqrt_pd(_mm_loadu_pd(x + i)));
-  }
-  for (; i < n; ++i) out[i] = std::sqrt(x[i]);
-}
-#endif
 
 #if GIR_SIMD_HAVE_AVX2_TARGET
 GIR_TARGET_AVX2 void SqrtAvx2(const double* x, double* out, size_t n) {
@@ -265,11 +193,6 @@ void Sqrt(const double* x, double* out, size_t n) {
       SqrtAvx2(x, out, n);
       return;
 #endif
-#if GIR_SIMD_X86
-    case Tier::kSse2:
-      SqrtSse2(x, out, n);
-      return;
-#endif
     default:
       SqrtScalar(x, out, n);
       return;
@@ -287,23 +210,6 @@ void PowIterScalar(const double* x, int e, double* out, size_t n) {
     out[i] = r;
   }
 }
-
-#if GIR_SIMD_X86
-void PowIterSse2(const double* x, int e, double* out, size_t n) {
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    __m128d v = _mm_loadu_pd(x + i);
-    __m128d r = v;
-    for (int t = 1; t < e; ++t) r = _mm_mul_pd(r, v);
-    _mm_storeu_pd(out + i, r);
-  }
-  for (; i < n; ++i) {
-    double r = x[i];
-    for (int t = 1; t < e; ++t) r *= x[i];
-    out[i] = r;
-  }
-}
-#endif
 
 #if GIR_SIMD_HAVE_AVX2_TARGET
 GIR_TARGET_AVX2 void PowIterAvx2(const double* x, int e, double* out,
@@ -332,11 +238,6 @@ void PowIter(const double* x, int e, double* out, size_t n) {
       PowIterAvx2(x, e, out, n);
       return;
 #endif
-#if GIR_SIMD_X86
-    case Tier::kSse2:
-      PowIterSse2(x, e, out, n);
-      return;
-#endif
     default:
       PowIterScalar(x, e, out, n);
       return;
@@ -356,34 +257,6 @@ void MinDotPlaneScalar(double w, const double* lo, const double* hi,
                        double* acc, size_t n) {
   for (size_t i = 0; i < n; ++i) acc[i] += std::min(w * lo[i], w * hi[i]);
 }
-
-#if GIR_SIMD_X86
-void MaxDotPlaneSse2(double w, const double* lo, const double* hi, double* acc,
-                     size_t n) {
-  const __m128d vw = _mm_set1_pd(w);
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    __m128d a = _mm_mul_pd(vw, _mm_loadu_pd(lo + i));
-    __m128d b = _mm_mul_pd(vw, _mm_loadu_pd(hi + i));
-    __m128d acc_v = _mm_loadu_pd(acc + i);
-    _mm_storeu_pd(acc + i, _mm_add_pd(acc_v, _mm_max_pd(a, b)));
-  }
-  for (; i < n; ++i) acc[i] += std::max(w * lo[i], w * hi[i]);
-}
-
-void MinDotPlaneSse2(double w, const double* lo, const double* hi, double* acc,
-                     size_t n) {
-  const __m128d vw = _mm_set1_pd(w);
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    __m128d a = _mm_mul_pd(vw, _mm_loadu_pd(lo + i));
-    __m128d b = _mm_mul_pd(vw, _mm_loadu_pd(hi + i));
-    __m128d acc_v = _mm_loadu_pd(acc + i);
-    _mm_storeu_pd(acc + i, _mm_add_pd(acc_v, _mm_min_pd(a, b)));
-  }
-  for (; i < n; ++i) acc[i] += std::min(w * lo[i], w * hi[i]);
-}
-#endif
 
 #if GIR_SIMD_HAVE_AVX2_TARGET
 GIR_TARGET_AVX2 void MaxDotPlaneAvx2(double w, const double* lo,
@@ -423,11 +296,6 @@ void MaxDotPlane(double w, const double* lo, const double* hi, double* acc,
       MaxDotPlaneAvx2(w, lo, hi, acc, n);
       return;
 #endif
-#if GIR_SIMD_X86
-    case Tier::kSse2:
-      MaxDotPlaneSse2(w, lo, hi, acc, n);
-      return;
-#endif
     default:
       MaxDotPlaneScalar(w, lo, hi, acc, n);
       return;
@@ -440,11 +308,6 @@ void MinDotPlane(double w, const double* lo, const double* hi, double* acc,
 #if GIR_SIMD_HAVE_AVX2_TARGET
     case Tier::kAvx2:
       MinDotPlaneAvx2(w, lo, hi, acc, n);
-      return;
-#endif
-#if GIR_SIMD_X86
-    case Tier::kSse2:
-      MinDotPlaneSse2(w, lo, hi, acc, n);
       return;
 #endif
     default:
@@ -465,33 +328,6 @@ void MaxDotPlaneMultiScalar(const double* w, size_t m, const double* hi,
     for (size_t i = 0; i < n; ++i) row[i] += wr * hi[i];
   }
 }
-
-#if GIR_SIMD_X86
-void MaxDotPlaneMultiSse2(const double* w, size_t m, const double* hi,
-                          double* acc, size_t stride, size_t n) {
-  size_t r = 0;
-  // Row pairs share every plane load.
-  for (; r + 2 <= m; r += 2) {
-    const __m128d w0 = _mm_set1_pd(w[r]);
-    const __m128d w1 = _mm_set1_pd(w[r + 1]);
-    double* row0 = acc + r * stride;
-    double* row1 = row0 + stride;
-    size_t i = 0;
-    for (; i + 2 <= n; i += 2) {
-      const __m128d x = _mm_loadu_pd(hi + i);
-      _mm_storeu_pd(row0 + i, _mm_add_pd(_mm_loadu_pd(row0 + i),
-                                         _mm_mul_pd(w0, x)));
-      _mm_storeu_pd(row1 + i, _mm_add_pd(_mm_loadu_pd(row1 + i),
-                                         _mm_mul_pd(w1, x)));
-    }
-    for (; i < n; ++i) {
-      row0[i] += w[r] * hi[i];
-      row1[i] += w[r + 1] * hi[i];
-    }
-  }
-  for (; r < m; ++r) AxpySse2(w[r], hi, acc + r * stride, n);
-}
-#endif
 
 #if GIR_SIMD_HAVE_AVX2_TARGET
 GIR_TARGET_AVX2 void MaxDotPlaneMultiAvx2(const double* w, size_t m,
@@ -530,11 +366,6 @@ void MaxDotPlaneMulti(const double* w, size_t m, const double* hi, double* acc,
       MaxDotPlaneMultiAvx2(w, m, hi, acc, stride, n);
       return;
 #endif
-#if GIR_SIMD_X86
-    case Tier::kSse2:
-      MaxDotPlaneMultiSse2(w, m, hi, acc, stride, n);
-      return;
-#endif
     default:
       MaxDotPlaneMultiScalar(w, m, hi, acc, stride, n);
       return;
@@ -551,25 +382,6 @@ void OverlapScalar(const double* lo, const double* hi, double qlo, double qhi,
     mask[i] &= static_cast<uint8_t>(hi[i] >= qlo && lo[i] <= qhi);
   }
 }
-
-#if GIR_SIMD_X86
-void OverlapSse2(const double* lo, const double* hi, double qlo, double qhi,
-                 uint8_t* mask, size_t n) {
-  const __m128d vlo = _mm_set1_pd(qlo);
-  const __m128d vhi = _mm_set1_pd(qhi);
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    __m128d ge = _mm_cmpge_pd(_mm_loadu_pd(hi + i), vlo);
-    __m128d le = _mm_cmple_pd(_mm_loadu_pd(lo + i), vhi);
-    int bits = _mm_movemask_pd(_mm_and_pd(ge, le));
-    mask[i] &= static_cast<uint8_t>(bits & 1);
-    mask[i + 1] &= static_cast<uint8_t>((bits >> 1) & 1);
-  }
-  for (; i < n; ++i) {
-    mask[i] &= static_cast<uint8_t>(hi[i] >= qlo && lo[i] <= qhi);
-  }
-}
-#endif
 
 #if GIR_SIMD_HAVE_AVX2_TARGET
 GIR_TARGET_AVX2 void OverlapAvx2(const double* lo, const double* hi,
@@ -603,11 +415,6 @@ void IntervalOverlapMask(const double* lo, const double* hi, double qlo,
       OverlapAvx2(lo, hi, qlo, qhi, mask, n);
       return;
 #endif
-#if GIR_SIMD_X86
-    case Tier::kSse2:
-      OverlapSse2(lo, hi, qlo, qhi, mask, n);
-      return;
-#endif
     default:
       OverlapScalar(lo, hi, qlo, qhi, mask, n);
       return;
@@ -632,37 +439,6 @@ void MarkAboveScalar(const double* normals, const double* offsets,
     }
   }
 }
-
-#if GIR_SIMD_X86
-void MarkAboveSse2(const double* normals, const double* offsets,
-                   const int* pool, size_t pool_n, size_t dim, double eps,
-                   const double* planes, size_t stride, uint8_t* mask,
-                   size_t n) {
-  const __m128d veps = _mm_set1_pd(eps);
-  for (size_t p = 0; p < pool_n; ++p) {
-    const double* nf = normals + static_cast<size_t>(pool[p]) * dim;
-    const double off = offsets[pool[p]];
-    const __m128d voff = _mm_set1_pd(off);
-    size_t i = 0;
-    for (; i + 2 <= n; i += 2) {
-      __m128d dot = _mm_setzero_pd();
-      for (size_t j = 0; j < dim; ++j) {
-        const __m128d x = _mm_loadu_pd(planes + j * stride + i);
-        dot = _mm_add_pd(dot, _mm_mul_pd(_mm_set1_pd(nf[j]), x));
-      }
-      const int bits =
-          _mm_movemask_pd(_mm_cmpgt_pd(_mm_sub_pd(dot, voff), veps));
-      mask[i] |= static_cast<uint8_t>(bits & 1);
-      mask[i + 1] |= static_cast<uint8_t>((bits >> 1) & 1);
-    }
-    for (; i < n; ++i) {
-      double dot = 0.0;
-      for (size_t j = 0; j < dim; ++j) dot += nf[j] * planes[j * stride + i];
-      mask[i] |= static_cast<uint8_t>(dot - off > eps);
-    }
-  }
-}
-#endif
 
 #if GIR_SIMD_HAVE_AVX2_TARGET
 GIR_TARGET_AVX2 void MarkAboveAvx2(const double* normals,
@@ -712,12 +488,6 @@ void MarkAboveFacets(const double* normals, const double* offsets,
                     mask, n);
       return;
 #endif
-#if GIR_SIMD_X86
-    case Tier::kSse2:
-      MarkAboveSse2(normals, offsets, pool, pool_n, dim, eps, planes, stride,
-                    mask, n);
-      return;
-#endif
     default:
       MarkAboveScalar(normals, offsets, pool, pool_n, dim, eps, planes,
                       stride, mask, n);
@@ -755,34 +525,6 @@ void MarkBoxesScalar(const double* normals, const double* offsets,
         normals, offsets, facet_n, dim, eps, lo + i, hi + i, stride));
   }
 }
-
-#if GIR_SIMD_X86
-void MarkBoxesSse2(const double* normals, const double* offsets,
-                   size_t facet_n, size_t dim, double eps, const double* lo,
-                   const double* hi, size_t stride, uint8_t* mask, size_t n) {
-  const __m128d veps = _mm_set1_pd(eps);
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    int done = (mask[i] != 0) | ((mask[i + 1] != 0) << 1);
-    for (size_t f = 0; f < facet_n && done != 3; ++f) {
-      const double* nf = normals + f * dim;
-      __m128d bound = _mm_setzero_pd();
-      for (size_t j = 0; j < dim; ++j) {
-        const __m128d w = _mm_set1_pd(nf[j]);
-        const __m128d a = _mm_mul_pd(w, _mm_loadu_pd(lo + j * stride + i));
-        const __m128d b = _mm_mul_pd(w, _mm_loadu_pd(hi + j * stride + i));
-        bound = _mm_add_pd(bound, _mm_max_pd(a, b));
-      }
-      const __m128d voff = _mm_set1_pd(offsets[f]);
-      done |= _mm_movemask_pd(_mm_cmpgt_pd(_mm_sub_pd(bound, voff), veps));
-    }
-    mask[i] = static_cast<uint8_t>(done & 1);
-    mask[i + 1] = static_cast<uint8_t>((done >> 1) & 1);
-  }
-  MarkBoxesScalar(normals, offsets, facet_n, dim, eps, lo + i, hi + i, stride,
-                  mask + i, n - i);
-}
-#endif
 
 #if GIR_SIMD_HAVE_AVX2_TARGET
 GIR_TARGET_AVX2 void MarkBoxesAvx2(const double* normals,
@@ -833,12 +575,6 @@ void MarkBoxesAboveFacets(const double* normals, const double* offsets,
                     n);
       return;
 #endif
-#if GIR_SIMD_X86
-    case Tier::kSse2:
-      MarkBoxesSse2(normals, offsets, facet_n, dim, eps, lo, hi, stride, mask,
-                    n);
-      return;
-#endif
     default:
       MarkBoxesScalar(normals, offsets, facet_n, dim, eps, lo, hi, stride,
                       mask, n);
@@ -859,30 +595,6 @@ bool DominatesScalar(const double* p, const double* q, size_t dim) {
   }
   return all_ge && any_gt;
 }
-
-#if GIR_SIMD_X86
-// Vectorized across dimensions: accumulate a "every dim >= " mask and
-// an "any dim >" mask over 2-wide chunks, scalar tail. Comparisons are
-// exact, so the verdict matches the scalar predicate on every input.
-bool DominatesSse2(const double* p, const double* q, size_t dim) {
-  size_t j = 0;
-  int ge_bits = 3;
-  int gt_bits = 0;
-  for (; j + 2 <= dim; j += 2) {
-    __m128d vp = _mm_loadu_pd(p + j);
-    __m128d vq = _mm_loadu_pd(q + j);
-    ge_bits &= _mm_movemask_pd(_mm_cmpge_pd(vp, vq));
-    gt_bits |= _mm_movemask_pd(_mm_cmpgt_pd(vp, vq));
-  }
-  bool all_ge = ge_bits == 3;
-  bool any_gt = gt_bits != 0;
-  for (; j < dim; ++j) {
-    all_ge &= p[j] >= q[j];
-    any_gt |= p[j] > q[j];
-  }
-  return all_ge && any_gt;
-}
-#endif
 
 #if GIR_SIMD_HAVE_AVX2_TARGET
 GIR_TARGET_AVX2 bool DominatesAvx2(const double* p, const double* q,
@@ -922,16 +634,6 @@ size_t FindDominatorScalar(const double* rows, size_t count, const double* p,
   return count;
 }
 
-#if GIR_SIMD_X86
-size_t FindDominatorSse2(const double* rows, size_t count, const double* p,
-                         size_t dim) {
-  for (size_t m = 0; m < count; ++m) {
-    if (DominatesSse2(rows + m * dim, p, dim)) return m;
-  }
-  return count;
-}
-#endif
-
 }  // namespace
 
 bool DominatesRow(const double* p, const double* q, size_t dim) {
@@ -939,10 +641,6 @@ bool DominatesRow(const double* p, const double* q, size_t dim) {
 #if GIR_SIMD_HAVE_AVX2_TARGET
     case Tier::kAvx2:
       return DominatesAvx2(p, q, dim);
-#endif
-#if GIR_SIMD_X86
-    case Tier::kSse2:
-      return DominatesSse2(p, q, dim);
 #endif
     default:
       return DominatesScalar(p, q, dim);
@@ -955,10 +653,6 @@ size_t FindDominatorInRows(const double* rows, size_t count, const double* p,
 #if GIR_SIMD_HAVE_AVX2_TARGET
     case Tier::kAvx2:
       return FindDominatorAvx2(rows, count, p, dim);
-#endif
-#if GIR_SIMD_X86
-    case Tier::kSse2:
-      return FindDominatorSse2(rows, count, p, dim);
 #endif
     default:
       return FindDominatorScalar(rows, count, p, dim);

@@ -8,11 +8,11 @@ namespace gir {
 namespace simd {
 
 // Runtime-dispatched SIMD kernels for the SoA hot loops (entry scoring,
-// dimension transforms, dominance scans, plane sweeps). The widest
-// instruction set the CPU supports is detected once at startup, so the
-// vector paths run in *default* Release builds — no -march=native
-// required — while the same binary stays runnable on baseline-ISA
-// machines via the scalar fallback.
+// dimension transforms, dominance scans, plane sweeps). Two tiers: an
+// AVX2 body and the scalar reference. Whether the CPU has AVX2 is
+// detected once at startup, so the vector paths run in *default*
+// Release builds — no -march=native required — while the same binary
+// runs the scalar reference on every CPU without AVX2.
 //
 // Bit-identity contract: every kernel is element-wise (each output lane
 // depends on exactly one input lane) and uses only operations that are
@@ -23,16 +23,16 @@ namespace simd {
 // (tests force each tier via ForceTier and assert bitwise equality).
 //
 // Dispatch override: the GIR_SIMD environment variable ("scalar",
-// "sse2", "avx2", "auto"; read once at startup) or ForceTier() pin the
-// tier, clamped to what the CPU supports.
+// "avx2", "auto"; read once at startup) or ForceTier() pin the tier,
+// clamped to what the CPU supports.
 
 enum class Tier : int {
   kScalar = 0,
-  kSse2 = 1,
-  kAvx2 = 2,
+  kAvx2 = 1,
 };
 
-// Widest tier the running CPU supports (constant per process).
+// kAvx2 when the running CPU supports AVX2, else kScalar (constant per
+// process).
 Tier DetectedTier();
 
 // Tier the kernels currently dispatch to: DetectedTier() clamped by the
@@ -40,12 +40,12 @@ Tier DetectedTier();
 Tier ActiveTier();
 
 // Pins dispatch to `t` (clamped to DetectedTier(); requesting AVX2 on
-// an SSE2-only machine yields SSE2). Returns the tier actually in
+// a machine without it yields scalar). Returns the tier actually in
 // effect. Intended for the bit-identity tests and tier-vs-tier
 // microbenchmarks; thread-safe but not meant to race hot loops.
 Tier ForceTier(Tier t);
 
-// "scalar" / "sse2" / "avx2".
+// "scalar" / "avx2".
 const char* TierName(Tier t);
 
 // ----- element-wise kernels (bit-identical across tiers) -----

@@ -349,9 +349,6 @@ class GirEngine {
   };
   const WalRecoveryStats& wal_recovery() const { return wal_recovery_; }
 
-  // The attached log (null without WithWal). Replicas read the leader's
-  // store to ship WAL deltas instead of full arenas.
-  const WalStore* wal_store() const { return wal_store_.get(); }
   bool has_wal() const { return wal_ != nullptr; }
   // Append/fsync counters of the attached writer (zeros without one).
   WalWriter::Stats wal_writer_stats() const {

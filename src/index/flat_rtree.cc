@@ -180,6 +180,35 @@ Result<FlatRTree> FlatRTree::FromArena(
       }
     }
   }
+  // One walk from the root: every page it reaches must be reached once
+  // (two parents sharing a child would make traversals see its records
+  // twice), and the leaves it reaches must hold the header's records.
+  size_t records = 0;
+  if (flat.root_ != kInvalidPage) {
+    std::vector<bool> reached(n, false);
+    std::vector<PageId> stack = {flat.root_};
+    reached[flat.root_] = true;
+    while (!stack.empty()) {
+      const PageId page = stack.back();
+      stack.pop_back();
+      const FlatNodeMeta& meta = flat.meta_[page];
+      if (meta.is_leaf) {
+        records += meta.count;
+        continue;
+      }
+      const int32_t* children = flat.children_base_ + page * flat.capacity_;
+      for (uint32_t e = 0; e < meta.count; ++e) {
+        if (reached[children[e]]) {
+          return Status::DataLoss("arena page reached twice");
+        }
+        reached[children[e]] = true;
+        stack.push_back(static_cast<PageId>(children[e]));
+      }
+    }
+  }
+  if (records != flat.record_count_) {
+    return Status::DataLoss("arena leaves do not hold its record count");
+  }
   flat.arena_ = std::move(arena);
   return flat;
 }

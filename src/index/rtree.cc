@@ -669,19 +669,16 @@ Result<RTree> RTree::Thaw(const FlatRTree& flat, const Dataset* dataset,
     tree.nodes_[p].level = view.level();
   }
   // Entries are copied for the pages the root reaches; the rest are the
-  // slots Delete freed, which Freeze wrote empty.
+  // slots Delete freed, which Freeze wrote empty. The image is well
+  // formed (FlatRTree::FromArena rejects a page reached twice and a
+  // record count its leaves do not hold), so `reached` only names the
+  // free pages.
   std::vector<bool> reached(n, false);
   std::vector<PageId> stack;
-  auto reach = [&](size_t page) {
-    if (page >= n || reached[page]) return false;
-    reached[page] = true;
-    stack.push_back(static_cast<PageId>(page));
-    return true;
-  };
-  if (flat.root() != kInvalidPage && !reach(flat.root())) {
-    return Status::DataLoss("frozen image root page out of range");
+  if (flat.root() != kInvalidPage) {
+    reached[flat.root()] = true;
+    stack.push_back(flat.root());
   }
-  size_t records = 0;
   while (!stack.empty()) {
     const PageId page = stack.back();
     stack.pop_back();
@@ -697,20 +694,17 @@ Result<RTree> RTree::Thaw(const FlatRTree& flat, const Dataset* dataset,
         entry.mbb.lo[j] = view.lo(j)[e];
         entry.mbb.hi[j] = view.hi(j)[e];
       }
-      if (!view.is_leaf() && !reach(static_cast<size_t>(entry.child))) {
-        return Status::DataLoss("frozen image page reached twice");
+      if (!view.is_leaf()) {
+        reached[entry.child] = true;
+        stack.push_back(static_cast<PageId>(entry.child));
       }
     }
-    if (view.is_leaf()) records += view.count();
-  }
-  if (records != flat.size()) {
-    return Status::DataLoss("frozen image leaves do not hold its records");
   }
   for (size_t p = 0; p < n; ++p) {
     if (!reached[p]) tree.free_pages_.push_back(static_cast<PageId>(p));
   }
   tree.root_ = flat.root();
-  tree.record_count_ = records;
+  tree.record_count_ = flat.size();
   return tree;
 }
 

@@ -91,9 +91,10 @@ class RTree {
   // `dataset` is the record image the tree indexes and `disk` a fresh
   // DiskManager, which gets one allocation per page and no writes.
   // InvalidArgument when `dataset`'s dimensionality or `disk`'s page
-  // size gives another node shape than the image's; DataLoss when a
-  // page is reached twice or the leaves hold another record count than
-  // the image claims.
+  // size gives another node shape than the image's. The image must be
+  // well formed: Freeze's output, or an arena FlatRTree::FromArena
+  // accepted (it rejects a page reached twice and leaves that do not
+  // hold the header's record count).
   static Result<RTree> Thaw(const FlatRTree& flat, const Dataset* dataset,
                             DiskManager* disk);
 

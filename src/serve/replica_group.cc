@@ -76,96 +76,6 @@ Result<uint64_t> Replica::AdoptEpoch(const SnapshotStore& leader,
   return advanced;
 }
 
-Result<uint64_t> Replica::AdoptWalDelta(const WalStore& leader_wal,
-                                        uint64_t target) {
-  if (killed()) {
-    return Status::Unavailable("replica down, ship refused");
-  }
-  const uint64_t cur = epoch();
-  if (target <= cur) return cur;
-
-  // 1. Ship every leader segment that can cover (cur, target] into the
-  // replica's own directory (wal-*.gwal beside its arena-*.garn; the
-  // formats cannot collide). Each ship goes through this replica's
-  // fault surface — the transport can tear or flip bytes, and only the
-  // record CRCs at replay will know.
-  WalStore local(config_.dir, &injector_);
-  const std::vector<uint64_t> bases = leader_wal.ListSegmentBases();
-  for (size_t i = 0; i < bases.size(); ++i) {
-    const uint64_t next =
-        i + 1 < bases.size() ? bases[i + 1] : ~uint64_t{0};
-    if (next <= cur || bases[i] >= target) continue;
-    Result<WalStore::ShipStats> shipped =
-        local.ShipSegmentFrom(leader_wal, bases[i]);
-    if (!shipped.ok()) {
-      open_failures_.fetch_add(1, std::memory_order_relaxed);
-      return shipped.status();
-    }
-  }
-
-  // 2. Replay the committed tail. A shipped segment that landed damaged
-  // or a coverage gap surfaces here as a tail that stops short of the
-  // target — refuse, count it, keep serving the current epoch.
-  Result<WalStore::ReplayLog> log = local.ReadCommitted(cur);
-  if (!log.ok()) return log.status();
-  if (log->tail_epoch < target) {
-    open_failures_.fetch_add(1, std::memory_order_relaxed);
-    return Status::DataLoss(
-        "wal delta reaches epoch " + std::to_string(log->tail_epoch) +
-        ", target " + std::to_string(target) +
-        " (damaged or missing segments)");
-  }
-
-  // 3. Apply the batches to a copy of the current epoch's rows. The
-  // pinned snapshot keeps the source dataset alive across the copy.
-  const GirEngine::PinnedIndex pin = engine_->PinIndex();
-  Dataset working(pin.flat->dataset());
-  if (log->wal_dim != working.dim()) {
-    open_failures_.fetch_add(1, std::memory_order_relaxed);
-    return Status::DataLoss("wal delta dimension mismatch");
-  }
-  for (const WalStore::ReplayRecord& rec : log->records) {
-    if (rec.epoch > target) break;  // leader tail past our target
-    for (RecordId id : rec.batch.deletes) {
-      if (id < 0 || static_cast<size_t>(id) >= working.size() ||
-          !working.IsLive(id)) {
-        open_failures_.fetch_add(1, std::memory_order_relaxed);
-        return Status::DataLoss("wal delta deletes a record this replica "
-                                "does not serve live");
-      }
-      working.MarkDeleted(id);
-    }
-    for (const Vec& row : rec.batch.inserts) {
-      working.AppendRecord(VecView(row.data(), row.size()));
-    }
-  }
-
-  // 4. Rebuild, freeze and publish locally as arena-<target>.garn —
-  // through the replica's own injected-fault surface, like any other
-  // write it performs — then swap the engine onto it. The scratch
-  // DiskManager keeps build-time page accounting out of the serving
-  // disk's counters.
-  DiskManager scratch;
-  RTree tree = RTree::BulkLoad(&working, &scratch);
-  FlatRTree flat = FlatRTree::Freeze(tree, &working);
-  Result<SnapshotStore::WriteStats> wrote = store_.WriteArena(flat, target);
-  if (!wrote.ok()) return wrote.status();
-  Result<uint64_t> advanced = engine_->AdvanceToArena(wrote->path);
-  if (!advanced.ok()) {
-    // The locally-built arena landed damaged (injected torn/corrupt
-    // publish): same corrupt-open domain as a damaged full ship.
-    open_failures_.fetch_add(1, std::memory_order_relaxed);
-    return advanced.status();
-  }
-  // Shipped segments served their purpose; reclaim what the adopted
-  // epoch made obsolete (best effort, never gates the data path).
-  (void)local.Truncate(target);
-  if (gc_keep_last_ > 0) {
-    (void)store_.GarbageCollect(gc_keep_last_);
-  }
-  return advanced;
-}
-
 Result<std::unique_ptr<ReplicaGroup>> ReplicaGroup::Open(
     const ReplicaGroupConfig& config, const SnapshotStore& leader) {
   if (config.replicas.empty()) {
@@ -208,31 +118,12 @@ Result<EpochShipper::ShipReport> EpochShipper::ShipLatest() {
     } else if (replica->stale()) {
       ++report.skipped_stale;
     } else {
-      // Delta-first: a close replica advances on shipped WAL segments
-      // (cheap); a distant one — or a delta that fails on damage or a
-      // gap — takes the full arena file.
-      bool advanced = false;
-      if (leader_wal_ != nullptr && max_delta_lag_ > 0 &&
-          report.leader_epoch - replica->epoch() <= max_delta_lag_) {
-        Result<uint64_t> delta =
-            replica->AdoptWalDelta(*leader_wal_, report.leader_epoch);
-        if (delta.ok()) {
-          advanced = true;
-          ++report.shipped;
-          ++report.delta_shipped;
-        } else {
-          ++report.delta_fallbacks;
-        }
-      }
-      if (!advanced) {
-        Result<uint64_t> adopted =
-            replica->AdoptEpoch(*leader_, report.leader_epoch);
-        if (adopted.ok()) {
-          ++report.shipped;
-          ++report.full_shipped;
-        } else {
-          ++report.failed;
-        }
+      Result<uint64_t> adopted =
+          replica->AdoptEpoch(*leader_, report.leader_epoch);
+      if (adopted.ok()) {
+        ++report.shipped;
+      } else {
+        ++report.failed;
       }
     }
     const uint64_t epoch = replica->epoch();

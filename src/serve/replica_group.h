@@ -14,7 +14,6 @@
 #include "storage/disk_manager.h"
 #include "storage/fault_injector.h"
 #include "storage/snapshot_store.h"
-#include "storage/wal.h"
 
 namespace gir::serve {
 
@@ -27,13 +26,17 @@ namespace gir::serve {
 // arena-backed GirEngine opened FromArena. Replicas never talk to each
 // other: the EpochShipper copies `arena-<v>.garn` files leader →
 // replica and advances each replica with one atomic epoch swap, and
-// the Router (router.h) fans queries across the group.
+// the Router (router.h) fans queries across the group. Shipping the
+// leader's whole arena file is the only way a replica catches up; a
+// replica never rebuilds an epoch itself.
 //
 // Because every replica serves the same immutable arena bytes at a
 // given epoch, a reply from any replica at epoch v is bit-identical to
-// a fault-free single engine serving that file — the property the
-// router's failover relies on and replica_group_test checks
-// (RouterTest.ChaosKillScheduleServesBitIdenticalReplies).
+// a fault-free single engine serving that file, simulated page reads
+// included — the property the router's failover relies on and
+// replica_group_test checks
+// (RouterTest.ChaosKillScheduleServesBitIdenticalReplies,
+// ReplicaGroupTest.ReplicasServeShippedEpochBitIdenticalPerTier).
 
 // Replica-level failure domains, driven by replica_group_test (the
 // kill/slow/stale schedules of its RouterTest cases):
@@ -81,19 +84,6 @@ class Replica {
   // current epoch. Ships are refused while killed (a down host
   // receives nothing).
   Result<uint64_t> AdoptEpoch(const SnapshotStore& leader, uint64_t version);
-
-  // Delta transport: instead of a full arena file, ships only the
-  // leader's WAL segments covering (epoch(), target], replays the
-  // committed batches onto a copy of the current epoch's rows, rebuilds
-  // and freezes locally, publishes the result as this replica's own
-  // arena-<target>.garn (through the same injected-fault surface) and
-  // swaps onto it. Query results at `target` are identical to a replica
-  // that adopted the leader's arena (the update-vs-rebuild property);
-  // only simulated page-id accounting may differ. Any damage — a
-  // shipped segment failing its record CRCs, a gap, a torn local
-  // publish — fails the adopt and the replica keeps its current epoch;
-  // the shipper then falls back to a full arena ship.
-  Result<uint64_t> AdoptWalDelta(const WalStore& leader_wal, uint64_t target);
 
   // After AdoptEpoch: keep-last-N retention on this replica's own
   // directory (see SnapshotStore::GarbageCollect). 0 disables.
@@ -168,22 +158,12 @@ class ReplicaGroup {
 // One shipper per (leader, group); ShipLatest is called after each
 // leader publish (or on a schedule) — it is synchronous and
 // deterministic given the fault plans, which is what lets the chaos
-// suite replay schedules exactly.
+// suite replay schedules exactly. Every replica behind the leader
+// takes the leader's newest arena file through Replica::AdoptEpoch.
 class EpochShipper {
  public:
-  // With a non-null `leader_wal` and max_delta_lag > 0, a replica whose
-  // lag is within max_delta_lag epochs is advanced by shipping WAL
-  // deltas (Replica::AdoptWalDelta) instead of the full arena file; a
-  // replica further behind — or a delta that fails (gap, damage) —
-  // falls back to the full arena ship. max_delta_lag == 0 (default)
-  // keeps the PR9 behaviour: always ship full arenas.
-  EpochShipper(const SnapshotStore* leader, ReplicaGroup* group,
-               const WalStore* leader_wal = nullptr,
-               uint64_t max_delta_lag = 0)
-      : leader_(leader),
-        group_(group),
-        leader_wal_(leader_wal),
-        max_delta_lag_(max_delta_lag) {
+  EpochShipper(const SnapshotStore* leader, ReplicaGroup* group)
+      : leader_(leader), group_(group) {
     lag_histogram_.fill(0);
   }
 
@@ -193,9 +173,6 @@ class EpochShipper {
     size_t up_to_date = 0;      // already at or ahead of it
     size_t skipped_stale = 0;   // stale replicas, deliberately skipped
     size_t failed = 0;          // ship/open failures (incl. corrupt-open)
-    size_t delta_shipped = 0;   // advanced via WAL delta
-    size_t full_shipped = 0;    // advanced via full arena ship
-    size_t delta_fallbacks = 0; // delta failed, fell back to full ship
     std::vector<uint64_t> replica_epochs;  // post-ship, per replica
     std::vector<uint64_t> lags;            // leader_epoch - epoch, per replica
   };
@@ -221,8 +198,6 @@ class EpochShipper {
  private:
   const SnapshotStore* leader_;
   ReplicaGroup* group_;
-  const WalStore* leader_wal_;
-  uint64_t max_delta_lag_;
   std::vector<uint64_t> last_lags_;
   std::array<uint64_t, kLagBuckets> lag_histogram_;
 };

@@ -97,25 +97,6 @@ void MetricsBuilder::RecordPrefetch(uint64_t issued, uint64_t hits,
   metrics_.prefetch_misses += misses;
 }
 
-void MetricsBuilder::RecordRecovery(double ms) {
-  ++metrics_.recoveries;
-  metrics_.recovery_ms += ms;
-}
-
-void MetricsBuilder::RecordWalCommit(uint64_t appends,
-                                     uint64_t group_commits) {
-  metrics_.wal_appends += appends;
-  metrics_.wal_group_commits += group_commits;
-}
-
-void MetricsBuilder::RecordWalReplay(uint64_t batches) {
-  metrics_.wal_replayed_batches += batches;
-}
-
-void MetricsBuilder::RecordWalTruncate(uint64_t segments) {
-  metrics_.wal_truncated_segments += segments;
-}
-
 void MetricsBuilder::RecordBatch(size_t occupancy, size_t width) {
   if (occupancy == 0) return;
   ++metrics_.batches;

@@ -78,15 +78,13 @@ struct ServiceMetrics {
   // dashboard alarms on; the full-run p99 hides transients).
   double window_p99_peak_ms = 0.0;
 
-  // ----- fault / recovery accounting -----
+  // ----- fault accounting -----
   // Of `failed`, how many were terminal kUnavailable — storage faults
   // that outlived the engine's retry budget. Always explicit rejections
   // delivered to the client, never silent drops.
   size_t unavailable = 0;
   uint64_t fault_retries = 0;    // engine retry attempts, run-wide
   uint64_t retry_successes = 0;  // queries served only thanks to a retry
-  size_t recoveries = 0;         // snapshot recoveries performed
-  double recovery_ms = 0.0;      // total time spent in recovery
 
   // ----- mmap-arena frontier prefetch (zero on heap-backed engines) --
   // Pages madvise'd ahead of their traversal round, and of the unique
@@ -96,16 +94,6 @@ struct ServiceMetrics {
   uint64_t prefetch_issued = 0;
   uint64_t prefetch_hits = 0;
   uint64_t prefetch_misses = 0;
-
-  // ----- write-ahead log (zero when the engine runs without a WAL) --
-  // Appends are acknowledged batches; group commits are the fsyncs that
-  // made them durable (appends / group_commits is the amortization the
-  // group-commit window bought). Replayed batches count recovery work;
-  // truncated segments count checkpoint reclamation.
-  uint64_t wal_appends = 0;
-  uint64_t wal_group_commits = 0;
-  uint64_t wal_replayed_batches = 0;
-  uint64_t wal_truncated_segments = 0;
 
   double ShedRate() const {
     return requests == 0
@@ -139,15 +127,6 @@ class MetricsBuilder {
   void RecordFaultRetries(uint64_t retries, uint64_t successes);
   // Frontier-prefetch accounting of one executed batch.
   void RecordPrefetch(uint64_t issued, uint64_t hits, uint64_t misses);
-  // One snapshot recovery taking `ms` of service time.
-  void RecordRecovery(double ms);
-  // WAL accounting: durable appends vs. the group commits (fsyncs) that
-  // covered them. Typically fed from WalWriter::Stats deltas.
-  void RecordWalCommit(uint64_t appends, uint64_t group_commits);
-  // Batches re-applied from the WAL during recovery.
-  void RecordWalReplay(uint64_t batches);
-  // Segments reclaimed by a checkpoint truncation.
-  void RecordWalTruncate(uint64_t segments);
 
   const SlidingWindow& window() const { return window_; }
   ServiceMetrics Finalize();

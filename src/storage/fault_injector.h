@@ -29,6 +29,8 @@ struct FaultPlan {
   double latency_spike_ms = 0.0;
 
   // ----- arena publishes (SnapshotStore::WriteArena, ShipArenaFrom) -----
+  // The only writes a replica receives: it catches up by whole arena
+  // files, so these two rates are its whole transport fault surface.
   // Probability the published file is truncated mid-section (a crash
   // between rename and data reaching the platter: the name exists, the
   // tail bytes do not).
@@ -38,6 +40,8 @@ struct FaultPlan {
   double corrupt_rate = 0.0;
 
   // ----- WAL appends / fsyncs (WalWriter) -----
+  // Only the writer's own appends and commits draw these; nothing ships
+  // WAL segments, so they never reach a replica.
   // Probability an append reaches the segment only as a torn prefix
   // (process died mid-write; the tail is garbage replay must truncate).
   double wal_torn_rate = 0.0;

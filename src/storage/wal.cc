@@ -156,49 +156,6 @@ Status WriteFull(int fd, const uint8_t* data, size_t n,
   return Status::Ok();
 }
 
-// Crash-safe publish with every error surfaced — including close() and
-// the directory fsync, which a durable ack cannot treat as advisory.
-Status PublishAtomically(const std::string& dir, const fs::path& final_path,
-                         const uint8_t* data, size_t publish_len) {
-  const fs::path tmp_path =
-      fs::path(dir) / (final_path.filename().string() + ".tmp");
-  {
-    const int fd =
-        ::open(tmp_path.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
-    if (fd < 0) {
-      return Status::Internal("cannot open " + tmp_path.string());
-    }
-    Status written = WriteFull(fd, data, publish_len, tmp_path.string());
-    if (!written.ok()) {
-      ::close(fd);
-      return written;
-    }
-    if (::fsync(fd) != 0) {
-      ::close(fd);
-      return Status::Internal("fsync failed on " + tmp_path.string());
-    }
-    if (::close(fd) != 0) {
-      return Status::Internal("close failed on " + tmp_path.string());
-    }
-  }
-  std::error_code ec;
-  fs::rename(tmp_path, final_path, ec);
-  if (ec) {
-    return Status::Internal("rename to " + final_path.string() +
-                            " failed: " + ec.message());
-  }
-  const int dfd = ::open(dir.c_str(), O_RDONLY);
-  if (dfd < 0) {
-    return Status::Internal("cannot open dir " + dir + " for fsync");
-  }
-  const bool dir_synced = ::fsync(dfd) == 0;
-  const bool dir_closed = ::close(dfd) == 0;
-  if (!dir_synced || !dir_closed) {
-    return Status::Internal("directory fsync failed on " + dir);
-  }
-  return Status::Ok();
-}
-
 }  // namespace
 
 // ----- WalStore -----
@@ -375,60 +332,6 @@ Result<WalStore::TruncateStats> WalStore::Truncate(uint64_t durable_epoch) {
     ++out.kept_segments;
   }
   return out;
-}
-
-Result<WalStore::ShipStats> WalStore::ShipSegmentFrom(const WalStore& src,
-                                                      uint64_t base_epoch) {
-  const fs::path src_path =
-      fs::path(src.dir()) / SegmentFileName(base_epoch);
-  std::vector<uint8_t> file;
-  if (!ReadWholeFile(src_path, &file) || file.empty()) {
-    return Status::NotFound("no wal segment base " +
-                            std::to_string(base_epoch) + " in " + src.dir());
-  }
-
-  ShipStats stats;
-  stats.bytes = file.size();
-
-  std::error_code ec;
-  fs::create_directories(dir_, ec);
-  if (ec) {
-    return Status::Internal("cannot create wal dir " + dir_ + ": " +
-                            ec.message());
-  }
-  const fs::path final_path = fs::path(dir_) / SegmentFileName(base_epoch);
-  stats.path = final_path.string();
-
-  // Same fault surface as an arena ship: the transport can tear or flip
-  // bytes, and only record CRCs at replay can tell. Torn keeps a strict
-  // nonempty prefix; corrupt flips one byte past the segment header so
-  // the header still parses and a record CRC must catch it.
-  size_t publish_len = file.size();
-  if (injector_ != nullptr) {
-    const FaultInjector::WriteDecision d = injector_->OnWalAppend();
-    stats.injected = d.fault;
-    if (d.fault == FaultInjector::WriteFault::kTorn && file.size() > 2) {
-      publish_len =
-          1 + static_cast<size_t>(
-                  injector_->ShapeDrawAt(FaultInjector::Site::kWalAppend, d.op,
-                                         0) *
-                  static_cast<double>(file.size() - 2));
-    } else if (d.fault == FaultInjector::WriteFault::kCorrupt &&
-               file.size() > kWalHeaderBytes + 1) {
-      const size_t span = file.size() - kWalHeaderBytes - 1;
-      const size_t at =
-          kWalHeaderBytes +
-          static_cast<size_t>(
-              injector_->ShapeDrawAt(FaultInjector::Site::kWalAppend, d.op, 1) *
-              static_cast<double>(span));
-      file[at] ^= 0x40;
-    }
-  }
-
-  Status published =
-      PublishAtomically(dir_, final_path, file.data(), publish_len);
-  if (!published.ok()) return published;
-  return stats;
 }
 
 // ----- WalWriter -----

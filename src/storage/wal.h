@@ -38,7 +38,7 @@ namespace gir {
 // first record that is not (a torn append is exactly a crash mid-write,
 // so nothing after it can have been acknowledged). Replay is idempotent
 // via the epoch stamps: records at or below the recovered epoch are
-// skipped, re-shipped segment overlap is skipped the same way.
+// skipped, and overlap between segments is skipped the same way.
 constexpr uint32_t kWalMagic = 0x4C415747;        // "GWAL"
 constexpr uint32_t kWalCommitMagic = 0x57434D54;  // "TMCW"
 constexpr uint32_t kWalFormat = 1;
@@ -54,15 +54,16 @@ struct WalOptions {
 };
 
 // Directory-level view of a WAL: segment enumeration, committed-record
-// replay with torn-tail truncation, checkpoint truncation and the
-// replication transport. All methods are safe to call concurrently
-// with an open WalWriter on the *active* (highest-base) segment except
-// Truncate, which the engine serializes with its writer.
+// replay with torn-tail truncation and checkpoint truncation. It ships
+// nothing: replicas catch up from whole arena files
+// (SnapshotStore::ShipArenaFrom). All methods are safe to call
+// concurrently with an open WalWriter on the *active* (highest-base)
+// segment except Truncate, which the engine serializes with its writer.
 class WalStore {
  public:
   // `dir` is created on first use if absent. The optional injector
-  // (non-owning; may be null) shapes shipped-segment damage exactly
-  // like SnapshotStore::ShipArenaFrom does for arenas.
+  // (non-owning; may be null) shapes only the appends of a WalWriter
+  // opened on this store (torn or corrupt records, failed fsyncs).
   explicit WalStore(std::string dir, FaultInjector* injector = nullptr)
       : dir_(std::move(dir)), injector_(injector) {}
 
@@ -72,7 +73,7 @@ class WalStore {
   static std::string SegmentFileName(uint64_t base_epoch);
 
   // Sorted base epochs of every wal-*.gwal under dir(), by filename
-  // only — no validation (replay and shipping re-validate).
+  // only — no validation (replay re-validates).
   std::vector<uint64_t> ListSegmentBases() const;
 
   struct ReplayRecord {
@@ -151,19 +152,6 @@ class WalStore {
   // SnapshotStore::GarbageCollect discipline of never widening a
   // data-loss window.
   Result<TruncateStats> Truncate(uint64_t durable_epoch);
-
-  struct ShipStats {
-    std::string path;
-    uint64_t bytes = 0;
-    FaultInjector::WriteFault injected = FaultInjector::WriteFault::kNone;
-  };
-
-  // Copies the segment with `base_epoch` out of `src` into this store's
-  // directory with the same temp + fsync + atomic-rename discipline —
-  // and the same injected-fault surface — as arena shipping. A shipped
-  // segment can land torn or corrupted; only record CRCs at replay can
-  // tell, so the receiver treats every shipped segment as untrusted.
-  Result<ShipStats> ShipSegmentFrom(const WalStore& src, uint64_t base_epoch);
 
  private:
   std::string dir_;

@@ -156,8 +156,8 @@ TEST(BatchSharedTest, SharedMatchesFanoutBitwise) {
   const size_t n = 900, dim = 3, k = 8;
   const std::vector<std::string> dists = {"IND", "COR", "ANTI"};
   const std::vector<std::string> scorings = {"Linear", "Polynomial", "Mixed"};
-  const std::vector<simd::Tier> tiers = {
-      simd::Tier::kScalar, simd::Tier::kSse2, simd::Tier::kAvx2};
+  const std::vector<simd::Tier> tiers = {simd::Tier::kScalar,
+                                         simd::Tier::kAvx2};
   Rng rng(77);
   for (const std::string& dist : dists) {
     Dataset data = MakeData(dist, n, dim, 1000 + dist.size());
@@ -313,7 +313,7 @@ TEST(BatchSharedTest, RunBrsMultiMatchesSoloRunBrs) {
   Rng rng(31);
   std::vector<Vec> weights = ClusteredWeights(10, 4, 3, 0.02, 0, rng);
   for (simd::Tier want :
-       {simd::Tier::kScalar, simd::Tier::kSse2, simd::Tier::kAvx2}) {
+       {simd::Tier::kScalar, simd::Tier::kAvx2}) {
     if (simd::ForceTier(want) != want) continue;
     std::vector<BrsMultiQuery> queries;
     for (const Vec& w : weights) queries.push_back({VecView(w), 7});
@@ -374,7 +374,7 @@ TEST(BatchSharedTest, MaxDotPlaneMultiMatchesAxpyAcrossTiers) {
     simd::Axpy(w[r], plane.data(), want.data() + r * n, n);
   }
   for (simd::Tier t :
-       {simd::Tier::kScalar, simd::Tier::kSse2, simd::Tier::kAvx2}) {
+       {simd::Tier::kScalar, simd::Tier::kAvx2}) {
     if (simd::ForceTier(t) != t) continue;
     std::vector<double> got(m * n, 0.25);
     simd::MaxDotPlaneMulti(w.data(), m, plane.data(), got.data(), n, n);

@@ -126,7 +126,7 @@ TEST(ChaosReplayTest, ServedResultsStayBitwiseCorrectUnderFaults) {
 
   const size_t schedules = StressMode() ? 4 : 2;
   for (simd::Tier tier :
-       {simd::Tier::kScalar, simd::Tier::kSse2, simd::Tier::kAvx2}) {
+       {simd::Tier::kScalar, simd::Tier::kAvx2}) {
     if (simd::ForceTier(tier) != tier) continue;  // unsupported CPU
     SCOPED_TRACE(simd::TierName(tier));
     for (size_t s = 0; s < schedules; ++s) {

@@ -113,7 +113,6 @@ TEST_P(Crc32Test, ChainedSeedsEqualOnePass) {
 
 INSTANTIATE_TEST_SUITE_P(Tiers, Crc32Test,
                          ::testing::Values(simd::Tier::kScalar,
-                                           simd::Tier::kSse2,
                                            simd::Tier::kAvx2),
                          [](const ::testing::TestParamInfo<simd::Tier>& info) {
                            return std::string(simd::TierName(info.param));

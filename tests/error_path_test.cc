@@ -137,7 +137,7 @@ TEST(ErrorPathTest, SharedTraversalDegradesOnlyFaultedQueries) {
   for (const Vec& w : weights) queries.push_back({VecView(w), kK});
 
   for (simd::Tier tier :
-       {simd::Tier::kScalar, simd::Tier::kSse2, simd::Tier::kAvx2}) {
+       {simd::Tier::kScalar, simd::Tier::kAvx2}) {
     if (simd::ForceTier(tier) != tier) continue;  // unsupported CPU
     SCOPED_TRACE(simd::TierName(tier));
     GirEngine::PinnedIndex pin = engine->PinIndex();
@@ -222,7 +222,7 @@ TEST(ErrorPathTest, BatchRetriesSalvageTransientFaults) {
   const std::vector<Vec> weights = SpreadWeights(8);
 
   for (simd::Tier tier :
-       {simd::Tier::kScalar, simd::Tier::kSse2, simd::Tier::kAvx2}) {
+       {simd::Tier::kScalar, simd::Tier::kAvx2}) {
     if (simd::ForceTier(tier) != tier) continue;  // unsupported CPU
     SCOPED_TRACE(simd::TierName(tier));
     for (bool shared : {false, true}) {

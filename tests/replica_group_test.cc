@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <limits>
 #include <memory>
@@ -141,152 +142,42 @@ ReplicaGroupConfig ThreeReplicas(const std::string& base) {
   return config;
 }
 
-// A leader whose updates are WAL-logged, for the delta-shipping tests:
-// arenas are still published per epoch (the fallback transport), but
-// the WAL segments are what close replicas catch up from.
-struct WalLeader {
-  Dataset data;
-  DiskManager disk;
-  std::string wal_dir;
-  std::unique_ptr<GirEngine> engine;
-  std::string dir;
-  SnapshotStore store;
-  Rng rng{606};
-  uint64_t published = 0;
-
-  explicit WalLeader(const std::string& name, size_t n = 400)
-      : data([&] {
-          Rng data_rng(404);
-          auto d = GenerateByName("IND", n, kDim, data_rng);
-          EXPECT_TRUE(d.ok());
-          return std::move(*d);
-        }()),
-        wal_dir(FreshDir(name + "_wal")),
-        engine(OpenEngineOrDie(
-            EngineConfig::FromDataset(&data, &disk,
-                                      MakeScoring("Linear", kDim))
-                .WithWal(wal_dir))),
-        dir(FreshDir(name)),
-        store(dir) {
-    EXPECT_TRUE(store.WriteArena(engine->flat_tree(), 0).ok());
-  }
-
-  uint64_t PublishEpoch() {
-    UpdateBatch batch;
-    for (int i = 0; i < 3; ++i) {
-      Vec v(kDim);
-      for (double& x : v) x = 0.05 + 0.9 * rng.Uniform();
-      batch.inserts.push_back(std::move(v));
-    }
-    batch.deletes = {static_cast<RecordId>(7 * (published + 1))};
-    auto up = engine->ApplyUpdates(batch);
-    EXPECT_TRUE(up.ok()) << up.status().message();
-    EXPECT_TRUE(up->wal_logged);
-    EXPECT_TRUE(store.WriteArena(engine->flat_tree(), up->version).ok());
-    published = up->version;
-    return up->version;
-  }
-};
-
-TEST(ReplicaGroupTest, WalDeltaShipAdvancesReplicasToLeaderResults) {
-  TierGuard guard;
-  WalLeader leader("rg_delta_leader");
-  auto group = ReplicaGroup::Open(ThreeReplicas("rg_delta"), leader.store);
-  ASSERT_TRUE(group.ok()) << group.status().message();
-  EpochShipper shipper(&leader.store, group->get(),
-                       leader.engine->wal_store(), /*max_delta_lag=*/4);
-
-  leader.PublishEpoch();
-  const uint64_t v2 = leader.PublishEpoch();
-  auto report = shipper.ShipLatest();
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(report->leader_epoch, v2);
-  EXPECT_EQ(report->shipped, 3u);
-  EXPECT_EQ(report->delta_shipped, 3u);  // lag 2 <= 4: all via WAL
-  EXPECT_EQ(report->full_shipped, 0u);
-  EXPECT_EQ(report->delta_fallbacks, 0u);
-  EXPECT_EQ((*group)->MinEpoch(), v2);
-
-  // Every replica answers exactly like the leader at the same epoch —
-  // the update-vs-rebuild property the delta transport leans on.
-  for (const Vec& w : SpreadWeights(10)) {
-    auto want = leader.engine->ComputeGir(w, kK, Phase2Method::kFP);
-    ASSERT_TRUE(want.ok());
-    for (size_t i = 0; i < (*group)->size(); ++i) {
-      auto got = (*group)->replica(i)->Compute(w, kK, Phase2Method::kFP);
-      ASSERT_TRUE(got.ok()) << got.status().message();
-      EXPECT_EQ(got->topk.result, want->topk.result) << "replica " << i;
-      EXPECT_EQ(got->topk.scores, want->topk.scores) << "replica " << i;
-      EXPECT_EQ(got->snapshot_version, v2);
-    }
-  }
-
-  // Idempotent follow-up: everyone is current, nothing ships.
-  report = shipper.ShipLatest();
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->up_to_date, 3u);
-  EXPECT_EQ(report->shipped, 0u);
+// Same bits, not just ==: a -0.0 for a 0.0 or a NaN in a normal counts.
+bool SameBits(const Vec& a, const Vec& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
-TEST(ReplicaGroupTest, WalDeltaFallsBackToFullShipOnLagOrDamage) {
-  WalLeader leader("rg_delta_fb_leader");
-
-  ReplicaGroupConfig config;
-  ReplicaConfig clean;
-  clean.dir = FreshDir("rg_delta_fb_r0");
-  config.replicas.push_back(clean);
-  ReplicaConfig flaky;
-  flaky.dir = FreshDir("rg_delta_fb_r1");
-  // The first WAL segment shipped to this replica lands corrupted; the
-  // record CRCs catch it at replay and the delta adopt must fail
-  // without advancing — then the full arena ship (clean) catches up.
-  flaky.fault_plan.seed = 91;
-  flaky.fault_plan.wal_corrupt_rate = 1.0;
-  flaky.fault_plan.max_faults = 1;
-  config.replicas.push_back(flaky);
-  config.scoring = LinearScoring();
-
-  auto group = ReplicaGroup::Open(config, leader.store);
-  ASSERT_TRUE(group.ok()) << group.status().message();
-
-  // Lag beyond the delta window: both replicas take the full ship.
-  EpochShipper narrow(&leader.store, group->get(),
-                      leader.engine->wal_store(), /*max_delta_lag=*/1);
-  leader.PublishEpoch();
-  const uint64_t v2 = leader.PublishEpoch();
-  auto report = narrow.ShipLatest();
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->shipped, 2u);
-  EXPECT_EQ(report->delta_shipped, 0u);  // lag 2 > 1
-  EXPECT_EQ(report->full_shipped, 2u);
-  EXPECT_EQ((*group)->MinEpoch(), v2);
-
-  // Within the window: the clean replica advances by delta, the flaky
-  // one burns its injected fault on the shipped segment, falls back,
-  // and still lands on the leader epoch.
-  EpochShipper wide(&leader.store, group->get(),
-                    leader.engine->wal_store(), /*max_delta_lag=*/4);
-  const uint64_t v3 = leader.PublishEpoch();
-  report = wide.ShipLatest();
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->leader_epoch, v3);
-  EXPECT_EQ(report->shipped, 2u);
-  EXPECT_EQ(report->delta_shipped, 1u);
-  EXPECT_EQ(report->delta_fallbacks, 1u);
-  EXPECT_EQ(report->full_shipped, 1u);
-  EXPECT_EQ(report->failed, 0u);
-  EXPECT_EQ((*group)->MinEpoch(), v3);
-  EXPECT_GE((*group)->replica(1)->open_failures(), 1u);
-
-  // Nobody serves lies after the mixed transports.
-  for (const Vec& w : SpreadWeights(6)) {
-    auto want = leader.engine->ComputeGir(w, kK, Phase2Method::kFP);
-    ASSERT_TRUE(want.ok());
-    for (size_t i = 0; i < (*group)->size(); ++i) {
-      auto got = (*group)->replica(i)->Compute(w, kK, Phase2Method::kFP);
-      ASSERT_TRUE(got.ok());
-      EXPECT_EQ(got->topk.result, want->topk.result) << "replica " << i;
-      EXPECT_EQ(got->topk.scores, want->topk.scores) << "replica " << i;
+// Every replica answers like `reference` on the scalar and AVX2 tiers:
+// ids, scores, epoch, the region's constraint normals bit for bit, and
+// the simulated page reads of both phases (so a replica that served
+// another tree over the same rows fails here).
+void ExpectGroupMatchesReference(const ReplicaGroup& group,
+                                 const GirEngine& reference) {
+  for (simd::Tier tier : {simd::Tier::kScalar, simd::Tier::kAvx2}) {
+    if (simd::ForceTier(tier) != tier) continue;  // host can't run it
+    for (const Vec& w : SpreadWeights(12)) {
+      auto want = reference.ComputeGir(w, kK, Phase2Method::kFP);
+      ASSERT_TRUE(want.ok());
+      const auto& want_constraints = want->region.constraints();
+      for (size_t i = 0; i < group.size(); ++i) {
+        auto got = group.replica(i)->Compute(w, kK, Phase2Method::kFP);
+        ASSERT_TRUE(got.ok()) << got.status().message();
+        EXPECT_EQ(got->topk.result, want->topk.result);
+        EXPECT_EQ(got->topk.scores, want->topk.scores);
+        EXPECT_EQ(got->snapshot_version, want->snapshot_version);
+        EXPECT_EQ(got->stats.topk_reads, want->stats.topk_reads)
+            << "replica " << i;
+        EXPECT_EQ(got->stats.phase2_reads, want->stats.phase2_reads)
+            << "replica " << i;
+        const auto& got_constraints = got->region.constraints();
+        ASSERT_EQ(got_constraints.size(), want_constraints.size());
+        for (size_t c = 0; c < got_constraints.size(); ++c) {
+          EXPECT_TRUE(SameBits(got_constraints[c].normal,
+                               want_constraints[c].normal))
+              << "replica " << i << ", constraint " << c;
+        }
+      }
     }
   }
 }
@@ -306,22 +197,24 @@ TEST(ReplicaGroupTest, ReplicasServeShippedEpochBitIdenticalPerTier) {
   DiskManager ref_disk;
   auto reference = OpenEngineOrDie(EngineConfig::FromArena(
       leader.dir, &ref_disk, MakeScoring("Linear", kDim)));
+  ExpectGroupMatchesReference(**group, *reference);
 
-  for (simd::Tier tier :
-       {simd::Tier::kScalar, simd::Tier::kSse2, simd::Tier::kAvx2}) {
-    if (simd::ForceTier(tier) != tier) continue;  // host can't run it
-    for (const Vec& w : SpreadWeights(12)) {
-      auto want = reference->ComputeGir(w, kK, Phase2Method::kFP);
-      ASSERT_TRUE(want.ok());
-      for (size_t i = 0; i < (*group)->size(); ++i) {
-        auto got = (*group)->replica(i)->Compute(w, kK, Phase2Method::kFP);
-        ASSERT_TRUE(got.ok()) << got.status().message();
-        EXPECT_EQ(got->topk.result, want->topk.result);
-        EXPECT_EQ(got->topk.scores, want->topk.scores);
-        EXPECT_EQ(got->snapshot_version, want->snapshot_version);
-      }
-    }
-  }
+  // Two more leader epochs, shipped together: the replicas now serve
+  // arenas they adopted, and still match a single engine on that file.
+  leader.PublishEpoch();
+  const uint64_t v3 = leader.PublishEpoch();
+  EpochShipper shipper(&leader.store, group->get());
+  auto report = shipper.ShipLatest();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->leader_epoch, v3);
+  EXPECT_EQ(report->shipped, 3u);
+  EXPECT_EQ((*group)->MinEpoch(), v3);
+
+  DiskManager ref3_disk;
+  auto reference3 = OpenEngineOrDie(EngineConfig::FromArena(
+      leader.dir, &ref3_disk, MakeScoring("Linear", kDim)));
+  ASSERT_EQ(reference3->dataset_version(), v3);
+  ExpectGroupMatchesReference(**group, *reference3);
 }
 
 TEST(ReplicaGroupTest, ShipperTracksLagAndSkipsStaleReplicas) {

@@ -117,7 +117,7 @@ TEST(ServeReplayTest, ReplayMatchesDirectComputeBitwiseAcrossTiers) {
   ASSERT_EQ(want.size(), trace->queries);
 
   for (simd::Tier tier :
-       {simd::Tier::kScalar, simd::Tier::kSse2, simd::Tier::kAvx2}) {
+       {simd::Tier::kScalar, simd::Tier::kAvx2}) {
     if (simd::ForceTier(tier) != tier) continue;  // unsupported CPU
     SCOPED_TRACE(simd::TierName(tier));
     Dataset data = FreshData(trace->config);

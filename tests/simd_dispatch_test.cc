@@ -28,9 +28,6 @@ namespace {
 std::vector<simd::Tier> AvailableTiers() {
   std::vector<simd::Tier> tiers = {simd::Tier::kScalar};
   const int detected = static_cast<int>(simd::DetectedTier());
-  if (detected >= static_cast<int>(simd::Tier::kSse2)) {
-    tiers.push_back(simd::Tier::kSse2);
-  }
   if (detected >= static_cast<int>(simd::Tier::kAvx2)) {
     tiers.push_back(simd::Tier::kAvx2);
   }
@@ -73,7 +70,6 @@ TEST(SimdDispatchTest, ForceTierClampsAndReports) {
   simd::Tier avx2 = simd::ForceTier(simd::Tier::kAvx2);
   EXPECT_LE(static_cast<int>(avx2), static_cast<int>(simd::DetectedTier()));
   EXPECT_STREQ(simd::TierName(simd::Tier::kScalar), "scalar");
-  EXPECT_STREQ(simd::TierName(simd::Tier::kSse2), "sse2");
   EXPECT_STREQ(simd::TierName(simd::Tier::kAvx2), "avx2");
 }
 

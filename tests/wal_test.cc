@@ -542,7 +542,7 @@ TEST(WalEngineTest, FailedBatchLeavesDatasetTreeAndWalUntouched) {
   EXPECT_TRUE(data.IsLive(rogue));
   EXPECT_EQ(engine->tree().size(), tree_before);
   EXPECT_EQ(engine->wal_writer_stats().appends, 1u);  // only epoch 1
-  auto log = engine->wal_store()->ReadCommitted(0);
+  auto log = WalStore(wal_dir).ReadCommitted(0);
   ASSERT_TRUE(log.ok());
   ASSERT_EQ(log->records.size(), 1u);
   EXPECT_EQ(log->records[0].epoch, 1u);
@@ -707,8 +707,7 @@ TEST(WalEngineTest, CheckpointRotatesAndTruncatesObsoleteSegments) {
   EXPECT_TRUE(ckpt->wal_truncated);
   EXPECT_EQ(ckpt->wal_segments_removed, 1u);  // wal-0 covered by arena-2
   EXPECT_EQ(engine->wal_writer_stats().rotations, 1u);
-  const std::vector<uint64_t> bases =
-      engine->wal_store()->ListSegmentBases();
+  const std::vector<uint64_t> bases = WalStore(wal_dir).ListSegmentBases();
   ASSERT_EQ(bases.size(), 1u);
   EXPECT_EQ(bases[0], 2u);
 
