@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -44,13 +45,24 @@ Tier TierFromEnv() {
   }
   if (std::strcmp(env, "scalar") == 0) return Tier::kScalar;
   if (std::strcmp(env, "avx2") == 0) return ClampToDetected(Tier::kAvx2);
-  return DetectedTier();  // unknown value: ignore
+  // A misspelt or retired tier would otherwise run whatever the CPU
+  // detects, silently testing or timing the wrong kernels.
+  std::fprintf(stderr,
+               "GIR_SIMD=%s is not a dispatch tier; accepted values: "
+               "scalar, avx2, auto (or unset)\n",
+               env);
+  std::exit(2);
 }
 
 std::atomic<int>& ActiveTierStorage() {
   static std::atomic<int> tier{static_cast<int>(TierFromEnv())};
   return tier;
 }
+
+// Reads GIR_SIMD while the program starts, so an unknown value stops
+// it before it does any work rather than at the first kernel call.
+[[maybe_unused]] const bool kTierReadAtStartup =
+    (ActiveTierStorage(), true);
 
 }  // namespace
 

@@ -24,7 +24,8 @@ namespace simd {
 //
 // Dispatch override: the GIR_SIMD environment variable ("scalar",
 // "avx2", "auto"; read once at startup) or ForceTier() pin the tier,
-// clamped to what the CPU supports.
+// clamped to what the CPU supports. Any other GIR_SIMD value prints
+// the accepted ones and exits the process with status 2 at startup.
 
 enum class Tier : int {
   kScalar = 0,

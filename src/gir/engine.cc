@@ -334,8 +334,10 @@ Result<GirEngine::CheckpointStats> GirEngine::Checkpoint(SnapshotStore* store) {
     // Only a checkpoint that *validates* may shrink the log: an
     // injected (or real) torn publish returns Ok above exactly like a
     // crash would, and truncating against it would widen the data-loss
-    // window the WAL exists to close.
-    if (ArenaFile::Open(wrote->path).ok()) {
+    // window the WAL exists to close. The check reads the file back
+    // in chunks instead of mapping it, so it holds no second copy of
+    // the epoch.
+    if (ArenaFile::Verify(wrote->path).ok()) {
       Status rotated = wal_->Rotate(snap->version);
       if (!rotated.ok()) return rotated;
       Result<WalStore::TruncateStats> cut = wal_store_->Truncate(snap->version);

@@ -367,10 +367,13 @@ class GirEngine {
   // Publishes the current epoch as an arena file in `store` and — when
   // a WAL is attached — rotates the log onto a fresh segment based at
   // that epoch and truncates segments the checkpoint made obsolete.
-  // The truncation only happens after the just-published arena file
-  // validates end to end (ArenaFile::Open): a torn checkpoint must not
-  // widen the data-loss window, so on damage the WAL keeps everything
-  // and wal_truncated comes back false. Serialized with ApplyUpdates.
+  // The arena is written straight from the published epoch's arrays
+  // (SnapshotStore::WriteArena), and the truncation only happens after
+  // the just-published file validates end to end (ArenaFile::Verify:
+  // every check ArenaFile::Open makes, read back through one chunk
+  // buffer, nothing mapped): a torn checkpoint must not widen the
+  // data-loss window, so on damage the WAL keeps everything and
+  // wal_truncated comes back false. Serialized with ApplyUpdates.
   Result<CheckpointStats> Checkpoint(SnapshotStore* store);
 
   // Read-only arena engines only (Open with a kArena source and no

@@ -39,9 +39,16 @@ class FlatRTree;
 //
 // Durability: SnapshotStore::WriteArena publishes these files crash-
 // safely — temp name, fsync, atomic rename, fsync of the directory —
-// under an injected-fault surface (torn tail, flipped byte). ArenaFile::Open validates the magic, the header CRC
-// and every section CRC before serving a single byte, so a torn or
-// corrupt file is rejected at open, never mapped into an engine.
+// under an injected-fault surface (torn tail, flipped byte). It writes
+// the file as a list of spans (ArenaImage): the coordinate planes,
+// children and dataset rows straight from the live arrays, the small
+// sections from packed buffers, padding from a static zero page; no
+// whole-file buffer is built. ArenaFile::Open validates the magic, the
+// header CRC and every section CRC before serving a single byte, so a
+// torn or corrupt file is rejected at open, never mapped into an
+// engine. ArenaFile::Verify makes the same checks, through the same
+// header parser, by reading the file back in fixed-size chunks; the
+// checkpoint uses it to decide whether the WAL may be truncated.
 constexpr uint32_t kArenaMagic = 0x4E524147;  // "GARN"
 constexpr uint32_t kArenaFormat = 1;
 constexpr size_t kArenaAlign = 4096;
@@ -66,10 +73,58 @@ struct ArenaNodeMeta {
 };
 static_assert(sizeof(ArenaNodeMeta) == 16, "on-disk layout is fixed");
 
-// Serializes one frozen epoch into the arena image (header + sections,
-// fully checksummed, page-aligned). The flat tree supplies the index
-// arrays and its bound dataset supplies the record image.
+// A contiguous run of an arena file's bytes.
+struct ArenaSpan {
+  const void* data = nullptr;
+  size_t len = 0;
+};
+
+// Where one section's payload lies in the file.
+struct ArenaExtent {
+  uint64_t offset = 0;
+  uint64_t length = 0;
+};
+
+// One frozen epoch laid out as the bytes of its arena file, in order,
+// without a copy of the epoch: the coords, children and dataset spans
+// point into the flat tree's and its dataset's own contiguous arrays
+// (which must outlive this object), and every section CRC is taken
+// over those arrays. Only the header page and the node-meta, node-MBB
+// and tombstone sections are packed here; alignment padding points at
+// a static zero page.
+class ArenaImage {
+ public:
+  ArenaImage(const FlatRTree& flat, uint64_t version);
+  ArenaImage(const ArenaImage&) = delete;
+  ArenaImage& operator=(const ArenaImage&) = delete;
+
+  // The file's bytes in order; their lengths sum to bytes().
+  const std::vector<ArenaSpan>& spans() const { return spans_; }
+  size_t bytes() const { return bytes_; }
+  // kArenaSectionCount entries, in section order.
+  const ArenaExtent* sections() const { return sections_; }
+
+ private:
+  std::vector<uint8_t> header_;
+  std::vector<ArenaNodeMeta> meta_;
+  std::vector<double> mbbs_;
+  std::vector<int32_t> tombstones_;
+  ArenaExtent sections_[kArenaSectionCount];
+  std::vector<ArenaSpan> spans_;
+  size_t bytes_ = 0;
+};
+
+// The spans of ArenaImage(flat, version) flattened into one buffer:
+// the exact bytes WriteArena publishes. Tests compare images with it;
+// the store itself never builds a whole-file buffer.
 std::vector<uint8_t> BuildArenaImage(const FlatRTree& flat, uint64_t version);
+
+// Reads the section table out of an arena file's leading `n` bytes
+// without checking anything (the file may be torn or corrupt); false
+// when `n` is too short to hold the table. Fault shaping aims a flipped
+// byte at a section payload with it.
+bool PeekArenaSections(const uint8_t* bytes, size_t n,
+                       ArenaExtent out[kArenaSectionCount]);
 
 // A validated, read-only mmap of one arena file. Shared ownership is
 // the epoch-swap mechanism: the engine's snapshot (and every pinned
@@ -84,6 +139,14 @@ class ArenaFile {
   // state is built over the mapping. NotFound when the file is absent.
   static Result<std::shared_ptr<const ArenaFile>> Open(
       const std::string& path);
+
+  // Makes every check Open makes, through the same header parser, and
+  // returns the status Open would, without mapping the file: the
+  // sections are read back with pread through one fixed-size buffer
+  // and their CRCs chained over the chunks. A check that runs beside a
+  // served epoch (the checkpoint's WAL-truncation gate, GarbageCollect)
+  // thus adds no file-sized resident set to the process.
+  static Status Verify(const std::string& path);
 
   ~ArenaFile();
   ArenaFile(const ArenaFile&) = delete;

@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -82,61 +83,99 @@ bool ParseArenaName(const std::string& name, uint64_t* version) {
   return true;
 }
 
-// Applies one OnSnapshotWrite fault decision to an arena image about
-// to be published (by WriteArena or by a replication ship): kTorn
-// shortens the published length to a strict nonempty prefix, kCorrupt
-// flips one byte inside a section *payload* — the alignment padding
-// between sections carries no data, so a flip there is not a loss and
-// would never (and should never) be detected. The section table sits
-// right after the fixed header fields; each 32-byte entry holds u64
-// offset / u64 length at bytes 8 / 16.
-size_t ShapeArenaFault(FaultInjector* injector, std::vector<uint8_t>* file,
-                       FaultInjector::WriteFault* injected) {
-  size_t publish_len = file->size();
-  if (injector == nullptr) return publish_len;
+constexpr size_t kNoFlip = SIZE_MAX;
+
+// One OnSnapshotWrite fault decision, shaped onto the file about to be
+// published (by WriteArena or by a replication ship).
+struct FaultShape {
+  size_t publish_len = 0;    // bytes published: a strict prefix when torn
+  size_t flip_at = kNoFlip;  // offset of the one byte published flipped
+};
+
+// Shapes the decision onto a file of `bytes` bytes whose section table
+// is `sections` (null when the file is too short to hold one: a torn
+// ship source). kTorn shortens the published length to a strict
+// nonempty prefix; kCorrupt flips one byte inside a section *payload* —
+// the alignment padding between sections carries no data, so a flip
+// there is not a loss and would never (and should never) be detected.
+// A source without a table gets its middle byte flipped instead.
+FaultShape ShapeArenaFault(FaultInjector* injector, size_t bytes,
+                           const ArenaExtent* sections,
+                           FaultInjector::WriteFault* injected) {
+  FaultShape shape;
+  shape.publish_len = bytes;
+  if (injector == nullptr) return shape;
   const FaultInjector::WriteDecision d = injector->OnSnapshotWrite();
   *injected = d.fault;
   if (d.fault == FaultInjector::WriteFault::kTorn) {
-    publish_len = 1 + static_cast<size_t>(
-                          injector->ShapeDraw(d.op, 0) *
-                          static_cast<double>(file->size() - 2));
+    shape.publish_len =
+        1 + static_cast<size_t>(injector->ShapeDraw(d.op, 0) *
+                                static_cast<double>(bytes - 2));
   } else if (d.fault == FaultInjector::WriteFault::kCorrupt) {
-    constexpr size_t kHeaderFixed = 80;
-    constexpr size_t kEntryBytes = 32;
-    if (file->size() < kHeaderFixed + kArenaSectionCount * kEntryBytes) {
-      // Shipping an already-torn source: no intact section table to
-      // aim at; flip the middle byte instead.
-      (*file)[file->size() / 2] ^= 0x40;
-      return publish_len;
+    if (sections == nullptr) {
+      shape.flip_at = bytes / 2;
+      return shape;
     }
     uint64_t total = 0;
-    uint64_t offsets[kArenaSectionCount];
-    uint64_t lengths[kArenaSectionCount];
     for (uint32_t s = 0; s < kArenaSectionCount; ++s) {
-      const uint8_t* entry = file->data() + kHeaderFixed + s * kEntryBytes;
-      std::memcpy(&offsets[s], entry + 8, sizeof(uint64_t));
-      std::memcpy(&lengths[s], entry + 16, sizeof(uint64_t));
-      total += lengths[s];
+      total += sections[s].length;
     }
     uint64_t at = static_cast<uint64_t>(injector->ShapeDraw(d.op, 1) *
                                         static_cast<double>(total - 1));
     for (uint32_t s = 0; s < kArenaSectionCount; ++s) {
-      if (at < lengths[s] && offsets[s] + at < file->size()) {
-        (*file)[offsets[s] + at] ^= 0x40;
+      if (at < sections[s].length) {
+        // A torn ship source may have lost the target byte: no flip.
+        if (sections[s].offset + at < bytes) {
+          shape.flip_at = static_cast<size_t>(sections[s].offset + at);
+        }
         break;
       }
-      if (at < lengths[s]) break;  // torn source: flip target truncated away
-      at -= lengths[s];
+      at -= sections[s].length;
     }
   }
-  return publish_len;
+  return shape;
+}
+
+bool WriteAll(int fd, const uint8_t* data, size_t n) {
+  while (n > 0) {
+    const ssize_t w = ::write(fd, data, n);
+    if (w <= 0) return false;
+    data += w;
+    n -= static_cast<size_t>(w);
+  }
+  return true;
+}
+
+// Writes the first shape.publish_len bytes of `spans`, with the byte at
+// shape.flip_at flipped.
+bool WriteShaped(int fd, const std::vector<ArenaSpan>& spans,
+                 const FaultShape& shape) {
+  size_t at = 0;  // file offset of the current span
+  for (const ArenaSpan& span : spans) {
+    if (at >= shape.publish_len) break;
+    const uint8_t* p = static_cast<const uint8_t*>(span.data);
+    const size_t n = std::min(span.len, shape.publish_len - at);
+    if (shape.flip_at >= at && shape.flip_at - at < n) {
+      const size_t k = shape.flip_at - at;
+      const uint8_t flipped = p[k] ^ 0x40;
+      if (!WriteAll(fd, p, k) || !WriteAll(fd, &flipped, 1) ||
+          !WriteAll(fd, p + k + 1, n - k - 1)) {
+        return false;
+      }
+    } else if (!WriteAll(fd, p, n)) {
+      return false;
+    }
+    at += n;
+  }
+  return true;
 }
 
 // Crash-safe publish: temp file in the same directory, fsync the data,
 // atomic rename onto the final name, fsync the directory entry. Shared
 // by the arena writer and the replication ship.
 Status PublishAtomically(const std::string& dir, const fs::path& final_path,
-                         const uint8_t* data, size_t publish_len) {
+                         const std::vector<ArenaSpan>& spans,
+                         const FaultShape& shape) {
   const fs::path tmp_path =
       fs::path(dir) / (final_path.filename().string() + ".tmp");
   {
@@ -145,14 +184,9 @@ Status PublishAtomically(const std::string& dir, const fs::path& final_path,
     if (fd < 0) {
       return Status::Internal("cannot open " + tmp_path.string());
     }
-    size_t off = 0;
-    while (off < publish_len) {
-      const ssize_t w = ::write(fd, data + off, publish_len - off);
-      if (w <= 0) {
-        ::close(fd);
-        return Status::Internal("short write to " + tmp_path.string());
-      }
-      off += static_cast<size_t>(w);
+    if (!WriteShaped(fd, spans, shape)) {
+      ::close(fd);
+      return Status::Internal("short write to " + tmp_path.string());
     }
     if (::fsync(fd) != 0) {
       ::close(fd);
@@ -186,6 +220,35 @@ Status PublishAtomically(const std::string& dir, const fs::path& final_path,
   return Status::Ok();
 }
 
+// Publishes the arena file `spans` (`bytes` long, section table
+// `sections`) as version `version` in `dir`, under one fault decision
+// of `injector`. Shared by WriteArena and ShipArenaFrom.
+Result<SnapshotStore::WriteStats> PublishArena(
+    const std::string& dir, FaultInjector* injector, uint64_t version,
+    const std::vector<ArenaSpan>& spans, size_t bytes,
+    const ArenaExtent* sections) {
+  SnapshotStore::WriteStats stats;
+  stats.bytes = bytes;
+
+  std::error_code ec;
+  fs::create_directories(dir, ec);
+  if (ec) {
+    return Status::Internal("cannot create snapshot dir " + dir + ": " +
+                            ec.message());
+  }
+  const fs::path final_path =
+      fs::path(dir) / SnapshotStore::ArenaFileName(version);
+  stats.path = final_path.string();
+
+  // One fault decision per published file, shaped deterministically
+  // from the decision's op ordinal.
+  const FaultShape shape =
+      ShapeArenaFault(injector, bytes, sections, &stats.injected);
+  Status published = PublishAtomically(dir, final_path, spans, shape);
+  if (!published.ok()) return published;
+  return stats;
+}
+
 }  // namespace
 
 std::string SnapshotStore::ArenaFileName(uint64_t version) {
@@ -197,28 +260,9 @@ std::string SnapshotStore::ArenaFileName(uint64_t version) {
 
 Result<SnapshotStore::WriteStats> SnapshotStore::WriteArena(
     const FlatRTree& flat, uint64_t version) {
-  std::vector<uint8_t> file = BuildArenaImage(flat, version);
-
-  WriteStats stats;
-  stats.bytes = file.size();
-
-  std::error_code ec;
-  fs::create_directories(dir_, ec);
-  if (ec) {
-    return Status::Internal("cannot create snapshot dir " + dir_ + ": " +
-                            ec.message());
-  }
-  const fs::path final_path = fs::path(dir_) / ArenaFileName(version);
-  stats.path = final_path.string();
-
-  // One fault decision per published file, shaped deterministically
-  // from the decision's op ordinal.
-  const size_t publish_len = ShapeArenaFault(injector_, &file, &stats.injected);
-
-  Status published =
-      PublishAtomically(dir_, final_path, file.data(), publish_len);
-  if (!published.ok()) return published;
-  return stats;
+  const ArenaImage image(flat, version);
+  return PublishArena(dir_, injector_, version, image.spans(), image.bytes(),
+                      image.sections());
 }
 
 // The recovery scan counts a candidate that is gone from the directory
@@ -292,28 +336,14 @@ Result<SnapshotStore::WriteStats> SnapshotStore::ShipArenaFrom(
     return Status::NotFound("no arena epoch " + std::to_string(version) +
                             " in " + src.dir());
   }
-
-  WriteStats stats;
-  stats.bytes = file.size();
-
-  std::error_code ec;
-  fs::create_directories(dir_, ec);
-  if (ec) {
-    return Status::Internal("cannot create snapshot dir " + dir_ + ": " +
-                            ec.message());
-  }
-  const fs::path final_path = fs::path(dir_) / ArenaFileName(version);
-  stats.path = final_path.string();
-
   // The ship is a write on the receiving side: it draws from the same
   // injected-fault surface as a local publish, because a replication
-  // transport fails the same ways a local disk does.
-  const size_t publish_len = ShapeArenaFault(injector_, &file, &stats.injected);
-
-  Status published =
-      PublishAtomically(dir_, final_path, file.data(), publish_len);
-  if (!published.ok()) return published;
-  return stats;
+  // transport fails the same ways a local disk does. The source may be
+  // torn, so its section table is read unchecked.
+  ArenaExtent sections[kArenaSectionCount];
+  const bool has_table = PeekArenaSections(file.data(), file.size(), sections);
+  return PublishArena(dir_, injector_, version, {{file.data(), file.size()}},
+                      file.size(), has_table ? sections : nullptr);
 }
 
 Result<SnapshotStore::GcStats> SnapshotStore::GarbageCollect(
@@ -333,7 +363,8 @@ Result<SnapshotStore::GcStats> SnapshotStore::GarbageCollect(
   for (const fs::directory_entry& e : fs::directory_iterator(dir_, ec)) {
     uint64_t v = 0;
     if (ParseArenaName(e.path().filename().string(), &v)) {
-      cands.push_back({e.path(), v, ArenaFile::Open(e.path().string()).ok()});
+      cands.push_back(
+          {e.path(), v, ArenaFile::Verify(e.path().string()).ok()});
     }
   }
   if (ec) {

@@ -51,15 +51,17 @@ class SnapshotStore {
     FaultInjector::WriteFault injected = FaultInjector::WriteFault::kNone;
   };
 
-  // Serializes one frozen epoch as a page-aligned arena file and
-  // publishes it as ArenaFileName(version) under dir(), with the temp +
-  // fsync + rename + dir-fsync discipline above. Same-version writes
-  // overwrite (idempotent republish). The optional injector gets one
-  // OnSnapshotWrite decision per published file: kTorn truncates the
-  // published bytes at a plan-derived point, kCorrupt flips one
-  // plan-derived section payload byte. Injected faults still return
-  // Ok — the damage is what recovery must detect, exactly as a real
-  // crash would not report itself.
+  // Writes one frozen epoch as a page-aligned arena file and publishes
+  // it as ArenaFileName(version) under dir(), with the temp + fsync +
+  // rename + dir-fsync discipline above. The file is written as the
+  // spans of an ArenaImage: the coordinate planes, children and dataset
+  // rows straight from `flat`'s and its dataset's arrays, so no copy of
+  // the epoch is made. Same-version writes overwrite (idempotent
+  // republish). The optional injector gets one OnSnapshotWrite decision
+  // per published file: kTorn truncates the published bytes at a
+  // plan-derived point, kCorrupt flips one plan-derived section payload
+  // byte. Injected faults still return Ok — the damage is what recovery
+  // must detect, exactly as a real crash would not report itself.
   Result<WriteStats> WriteArena(const FlatRTree& flat, uint64_t version);
 
   struct ArenaPick {
@@ -102,18 +104,19 @@ class SnapshotStore {
     size_t kept = 0;  // arena files surviving
   };
 
-  // Keep-last-N retention: a file is deleted only when it is strictly
-  // older than the newest *valid* epoch AND not among the N newest
-  // valid files. The newest valid epoch is therefore never deleted —
-  // even with keep_last_n == 1 — and a directory whose newest files are
-  // all damaged keeps every valid older epoch (GC never widens a
-  // data-loss window). Damaged files older than the newest valid one
-  // are reclaimed too: they can never win recovery. Safe to run
-  // concurrently with recovery: a reader that loses a listed file
-  // before opening it counts it vanished (not rejected) and, when
-  // nothing valid was left in its listing, rescans and finds the newer
-  // epoch that licensed the delete. keep_last_n == 0 is
-  // InvalidArgument.
+  // Keep-last-N retention: every arena file is checked with
+  // ArenaFile::Verify (read back, not mapped), and a file is deleted
+  // only when it is strictly older than the newest *valid* epoch AND
+  // not among the N newest valid files. The newest valid epoch is
+  // therefore never deleted — even with keep_last_n == 1 — and a
+  // directory whose newest files are all damaged keeps every valid
+  // older epoch (GC never widens a data-loss window). Damaged files
+  // older than the newest valid one are reclaimed too: they can never
+  // win recovery. Safe to run concurrently with recovery: a reader that
+  // loses a listed file before opening it counts it vanished (not
+  // rejected) and, when nothing valid was left in its listing, rescans
+  // and finds the newer epoch that licensed the delete. keep_last_n ==
+  // 0 is InvalidArgument.
   Result<GcStats> GarbageCollect(size_t keep_last_n);
 
  private:

@@ -526,5 +526,126 @@ TEST(ArenaMmapTest, StructurallyDamagedArenaIsRejected) {
   EXPECT_TRUE(RTree::Thaw(*mapped, rows->get(), &clean_disk).ok());
 }
 
+// ----- the checkpoint's read-back check -----
+
+void WriteFile(const std::string& path, const std::vector<uint8_t>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+// ArenaFile::Verify (pread read-back, nothing mapped) and
+// ArenaFile::Open (mmap) share one header parser and must return the
+// same status on every file: truncations at each section boundary ±1,
+// one flipped byte in the header and in each section, seeded flips
+// anywhere, and a section length edited under a re-stamped header CRC.
+// The coordinate section is larger than Verify's 256 KiB read-back chunk,
+// so its CRC is chained across chunks.
+TEST(ArenaMmapTest, VerifyAgreesWithOpenOnDamagedFiles) {
+  const size_t d = 4;
+  Dataset data = MakeDist("IND", 20000, d, kDataSeed + 10);
+  DiskManager disk;
+  auto engine = OpenEngineOrDie(
+      EngineConfig::FromDataset(&data, &disk, MakeScoring("Linear", d)));
+  UpdateBatch batch;
+  batch.deletes = {3, 30, 300};
+  ASSERT_TRUE(engine->ApplyUpdates(batch).ok());  // a tombstone section
+  const ArenaImage layout(engine->flat_tree(), 1);
+  const std::vector<uint8_t> clean = BuildArenaImage(engine->flat_tree(), 1);
+  ASSERT_EQ(clean.size(), layout.bytes());
+  const ArenaExtent* sections = layout.sections();
+  for (uint32_t s = 0; s < kArenaSectionCount; ++s) {
+    ASSERT_GT(sections[s].length, 0u) << "section " << s + 1;
+  }
+  ASSERT_GT(sections[2].length, size_t{1} << 20);  // kCoords
+
+  struct Variant {
+    std::string name;
+    std::vector<uint8_t> bytes;
+  };
+  std::vector<Variant> variants = {{"intact", clean}};
+  auto truncated = [&](size_t len) {
+    return std::vector<uint8_t>(clean.begin(),
+                                clean.begin() + static_cast<long>(len));
+  };
+  auto flipped = [&](size_t at) {
+    std::vector<uint8_t> v = clean;
+    v[at] ^= 0x40;
+    return v;
+  };
+  std::vector<size_t> cuts = {0, 1, kArenaAlign - 1, kArenaAlign,
+                              kArenaAlign + 1};
+  for (uint32_t s = 0; s < kArenaSectionCount; ++s) {
+    const size_t begin = sections[s].offset;
+    const size_t end = begin + sections[s].length;
+    for (size_t edge : {begin, end}) {
+      for (size_t cut : {edge - 1, edge, edge + 1}) cuts.push_back(cut);
+    }
+  }
+  for (size_t cut : cuts) {
+    if (cut < clean.size()) {
+      variants.push_back({"cut at " + std::to_string(cut), truncated(cut)});
+    }
+  }
+  Rng rng(kDataSeed + 11);
+  for (size_t at : {size_t{0}, size_t{5}, size_t{40}, size_t{100},
+                    size_t{275}, size_t{400}}) {
+    variants.push_back({"header flip at " + std::to_string(at), flipped(at)});
+  }
+  for (uint32_t s = 0; s < kArenaSectionCount; ++s) {
+    const size_t at = sections[s].offset +
+                      static_cast<size_t>(rng.UniformInt(sections[s].length));
+    variants.push_back({"section " + std::to_string(s + 1) + " flip at " +
+                            std::to_string(at),
+                        flipped(at)});
+  }
+  for (int i = 0; i < 16; ++i) {
+    const size_t at = static_cast<size_t>(rng.UniformInt(clean.size()));
+    variants.push_back({"flip at " + std::to_string(at), flipped(at)});
+  }
+  // Section s's length grown or shrunk by one element, header CRC
+  // re-stamped: only the geometry (or bounds) check can refuse it.
+  constexpr size_t kHeaderFixed = 80;
+  constexpr size_t kEntryBytes = 32;
+  const size_t header_bytes = kHeaderFixed + kArenaSectionCount * kEntryBytes;
+  for (uint32_t s = 0; s < kArenaSectionCount; ++s) {
+    for (int64_t delta : {-4, 4, 4096}) {
+      std::vector<uint8_t> v = clean;
+      uint8_t* entry = v.data() + kHeaderFixed + s * kEntryBytes;
+      uint64_t length = 0;
+      std::memcpy(&length, entry + 16, sizeof(length));
+      length = static_cast<uint64_t>(static_cast<int64_t>(length) + delta);
+      std::memcpy(entry + 16, &length, sizeof(length));
+      const uint32_t crc = Crc32(v.data(), header_bytes);
+      std::memcpy(v.data() + header_bytes, &crc, sizeof(crc));
+      variants.push_back({"section " + std::to_string(s + 1) +
+                              " length " + std::to_string(delta),
+                          std::move(v)});
+    }
+  }
+
+  const std::string dir = FreshDir("arena_verify");
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/variant.garn";
+  size_t accepted = 0;
+  for (const Variant& v : variants) {
+    SCOPED_TRACE(v.name);
+    WriteFile(path, v.bytes);
+    const Status read_back = ArenaFile::Verify(path);
+    const Status mapped = ArenaFile::Open(path).status();
+    EXPECT_EQ(read_back.code(), mapped.code());
+    EXPECT_EQ(read_back.message(), mapped.message());
+    if (v.name == "intact") {
+      EXPECT_TRUE(read_back.ok());
+    }
+    if (read_back.ok()) ++accepted;
+  }
+  // Besides the intact file only damage to padding passes (a flip
+  // there, or a cut that drops only the trailing padding).
+  EXPECT_LT(accepted, variants.size() / 4);
+  EXPECT_EQ(ArenaFile::Verify(dir + "/absent.garn").code(),
+            StatusCode::kNotFound);
+}
+
 }  // namespace
 }  // namespace gir

@@ -480,18 +480,30 @@ TEST(RouterTest, BreakerKeepsARevivedReplicaOutUntilItsBackoffEnds) {
   EXPECT_EQ(reply.status().code(), StatusCode::kUnavailable);
 }
 
-// Chaos: a seeded kill/revive schedule across the trace. With at most
-// one replica down at a time, every request is served, every reply is
-// bit-identical to the fault-free reference, and no pinned read is
-// ever answered from behind its pin. "Down" counts the breaker: before
-// the next kill, the schedule waits until a probe has closed the
-// revived replica's breaker (otherwise a 2-8 ms backoff can outlive a
-// 20-request period, and two replicas are out at once).
+// Chaos: a seeded kill/revive schedule across the trace, served from a
+// shipped leader epoch. With at most one replica down at a time, every
+// request is served, every reply is bit-identical to the fault-free
+// reference, no pinned read is ever answered from behind its pin, and
+// at the end every revived replica charges the reference's simulated
+// reads. "Down" counts the breaker: before the next kill, the schedule
+// waits until a probe has closed the revived replica's breaker
+// (otherwise a 2-8 ms backoff can outlive a 20-request period, and two
+// replicas are out at once).
 TEST(RouterTest, ChaosKillScheduleServesBitIdenticalReplies) {
   TierGuard guard;
   Leader leader("rt_chaos_leader");
   auto group = ReplicaGroup::Open(ThreeReplicas("rt_chaos"), leader.store);
   ASSERT_TRUE(group.ok());
+  // Serve a shipped epoch three insert batches on, whose tree a fresh
+  // bulk load of its rows does not reproduce, so the end-of-schedule
+  // read check can tell the two apart.
+  leader.PublishEpoch();
+  leader.PublishEpoch();
+  leader.PublishEpoch();
+  EpochShipper shipper(&leader.store, group->get());
+  auto shipped = shipper.ShipLatest();
+  ASSERT_TRUE(shipped.ok()) << shipped.status().ToString();
+  ASSERT_EQ(shipped->shipped, 3u);
 
   DiskManager ref_disk;
   auto reference = OpenEngineOrDie(EngineConfig::FromArena(
@@ -535,6 +547,14 @@ TEST(RouterTest, ChaosKillScheduleServesBitIdenticalReplies) {
   EXPECT_EQ(m.served, weights.size());
   EXPECT_EQ(m.failed + m.unroutable, 0u);
   EXPECT_EQ(m.pin_violations, 0u);
+
+  // A RoutedReply carries ids and scores only; with every replica back
+  // up, each one's simulated reads and constraint bits must match the
+  // reference too, which a replica serving a rebuilt tree would not.
+  for (size_t i = 0; i < (*group)->size(); ++i) {
+    (*group)->replica(i)->Revive();
+  }
+  ExpectGroupMatchesReference(**group, *reference);
 }
 
 }  // namespace

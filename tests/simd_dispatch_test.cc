@@ -8,6 +8,10 @@
 // TransformDim.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -71,6 +75,46 @@ TEST(SimdDispatchTest, ForceTierClampsAndReports) {
   EXPECT_LE(static_cast<int>(avx2), static_cast<int>(simd::DetectedTier()));
   EXPECT_STREQ(simd::TierName(simd::Tier::kScalar), "scalar");
   EXPECT_STREQ(simd::TierName(simd::Tier::kAvx2), "avx2");
+}
+
+// Runs this test binary (listing its tests only) in a child process
+// with GIR_SIMD=`value`; returns the child's exit status and fills
+// `output` with what it printed.
+int RunSelfWithSimdEnv(const std::string& value, std::string* output) {
+  char exe[4096];
+  const ssize_t len = ::readlink("/proc/self/exe", exe, sizeof(exe) - 1);
+  if (len <= 0) return -1;
+  exe[len] = '\0';
+  const std::string cmd = "GIR_SIMD='" + value + "' '" + exe +
+                          "' --gtest_list_tests 2>&1";
+  FILE* pipe = ::popen(cmd.c_str(), "r");
+  if (pipe == nullptr) return -1;
+  char buf[512];
+  size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof(buf), pipe)) > 0) {
+    output->append(buf, n);
+  }
+  const int status = ::pclose(pipe);
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+// An unknown GIR_SIMD value — a typo, or the retired sse2 tier — stops
+// the process at startup with the accepted values, instead of running
+// the detected tier in silence. Accepted values start normally.
+TEST(SimdDispatchTest, UnknownGirSimdValueFailsAtStartup) {
+  for (const char* bad : {"bogus", "sse2"}) {
+    SCOPED_TRACE(bad);
+    std::string out;
+    EXPECT_EQ(RunSelfWithSimdEnv(bad, &out), 2);
+    EXPECT_NE(out.find("scalar, avx2, auto"), std::string::npos) << out;
+    EXPECT_EQ(out.find("SimdDispatchTest."), std::string::npos) << out;
+  }
+  for (const char* good : {"scalar", "avx2", "auto"}) {
+    SCOPED_TRACE(good);
+    std::string out;
+    EXPECT_EQ(RunSelfWithSimdEnv(good, &out), 0);
+    EXPECT_NE(out.find("SimdDispatchTest."), std::string::npos) << out;
+  }
 }
 
 // Entry scoring (the SoA hi-plane kernel) and the per-dimension batch

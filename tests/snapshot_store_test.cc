@@ -1,19 +1,25 @@
 // Crash-safety contract of the arena store: recovery always picks the
 // newest *valid* arena epoch, an engine restored from it continues the
 // epoch sequence bit-identically, and retention (GarbageCollect) never
-// deletes the epoch recovery depends on — not even when racing it.
-// Torn and corrupt arenas are covered by arena_mmap_test.
+// deletes the epoch recovery depends on — not even when racing it —
+// and the checkpoint's bytes are pinned. Torn and corrupt arenas are
+// covered by arena_mmap_test.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
+#include <vector>
 
+#include "common/crc32.h"
+#include "common/rng.h"
 #include "dataset/generators.h"
 #include "gir/engine.h"
 #include "storage/disk_manager.h"
+#include "storage/fault_injector.h"
 #include "storage/snapshot_store.h"
 #include "topk/scoring.h"
 
@@ -72,6 +78,69 @@ TEST(SnapshotStoreTest, NewestValidVersionWins) {
   EXPECT_EQ(pick->rejected, 0u);
   EXPECT_NE(pick->path.find(SnapshotStore::ArenaFileName(9)),
             std::string::npos);
+}
+
+// The arena format is pinned byte for byte: the checkpoint of a fixed
+// engine (seeded data, then insert/delete batches, so tombstones exist)
+// has the CRC-32 and size the whole-image serializer produced before
+// the writer streamed spans from the live arrays, and so are the torn
+// and corrupted files one fault plan makes of it. A writer change that
+// moves one byte — a section, its padding, a CRC, a tear point or a
+// flipped byte — fails here.
+TEST(SnapshotStoreTest, CheckpointBytesArePinned) {
+  const size_t d = 4;
+  Dataset data = FreshData(1500, d);
+  DiskManager disk;
+  auto engine = OpenEngineOrDie(
+      EngineConfig::FromDataset(&data, &disk, MakeScoring("Linear", d)));
+  Rng rng(kDataSeed + 1);
+  for (int b = 0; b < 4; ++b) {
+    UpdateBatch batch;
+    for (int i = 0; i < 6; ++i) {
+      Vec p(d);
+      for (double& x : p) x = rng.Uniform();
+      batch.inserts.push_back(p);
+    }
+    for (int i = 0; i < 5; ++i) {
+      batch.deletes.push_back(static_cast<RecordId>(37 * b + 7 * i + 1));
+    }
+    ASSERT_TRUE(engine->ApplyUpdates(batch).ok());
+  }
+  auto file_crc = [](const std::string& path, size_t* size) {
+    std::ifstream in(path, std::ios::binary);
+    const std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
+                                  std::istreambuf_iterator<char>());
+    *size = bytes.size();
+    return Crc32(bytes.data(), bytes.size());
+  };
+  SnapshotStore store(FreshDir("snap_pinned"));
+  auto cp = engine->Checkpoint(&store);
+  ASSERT_TRUE(cp.ok()) << cp.status().message();
+  EXPECT_EQ(cp->version, 4u);
+  EXPECT_EQ(cp->arena_bytes, 221184u);
+  size_t size = 0;
+  EXPECT_EQ(file_crc(cp->arena_path, &size), 0xF78D29B8u);
+  EXPECT_EQ(size, 221184u);
+
+  // The injected faults are pinned too: the same tear point and the
+  // same flipped byte for the same plan.
+  struct Pin {
+    bool torn;
+    size_t size;
+    uint32_t crc;
+  };
+  for (const Pin& pin : {Pin{true, 93541, 0x622BE926u},
+                         Pin{false, 221184, 0x8AEFC303u}}) {
+    FaultPlan plan;
+    plan.seed = 7;
+    (pin.torn ? plan.torn_write_rate : plan.corrupt_rate) = 1.0;
+    FaultInjector fi(plan);
+    SnapshotStore faulty(FreshDir("snap_pinned_fault"), &fi);
+    auto wrote = faulty.WriteArena(engine->flat_tree(), cp->version);
+    ASSERT_TRUE(wrote.ok());
+    EXPECT_EQ(file_crc(wrote->path, &size), pin.crc) << pin.torn;
+    EXPECT_EQ(size, pin.size) << pin.torn;
+  }
 }
 
 TEST(SnapshotStoreTest, EmptyOrAllInvalidDirectoryIsNotFound) {

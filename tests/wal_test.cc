@@ -761,6 +761,58 @@ TEST(WalEngineTest, DamagedCheckpointKeepsEveryWalSegment) {
   EXPECT_EQ(log->tail_epoch, 2u);  // both epochs still replayable
 }
 
+// The torn twin: a checkpoint published torn (the injector tears every
+// publish, at a seed-drawn point) truncates the WAL exactly when the
+// read-back check accepts the file — a tear that drops only trailing
+// padding may leave it valid — and either way a restart lands on the
+// pre-crash engine: from the torn epoch if it validated, else from the
+// older clean checkpoint plus every batch the WAL kept.
+TEST(WalEngineTest, TornCheckpointTruncatesOnlyWhatReadBackAccepts) {
+  const size_t d = 3;
+  for (uint64_t seed : {90u, 91u, 92u, 93u, 94u, 95u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Dataset data = FreshData(160, d);
+    DiskManager disk;
+    const std::string tag = std::to_string(seed);
+    const std::string snap_dir = FreshDir("wal_torn_twin_snap_" + tag);
+    const std::string wal_dir = FreshDir("wal_torn_twin_wal_" + tag);
+    auto engine = OpenEngineOrDie(
+        EngineConfig::FromDataset(&data, &disk, MakeScoring("Linear", d))
+            .WithWal(wal_dir));
+    ASSERT_TRUE(engine->ApplyUpdates(MixedBatch(1, d)).ok());
+    SnapshotStore clean(snap_dir);
+    auto first = engine->Checkpoint(&clean);
+    ASSERT_TRUE(first.ok());
+    ASSERT_TRUE(first->wal_truncated);
+    ASSERT_TRUE(engine->ApplyUpdates(MixedBatch(2, d)).ok());
+    ASSERT_TRUE(engine->ApplyUpdates(MixedBatch(3, d)).ok());
+
+    FaultPlan plan;
+    plan.seed = seed;
+    plan.torn_write_rate = 1.0;
+    FaultInjector fi(plan);
+    SnapshotStore faulty(snap_dir, &fi);
+    auto ckpt = engine->Checkpoint(&faulty);
+    ASSERT_TRUE(ckpt.ok());
+    EXPECT_EQ(fi.torn_writes(), 1u);
+    EXPECT_LT(fs::file_size(ckpt->arena_path), ckpt->arena_bytes);
+    const bool valid = ArenaFile::Verify(ckpt->arena_path).ok();
+    EXPECT_EQ(ckpt->wal_truncated, valid);
+    EXPECT_EQ(ArenaFile::Open(ckpt->arena_path).ok(), valid);
+
+    DiskManager disk2;
+    auto restored = OpenEngineOrDie(
+        EngineConfig::FromArena(snap_dir, &disk2, MakeScoring("Linear", d))
+            .WithWal(wal_dir));
+    EXPECT_EQ(restored->dataset_version(), 3u);
+    EXPECT_EQ(restored->wal_recovery().recovered_epoch, valid ? 3u : 1u);
+    EXPECT_EQ(restored->wal_recovery().replayed_batches, valid ? 0u : 2u);
+    ExpectSameDataset(engine->dataset(), restored->dataset());
+    EXPECT_EQ(MasterImage(*engine), MasterImage(*restored));
+    ExpectBitIdenticalQueries(engine.get(), restored.get(), d);
+  }
+}
+
 // WithWal means updatable: an arena + WAL restart right after a
 // checkpoint (an empty tail) thaws the master, opens the writer, and
 // its next batches match a never-restarted engine bitwise.
