@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "dataset/generators.h"
@@ -479,6 +480,80 @@ TEST(RTreeThawTest, ThawedTreeFreezesAndChurnsBitwiseLikeTheOriginal) {
     EXPECT_EQ(ArenaBytes(*drained.tree), ArenaBytes(*original.tree));
   }
   std::filesystem::remove_all(dir);
+}
+
+// R* trees pinned by the CRC-32 and length of their arena image, for
+// d = 2..6 on 1 KB pages (9 to 27 entries a node, so 3 to 5 levels).
+// Each tree is grown by Insert from empty (root splits, and forced
+// reinserts at every level below the root), churned by delete/insert
+// batches that dissolve nodes (CondenseTree, orphan reinsertion and
+// free-list reuse), drained to a rootless tree and regrown. A change to
+// a split or reinsert tie, an entry order, a page id or a box bit
+// fails here.
+TEST(RTreePinTest, GrownChurnedDrainedRegrownBytesArePinned) {
+  struct Stage {
+    uint32_t crc;
+    size_t bytes;
+  };
+  struct Pin {
+    size_t d;
+    Stage grown, churned, drained, regrown;
+  };
+  const Pin pins[] = {
+      {2,
+       {0x01CB8EFFu, 233472},
+       {0x847DADBAu, 258048},
+       {0xB3513339u, 262144},
+       {0x6A5BC09Eu, 282624}},
+      {3,
+       {0x43C9917Du, 331776},
+       {0xC4CA6938u, 360448},
+       {0x85B1724Au, 364544},
+       {0x8B3E07CBu, 397312}},
+      {4,
+       {0xA5A80B12u, 450560},
+       {0x4B880F80u, 487424},
+       {0x168492B3u, 491520},
+       {0x66AFB2CCu, 528384}},
+      {5,
+       {0xB2B67C43u, 565248},
+       {0xC27E3B75u, 606208},
+       {0x79A89888u, 610304},
+       {0x8A58DD50u, 659456}},
+      {6,
+       {0xC914F1D6u, 667648},
+       {0xFE1CEC51u, 712704},
+       {0x3EDC5C60u, 716800},
+       {0xD70F2D83u, 778240}},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE("d=" + std::to_string(pin.d));
+    Rng rng(5100 + pin.d);
+    ChurnedTree t;
+    t.data = std::make_unique<Dataset>(pin.d);
+    t.disk = std::make_unique<DiskManager>(/*page_size_bytes=*/1024);
+    t.tree.emplace(t.data.get(), t.disk.get());
+    auto expect_pinned = [&](const Stage& want, const char* stage) {
+      ASSERT_TRUE(t.tree->Validate().ok()) << stage;
+      const std::vector<uint8_t> bytes = ArenaBytes(*t.tree);
+      EXPECT_EQ(Crc32(bytes.data(), bytes.size()), want.crc) << stage;
+      EXPECT_EQ(bytes.size(), want.bytes) << stage;
+    };
+    t.Apply(/*deletes=*/0, /*inserts=*/3000, rng);
+    ASSERT_GE(t.tree->height(), 3u);
+    expect_pinned(pin.grown, "grown");
+    for (int batch = 0; batch < 5; ++batch) {
+      t.Apply(/*deletes=*/500, /*inserts=*/150, rng);
+    }
+    ASSERT_GE(t.tree->node_count() - ReachablePages(*t.tree), 2u)
+        << "the churn freed fewer than two pages";
+    expect_pinned(pin.churned, "churned");
+    t.Apply(t.data->live_size(), 0, rng);
+    ASSERT_EQ(t.tree->root(), kInvalidPage);
+    expect_pinned(pin.drained, "drained");
+    t.Apply(0, /*inserts=*/1200, rng);
+    expect_pinned(pin.regrown, "regrown");
+  }
 }
 
 // The page-budget invariant the capacity formula promises: a node's 16

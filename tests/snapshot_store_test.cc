@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -80,19 +81,12 @@ TEST(SnapshotStoreTest, NewestValidVersionWins) {
             std::string::npos);
 }
 
-// The arena format is pinned byte for byte: the checkpoint of a fixed
-// engine (seeded data, then insert/delete batches, so tombstones exist)
-// has the CRC-32 and size the whole-image serializer produced before
-// the writer streamed spans from the live arrays, and so are the torn
-// and corrupted files one fault plan makes of it. A writer change that
-// moves one byte — a section, its padding, a CRC, a tear point or a
-// flipped byte — fails here.
-TEST(SnapshotStoreTest, CheckpointBytesArePinned) {
-  const size_t d = 4;
-  Dataset data = FreshData(1500, d);
-  DiskManager disk;
+// The engine both pinned-bytes tests checkpoint: seeded data, then
+// insert/delete batches, so tombstones exist.
+std::unique_ptr<GirEngine> PinnedEngine(Dataset* data, DiskManager* disk) {
+  const size_t d = data->dim();
   auto engine = OpenEngineOrDie(
-      EngineConfig::FromDataset(&data, &disk, MakeScoring("Linear", d)));
+      EngineConfig::FromDataset(data, disk, MakeScoring("Linear", d)));
   Rng rng(kDataSeed + 1);
   for (int b = 0; b < 4; ++b) {
     UpdateBatch batch;
@@ -104,22 +98,37 @@ TEST(SnapshotStoreTest, CheckpointBytesArePinned) {
     for (int i = 0; i < 5; ++i) {
       batch.deletes.push_back(static_cast<RecordId>(37 * b + 7 * i + 1));
     }
-    ASSERT_TRUE(engine->ApplyUpdates(batch).ok());
+    EXPECT_TRUE(engine->ApplyUpdates(batch).ok());
   }
-  auto file_crc = [](const std::string& path, size_t* size) {
-    std::ifstream in(path, std::ios::binary);
-    const std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
-                                  std::istreambuf_iterator<char>());
-    *size = bytes.size();
-    return Crc32(bytes.data(), bytes.size());
-  };
+  return engine;
+}
+
+uint32_t FileCrc(const std::string& path, size_t* size) {
+  std::ifstream in(path, std::ios::binary);
+  const std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
+                                std::istreambuf_iterator<char>());
+  *size = bytes.size();
+  return Crc32(bytes.data(), bytes.size());
+}
+
+// The arena format is pinned byte for byte: the checkpoint of a fixed
+// engine (seeded data, then insert/delete batches, so tombstones exist)
+// has the CRC-32 and size the whole-image serializer produced before
+// the writer streamed spans from the live arrays, and so are the torn
+// and corrupted files one fault plan makes of it. A writer change that
+// moves one byte — a section, its padding, a CRC, a tear point or a
+// flipped byte — fails here.
+TEST(SnapshotStoreTest, CheckpointBytesArePinned) {
+  Dataset data = FreshData(1500, 4);
+  DiskManager disk;
+  auto engine = PinnedEngine(&data, &disk);
   SnapshotStore store(FreshDir("snap_pinned"));
   auto cp = engine->Checkpoint(&store);
   ASSERT_TRUE(cp.ok()) << cp.status().message();
   EXPECT_EQ(cp->version, 4u);
   EXPECT_EQ(cp->arena_bytes, 221184u);
   size_t size = 0;
-  EXPECT_EQ(file_crc(cp->arena_path, &size), 0xF78D29B8u);
+  EXPECT_EQ(FileCrc(cp->arena_path, &size), 0xF78D29B8u);
   EXPECT_EQ(size, 221184u);
 
   // The injected faults are pinned too: the same tear point and the
@@ -138,8 +147,56 @@ TEST(SnapshotStoreTest, CheckpointBytesArePinned) {
     SnapshotStore faulty(FreshDir("snap_pinned_fault"), &fi);
     auto wrote = faulty.WriteArena(engine->flat_tree(), cp->version);
     ASSERT_TRUE(wrote.ok());
-    EXPECT_EQ(file_crc(wrote->path, &size), pin.crc) << pin.torn;
+    EXPECT_EQ(FileCrc(wrote->path, &size), pin.crc) << pin.torn;
     EXPECT_EQ(size, pin.size) << pin.torn;
+  }
+}
+
+// A ship publishes the source file's bytes: a clean source as it is, a
+// torn source as it is (the receiving open rejects it), and a clean
+// source under a tearing or a corrupting plan with the tear point and
+// the flipped byte pinned like the checkpoint's.
+TEST(SnapshotStoreTest, ShippedArenaBytesArePinned) {
+  Dataset data = FreshData(1500, 4);
+  DiskManager disk;
+  auto engine = PinnedEngine(&data, &disk);
+  const uint64_t version = 4;
+  SnapshotStore clean(FreshDir("ship_pinned_clean"));
+  ASSERT_TRUE(clean.WriteArena(engine->flat_tree(), version).ok());
+  FaultPlan tear;
+  tear.seed = 7;
+  tear.torn_write_rate = 1.0;
+  FaultInjector tear_source(tear);
+  SnapshotStore torn(FreshDir("ship_pinned_torn"), &tear_source);
+  ASSERT_TRUE(torn.WriteArena(engine->flat_tree(), version).ok());
+
+  struct Pin {
+    const SnapshotStore* source;
+    double torn_rate;
+    double corrupt_rate;
+    size_t size;
+    uint32_t crc;
+  };
+  const Pin pins[] = {
+      {&clean, 0.0, 0.0, 221184, 0xF78D29B8u},
+      {&torn, 0.0, 0.0, 93541, 0x622BE926u},
+      {&clean, 1.0, 0.0, 93541, 0x622BE926u},
+      {&clean, 0.0, 1.0, 221184, 0x8AEFC303u},
+  };
+  for (size_t i = 0; i < std::size(pins); ++i) {
+    const Pin& pin = pins[i];
+    FaultPlan plan;
+    plan.seed = 7;
+    plan.torn_write_rate = pin.torn_rate;
+    plan.corrupt_rate = pin.corrupt_rate;
+    FaultInjector fi(plan);
+    SnapshotStore replica(FreshDir("ship_pinned_replica"), &fi);
+    auto shipped = replica.ShipArenaFrom(*pin.source, version);
+    ASSERT_TRUE(shipped.ok()) << shipped.status().message();
+    size_t size = 0;
+    EXPECT_EQ(FileCrc(shipped->path, &size), pin.crc) << "case " << i;
+    EXPECT_EQ(size, pin.size) << "case " << i;
+    EXPECT_EQ(shipped->bytes, pin.source == &clean ? 221184u : 93541u);
   }
 }
 
