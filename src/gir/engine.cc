@@ -65,7 +65,7 @@ GirEngine::GirEngine(const Dataset* dataset, Dataset* mutable_dataset,
   // Epoch 0. One short-lived pool serves the whole set-up: the bulk
   // load's slabs, then the freeze's node ranges.
   std::unique_ptr<ThreadPool> pool = MakeSetupPool(dataset->size());
-  tree_.emplace(RTree::BulkLoad(dataset, disk, RTreeOptions{}, pool.get()));
+  tree_.emplace(RTree::BulkLoad(dataset, disk, pool.get()));
   Publish(FreezeEpoch(/*version=*/0, pool.get()));
 }
 

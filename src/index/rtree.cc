@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstring>
 #include <memory>
-#include <set>
+#include <numeric>
 #include <utility>
 
 #include "common/thread_pool.h"
@@ -14,28 +15,111 @@ namespace gir {
 
 namespace {
 
-// Per-insertion bookkeeping for R* forced reinsertion ("once per level
-// per insertion"). Kept out of the class to keep the header lean.
-thread_local std::set<int>* t_reinserted_levels = nullptr;
+// R*: a node below this fraction of capacity is underfull, and a node's
+// first overflow on a level reinserts this fraction of its entries.
+constexpr double kMinFill = 0.4;
+constexpr double kReinsertFraction = 0.3;
+
+// A box read in place: lo(j) = p[j * stride], hi(j) = p[(dim + j) *
+// stride]. Stride 1 reads a contiguous box (lo then hi, as a page box
+// is stored); a node's plane stride reads its entry e at p = coords + e.
+struct BoxRef {
+  const double* p;
+  size_t stride;
+  size_t dim;
+
+  double lo(size_t j) const { return p[j * stride]; }
+  double hi(size_t j) const { return p[(dim + j) * stride]; }
+};
+
+// The box arithmetic of the R* choices. Each is the Mbb computation it
+// replaces, operation for operation, so every choice, and every box
+// bit, is the one the per-entry node layout made.
+double Area(BoxRef b) {
+  double a = 1.0;
+  for (size_t j = 0; j < b.dim; ++j) a *= std::max(0.0, b.hi(j) - b.lo(j));
+  return a;
+}
+
+double Margin(BoxRef b) {
+  double m = 0.0;
+  for (size_t j = 0; j < b.dim; ++j) m += std::max(0.0, b.hi(j) - b.lo(j));
+  return m;
+}
+
+double OverlapArea(BoxRef a, BoxRef b) {
+  double area = 1.0;
+  for (size_t j = 0; j < a.dim; ++j) {
+    double w = std::min(a.hi(j), b.hi(j)) - std::max(a.lo(j), b.lo(j));
+    if (w <= 0.0) return 0.0;
+    area *= w;
+  }
+  return area;
+}
+
+// Area increase if `a` were expanded to cover `b`.
+double Enlargement(BoxRef a, BoxRef b) {
+  double enlarged = 1.0;
+  for (size_t j = 0; j < a.dim; ++j) {
+    enlarged *= std::max(a.hi(j), b.hi(j)) - std::min(a.lo(j), b.lo(j));
+  }
+  return enlarged - Area(a);
+}
+
+double CenterDistanceSquared(BoxRef a, BoxRef b) {
+  double s = 0.0;
+  for (size_t j = 0; j < a.dim; ++j) {
+    double dc = 0.5 * (a.lo(j) + a.hi(j)) - 0.5 * (b.lo(j) + b.hi(j));
+    s += dc * dc;
+  }
+  return s;
+}
+
+// The union of `n` entries of a node's planes (entry order[i], or entry
+// i when `order` is null), folded into `out` (lo then hi) from the
+// empty box in that order.
+void Fold(const double* coords, size_t stride, size_t dim,
+          const uint32_t* order, size_t n, double* out) {
+  for (size_t j = 0; j < dim; ++j) {
+    double lo = 1e300;
+    double hi = -1e300;
+    for (size_t i = 0; i < n; ++i) {
+      const size_t e = order != nullptr ? order[i] : i;
+      lo = std::min(lo, coords[j * stride + e]);
+      hi = std::max(hi, coords[(dim + j) * stride + e]);
+    }
+    out[j] = lo;
+    out[dim + j] = hi;
+  }
+}
 
 }  // namespace
 
-Mbb RTreeNode::ComputeMbb(size_t dim) const {
-  Mbb box = Mbb::EmptyBox(dim);
-  for (const RTreeEntry& e : entries) box.ExpandTo(e.mbb);
-  return box;
-}
-
-RTree::RTree(const Dataset* dataset, DiskManager* disk,
-             const RTreeOptions& options)
-    : dataset_(dataset), disk_(disk), options_(options) {
-  const size_t dim = dataset->dim();
+RTree::RTree(const Dataset* dataset, DiskManager* disk) {
+  dataset_ = dataset;
+  disk_ = disk;
+  dim_ = dataset->dim();
   const size_t header_bytes = 16;
-  const size_t entry_bytes = 2 * dim * sizeof(double) + sizeof(int32_t);
+  const size_t entry_bytes = 2 * dim_ * sizeof(double) + sizeof(int32_t);
   capacity_ = (disk->page_size_bytes() - header_bytes) / entry_bytes;
   assert(capacity_ >= 4 && "page too small for this dimensionality");
-  min_entries_ = std::max<size_t>(
-      2, static_cast<size_t>(capacity_ * options.min_fill));
+  min_entries_ =
+      std::max<size_t>(2, static_cast<size_t>(capacity_ * kMinFill));
+  scratch_coords_.resize(2 * dim_ * (capacity_ + 1));
+  scratch_children_.resize(capacity_ + 1);
+}
+
+void RTree::Anchor() {
+  Point(meta_.data(), boxes_.data(), coords_.data(), children_.data(),
+        meta_.size());
+}
+
+void RTree::Reserve(size_t pages) {
+  meta_.reserve(pages);
+  boxes_.reserve(pages * 2 * dim_);
+  coords_.reserve(pages * 2 * dim_ * capacity_);
+  children_.reserve(pages * capacity_);
+  Anchor();
 }
 
 PageId RTree::NewNode(bool is_leaf, int level) {
@@ -47,52 +131,140 @@ PageId RTree::NewNode(bool is_leaf, int level) {
     free_pages_.pop_back();
   } else {
     page = disk_->Allocate();
-    assert(page == nodes_.size());
-    nodes_.emplace_back();
+    assert(page == meta_.size());
+    meta_.emplace_back();
+    boxes_.insert(boxes_.end(), dim_, 1e300);
+    boxes_.insert(boxes_.end(), dim_, -1e300);
+    coords_.resize(coords_.size() + 2 * dim_ * capacity_, 0.0);
+    children_.resize(children_.size() + capacity_, -1);
+    Anchor();
   }
-  nodes_[page].is_leaf = is_leaf;
-  nodes_[page].level = level;
+  meta_[page].is_leaf = is_leaf ? 1 : 0;
+  meta_[page].level = level;
   disk_->NoteWrite();
   return page;
 }
 
 void RTree::FreeNode(PageId page) {
-  nodes_[page].entries.clear();
+  WriteEntries(page, PageSlots(page), nullptr, 0);
   free_pages_.insert(
       std::upper_bound(free_pages_.begin(), free_pages_.end(), page), page);
 }
 
-size_t RTree::height() const {
-  if (root_ == kInvalidPage) return 0;
-  return static_cast<size_t>(nodes_[root_].level) + 1;
+RTree::Slots RTree::PageSlots(PageId page) {
+  return {coords_.data() + page * 2 * dim_ * capacity_,
+          children_.data() + page * capacity_, capacity_};
 }
 
-PageId RTree::ChooseSubtree(const Mbb& box, int target_level,
+RTree::Slots RTree::SlotsOf(PageId page) {
+  if (meta_[page].count > capacity_) {
+    return {scratch_coords_.data(), scratch_children_.data(), capacity_ + 1};
+  }
+  return PageSlots(page);
+}
+
+void RTree::FoldBox(PageId page) {
+  const Slots s = SlotsOf(page);
+  Fold(s.coords, s.stride, dim_, nullptr, meta_[page].count, Box(page));
+}
+
+void RTree::WriteEntries(PageId page, const Slots& from,
+                         const uint32_t* order, size_t n) {
+  const Slots to = PageSlots(page);
+  for (size_t i = 0; i < n; ++i) {
+    const size_t e = order != nullptr ? order[i] : i;
+    to.children[i] = from.children[e];
+    for (size_t j = 0; j < 2 * dim_; ++j) {
+      to.coords[j * capacity_ + i] = from.coords[j * from.stride + e];
+    }
+  }
+  for (size_t j = 0; j < 2 * dim_; ++j) {
+    std::fill(to.coords + j * capacity_ + n, to.coords + (j + 1) * capacity_,
+              0.0);
+  }
+  std::fill(to.children + n, to.children + capacity_, -1);
+  meta_[page].count = static_cast<uint32_t>(n);
+  FoldBox(page);
+}
+
+void RTree::AddEntry(PageId page, const double* box, int32_t child) {
+  const size_t at = meta_[page].count;
+  Slots to = PageSlots(page);
+  if (at == capacity_) {
+    // The node overflows: it moves, with the new entry last, into the
+    // scratch, where Reinsert or Split takes it apart.
+    const Slots scratch = {scratch_coords_.data(), scratch_children_.data(),
+                           capacity_ + 1};
+    for (size_t j = 0; j < 2 * dim_; ++j) {
+      std::copy_n(to.coords + j * capacity_, capacity_,
+                  scratch.coords + j * scratch.stride);
+    }
+    std::copy_n(to.children, capacity_, scratch.children);
+    to = scratch;
+  }
+  to.children[at] = child;
+  for (size_t j = 0; j < 2 * dim_; ++j) to.coords[j * to.stride + at] = box[j];
+  ++meta_[page].count;
+  FoldBox(page);
+}
+
+void RTree::RemoveEntry(PageId page, size_t e) {
+  const Slots s = PageSlots(page);
+  const size_t n = meta_[page].count;
+  for (size_t j = 0; j < 2 * dim_; ++j) {
+    double* plane = s.coords + j * capacity_;
+    std::copy(plane + e + 1, plane + n, plane + e);
+    plane[n - 1] = 0.0;
+  }
+  std::copy(s.children + e + 1, s.children + n, s.children + e);
+  s.children[n - 1] = -1;
+  meta_[page].count = static_cast<uint32_t>(n - 1);
+  FoldBox(page);
+}
+
+void RTree::SetChildBox(PageId parent, PageId child) {
+  const Slots s = SlotsOf(parent);
+  const double* box = Box(child);
+  for (size_t e = 0; e < meta_[parent].count; ++e) {
+    if (s.children[e] == static_cast<int32_t>(child)) {
+      for (size_t j = 0; j < 2 * dim_; ++j) s.coords[j * s.stride + e] = box[j];
+      break;
+    }
+  }
+  FoldBox(parent);
+}
+
+PageId RTree::ChooseSubtree(const double* box, int target_level,
                             std::vector<PageId>* path) const {
+  const BoxRef b{box, 1, dim_};
+  std::vector<double> enlarged(2 * dim_);
   PageId current = root_;
   path->push_back(current);
-  while (nodes_[current].level > target_level) {
-    const RTreeNode& node = nodes_[current];
-    const bool choosing_leaf = node.level == 1 && target_level == 0;
+  while (PeekNode(current).level() > target_level) {
+    const NodeView node = PeekNode(current);
+    auto entry = [&](size_t e) { return BoxRef{node.lo(0) + e, capacity_, dim_}; };
+    const bool choosing_leaf = node.level() == 1 && target_level == 0;
     size_t best = 0;
     double best_primary = 1e300;
     double best_secondary = 1e300;
     double best_area = 1e300;
-    for (size_t i = 0; i < node.entries.size(); ++i) {
-      const RTreeEntry& e = node.entries[i];
-      double area = e.mbb.Area();
-      double enlargement = e.mbb.Enlargement(box);
+    for (size_t i = 0; i < node.count(); ++i) {
+      const BoxRef e = entry(i);
+      double area = Area(e);
+      double enlargement = Enlargement(e, b);
       double primary;
       if (choosing_leaf) {
         // R*: minimize overlap enlargement among siblings.
-        Mbb enlarged = e.mbb;
-        enlarged.ExpandTo(box);
+        for (size_t j = 0; j < dim_; ++j) {
+          enlarged[j] = std::min(e.lo(j), b.lo(j));
+          enlarged[dim_ + j] = std::max(e.hi(j), b.hi(j));
+        }
         double overlap_before = 0.0;
         double overlap_after = 0.0;
-        for (size_t j = 0; j < node.entries.size(); ++j) {
+        for (size_t j = 0; j < node.count(); ++j) {
           if (j == i) continue;
-          overlap_before += e.mbb.OverlapArea(node.entries[j].mbb);
-          overlap_after += enlarged.OverlapArea(node.entries[j].mbb);
+          overlap_before += OverlapArea(e, entry(j));
+          overlap_after += OverlapArea({enlarged.data(), 1, dim_}, entry(j));
         }
         primary = overlap_after - overlap_before;
       } else {
@@ -110,7 +282,7 @@ PageId RTree::ChooseSubtree(const Mbb& box, int target_level,
         best_area = tertiary;
       }
     }
-    current = static_cast<PageId>(node.entries[best].child);
+    current = static_cast<PageId>(node.child(best));
     path->push_back(current);
   }
   return current;
@@ -121,41 +293,37 @@ void RTree::RefreshPathMbbs(const std::vector<PageId>& path, PageId child) {
   // points at `child` (then at its parent, and so on).
   for (size_t i = path.size(); i-- > 0;) {
     if (path[i] == child) continue;
-    RTreeNode& parent = nodes_[path[i]];
-    Mbb child_box = nodes_[child].ComputeMbb(dataset_->dim());
-    for (RTreeEntry& e : parent.entries) {
-      if (e.child == static_cast<int32_t>(child)) {
-        e.mbb = child_box;
-        break;
-      }
-    }
+    SetChildBox(path[i], child);
     child = path[i];
   }
 }
 
 void RTree::Insert(RecordId id) {
-  std::set<int> reinserted;
-  t_reinserted_levels = &reinserted;
-  RTreeEntry entry;
-  entry.mbb = Mbb::OfPoint(dataset_->Get(id));
-  entry.child = id;
-  InsertEntry(std::move(entry), /*target_level=*/0, /*reinsert_depth=*/0);
+  reinserted_levels_ = 0;
+  const VecView p = dataset_->Get(id);
+  std::vector<double> box(2 * dim_);
+  std::copy(p.begin(), p.end(), box.begin());
+  std::copy(p.begin(), p.end(), box.begin() + dim_);
+  InsertEntry(box.data(), id, /*target_level=*/0, /*reinsert_depth=*/0);
   ++record_count_;
-  t_reinserted_levels = nullptr;
 }
 
-bool RTree::FindLeaf(PageId page, const Mbb& point, RecordId id,
+bool RTree::FindLeaf(PageId page, const double* point, RecordId id,
                      std::vector<PageId>* path) const {
   path->push_back(page);
-  const RTreeNode& node = nodes_[page];
-  if (node.is_leaf) {
-    for (const RTreeEntry& e : node.entries) {
-      if (e.child == id) return true;
+  const NodeView node = PeekNode(page);
+  for (size_t e = 0; e < node.count(); ++e) {
+    if (node.is_leaf()) {
+      if (node.child(e) == id) return true;
+      continue;
     }
-  } else {
-    for (const RTreeEntry& e : node.entries) {
-      if (!e.mbb.Intersects(point)) continue;
-      if (FindLeaf(static_cast<PageId>(e.child), point, id, path)) return true;
+    bool intersects = true;
+    for (size_t j = 0; j < dim_ && intersects; ++j) {
+      intersects = !(point[j] < node.lo(j)[e] || point[j] > node.hi(j)[e]);
+    }
+    if (intersects &&
+        FindLeaf(static_cast<PageId>(node.child(e)), point, id, path)) {
+      return true;
     }
   }
   path->pop_back();
@@ -166,67 +334,65 @@ void RTree::CondenseTree(std::vector<PageId> path) {
   // Walk from the leaf upward. A node that fell below the fill floor is
   // dissolved: its entry is removed from the parent and its surviving
   // entries queue for reinsertion at their original level (Guttman's
-  // CondenseTree, with the R* insertion doing the reinsert work).
-  struct Orphan {
-    RTreeEntry entry;
-    int target_level;
-  };
-  std::vector<Orphan> orphans;
+  // CondenseTree, with the R* insertion doing the reinsert work). Each
+  // orphan keeps its box (lo then hi), child and level.
+  std::vector<double> boxes;
+  std::vector<int32_t> children;
+  std::vector<int> levels;
   while (path.size() > 1) {
     PageId page = path.back();
     path.pop_back();
     PageId parent = path.back();
-    RTreeNode& node = nodes_[page];
-    std::vector<RTreeEntry>& up = nodes_[parent].entries;
-    if (node.entries.size() < min_entries_) {
-      for (size_t i = 0; i < up.size(); ++i) {
-        if (up[i].child == static_cast<int32_t>(page)) {
-          up.erase(up.begin() + i);
+    const size_t count = meta_[page].count;
+    if (count < min_entries_) {
+      const Slots up = PageSlots(parent);
+      for (size_t i = 0; i < meta_[parent].count; ++i) {
+        if (up.children[i] == static_cast<int32_t>(page)) {
+          RemoveEntry(parent, i);
           break;
         }
       }
-      for (RTreeEntry& e : node.entries) {
-        orphans.push_back(Orphan{std::move(e), node.level});
+      const Slots s = PageSlots(page);
+      for (size_t e = 0; e < count; ++e) {
+        for (size_t j = 0; j < 2 * dim_; ++j) {
+          boxes.push_back(s.coords[j * capacity_ + e]);
+        }
+        children.push_back(s.children[e]);
+        levels.push_back(meta_[page].level);
       }
       FreeNode(page);
     } else {
-      Mbb tight = node.ComputeMbb(dataset_->dim());
-      for (RTreeEntry& e : up) {
-        if (e.child == static_cast<int32_t>(page)) {
-          e.mbb = tight;
-          break;
-        }
-      }
+      SetChildBox(parent, page);
     }
   }
   // Higher-level orphans first: reattaching a subtree before its records
   // keeps ChooseSubtree's target levels reachable.
-  std::sort(orphans.begin(), orphans.end(),
-            [](const Orphan& a, const Orphan& b) {
-              return a.target_level > b.target_level;
-            });
-  for (Orphan& o : orphans) {
-    InsertEntry(std::move(o.entry), o.target_level, /*reinsert_depth=*/0);
+  std::vector<uint32_t> order(levels.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(),
+            [&](uint32_t a, uint32_t b) { return levels[a] > levels[b]; });
+  for (uint32_t o : order) {
+    InsertEntry(boxes.data() + o * 2 * dim_, children[o], levels[o],
+                /*reinsert_depth=*/0);
   }
 }
 
 bool RTree::Contains(RecordId id) const {
   if (root_ == kInvalidPage) return false;
-  const Mbb point = Mbb::OfPoint(dataset_->Get(id));
   std::vector<PageId> path;
-  return FindLeaf(root_, point, id, &path);
+  return FindLeaf(root_, dataset_->Get(id).data(), id, &path);
 }
 
 bool RTree::Delete(RecordId id) {
   if (root_ == kInvalidPage) return false;
-  const Mbb point = Mbb::OfPoint(dataset_->Get(id));
   std::vector<PageId> path;
-  if (!FindLeaf(root_, point, id, &path)) return false;
+  if (!FindLeaf(root_, dataset_->Get(id).data(), id, &path)) return false;
 
-  RTreeNode& leaf = nodes_[path.back()];
-  for (size_t i = 0; i < leaf.entries.size(); ++i) {
-    if (leaf.entries[i].child == id) {
-      leaf.entries.erase(leaf.entries.begin() + i);
+  const PageId leaf = path.back();
+  const Slots s = PageSlots(leaf);
+  for (size_t i = 0; i < meta_[leaf].count; ++i) {
+    if (s.children[i] == id) {
+      RemoveEntry(leaf, i);
       break;
     }
   }
@@ -234,48 +400,47 @@ bool RTree::Delete(RecordId id) {
 
   // Orphan reinsertion may overflow nodes; give OverflowTreatment the
   // same once-per-level reinsert bookkeeping as Insert.
-  std::set<int> reinserted;
-  t_reinserted_levels = &reinserted;
+  reinserted_levels_ = 0;
   CondenseTree(std::move(path));
-  t_reinserted_levels = nullptr;
 
   // Collapse a root that lost all but one subtree.
-  while (root_ != kInvalidPage && !nodes_[root_].is_leaf &&
-         nodes_[root_].entries.size() == 1) {
+  while (root_ != kInvalidPage && !meta_[root_].is_leaf &&
+         meta_[root_].count == 1) {
     PageId old_root = root_;
-    root_ = static_cast<PageId>(nodes_[root_].entries[0].child);
+    root_ = static_cast<PageId>(PageSlots(root_).children[0]);
     FreeNode(old_root);
   }
-  if (record_count_ == 0 && nodes_[root_].is_leaf &&
-      nodes_[root_].entries.empty()) {
+  if (record_count_ == 0 && meta_[root_].is_leaf && meta_[root_].count == 0) {
     FreeNode(root_);
     root_ = kInvalidPage;
   }
   return true;
 }
 
-void RTree::InsertEntry(RTreeEntry entry, int target_level,
+void RTree::InsertEntry(const double* box, int32_t child, int target_level,
                         int reinsert_depth) {
   if (root_ == kInvalidPage) {
     assert(target_level == 0);
     root_ = NewNode(/*is_leaf=*/true, /*level=*/0);
-    nodes_[root_].entries.push_back(std::move(entry));
+    AddEntry(root_, box, child);
     return;
   }
   std::vector<PageId> path;
-  PageId target = ChooseSubtree(entry.mbb, target_level, &path);
-  nodes_[target].entries.push_back(std::move(entry));
+  PageId target = ChooseSubtree(box, target_level, &path);
+  AddEntry(target, box, child);
   RefreshPathMbbs(path, target);
-  if (nodes_[target].entries.size() > capacity_) {
+  if (meta_[target].count > capacity_) {
     OverflowTreatment(target, path, reinsert_depth);
   }
 }
 
 void RTree::OverflowTreatment(PageId page, std::vector<PageId>& path,
                               int reinsert_depth) {
-  int level = nodes_[page].level;
-  if (page != root_ && reinsert_depth < 4 && t_reinserted_levels != nullptr &&
-      t_reinserted_levels->insert(level).second) {
+  const int level = meta_[page].level;
+  assert(level >= 0 && level < 64);
+  const uint64_t bit = uint64_t{1} << level;
+  if (page != root_ && reinsert_depth < 4 && !(reinserted_levels_ & bit)) {
+    reinserted_levels_ |= bit;
     Reinsert(page, path, reinsert_depth);
   } else {
     Split(page, path);
@@ -284,55 +449,77 @@ void RTree::OverflowTreatment(PageId page, std::vector<PageId>& path,
 
 void RTree::Reinsert(PageId page, std::vector<PageId>& path,
                      int reinsert_depth) {
-  RTreeNode& node = nodes_[page];
-  const size_t dim = dataset_->dim();
-  Mbb node_box = node.ComputeMbb(dim);
+  const Slots s = SlotsOf(page);
+  const size_t count = meta_[page].count;
   // Sort entries by distance of their centers from the node's center,
-  // farthest first, and evict the top `reinsert_fraction`.
-  std::sort(node.entries.begin(), node.entries.end(),
-            [&](const RTreeEntry& a, const RTreeEntry& b) {
-              return a.mbb.CenterDistanceSquared(node_box) >
-                     b.mbb.CenterDistanceSquared(node_box);
-            });
-  size_t evict =
-      std::max<size_t>(1, static_cast<size_t>(node.entries.size() *
-                                              options_.reinsert_fraction));
-  std::vector<RTreeEntry> evicted(node.entries.begin(),
-                                  node.entries.begin() + evict);
-  node.entries.erase(node.entries.begin(), node.entries.begin() + evict);
-  int level = node.level;
+  // farthest first, and evict the top kReinsertFraction.
+  const BoxRef node_box{Box(page), 1, dim_};
+  std::vector<double> distance(count);
+  for (size_t e = 0; e < count; ++e) {
+    distance[e] = CenterDistanceSquared({s.coords + e, s.stride, dim_}, node_box);
+  }
+  std::vector<uint32_t> order(count);
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return distance[a] > distance[b];
+  });
+  const size_t evict = std::max<size_t>(
+      1, static_cast<size_t>(count * kReinsertFraction));
+  // The evicted entries leave the scratch before the reinsertions reuse
+  // it.
+  std::vector<double> boxes(evict * 2 * dim_);
+  std::vector<int32_t> children(evict);
+  for (size_t i = 0; i < evict; ++i) {
+    for (size_t j = 0; j < 2 * dim_; ++j) {
+      boxes[i * 2 * dim_ + j] = s.coords[j * s.stride + order[i]];
+    }
+    children[i] = s.children[order[i]];
+  }
+  const int level = meta_[page].level;
+  WriteEntries(page, s, order.data() + evict, count - evict);
   RefreshPathMbbs(path, page);
-  for (RTreeEntry& e : evicted) {
-    InsertEntry(std::move(e), level, reinsert_depth + 1);
+  for (size_t i = 0; i < evict; ++i) {
+    InsertEntry(boxes.data() + i * 2 * dim_, children[i], level,
+                reinsert_depth + 1);
   }
 }
 
-void RTree::ChooseSplit(std::vector<RTreeEntry>& entries, size_t dim,
-                        size_t min_fill, std::vector<RTreeEntry>* left,
-                        std::vector<RTreeEntry>* right) {
-  const size_t total = entries.size();
+void RTree::ChooseSplit(std::vector<uint32_t>* order, size_t* split_at) const {
+  const size_t total = capacity_ + 1;
+  const size_t min_fill = min_entries_;
   const size_t k_max = total - 2 * min_fill + 1;
   assert(total >= 2 * min_fill);
+  const double* coords = scratch_coords_.data();
+  order->resize(total);
+  std::iota(order->begin(), order->end(), 0u);
+  // Sorts the entries by one corner coordinate. Each sort starts from
+  // the order the previous one left, as the entries themselves were
+  // sorted in place.
+  auto sort_by = [&](size_t axis, int by_hi) {
+    const double* key = coords + (by_hi ? dim_ + axis : axis) * total;
+    std::sort(order->begin(), order->end(),
+              [key](uint32_t a, uint32_t b) { return key[a] < key[b]; });
+  };
+  std::vector<double> g1(2 * dim_);
+  std::vector<double> g2(2 * dim_);
+  auto groups = [&](size_t at) {
+    Fold(coords, total, dim_, order->data(), at, g1.data());
+    Fold(coords, total, dim_, order->data() + at, total - at, g2.data());
+  };
+  const BoxRef b1{g1.data(), 1, dim_};
+  const BoxRef b2{g2.data(), 1, dim_};
 
   // 1. Choose the split axis: minimal sum of margins over all
   // candidate distributions (both lo- and hi-sorted orders).
   size_t best_axis = 0;
   double best_margin_sum = 1e300;
-  for (size_t axis = 0; axis < dim; ++axis) {
+  for (size_t axis = 0; axis < dim_; ++axis) {
     double margin_sum = 0.0;
     for (int sort_by_hi = 0; sort_by_hi < 2; ++sort_by_hi) {
-      std::sort(entries.begin(), entries.end(),
-                [&](const RTreeEntry& a, const RTreeEntry& b) {
-                  return sort_by_hi ? a.mbb.hi[axis] < b.mbb.hi[axis]
-                                    : a.mbb.lo[axis] < b.mbb.lo[axis];
-                });
+      sort_by(axis, sort_by_hi);
       for (size_t k = 0; k < k_max; ++k) {
-        size_t split_at = min_fill + k;
-        Mbb g1 = Mbb::EmptyBox(dim);
-        Mbb g2 = Mbb::EmptyBox(dim);
-        for (size_t i = 0; i < split_at; ++i) g1.ExpandTo(entries[i].mbb);
-        for (size_t i = split_at; i < total; ++i) g2.ExpandTo(entries[i].mbb);
-        margin_sum += g1.Margin() + g2.Margin();
+        groups(min_fill + k);
+        margin_sum += Margin(b1) + Margin(b2);
       }
     }
     if (margin_sum < best_margin_sum) {
@@ -348,80 +535,52 @@ void RTree::ChooseSplit(std::vector<RTreeEntry>& entries, size_t dim,
   double best_overlap = 1e300;
   double best_area = 1e300;
   for (int sort_by_hi = 0; sort_by_hi < 2; ++sort_by_hi) {
-    std::sort(entries.begin(), entries.end(),
-              [&](const RTreeEntry& a, const RTreeEntry& b) {
-                return sort_by_hi ? a.mbb.hi[best_axis] < b.mbb.hi[best_axis]
-                                  : a.mbb.lo[best_axis] < b.mbb.lo[best_axis];
-              });
+    sort_by(best_axis, sort_by_hi);
     for (size_t k = 0; k < k_max; ++k) {
-      size_t split_at = min_fill + k;
-      Mbb g1 = Mbb::EmptyBox(dim);
-      Mbb g2 = Mbb::EmptyBox(dim);
-      for (size_t i = 0; i < split_at; ++i) g1.ExpandTo(entries[i].mbb);
-      for (size_t i = split_at; i < total; ++i) g2.ExpandTo(entries[i].mbb);
-      double overlap = g1.OverlapArea(g2);
-      double area = g1.Area() + g2.Area();
+      groups(min_fill + k);
+      double overlap = OverlapArea(b1, b2);
+      double area = Area(b1) + Area(b2);
       if (overlap < best_overlap - 1e-18 ||
           (overlap <= best_overlap + 1e-18 && area < best_area)) {
         best_overlap = overlap;
         best_area = area;
-        best_split = split_at;
+        best_split = min_fill + k;
         best_sort = sort_by_hi;
       }
     }
   }
-  std::sort(entries.begin(), entries.end(),
-            [&](const RTreeEntry& a, const RTreeEntry& b) {
-              return best_sort ? a.mbb.hi[best_axis] < b.mbb.hi[best_axis]
-                               : a.mbb.lo[best_axis] < b.mbb.lo[best_axis];
-            });
-  left->assign(entries.begin(), entries.begin() + best_split);
-  right->assign(entries.begin() + best_split, entries.end());
+  sort_by(best_axis, best_sort);
+  *split_at = best_split;
 }
 
 void RTree::Split(PageId page, std::vector<PageId>& path) {
-  RTreeNode& node = nodes_[page];
-  const size_t dim = dataset_->dim();
-  std::vector<RTreeEntry> left;
-  std::vector<RTreeEntry> right;
-  ChooseSplit(node.entries, dim, min_entries_, &left, &right);
-
-  PageId sibling = NewNode(node.is_leaf, node.level);
-  // NewNode may reallocate nodes_: refresh the reference.
-  RTreeNode& node2 = nodes_[page];
-  node2.entries = std::move(left);
-  nodes_[sibling].entries = std::move(right);
+  std::vector<uint32_t> order;
+  size_t split_at = 0;
+  ChooseSplit(&order, &split_at);
+  const bool is_leaf = meta_[page].is_leaf != 0;
+  const int level = meta_[page].level;
+  const Slots scratch = SlotsOf(page);
+  PageId sibling = NewNode(is_leaf, level);
+  WriteEntries(page, scratch, order.data(), split_at);
+  WriteEntries(sibling, scratch, order.data() + split_at,
+               order.size() - split_at);
 
   if (page == root_) {
-    PageId new_root = NewNode(/*is_leaf=*/false, nodes_[page].level + 1);
-    RTreeEntry e1;
-    e1.mbb = nodes_[page].ComputeMbb(dim);
-    e1.child = static_cast<int32_t>(page);
-    RTreeEntry e2;
-    e2.mbb = nodes_[sibling].ComputeMbb(dim);
-    e2.child = static_cast<int32_t>(sibling);
-    nodes_[new_root].entries = {std::move(e1), std::move(e2)};
+    PageId new_root = NewNode(/*is_leaf=*/false, level + 1);
+    AddEntry(new_root, Box(page), static_cast<int32_t>(page));
+    AddEntry(new_root, Box(sibling), static_cast<int32_t>(sibling));
     root_ = new_root;
     return;
   }
   // Attach the sibling to the parent.
   path.pop_back();
   PageId parent = path.back();
-  RTreeEntry sibling_entry;
-  sibling_entry.mbb = nodes_[sibling].ComputeMbb(dim);
-  sibling_entry.child = static_cast<int32_t>(sibling);
-  nodes_[parent].entries.push_back(std::move(sibling_entry));
+  AddEntry(parent, Box(sibling), static_cast<int32_t>(sibling));
   RefreshPathMbbs(path, parent);
   // Also fix the split node's own entry in the parent.
-  Mbb self_box = nodes_[page].ComputeMbb(dim);
-  for (RTreeEntry& e : nodes_[parent].entries) {
-    if (e.child == static_cast<int32_t>(page)) {
-      e.mbb = self_box;
-      break;
-    }
-  }
-  if (nodes_[parent].entries.size() > capacity_) {
-    // The per-level reinsertion guard (t_reinserted_levels) decides
+  SetChildBox(parent, page);
+  if (meta_[parent].count > capacity_) {
+    // The per-level reinsertion guard (reinserted_levels_) decides
     // whether the parent reinserts or splits.
     OverflowTreatment(parent, path, /*reinsert_depth=*/0);
   }
@@ -551,17 +710,17 @@ std::vector<std::pair<size_t, size_t>> TileAll(PackedPoints* pts,
 
 }  // namespace
 
-RTree RTree::BulkLoad(const Dataset* dataset, DiskManager* disk,
-                      const RTreeOptions& options) {
+RTree RTree::BulkLoad(const Dataset* dataset, DiskManager* disk) {
   std::unique_ptr<ThreadPool> pool = MakeSetupPool(dataset->live_size());
-  return BulkLoad(dataset, disk, options, pool.get());
+  return BulkLoad(dataset, disk, pool.get());
 }
 
 RTree RTree::BulkLoad(const Dataset* dataset, DiskManager* disk,
-                      const RTreeOptions& options, ThreadPool* pool) {
-  RTree tree(dataset, disk, options);
+                      ThreadPool* pool) {
+  RTree tree(dataset, disk);
   tree.bulk_loaded_ = true;
   const size_t dim = dataset->dim();
+  const size_t cap = tree.capacity_;
 
   // Only live records are indexed; tombstoned slots stay out of the
   // tree (their ids remain resolvable through the dataset).
@@ -579,70 +738,65 @@ RTree RTree::BulkLoad(const Dataset* dataset, DiskManager* disk,
   }
   const size_t n = pts.ids.size();
   if (n == 0) return tree;
-  std::vector<std::pair<size_t, size_t>> runs =
-      TileAll(&pts, tree.capacity_, pool);
+  std::vector<std::pair<size_t, size_t>> runs = TileAll(&pts, cap, pool);
+  // STR fills the runs of every level up to the capacity, so the upper
+  // levels hold far fewer pages than the leaves: twice the leaf count
+  // sizes the store once. Reserved pages no node uses are address space
+  // only; a page is first touched when it is written.
+  tree.Reserve(2 * runs.size());
 
-  // Leaves, built on the calling thread: every entry's Mbb is allocated
-  // here, so the master tree's heap does not spread over the workers'
-  // malloc arenas. A node's box (kept for its parent's entry) and
-  // center (its sort key one level up) are folded in entry order, as
-  // RTreeNode::ComputeMbb folds them.
+  // Each page is written in place, its box folded in entry order; its
+  // center is its sort key one level up. The centers of the level just
+  // built are keyed by position in the level: the next level tiles
+  // them.
   std::vector<PageId> level_pages;
-  std::vector<Mbb> level_boxes;
-  auto add_center = [](const Mbb& box, PackedPoints* centers) {
-    const Vec center = box.Center();
-    centers->rows.insert(centers->rows.end(), center.begin(), center.end());
-    centers->ids.push_back(static_cast<int32_t>(centers->ids.size()));
-  };
-  // The centers of the level just built, each keyed by its position in
-  // the level: the next level tiles them.
   PackedPoints centers;
   centers.dim = dim;
-  for (auto [lo, hi] : runs) {
-    PageId page = tree.NewNode(/*is_leaf=*/true, /*level=*/0);
-    RTreeNode& node = tree.nodes_[page];
-    node.entries.resize(hi - lo);
-    Mbb box = Mbb::EmptyBox(dim);
-    for (size_t i = lo; i < hi; ++i) {
-      RTreeEntry& e = node.entries[i - lo];
-      e.mbb.lo.assign(pts.row(i), pts.row(i) + dim);
-      e.mbb.hi = e.mbb.lo;
-      e.child = pts.ids[i];
-      box.ExpandTo(VecView(pts.row(i), dim));
+  auto finish = [&](PageId page, size_t count, PackedPoints* next) {
+    tree.meta_[page].count = static_cast<uint32_t>(count);
+    tree.FoldBox(page);
+    const double* box = tree.Box(page);
+    for (size_t j = 0; j < dim; ++j) {
+      next->rows.push_back(0.5 * (box[j] + box[dim + j]));
     }
-    add_center(box, &centers);
+    next->ids.push_back(static_cast<int32_t>(next->ids.size()));
+  };
+  for (auto [lo, hi] : runs) {
+    const PageId page = tree.NewNode(/*is_leaf=*/true, /*level=*/0);
+    const Slots s = tree.PageSlots(page);
+    for (size_t i = lo; i < hi; ++i) {
+      s.children[i - lo] = pts.ids[i];
+      for (size_t j = 0; j < dim; ++j) {
+        s.coords[j * cap + i - lo] = pts.row(i)[j];
+        s.coords[(dim + j) * cap + i - lo] = pts.row(i)[j];
+      }
+    }
+    finish(page, hi - lo, &centers);
     level_pages.push_back(page);
-    level_boxes.push_back(std::move(box));
   }
   tree.record_count_ = n;
   pts = PackedPoints();  // hand its memory back before the upper levels
 
-  // Upper levels.
+  // Upper levels: each entry is a child page id and that page's box.
   int level = 1;
   while (level_pages.size() > 1) {
-    runs = TileAll(&centers, tree.capacity_, pool);
+    runs = TileAll(&centers, cap, pool);
     PackedPoints next_centers;
     next_centers.dim = dim;
     std::vector<PageId> next_pages;
-    std::vector<Mbb> next_boxes;
     for (auto [lo, hi] : runs) {
-      PageId page = tree.NewNode(/*is_leaf=*/false, level);
-      RTreeNode& node = tree.nodes_[page];
-      node.entries.resize(hi - lo);
-      Mbb box = Mbb::EmptyBox(dim);
+      const PageId page = tree.NewNode(/*is_leaf=*/false, level);
+      const Slots s = tree.PageSlots(page);
       for (size_t i = lo; i < hi; ++i) {
-        const size_t child = static_cast<size_t>(centers.ids[i]);
-        RTreeEntry& e = node.entries[i - lo];
-        e.mbb = level_boxes[child];
-        e.child = static_cast<int32_t>(level_pages[child]);
-        box.ExpandTo(e.mbb);
+        const PageId child = level_pages[static_cast<size_t>(centers.ids[i])];
+        s.children[i - lo] = static_cast<int32_t>(child);
+        const double* box = tree.Box(child);
+        for (size_t j = 0; j < 2 * dim; ++j) s.coords[j * cap + i - lo] = box[j];
       }
-      add_center(box, &next_centers);
+      finish(page, hi - lo, &next_centers);
       next_pages.push_back(page);
-      next_boxes.push_back(std::move(box));
     }
     level_pages = std::move(next_pages);
-    level_boxes = std::move(next_boxes);
     centers = std::move(next_centers);
     ++level;
   }
@@ -651,8 +805,8 @@ RTree RTree::BulkLoad(const Dataset* dataset, DiskManager* disk,
 }
 
 Result<RTree> RTree::Thaw(const FlatRTree& flat, const Dataset* dataset,
-                         DiskManager* disk) {
-  RTree tree(dataset, disk, RTreeOptions{});
+                          DiskManager* disk) {
+  RTree tree(dataset, disk);
   if (flat.dataset().dim() != dataset->dim() ||
       flat.Capacity() != tree.capacity_) {
     return Status::InvalidArgument(
@@ -660,72 +814,47 @@ Result<RTree> RTree::Thaw(const FlatRTree& flat, const Dataset* dataset,
   }
   tree.bulk_loaded_ = true;  // fill invariants are unknown; be lenient
   const size_t n = flat.node_count();
-  const size_t dim = dataset->dim();
-  tree.nodes_.resize(n);
-  for (size_t p = 0; p < n; ++p) {
-    disk->Allocate();
-    const FlatRTree::NodeView view = flat.PeekNode(static_cast<PageId>(p));
-    tree.nodes_[p].is_leaf = view.is_leaf();
-    tree.nodes_[p].level = view.level();
-  }
-  // Entries are copied for the pages the root reaches; the rest are the
+  const size_t dim = tree.dim_;
+  const size_t cap = tree.capacity_;
+  for (size_t p = 0; p < n; ++p) disk->Allocate();
+  tree.meta_.assign(flat.meta(), flat.meta() + n);
+  tree.boxes_.assign(flat.boxes(), flat.boxes() + n * 2 * dim);
+  tree.coords_.assign(flat.coords(), flat.coords() + n * 2 * dim * cap);
+  tree.children_.assign(flat.children(), flat.children() + n * cap);
+  tree.Anchor();
+  // The pages the root reaches keep their entries; the rest are the
   // slots Delete freed, which Freeze wrote empty. The image is well
   // formed (FlatRTree::FromArena rejects a page reached twice and a
   // record count its leaves do not hold), so `reached` only names the
-  // free pages.
+  // free pages. A reached page's box must be the union of its entries,
+  // as every page box of the mutable tree is.
   std::vector<bool> reached(n, false);
   std::vector<PageId> stack;
   if (flat.root() != kInvalidPage) {
     reached[flat.root()] = true;
     stack.push_back(flat.root());
   }
+  std::vector<double> fold(2 * dim);
   while (!stack.empty()) {
-    const PageId page = stack.back();
+    const NodeView node = tree.PeekNode(stack.back());
+    const double* box = tree.Box(stack.back());
     stack.pop_back();
-    const FlatRTree::NodeView view = flat.PeekNode(page);
-    RTreeNode& node = tree.nodes_[page];
-    node.entries.resize(view.count());
-    for (size_t e = 0; e < view.count(); ++e) {
-      RTreeEntry& entry = node.entries[e];
-      entry.child = view.child(e);
-      entry.mbb.lo.resize(dim);
-      entry.mbb.hi.resize(dim);
-      for (size_t j = 0; j < dim; ++j) {
-        entry.mbb.lo[j] = view.lo(j)[e];
-        entry.mbb.hi[j] = view.hi(j)[e];
-      }
-      if (!view.is_leaf()) {
-        reached[entry.child] = true;
-        stack.push_back(static_cast<PageId>(entry.child));
-      }
+    Fold(node.lo(0), cap, dim, nullptr, node.count(), fold.data());
+    if (std::memcmp(fold.data(), box, 2 * dim * sizeof(double)) != 0) {
+      return Status::DataLoss("page box is not the union of its entries");
+    }
+    if (node.is_leaf()) continue;
+    for (size_t e = 0; e < node.count(); ++e) {
+      reached[node.child(e)] = true;
+      stack.push_back(static_cast<PageId>(node.child(e)));
     }
   }
   for (size_t p = 0; p < n; ++p) {
-    if (!reached[p]) tree.free_pages_.push_back(static_cast<PageId>(p));
+    if (!reached[p]) tree.FreeNode(static_cast<PageId>(p));
   }
   tree.root_ = flat.root();
   tree.record_count_ = flat.size();
   return tree;
-}
-
-std::vector<RecordId> RTree::RangeQuery(const Mbb& box) const {
-  std::vector<RecordId> out;
-  if (root_ == kInvalidPage) return out;
-  std::vector<PageId> stack = {root_};
-  while (!stack.empty()) {
-    PageId page = stack.back();
-    stack.pop_back();
-    const RTreeNode& node = nodes_[page];
-    for (const RTreeEntry& e : node.entries) {
-      if (!box.Intersects(e.mbb)) continue;
-      if (node.is_leaf) {
-        out.push_back(e.child);
-      } else {
-        stack.push_back(static_cast<PageId>(e.child));
-      }
-    }
-  }
-  return out;
 }
 
 Status RTree::Validate() const {
@@ -734,49 +863,56 @@ Status RTree::Validate() const {
                ? Status::Ok()
                : Status::Internal("records recorded but tree empty");
   }
-  const size_t dim = dataset_->dim();
   size_t seen_records = 0;
   std::vector<PageId> stack = {root_};
-  std::set<PageId> visited;
+  std::vector<bool> visited(node_count(), false);
+  std::vector<double> fold(2 * dim_);
   while (!stack.empty()) {
     PageId page = stack.back();
     stack.pop_back();
-    if (!visited.insert(page).second) {
-      return Status::Internal("node reachable twice");
-    }
-    const RTreeNode& node = nodes_[page];
-    if (node.entries.size() > capacity_) {
+    if (visited[page]) return Status::Internal("node reachable twice");
+    visited[page] = true;
+    const NodeView node = PeekNode(page);
+    if (node.count() > capacity_) {
       return Status::Internal("node over capacity");
     }
     // The min-fill invariant is an insertion-maintenance property; STR
     // bulk loading only guarantees balanced (never near-empty) nodes.
     size_t fill_floor = bulk_loaded_ ? 2 : min_entries_;
-    if (page != root_ && node.entries.size() < fill_floor) {
+    if (page != root_ && node.count() < fill_floor) {
       return Status::Internal("non-root node underfull");
     }
-    if (node.is_leaf != (node.level == 0)) {
+    if (node.is_leaf() != (node.level() == 0)) {
       return Status::Internal("leaf flag inconsistent with level");
     }
-    for (const RTreeEntry& e : node.entries) {
-      if (node.is_leaf) {
+    Fold(node.lo(0), capacity_, dim_, nullptr, node.count(), fold.data());
+    if (std::memcmp(fold.data(), boxes() + page * 2 * dim_,
+                    2 * dim_ * sizeof(double)) != 0) {
+      return Status::Internal("page box is not the union of its entries");
+    }
+    for (size_t e = 0; e < node.count(); ++e) {
+      if (node.is_leaf()) {
         ++seen_records;
-        Mbb expected = Mbb::OfPoint(dataset_->Get(e.child));
-        if (LInfDistance(expected.lo, e.mbb.lo) > 0 ||
-            LInfDistance(expected.hi, e.mbb.hi) > 0) {
-          return Status::Internal("leaf MBB does not match record");
+        const VecView p = dataset_->Get(node.child(e));
+        for (size_t j = 0; j < dim_; ++j) {
+          if (node.lo(j)[e] != p[j] || node.hi(j)[e] != p[j]) {
+            return Status::Internal("leaf MBB does not match record");
+          }
         }
-      } else {
-        const RTreeNode& child = nodes_[e.child];
-        if (child.level != node.level - 1) {
-          return Status::Internal("child level mismatch");
-        }
-        Mbb expected = child.ComputeMbb(dim);
-        if (LInfDistance(expected.lo, e.mbb.lo) > 1e-12 ||
-            LInfDistance(expected.hi, e.mbb.hi) > 1e-12) {
+        continue;
+      }
+      const PageId child = static_cast<PageId>(node.child(e));
+      if (PeekNode(child).level() != node.level() - 1) {
+        return Status::Internal("child level mismatch");
+      }
+      const double* tight = boxes() + child * 2 * dim_;
+      for (size_t j = 0; j < dim_; ++j) {
+        if (std::abs(tight[j] - node.lo(j)[e]) > 1e-12 ||
+            std::abs(tight[dim_ + j] - node.hi(j)[e]) > 1e-12) {
           return Status::Internal("internal MBB is not tight");
         }
-        stack.push_back(static_cast<PageId>(e.child));
       }
+      stack.push_back(child);
     }
   }
   if (seen_records != record_count_) {

@@ -7,35 +7,13 @@
 #include "common/result.h"
 #include "dataset/dataset.h"
 #include "index/mbb.h"
+#include "index/node_pages.h"
 #include "storage/disk_manager.h"
 
 namespace gir {
 
 class FlatRTree;
 class ThreadPool;
-
-// One slot of an R-tree node: for internal nodes `child` is a PageId,
-// for leaves it is a RecordId (and the MBB is the point itself).
-struct RTreeEntry {
-  Mbb mbb;
-  int32_t child = -1;
-};
-
-// An R-tree node, sized to fit one disk page.
-struct RTreeNode {
-  bool is_leaf = true;
-  int level = 0;  // 0 = leaf
-  std::vector<RTreeEntry> entries;
-
-  Mbb ComputeMbb(size_t dim) const;
-};
-
-struct RTreeOptions {
-  // Fraction of capacity below which nodes are considered underfull.
-  double min_fill = 0.4;
-  // R*: fraction of entries forcibly reinserted on first overflow.
-  double reinsert_fraction = 0.3;
-};
 
 // Disk-resident R*-tree over a Dataset (Beckmann et al., SIGMOD 1990):
 // ChooseSubtree with minimum overlap enlargement at the leaf level,
@@ -44,15 +22,20 @@ struct RTreeOptions {
 // bulk loader (Leutenegger et al.) is provided for benchmark-scale
 // construction.
 //
-// The mutable tree is the build and update structure; queries run on
-// its frozen image (FlatRTree::Freeze), whose ReadNode charges one page
-// read per node access to the DiskManager. RTree::Thaw turns a frozen
-// image, such as one mapped from an arena file, back into the tree.
-class RTree {
+// The mutable tree keeps its nodes in the arena's page format (see
+// NodePages), in growable arrays indexed by page id; the R* algorithms
+// edit page slots in place, and a node that overflows is worked on in
+// one scratch of Capacity() + 1 entries. It is the build and update
+// structure; queries run on its frozen image (FlatRTree::Freeze, a copy
+// of the four arrays), whose ReadNode charges one page read per node
+// access to the DiskManager. RTree::Thaw copies a frozen image, such as
+// one mapped from an arena file, back into the tree.
+class RTree : public NodePages {
  public:
   // Builds an empty tree. `dataset` and `disk` must outlive the tree.
-  RTree(const Dataset* dataset, DiskManager* disk,
-        const RTreeOptions& options = {});
+  RTree(const Dataset* dataset, DiskManager* disk);
+  RTree(RTree&&) = default;
+  RTree& operator=(RTree&&) = default;
 
   // Inserts one record (R* insertion with forced reinsert).
   void Insert(RecordId id);
@@ -76,87 +59,102 @@ class RTree {
   // (tombstoned records are skipped). It tiles a packed copy of the
   // live rows, the slabs below axis 0 in parallel on a short-lived
   // MakeSetupPool (inline below a few thousand records).
-  static RTree BulkLoad(const Dataset* dataset, DiskManager* disk,
-                        const RTreeOptions& options = {});
+  static RTree BulkLoad(const Dataset* dataset, DiskManager* disk);
   // The same load with the slabs tiled on `pool` (null: inline). Every
   // pool builds the identical tree: page ids, levels, entry order, MBB
   // bits and DiskManager counters.
   static RTree BulkLoad(const Dataset* dataset, DiskManager* disk,
-                        const RTreeOptions& options, ThreadPool* pool);
+                        ThreadPool* pool);
 
   // Rebuilds the tree `flat` was frozen from, the inverse of
-  // FlatRTree::Freeze: every page keeps its id, level and leaf flag,
-  // every entry its child and the bits of its box (read off the lo/hi
-  // planes). Pages the root does not reach go back on the free list.
-  // `dataset` is the record image the tree indexes and `disk` a fresh
-  // DiskManager, which gets one allocation per page and no writes.
-  // InvalidArgument when `dataset`'s dimensionality or `disk`'s page
-  // size gives another node shape than the image's. The image must be
-  // well formed: Freeze's output, or an arena FlatRTree::FromArena
-  // accepted (it rejects a page reached twice and leaves that do not
-  // hold the header's record count).
+  // FlatRTree::Freeze: the four page arrays are copied out of the
+  // image, so every page keeps its id, level, leaf flag, entries and
+  // box bits. Pages the root does not reach are cleared and go back on
+  // the free list. `dataset` is the record image the tree indexes and
+  // `disk` a fresh DiskManager, which gets one allocation per page and
+  // no writes. InvalidArgument when `dataset`'s dimensionality or
+  // `disk`'s page size gives another node shape than the image's. The
+  // image must be well formed: Freeze's output, or an arena
+  // FlatRTree::FromArena accepted (it rejects a page reached twice and
+  // leaves that do not hold the header's record count).
   static Result<RTree> Thaw(const FlatRTree& flat, const Dataset* dataset,
                             DiskManager* disk);
 
-  // Accounting-free node access (Freeze, validation).
-  const RTreeNode& PeekNode(PageId page) const { return nodes_[page]; }
-
-  PageId root() const { return root_; }
-  size_t height() const;  // number of levels (1 = root is a leaf)
-  size_t size() const { return record_count_; }
-  size_t node_count() const { return nodes_.size(); }
-
-  // Max entries per node, derived from the page size: each entry costs
-  // 2*d*8 bytes of MBB plus 4 bytes of child id, and the node header is
-  // 16 bytes.
-  size_t Capacity() const { return capacity_; }
-
-  // All record ids whose point intersects `box` (accounting-free; used
-  // by tests to cross-check against linear scans).
-  std::vector<RecordId> RangeQuery(const Mbb& box) const;
-
   // Structural invariants: MBB containment, fill factors, level
-  // consistency, record multiset equality. Used by tests.
+  // consistency, record multiset equality, and every page box the
+  // union of its entries. Used by tests.
   Status Validate() const;
 
-  const Dataset& dataset() const { return *dataset_; }
-  DiskManager* disk() const { return disk_; }
-
  private:
+  // The entries of one node: page slots, or the overflow scratch. Entry
+  // e's lo(j) is coords[j * stride + e] and its hi(j) is
+  // coords[(dim + j) * stride + e].
+  struct Slots {
+    double* coords;
+    int32_t* children;
+    size_t stride;
+  };
+
   PageId NewNode(bool is_leaf, int level);
   void FreeNode(PageId page);
-  Mbb EntryMbbOf(const RTreeNode& node) const;
+  // Re-aims the base pointers after the arrays grew or were filled.
+  void Anchor();
+  void Reserve(size_t pages);
+
+  double* Box(PageId page) { return boxes_.data() + page * 2 * dim_; }
+  Slots PageSlots(PageId page);
+  // The node's entries: the scratch while the node overflows (its count
+  // is Capacity() + 1), its page slots otherwise.
+  Slots SlotsOf(PageId page);
+  // Copies `n` entries of `from`, picked by `order` (null: in order),
+  // into page slots 0..n-1, clears the slots after them, sets the count
+  // and refolds the page box.
+  void WriteEntries(PageId page, const Slots& from, const uint32_t* order,
+                    size_t n);
+  // Appends one entry (box: lo then hi) to a page with room, or moves
+  // the full page and the entry into the scratch; refolds the box.
+  void AddEntry(PageId page, const double* box, int32_t child);
+  // Removes entry `e`, closing the gap in entry order.
+  void RemoveEntry(PageId page, size_t e);
+  // Recomputes the page's box from its entries, in entry order.
+  void FoldBox(PageId page);
+  // Sets the box of `parent`'s entry for `child` to child's box.
+  void SetChildBox(PageId parent, PageId child);
 
   // Deletion machinery.
-  bool FindLeaf(PageId page, const Mbb& point, RecordId id,
+  bool FindLeaf(PageId page, const double* point, RecordId id,
                 std::vector<PageId>* path) const;
   void CondenseTree(std::vector<PageId> path);
 
-  // R* machinery.
-  PageId ChooseSubtree(const Mbb& box, int target_level,
+  // R* machinery. Boxes are 2*dim doubles, lo then hi.
+  PageId ChooseSubtree(const double* box, int target_level,
                        std::vector<PageId>* path) const;
-  void InsertEntry(RTreeEntry entry, int target_level, int reinsert_depth);
+  void InsertEntry(const double* box, int32_t child, int target_level,
+                   int reinsert_depth);
   void OverflowTreatment(PageId page, std::vector<PageId>& path,
                          int reinsert_depth);
   void Reinsert(PageId page, std::vector<PageId>& path, int reinsert_depth);
   void Split(PageId page, std::vector<PageId>& path);
-  // R* split choice: returns the entries partitioned into two groups.
-  static void ChooseSplit(std::vector<RTreeEntry>& entries, size_t dim,
-                          size_t min_fill, std::vector<RTreeEntry>* left,
-                          std::vector<RTreeEntry>* right);
+  // R* split choice over the scratch: the entry order whose first
+  // `*split_at` entries stay and the rest move to the sibling.
+  void ChooseSplit(std::vector<uint32_t>* order, size_t* split_at) const;
   void RefreshPathMbbs(const std::vector<PageId>& path, PageId child);
 
-  const Dataset* dataset_;
-  DiskManager* disk_;
-  RTreeOptions options_;
-  size_t capacity_;
-  size_t min_entries_;
-  std::vector<RTreeNode> nodes_;
+  size_t min_entries_ = 0;
+  // The page arrays NodePages reads (see there).
+  std::vector<ArenaNodeMeta> meta_;
+  std::vector<double> boxes_;
+  std::vector<double> coords_;
+  std::vector<int32_t> children_;
+  // One overflowing node: Capacity() + 1 entries, in the page layout.
+  std::vector<double> scratch_coords_;
+  std::vector<int32_t> scratch_children_;
   // Pages dissolved by CondenseTree, reusable; sorted by id, so the
   // list is a function of which slots are free and Thaw rebuilds it.
   std::vector<PageId> free_pages_;
-  PageId root_ = kInvalidPage;
-  size_t record_count_ = 0;
+  // R*: the levels that already reinserted during the current Insert
+  // or Delete (bit per level; forced reinsert runs once per level).
+  uint64_t reinserted_levels_ = 0;
   bool bulk_loaded_ = false;
 };
 

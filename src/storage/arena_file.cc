@@ -173,30 +173,14 @@ ArenaImage::ArenaImage(const FlatRTree& flat, uint64_t version) {
       tombstones_.push_back(static_cast<int32_t>(i));
     }
   }
-  meta_.resize(n);
-  mbbs_.resize(n * 2 * dim);
-  for (size_t p = 0; p < n; ++p) {
-    const FlatRTree::NodeView node = flat.PeekNode(static_cast<PageId>(p));
-    meta_[p].count = static_cast<uint32_t>(node.count());
-    meta_[p].level = node.level();
-    meta_[p].is_leaf = node.is_leaf() ? 1 : 0;
-    const Mbb& box = node.mbb();
-    for (size_t j = 0; j < dim; ++j) {
-      mbbs_[p * 2 * dim + j] = box.lo[j];
-      mbbs_[p * 2 * dim + dim + j] = box.hi[j];
-    }
-  }
-  // The flat tree keeps every node's SoA planes in one array of `n`
-  // strides (node 0's lo(0) is its base) and its children in one array
-  // of `n` capacities; the dataset keeps its rows packed row-major.
-  const void* coords = n == 0 ? nullptr : flat.PeekNode(0).lo(0);
-  const void* children = n == 0 ? nullptr : flat.PeekNode(0).children();
+  // The flat tree's four page arrays are the four node sections, and
+  // the dataset keeps its rows packed row-major.
   const void* dataset = rows == 0 ? nullptr : data.Get(0).data();
   const ArenaSpan payload[kArenaSectionCount] = {
-      {meta_.data(), n * sizeof(ArenaNodeMeta)},
-      {mbbs_.data(), mbbs_.size() * sizeof(double)},
-      {coords, n * stride * sizeof(double)},
-      {children, n * cap * sizeof(int32_t)},
+      {flat.meta(), n * sizeof(ArenaNodeMeta)},
+      {flat.boxes(), n * 2 * dim * sizeof(double)},
+      {flat.coords(), n * stride * sizeof(double)},
+      {flat.children(), n * cap * sizeof(int32_t)},
       {dataset, rows * dim * sizeof(double)},
       {tombstones_.data(), tombstones_.size() * sizeof(int32_t)},
   };

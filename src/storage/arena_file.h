@@ -15,15 +15,13 @@ namespace gir {
 class FlatRTree;
 
 // Version-stamped, page-aligned on-disk image of one engine epoch: the
-// frozen FlatRTree arena (SoA coordinate planes, children, per-node
-// headers and MBBs) plus the dataset image it was frozen against
-// (coordinates + tombstones). The layout is designed to be mmap'd and
-// served directly: every section starts on a kArenaAlign boundary, the
-// coordinate planes and children arrays are bit-identical to the
-// heap-resident FlatRTree's vectors, and the per-node metadata is a POD
-// record (the heap FlatNodeMeta holds an Mbb with allocated corners, so
-// it is split here into a fixed-size header section plus a plain
-// lo/hi-doubles MBB section and rebuilt on map).
+// frozen tree's page store (per-node headers, node boxes, SoA
+// coordinate planes and children; see NodePages) plus the dataset image
+// it was frozen against (coordinates + tombstones). The layout is
+// designed to be mmap'd and served directly: every section starts on a
+// kArenaAlign boundary and the four node sections are bit-identical to
+// the page arrays of the mutable tree and of its frozen image, so a
+// mapped file serves them in place.
 //
 // File layout (little-endian, one kArenaAlign-sized header page):
 //   header: u32 magic 'GARN' | u32 format | u64 epoch version
@@ -40,10 +38,10 @@ class FlatRTree;
 // Durability: SnapshotStore::WriteArena publishes these files crash-
 // safely — temp name, fsync, atomic rename, fsync of the directory —
 // under an injected-fault surface (torn tail, flipped byte). It writes
-// the file as a list of spans (ArenaImage): the coordinate planes,
-// children and dataset rows straight from the live arrays, the small
-// sections from packed buffers, padding from a static zero page; no
-// whole-file buffer is built. ArenaFile::Open validates the magic, the
+// the file as a list of spans (ArenaImage): the four node sections and
+// the dataset rows straight from the live arrays, the header and the
+// tombstone list from packed buffers, padding from a static zero page;
+// no whole-file buffer is built. ArenaFile::Open validates the magic, the
 // header CRC and every section CRC before serving a single byte, so a
 // torn or corrupt file is rejected at open, never mapped into an
 // engine. ArenaFile::Verify makes the same checks, through the same
@@ -63,8 +61,9 @@ enum class ArenaSection : uint32_t {
   kTombstones = 6,  // tombstone count int32 record ids
 };
 
-// On-disk per-node header; plain data so the mapped section is the
-// runtime representation (no parse step per node).
+// Per-node header, on disk and in memory alike; plain data so the
+// mapped section is the runtime representation (no parse step per
+// node).
 struct ArenaNodeMeta {
   uint32_t count = 0;
   int32_t level = 0;
@@ -86,12 +85,12 @@ struct ArenaExtent {
 };
 
 // One frozen epoch laid out as the bytes of its arena file, in order,
-// without a copy of the epoch: the coords, children and dataset spans
-// point into the flat tree's and its dataset's own contiguous arrays
-// (which must outlive this object), and every section CRC is taken
-// over those arrays. Only the header page and the node-meta, node-MBB
-// and tombstone sections are packed here; alignment padding points at
-// a static zero page.
+// without a copy of the epoch: the four node sections and the dataset
+// span point into the flat tree's and its dataset's own contiguous
+// arrays (which must outlive this object), and every section CRC is
+// taken over those arrays. Only the header page and the tombstone
+// section are packed here; alignment padding points at a static zero
+// page.
 class ArenaImage {
  public:
   ArenaImage(const FlatRTree& flat, uint64_t version);
@@ -106,8 +105,6 @@ class ArenaImage {
 
  private:
   std::vector<uint8_t> header_;
-  std::vector<ArenaNodeMeta> meta_;
-  std::vector<double> mbbs_;
   std::vector<int32_t> tombstones_;
   ArenaExtent sections_[kArenaSectionCount];
   std::vector<ArenaSpan> spans_;

@@ -170,6 +170,9 @@ Status RunBrsMulti(const FlatRTree& tree, const ScoringFunction& scoring,
     arena->serial = 1;
   }
 
+  if (tree.root() != kInvalidPage) {
+    tree.PeekNode(tree.root()).MbbInto(&arena->root_box);
+  }
   size_t remaining = 0;
   for (size_t q = 0; q < m; ++q) {
     QuerySlot& qs = arena->queries[q];
@@ -185,8 +188,7 @@ Status RunBrsMulti(const FlatRTree& tree, const ScoringFunction& scoring,
     o.io = IoStats{};
     if (tree.root() != kInvalidPage) {
       PendingNode root;
-      root.maxscore = scoring.MaxScore(tree.PeekNode(tree.root()).mbb(),
-                                       queries[q].weights);
+      root.maxscore = scoring.MaxScore(arena->root_box, queries[q].weights);
       root.page = tree.root();
       qs.nodes.push_back(root);  // heap of one
       arena->active[q] = 1;

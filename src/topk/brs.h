@@ -33,7 +33,7 @@ struct PendingNodeLess {
 inline void PendingNodeBox(const FlatRTree& tree, const PendingNode& pn,
                            Mbb* out) {
   if (pn.parent == kInvalidPage) {
-    *out = tree.PeekNode(pn.page).mbb();
+    tree.PeekNode(pn.page).MbbInto(out);
   } else {
     tree.PeekNode(pn.parent).EntryMbbInto(pn.slot, out);
   }
@@ -152,6 +152,7 @@ struct BrsFrontierArena {
   std::vector<uint32_t> run_queries;  // query index per weight row
   std::vector<uint32_t> charged;    // per query: node expansions so far
   std::vector<uint8_t> active;
+  Mbb root_box;  // the tree root's own box, refilled per group
   MultiScoreBuffer scores;
   // Batch-engine group scratch, pooled with the rest of the arena: the
   // per-group query list and the RunBrsMulti output slots (their inner

@@ -55,7 +55,7 @@ TEST(EngineStatsTest, CandidateOrderingAcrossMethods) {
   // The brute-force scan touches every leaf page.
   size_t leaves = 0;
   for (size_t n = 0; n < engine->tree().node_count(); ++n) {
-    if (engine->tree().PeekNode(static_cast<PageId>(n)).is_leaf) ++leaves;
+    if (engine->tree().PeekNode(static_cast<PageId>(n)).is_leaf()) ++leaves;
   }
   EXPECT_EQ(bf->stats.phase2_reads, leaves);
 }

@@ -45,19 +45,20 @@ TEST(FlatRTreeTest, StructureMatchesSource) {
     EXPECT_EQ(flat.size(), tree.size());
     EXPECT_EQ(flat.Capacity(), tree.Capacity());
     for (size_t p = 0; p < tree.node_count(); ++p) {
-      const RTreeNode& node = tree.PeekNode(static_cast<PageId>(p));
+      const FlatRTree::NodeView node = tree.PeekNode(static_cast<PageId>(p));
       FlatRTree::NodeView view = flat.PeekNode(static_cast<PageId>(p));
-      ASSERT_EQ(view.count(), node.entries.size());
-      EXPECT_EQ(view.is_leaf(), node.is_leaf);
-      EXPECT_EQ(view.level(), node.level);
-      const Mbb self = node.ComputeMbb(data.dim());
+      ASSERT_EQ(view.count(), node.count());
+      EXPECT_EQ(view.is_leaf(), node.is_leaf());
+      EXPECT_EQ(view.level(), node.level());
+      Mbb self = Mbb::EmptyBox(data.dim());
+      for (size_t e = 0; e < node.count(); ++e) self.ExpandTo(node.EntryMbb(e));
       EXPECT_EQ(view.mbb().lo, self.lo);
       EXPECT_EQ(view.mbb().hi, self.hi);
-      for (size_t e = 0; e < node.entries.size(); ++e) {
-        EXPECT_EQ(view.child(e), node.entries[e].child);
+      for (size_t e = 0; e < node.count(); ++e) {
+        EXPECT_EQ(view.child(e), node.child(e));
         for (size_t j = 0; j < data.dim(); ++j) {
-          EXPECT_EQ(view.lo(j)[e], node.entries[e].mbb.lo[j]);
-          EXPECT_EQ(view.hi(j)[e], node.entries[e].mbb.hi[j]);
+          EXPECT_EQ(view.lo(j)[e], node.lo(j)[e]);
+          EXPECT_EQ(view.hi(j)[e], node.hi(j)[e]);
         }
       }
     }

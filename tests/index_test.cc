@@ -100,8 +100,27 @@ TEST_P(RTreeBuildTest, InsertValidates) {
 // keys read through Dataset::Get, leaves and upper levels built entry
 // by entry. Pages are numbered in creation order, as NewNode numbers
 // them.
+// Its nodes keep the per-entry layout that loader was written for (a
+// test-local type, independent of the production page layout).
+struct ReferenceEntry {
+  Mbb mbb;
+  int32_t child = -1;
+};
+
+struct ReferenceNode {
+  bool is_leaf = true;
+  int level = 0;
+  std::vector<ReferenceEntry> entries;
+
+  Mbb ComputeMbb(size_t dim) const {
+    Mbb box = Mbb::EmptyBox(dim);
+    for (const ReferenceEntry& e : entries) box.ExpandTo(e.mbb);
+    return box;
+  }
+};
+
 struct ReferenceTree {
-  std::vector<RTreeNode> nodes;
+  std::vector<ReferenceNode> nodes;
   PageId root = kInvalidPage;
 };
 
@@ -166,7 +185,7 @@ ReferenceTree ReferenceBulkLoad(const Dataset& data, size_t capacity) {
   for (auto [lo, hi] : runs) {
     const PageId page = new_node(/*is_leaf=*/true, /*level=*/0);
     for (size_t i = lo; i < hi; ++i) {
-      RTreeEntry e;
+      ReferenceEntry e;
       e.mbb = Mbb::OfPoint(data.Get(ids[i]));
       e.child = ids[i];
       tree.nodes[page].entries.push_back(std::move(e));
@@ -191,7 +210,7 @@ ReferenceTree ReferenceBulkLoad(const Dataset& data, size_t capacity) {
       const PageId page = new_node(/*is_leaf=*/false, level);
       for (size_t i = lo; i < hi; ++i) {
         const PageId child = level_pages[node_ids[i]];
-        RTreeEntry e;
+        ReferenceEntry e;
         e.mbb = tree.nodes[child].ComputeMbb(dim);
         e.child = static_cast<int32_t>(child);
         tree.nodes[page].entries.push_back(std::move(e));
@@ -219,17 +238,17 @@ void ExpectSameNodes(const RTree& tree, const ReferenceTree& ref,
   ASSERT_EQ(tree.node_count(), ref.nodes.size()) << what;
   ASSERT_EQ(tree.root(), ref.root) << what;
   for (size_t p = 0; p < ref.nodes.size(); ++p) {
-    const RTreeNode& got = tree.PeekNode(static_cast<PageId>(p));
-    const RTreeNode& want = ref.nodes[p];
-    ASSERT_EQ(got.is_leaf, want.is_leaf) << what << " page " << p;
-    ASSERT_EQ(got.level, want.level) << what << " page " << p;
-    ASSERT_EQ(got.entries.size(), want.entries.size())
-        << what << " page " << p;
+    const FlatRTree::NodeView got = tree.PeekNode(static_cast<PageId>(p));
+    const ReferenceNode& want = ref.nodes[p];
+    ASSERT_EQ(got.is_leaf(), want.is_leaf) << what << " page " << p;
+    ASSERT_EQ(got.level(), want.level) << what << " page " << p;
+    ASSERT_EQ(got.count(), want.entries.size()) << what << " page " << p;
     for (size_t e = 0; e < want.entries.size(); ++e) {
-      ASSERT_EQ(got.entries[e].child, want.entries[e].child)
+      ASSERT_EQ(got.child(e), want.entries[e].child)
           << what << " page " << p << " entry " << e;
-      ASSERT_TRUE(SameBits(got.entries[e].mbb.lo, want.entries[e].mbb.lo) &&
-                  SameBits(got.entries[e].mbb.hi, want.entries[e].mbb.hi))
+      const Mbb box = got.EntryMbb(e);
+      ASSERT_TRUE(SameBits(box.lo, want.entries[e].mbb.lo) &&
+                  SameBits(box.hi, want.entries[e].mbb.hi))
           << what << " page " << p << " entry " << e;
     }
   }
@@ -298,7 +317,7 @@ TEST_P(RTreeBuildTest, BulkLoadMatchesReferenceStr) {
                                  std::to_string(n) + " threads=" +
                                  std::to_string(pool->size());
         DiskManager disk;
-        const RTree tree = RTree::BulkLoad(&data, &disk, {}, pool);
+        const RTree tree = RTree::BulkLoad(&data, &disk, pool);
         ExpectMatchesReference(tree, disk, ref, what);
         if (HasFatalFailure()) return;
       }
@@ -383,12 +402,12 @@ size_t ReachablePages(const RTree& tree) {
   size_t reached = 0;
   std::vector<PageId> stack = {tree.root()};
   while (!stack.empty()) {
-    const RTreeNode& node = tree.PeekNode(stack.back());
+    const FlatRTree::NodeView node = tree.PeekNode(stack.back());
     stack.pop_back();
     ++reached;
-    if (node.is_leaf) continue;
-    for (const RTreeEntry& e : node.entries) {
-      stack.push_back(static_cast<PageId>(e.child));
+    if (node.is_leaf()) continue;
+    for (size_t e = 0; e < node.count(); ++e) {
+      stack.push_back(static_cast<PageId>(node.child(e)));
     }
   }
   return reached;
