@@ -91,7 +91,7 @@ void MaxDotPlaneMulti(const double* w, size_t m, const double* hi,
                       double* acc, size_t stride, size_t n);
 
 // mask[i] &= (hi[i] >= qlo) & (lo[i] <= qhi): one dimension plane of
-// the SoA interval-overlap sweep (FlatRTree::RangeQuery). mask bytes
+// the SoA interval-overlap sweep (NodePages::RangeQuery). mask bytes
 // are 0 or 1.
 void IntervalOverlapMask(const double* lo, const double* hi, double qlo,
                          double qhi, uint8_t* mask, size_t n);

@@ -17,14 +17,12 @@ class ThreadPool;
 // Read-only image of an RTree, produced by Freeze() — or mapped
 // straight from an on-disk arena file by FromArena().
 //
-// The mutable tree and its image keep their nodes in one layout, the
-// arena's page format (NodePages): per page a POD header and its own
-// box, then the entries' coordinates as SoA planes at a fixed per-node
-// stride — for each dimension j the `lo` values of all entries are
-// contiguous, then the `hi` values — so a batched kernel can stream
-// `w_j * g_j(hi_j[e])` over whole planes, and the entries' child ids.
-// Freeze therefore copies the master's four arrays; nothing is
-// translated.
+// The image and the mutable tree keep their nodes in one layout, the
+// arena's page format (NodePages), so Freeze copies the master's
+// arrays. Inside a node the entry coordinates are SoA planes — for each
+// dimension j the `lo` values of all entries are contiguous, then the
+// `hi` values — so a batched kernel can stream `w_j * g_j(hi_j[e])`
+// over whole planes.
 //
 // Storage is pointer-rebased: the four arrays are reached through raw
 // base pointers that aim either at the image's own heap copy (Freeze)
@@ -49,11 +47,6 @@ class FlatRTree : public NodePages {
   // An empty image (no nodes, invalid root); assign a Freeze result to
   // make it usable. Lets snapshot holders default-construct in place.
   FlatRTree() = default;
-
-  // Moves keep the base pointers (the owned arrays move with them);
-  // copies are forbidden (a copy would alias the source's arrays).
-  FlatRTree(FlatRTree&&) = default;
-  FlatRTree& operator=(FlatRTree&&) = default;
 
   // Copies `tree`'s page arrays. The source tree's disk manager (and,
   // without an override, its dataset) must outlive the frozen image; the
@@ -117,7 +110,6 @@ class FlatRTree : public NodePages {
 
   // True when the image serves its arrays from an mmap'd arena file.
   bool arena_backed() const { return arena_ != nullptr; }
-  const std::shared_ptr<const ArenaFile>& arena() const { return arena_; }
 
   // Asks the kernel to read ahead `n` nodes' mapped ranges
   // (madvise(MADV_WILLNEED)) and accounts the issue; no-op on

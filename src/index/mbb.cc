@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "common/simd.h"
-
 namespace gir {
 
 Mbb Mbb::EmptyBox(size_t dim) {
@@ -19,13 +17,6 @@ Mbb Mbb::OfPoint(VecView p) {
   box.lo.assign(p.begin(), p.end());
   box.hi.assign(p.begin(), p.end());
   return box;
-}
-
-bool Mbb::IsEmpty() const {
-  for (size_t j = 0; j < dim(); ++j) {
-    if (lo[j] > hi[j]) return true;
-  }
-  return false;
 }
 
 void Mbb::ExpandTo(VecView p) {
@@ -43,61 +34,11 @@ void Mbb::ExpandTo(const Mbb& other) {
   }
 }
 
-double Mbb::Area() const {
-  double a = 1.0;
-  for (size_t j = 0; j < dim(); ++j) a *= std::max(0.0, hi[j] - lo[j]);
-  return a;
-}
-
-double Mbb::Margin() const {
-  double m = 0.0;
-  for (size_t j = 0; j < dim(); ++j) m += std::max(0.0, hi[j] - lo[j]);
-  return m;
-}
-
-double Mbb::OverlapArea(const Mbb& other) const {
-  double a = 1.0;
-  for (size_t j = 0; j < dim(); ++j) {
-    double w = std::min(hi[j], other.hi[j]) - std::max(lo[j], other.lo[j]);
-    if (w <= 0.0) return 0.0;
-    a *= w;
-  }
-  return a;
-}
-
-double Mbb::Enlargement(const Mbb& other) const {
-  double enlarged = 1.0;
-  for (size_t j = 0; j < dim(); ++j) {
-    enlarged *= std::max(hi[j], other.hi[j]) - std::min(lo[j], other.lo[j]);
-  }
-  return enlarged - Area();
-}
-
 bool Mbb::ContainsPoint(VecView p) const {
   for (size_t j = 0; j < dim(); ++j) {
     if (p[j] < lo[j] || p[j] > hi[j]) return false;
   }
   return true;
-}
-
-bool Mbb::ContainsMbb(const Mbb& other) const {
-  for (size_t j = 0; j < dim(); ++j) {
-    if (other.lo[j] < lo[j] || other.hi[j] > hi[j]) return false;
-  }
-  return true;
-}
-
-bool Mbb::Intersects(const Mbb& other) const {
-  for (size_t j = 0; j < dim(); ++j) {
-    if (other.hi[j] < lo[j] || other.lo[j] > hi[j]) return false;
-  }
-  return true;
-}
-
-Vec Mbb::Center() const {
-  Vec c(dim());
-  for (size_t j = 0; j < dim(); ++j) c[j] = 0.5 * (lo[j] + hi[j]);
-  return c;
 }
 
 double Mbb::MaxDot(VecView w) const {
@@ -106,25 +47,6 @@ double Mbb::MaxDot(VecView w) const {
     s += std::max(w[j] * lo[j], w[j] * hi[j]);
   }
   return s;
-}
-
-double Mbb::CenterDistanceSquared(const Mbb& other) const {
-  double s = 0.0;
-  for (size_t j = 0; j < dim(); ++j) {
-    double dc = 0.5 * (lo[j] + hi[j]) - 0.5 * (other.lo[j] + other.hi[j]);
-    s += dc * dc;
-  }
-  return s;
-}
-
-void AccumulateMaxDotPlane(double w, const double* lo, const double* hi,
-                           double* acc, size_t n) {
-  simd::MaxDotPlane(w, lo, hi, acc, n);
-}
-
-void AccumulateMinDotPlane(double w, const double* lo, const double* hi,
-                           double* acc, size_t n) {
-  simd::MinDotPlane(w, lo, hi, acc, n);
 }
 
 }  // namespace gir

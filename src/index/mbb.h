@@ -7,7 +7,9 @@
 
 namespace gir {
 
-// Minimum bounding box in [0,1]^d, the unit of R-tree bookkeeping.
+// Minimum bounding box in [0,1]^d: a query-side box (a pending node, a
+// range query, a scoring transform). The trees themselves keep boxes
+// in their page planes (NodePages).
 struct Mbb {
   Vec lo;
   Vec hi;
@@ -16,25 +18,12 @@ struct Mbb {
   static Mbb OfPoint(VecView p);
 
   size_t dim() const { return lo.size(); }
-  bool IsEmpty() const;
 
   void ExpandTo(VecView p);
   void ExpandTo(const Mbb& other);
 
-  // Product of extents (the R*-tree "area").
-  double Area() const;
-  // Sum of extents (the R*-tree "margin").
-  double Margin() const;
-  // Area of the intersection with `other` (0 when disjoint).
-  double OverlapArea(const Mbb& other) const;
-  // Area increase if this box were expanded to cover `other`.
-  double Enlargement(const Mbb& other) const;
-
   bool ContainsPoint(VecView p) const;
-  bool ContainsMbb(const Mbb& other) const;
-  bool Intersects(const Mbb& other) const;
 
-  Vec Center() const;
   // The corner with all-max coordinates; BBS prunes nodes whose top
   // corner is dominated.
   const Vec& TopCorner() const { return hi; }
@@ -43,25 +32,7 @@ struct Mbb {
   // is w·hi; general weights pick per-dimension. This is the BRS
   // `maxscore` for linear scoring.
   double MaxDot(VecView w) const;
-
-  // Squared center-to-center distance (used by R* forced reinsert).
-  double CenterDistanceSquared(const Mbb& other) const;
 };
-
-// Batched SoA counterparts of MaxDot for a block of n boxes stored as
-// per-dimension planes (lo(j)[e], hi(j)[e] — the FlatRTree node
-// layout): one SIMD-dispatched accumulation pass per dimension, so the
-// per-box result has the same per-dimension accumulation order as
-// Mbb::MaxDot. `acc` must hold n zeros (or a running partial sum).
-//   acc[e] += max(w_j * lo_j[e], w_j * hi_j[e])    (AccumulateMaxDotPlane)
-//   acc[e] += min(w_j * lo_j[e], w_j * hi_j[e])    (AccumulateMinDotPlane)
-// Unlike the non-negative-weights maxscore kernel (which reads only the
-// hi planes), these handle general-sign weights — the min/max-score
-// sweep for arbitrary linear functionals over a node's boxes.
-void AccumulateMaxDotPlane(double w, const double* lo, const double* hi,
-                           double* acc, size_t n);
-void AccumulateMinDotPlane(double w, const double* lo, const double* hi,
-                           double* acc, size_t n);
 
 }  // namespace gir
 

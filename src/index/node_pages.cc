@@ -35,19 +35,6 @@ void NodeView::EntryTopCorner(size_t e, Vec* out) const {
   for (size_t j = 0; j < dim_; ++j) (*out)[j] = hi(j)[e];
 }
 
-NodePages& NodePages::operator=(NodePages&& other) noexcept {
-  dataset_ = other.dataset_;
-  disk_ = other.disk_;
-  dim_ = other.dim_;
-  capacity_ = other.capacity_;
-  root_ = std::exchange(other.root_, kInvalidPage);
-  record_count_ = std::exchange(other.record_count_, 0);
-  Point(other.meta_base_, other.boxes_base_, other.coords_base_,
-        other.children_base_, other.node_count_);
-  other.Point(nullptr, nullptr, nullptr, nullptr, 0);
-  return *this;
-}
-
 size_t NodePages::height() const {
   if (root_ == kInvalidPage) return 0;
   return static_cast<size_t>(meta_base_[root_].level) + 1;

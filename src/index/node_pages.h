@@ -2,7 +2,6 @@
 #define GIR_INDEX_NODE_PAGES_H_
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "dataset/dataset.h"
@@ -68,22 +67,15 @@ class NodeView {
   size_t cap_;
 };
 
-// The page store both R-tree forms keep their nodes in, laid out as the
-// arena file's four node sections, each an array indexed by page id:
-//   meta      ArenaNodeMeta per page (entry count, level, leaf flag);
-//   boxes     each page's own box, 2*dim doubles (lo plane, hi plane);
-//   coords    the entries' SoA planes at fixed capacity: for each
-//             dimension j the lo values of all slots, then the hi
-//             values, 2*dim*capacity doubles per page;
-//   children  capacity child ids per page (a leaf's are record ids).
-// Slots past a page's count hold 0.0 in the planes and -1 in the
-// children, and a page with no entries has the EmptyBox box, so the
-// arrays are exactly the bytes of the arena's sections.
-//
-// This class reads the store through four base pointers: RTree aims
-// them at its growable vectors, FlatRTree at its own copy or at a
-// read-only mapping of an arena file. Everything that only reads the
-// tree (node access, height, range queries) is shared here.
+// The page store both R-tree forms keep their nodes in: the arena
+// file's four node sections, each an array indexed by page id. Per
+// page: an ArenaNodeMeta; its own box (2*dim doubles, lo then hi); the
+// entries' SoA planes at fixed capacity (for each dimension the lo
+// values of all slots, then the hi values); and capacity child ids (a
+// leaf's are record ids). Unused slots hold 0.0 and -1, and an empty
+// page the EmptyBox box. This class reads the arrays through base
+// pointers (RTree's vectors, FlatRTree's copy or an arena mapping) and
+// holds everything that only reads the tree.
 class NodePages {
  public:
   // Accounting-free node access.
@@ -104,9 +96,8 @@ class NodePages {
   size_t Capacity() const { return capacity_; }
 
   // All record ids whose point intersects `box` (accounting-free; used
-  // by tests to cross-check against linear scans). Per node, one
-  // SIMD-dispatched interval-overlap pass per dimension narrows a
-  // survivor mask over the planes.
+  // by tests to cross-check against linear scans), by one dispatched
+  // interval-overlap pass per dimension over each node's planes.
   std::vector<RecordId> RangeQuery(const Mbb& box) const;
 
   // The four sections, page 0 first.
@@ -119,11 +110,13 @@ class NodePages {
   DiskManager* disk() const { return disk_; }
 
  protected:
+  // Moves keep the base pointers valid (a store's arrays move with
+  // it); a copy would alias the source's arrays.
   NodePages() = default;
-  // Moves hand the pages over and leave the source empty; copies are
-  // forbidden (a copy would alias the source's arrays).
-  NodePages(NodePages&& other) noexcept { *this = std::move(other); }
-  NodePages& operator=(NodePages&& other) noexcept;
+  NodePages(NodePages&&) = default;
+  NodePages& operator=(NodePages&&) = default;
+  NodePages(const NodePages&) = delete;
+  NodePages& operator=(const NodePages&) = delete;
 
   // Aims the base pointers at `node_count` pages of storage.
   void Point(const ArenaNodeMeta* meta, const double* boxes,

@@ -32,9 +32,9 @@ struct BoxRef {
   double hi(size_t j) const { return p[(dim + j) * stride]; }
 };
 
-// The box arithmetic of the R* choices. Each is the Mbb computation it
-// replaces, operation for operation, so every choice, and every box
-// bit, is the one the per-entry node layout made.
+// The box arithmetic of the R* choices, operation for operation the Mbb
+// arithmetic the per-entry node layout used, so every choice and every
+// box bit is the same.
 double Area(BoxRef b) {
   double a = 1.0;
   for (size_t j = 0; j < b.dim; ++j) a *= std::max(0.0, b.hi(j) - b.lo(j));
@@ -57,7 +57,6 @@ double OverlapArea(BoxRef a, BoxRef b) {
   return area;
 }
 
-// Area increase if `a` were expanded to cover `b`.
 double Enlargement(BoxRef a, BoxRef b) {
   double enlarged = 1.0;
   for (size_t j = 0; j < a.dim; ++j) {
@@ -112,14 +111,6 @@ RTree::RTree(const Dataset* dataset, DiskManager* disk) {
 void RTree::Anchor() {
   Point(meta_.data(), boxes_.data(), coords_.data(), children_.data(),
         meta_.size());
-}
-
-void RTree::Reserve(size_t pages) {
-  meta_.reserve(pages);
-  boxes_.reserve(pages * 2 * dim_);
-  coords_.reserve(pages * 2 * dim_ * capacity_);
-  children_.reserve(pages * capacity_);
-  Anchor();
 }
 
 PageId RTree::NewNode(bool is_leaf, int level) {
@@ -208,9 +199,11 @@ void RTree::AddEntry(PageId page, const double* box, int32_t child) {
   FoldBox(page);
 }
 
-void RTree::RemoveEntry(PageId page, size_t e) {
+void RTree::RemoveEntry(PageId page, int32_t child) {
   const Slots s = PageSlots(page);
   const size_t n = meta_[page].count;
+  const size_t e = std::find(s.children, s.children + n, child) - s.children;
+  if (e == n) return;
   for (size_t j = 0; j < 2 * dim_; ++j) {
     double* plane = s.coords + j * capacity_;
     std::copy(plane + e + 1, plane + n, plane + e);
@@ -224,12 +217,12 @@ void RTree::RemoveEntry(PageId page, size_t e) {
 
 void RTree::SetChildBox(PageId parent, PageId child) {
   const Slots s = SlotsOf(parent);
+  const size_t n = meta_[parent].count;
+  const size_t e = std::find(s.children, s.children + n,
+                             static_cast<int32_t>(child)) - s.children;
   const double* box = Box(child);
-  for (size_t e = 0; e < meta_[parent].count; ++e) {
-    if (s.children[e] == static_cast<int32_t>(child)) {
-      for (size_t j = 0; j < 2 * dim_; ++j) s.coords[j * s.stride + e] = box[j];
-      break;
-    }
+  for (size_t j = 0; e < n && j < 2 * dim_; ++j) {
+    s.coords[j * s.stride + e] = box[j];
   }
   FoldBox(parent);
 }
@@ -345,13 +338,7 @@ void RTree::CondenseTree(std::vector<PageId> path) {
     PageId parent = path.back();
     const size_t count = meta_[page].count;
     if (count < min_entries_) {
-      const Slots up = PageSlots(parent);
-      for (size_t i = 0; i < meta_[parent].count; ++i) {
-        if (up.children[i] == static_cast<int32_t>(page)) {
-          RemoveEntry(parent, i);
-          break;
-        }
-      }
+      RemoveEntry(parent, static_cast<int32_t>(page));
       const Slots s = PageSlots(page);
       for (size_t e = 0; e < count; ++e) {
         for (size_t j = 0; j < 2 * dim_; ++j) {
@@ -388,14 +375,7 @@ bool RTree::Delete(RecordId id) {
   std::vector<PageId> path;
   if (!FindLeaf(root_, dataset_->Get(id).data(), id, &path)) return false;
 
-  const PageId leaf = path.back();
-  const Slots s = PageSlots(leaf);
-  for (size_t i = 0; i < meta_[leaf].count; ++i) {
-    if (s.children[i] == id) {
-      RemoveEntry(leaf, i);
-      break;
-    }
-  }
+  RemoveEntry(path.back(), id);
   --record_count_;
 
   // Orphan reinsertion may overflow nodes; give OverflowTreatment the
@@ -743,7 +723,11 @@ RTree RTree::BulkLoad(const Dataset* dataset, DiskManager* disk,
   // levels hold far fewer pages than the leaves: twice the leaf count
   // sizes the store once. Reserved pages no node uses are address space
   // only; a page is first touched when it is written.
-  tree.Reserve(2 * runs.size());
+  const size_t pages = 2 * runs.size();
+  tree.meta_.reserve(pages);
+  tree.boxes_.reserve(pages * 2 * dim);
+  tree.coords_.reserve(pages * 2 * dim * cap);
+  tree.children_.reserve(pages * cap);
 
   // Each page is written in place, its box folded in entry order; its
   // center is its sort key one level up. The centers of the level just
@@ -826,25 +810,17 @@ Result<RTree> RTree::Thaw(const FlatRTree& flat, const Dataset* dataset,
   // slots Delete freed, which Freeze wrote empty. The image is well
   // formed (FlatRTree::FromArena rejects a page reached twice and a
   // record count its leaves do not hold), so `reached` only names the
-  // free pages. A reached page's box must be the union of its entries,
-  // as every page box of the mutable tree is.
+  // free pages.
   std::vector<bool> reached(n, false);
   std::vector<PageId> stack;
   if (flat.root() != kInvalidPage) {
     reached[flat.root()] = true;
     stack.push_back(flat.root());
   }
-  std::vector<double> fold(2 * dim);
   while (!stack.empty()) {
     const NodeView node = tree.PeekNode(stack.back());
-    const double* box = tree.Box(stack.back());
     stack.pop_back();
-    Fold(node.lo(0), cap, dim, nullptr, node.count(), fold.data());
-    if (std::memcmp(fold.data(), box, 2 * dim * sizeof(double)) != 0) {
-      return Status::DataLoss("page box is not the union of its entries");
-    }
-    if (node.is_leaf()) continue;
-    for (size_t e = 0; e < node.count(); ++e) {
+    for (size_t e = 0; !node.is_leaf() && e < node.count(); ++e) {
       reached[node.child(e)] = true;
       stack.push_back(static_cast<PageId>(node.child(e)));
     }

@@ -22,20 +22,16 @@ class ThreadPool;
 // bulk loader (Leutenegger et al.) is provided for benchmark-scale
 // construction.
 //
-// The mutable tree keeps its nodes in the arena's page format (see
-// NodePages), in growable arrays indexed by page id; the R* algorithms
-// edit page slots in place, and a node that overflows is worked on in
-// one scratch of Capacity() + 1 entries. It is the build and update
-// structure; queries run on its frozen image (FlatRTree::Freeze, a copy
-// of the four arrays), whose ReadNode charges one page read per node
-// access to the DiskManager. RTree::Thaw copies a frozen image, such as
-// one mapped from an arena file, back into the tree.
+// The mutable tree is the build and update structure. It keeps its
+// nodes in the arena's page format (NodePages), in growable arrays; the
+// R* algorithms edit page slots in place, an overflowing node in one
+// scratch of Capacity() + 1 entries. Queries run on its frozen image
+// (FlatRTree::Freeze copies the arrays), and RTree::Thaw copies an
+// image, such as one mapped from an arena file, back into the tree.
 class RTree : public NodePages {
  public:
   // Builds an empty tree. `dataset` and `disk` must outlive the tree.
   RTree(const Dataset* dataset, DiskManager* disk);
-  RTree(RTree&&) = default;
-  RTree& operator=(RTree&&) = default;
 
   // Inserts one record (R* insertion with forced reinsert).
   void Insert(RecordId id);
@@ -67,16 +63,15 @@ class RTree : public NodePages {
                         ThreadPool* pool);
 
   // Rebuilds the tree `flat` was frozen from, the inverse of
-  // FlatRTree::Freeze: the four page arrays are copied out of the
-  // image, so every page keeps its id, level, leaf flag, entries and
-  // box bits. Pages the root does not reach are cleared and go back on
-  // the free list. `dataset` is the record image the tree indexes and
-  // `disk` a fresh DiskManager, which gets one allocation per page and
-  // no writes. InvalidArgument when `dataset`'s dimensionality or
-  // `disk`'s page size gives another node shape than the image's. The
-  // image must be well formed: Freeze's output, or an arena
-  // FlatRTree::FromArena accepted (it rejects a page reached twice and
-  // leaves that do not hold the header's record count).
+  // FlatRTree::Freeze: it copies the page arrays back. Pages the root
+  // does not reach are cleared and go back on the free list. `dataset`
+  // is the record image the tree indexes and `disk` a fresh
+  // DiskManager, which gets one allocation per page and no writes.
+  // InvalidArgument when `dataset`'s dimensionality or `disk`'s page
+  // size gives another node shape than the image's. The image must be
+  // well formed: Freeze's output, or an arena FlatRTree::FromArena
+  // accepted (it rejects a page reached twice and leaves that do not
+  // hold the header's record count).
   static Result<RTree> Thaw(const FlatRTree& flat, const Dataset* dataset,
                             DiskManager* disk);
 
@@ -86,9 +81,9 @@ class RTree : public NodePages {
   Status Validate() const;
 
  private:
-  // The entries of one node: page slots, or the overflow scratch. Entry
-  // e's lo(j) is coords[j * stride + e] and its hi(j) is
-  // coords[(dim + j) * stride + e].
+  // A node's entries: its page slots, or the scratch while it overflows
+  // (count Capacity() + 1). Entry e's lo(j) is coords[j * stride + e],
+  // its hi(j) coords[(dim + j) * stride + e].
   struct Slots {
     double* coords;
     int32_t* children;
@@ -97,29 +92,21 @@ class RTree : public NodePages {
 
   PageId NewNode(bool is_leaf, int level);
   void FreeNode(PageId page);
-  // Re-aims the base pointers after the arrays grew or were filled.
-  void Anchor();
-  void Reserve(size_t pages);
-
+  void Anchor();  // aims the base pointers at the arrays
   double* Box(PageId page) { return boxes_.data() + page * 2 * dim_; }
   Slots PageSlots(PageId page);
-  // The node's entries: the scratch while the node overflows (its count
-  // is Capacity() + 1), its page slots otherwise.
   Slots SlotsOf(PageId page);
-  // Copies `n` entries of `from`, picked by `order` (null: in order),
-  // into page slots 0..n-1, clears the slots after them, sets the count
-  // and refolds the page box.
+  // Each edit below refolds the page box from the entries, in entry
+  // order (FoldBox). WriteEntries writes `n` entries of `from` (entry
+  // order[i], or i) to the page's first slots and clears the rest;
+  // AddEntry appends one (box: lo then hi), moving a full page into the
+  // scratch; SetChildBox sets parent's entry for child to child's box.
   void WriteEntries(PageId page, const Slots& from, const uint32_t* order,
                     size_t n);
-  // Appends one entry (box: lo then hi) to a page with room, or moves
-  // the full page and the entry into the scratch; refolds the box.
   void AddEntry(PageId page, const double* box, int32_t child);
-  // Removes entry `e`, closing the gap in entry order.
-  void RemoveEntry(PageId page, size_t e);
-  // Recomputes the page's box from its entries, in entry order.
-  void FoldBox(PageId page);
-  // Sets the box of `parent`'s entry for `child` to child's box.
+  void RemoveEntry(PageId page, int32_t child);
   void SetChildBox(PageId parent, PageId child);
+  void FoldBox(PageId page);
 
   // Deletion machinery.
   bool FindLeaf(PageId page, const double* point, RecordId id,
@@ -135,25 +122,22 @@ class RTree : public NodePages {
                          int reinsert_depth);
   void Reinsert(PageId page, std::vector<PageId>& path, int reinsert_depth);
   void Split(PageId page, std::vector<PageId>& path);
-  // R* split choice over the scratch: the entry order whose first
-  // `*split_at` entries stay and the rest move to the sibling.
+  // R* split of the scratch: the first *split_at entries of `order`
+  // stay, the rest move to the sibling.
   void ChooseSplit(std::vector<uint32_t>* order, size_t* split_at) const;
   void RefreshPathMbbs(const std::vector<PageId>& path, PageId child);
 
   size_t min_entries_ = 0;
-  // The page arrays NodePages reads (see there).
-  std::vector<ArenaNodeMeta> meta_;
+  std::vector<ArenaNodeMeta> meta_;  // the page arrays (NodePages)
   std::vector<double> boxes_;
   std::vector<double> coords_;
   std::vector<int32_t> children_;
-  // One overflowing node: Capacity() + 1 entries, in the page layout.
-  std::vector<double> scratch_coords_;
+  std::vector<double> scratch_coords_;  // Capacity() + 1 entries
   std::vector<int32_t> scratch_children_;
   // Pages dissolved by CondenseTree, reusable; sorted by id, so the
   // list is a function of which slots are free and Thaw rebuilds it.
   std::vector<PageId> free_pages_;
-  // R*: the levels that already reinserted during the current Insert
-  // or Delete (bit per level; forced reinsert runs once per level).
+  // R*: a bit per level that reinserted in this Insert or Delete.
   uint64_t reinserted_levels_ = 0;
   bool bulk_loaded_ = false;
 };

@@ -145,8 +145,8 @@ Status ParseArenaHeader(const std::string& path, const uint8_t* page,
   return Status::Ok();
 }
 
-// pread until `n` bytes are in; false on an error or an early end of
-// file (a file that shrank under the check).
+}  // namespace
+
 bool PreadFull(int fd, uint8_t* out, size_t n, uint64_t offset) {
   while (n > 0) {
     const ssize_t r = ::pread(fd, out, n, static_cast<off_t>(offset));
@@ -157,8 +157,6 @@ bool PreadFull(int fd, uint8_t* out, size_t n, uint64_t offset) {
   }
   return true;
 }
-
-}  // namespace
 
 ArenaImage::ArenaImage(const FlatRTree& flat, uint64_t version) {
   const Dataset& data = flat.dataset();

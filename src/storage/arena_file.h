@@ -123,6 +123,10 @@ std::vector<uint8_t> BuildArenaImage(const FlatRTree& flat, uint64_t version);
 bool PeekArenaSections(const uint8_t* bytes, size_t n,
                        ArenaExtent out[kArenaSectionCount]);
 
+// Reads `n` bytes at `offset` with pread; false on an error or an
+// early end of file (a file that shrank under the read).
+bool PreadFull(int fd, uint8_t* out, size_t n, uint64_t offset);
+
 // A validated, read-only mmap of one arena file. Shared ownership is
 // the epoch-swap mechanism: the engine's snapshot (and every pinned
 // reader) holds a shared_ptr, so swapping epochs is "open + map the new
@@ -164,7 +168,6 @@ class ArenaFile {
   const double* node_mbbs() const { return node_mbbs_; }
   const double* coords() const { return coords_; }
   const int32_t* children() const { return children_; }
-  const double* dataset_rows_data() const { return dataset_; }
   const int32_t* tombstones() const { return tombstones_; }
 
   // Materializes the dataset image (coordinates + tombstones) as a heap

@@ -1,6 +1,7 @@
 #include "storage/snapshot_store.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -9,7 +10,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
+#include <functional>
+#include <memory>
 #include <vector>
 
 #include "index/flat_rtree.h"
@@ -20,19 +22,6 @@ namespace gir {
 namespace {
 
 namespace fs = std::filesystem;
-
-bool ReadWholeFile(const fs::path& path, std::vector<uint8_t>* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  in.seekg(0, std::ios::end);
-  const std::streamoff size = in.tellg();
-  if (size < 0) return false;
-  in.seekg(0, std::ios::beg);
-  out->resize(static_cast<size_t>(size));
-  in.read(reinterpret_cast<char*>(out->data()),
-          static_cast<std::streamsize>(out->size()));
-  return static_cast<bool>(in);
-}
 
 // True when a recovery candidate that failed to open is gone from its
 // directory: GarbageCollect deleted it after the listing. A dangling
@@ -146,11 +135,10 @@ bool WriteAll(int fd, const uint8_t* data, size_t n) {
   return true;
 }
 
-// Writes the first shape.publish_len bytes of `spans`, with the byte at
-// shape.flip_at flipped.
+// Writes `spans`, which start at file offset `at`, cut at
+// shape.publish_len and with the byte at shape.flip_at flipped.
 bool WriteShaped(int fd, const std::vector<ArenaSpan>& spans,
-                 const FaultShape& shape) {
-  size_t at = 0;  // file offset of the current span
+                 const FaultShape& shape, size_t at) {
   for (const ArenaSpan& span : spans) {
     if (at >= shape.publish_len) break;
     const uint8_t* p = static_cast<const uint8_t*>(span.data);
@@ -170,12 +158,14 @@ bool WriteShaped(int fd, const std::vector<ArenaSpan>& spans,
   return true;
 }
 
+// Writes a file's bytes to `fd`, shaped by a fault decision.
+using WriteFile = std::function<bool(int fd, const FaultShape& shape)>;
+
 // Crash-safe publish: temp file in the same directory, fsync the data,
 // atomic rename onto the final name, fsync the directory entry. Shared
 // by the arena writer and the replication ship.
 Status PublishAtomically(const std::string& dir, const fs::path& final_path,
-                         const std::vector<ArenaSpan>& spans,
-                         const FaultShape& shape) {
+                         const WriteFile& write, const FaultShape& shape) {
   const fs::path tmp_path =
       fs::path(dir) / (final_path.filename().string() + ".tmp");
   {
@@ -184,7 +174,7 @@ Status PublishAtomically(const std::string& dir, const fs::path& final_path,
     if (fd < 0) {
       return Status::Internal("cannot open " + tmp_path.string());
     }
-    if (!WriteShaped(fd, spans, shape)) {
+    if (!write(fd, shape)) {
       ::close(fd);
       return Status::Internal("short write to " + tmp_path.string());
     }
@@ -220,13 +210,12 @@ Status PublishAtomically(const std::string& dir, const fs::path& final_path,
   return Status::Ok();
 }
 
-// Publishes the arena file `spans` (`bytes` long, section table
+// Publishes the arena file `write` writes (`bytes` long, section table
 // `sections`) as version `version` in `dir`, under one fault decision
 // of `injector`. Shared by WriteArena and ShipArenaFrom.
 Result<SnapshotStore::WriteStats> PublishArena(
     const std::string& dir, FaultInjector* injector, uint64_t version,
-    const std::vector<ArenaSpan>& spans, size_t bytes,
-    const ArenaExtent* sections) {
+    size_t bytes, const ArenaExtent* sections, const WriteFile& write) {
   SnapshotStore::WriteStats stats;
   stats.bytes = bytes;
 
@@ -244,7 +233,7 @@ Result<SnapshotStore::WriteStats> PublishArena(
   // from the decision's op ordinal.
   const FaultShape shape =
       ShapeArenaFault(injector, bytes, sections, &stats.injected);
-  Status published = PublishAtomically(dir, final_path, spans, shape);
+  Status published = PublishAtomically(dir, final_path, write, shape);
   if (!published.ok()) return published;
   return stats;
 }
@@ -261,8 +250,10 @@ std::string SnapshotStore::ArenaFileName(uint64_t version) {
 Result<SnapshotStore::WriteStats> SnapshotStore::WriteArena(
     const FlatRTree& flat, uint64_t version) {
   const ArenaImage image(flat, version);
-  return PublishArena(dir_, injector_, version, image.spans(), image.bytes(),
-                      image.sections());
+  return PublishArena(dir_, injector_, version, image.bytes(),
+                      image.sections(), [&](int fd, const FaultShape& shape) {
+                        return WriteShaped(fd, image.spans(), shape, 0);
+                      });
 }
 
 // The recovery scan counts a candidate that is gone from the directory
@@ -331,19 +322,44 @@ std::vector<uint64_t> SnapshotStore::ListArenaVersions() const {
 Result<SnapshotStore::WriteStats> SnapshotStore::ShipArenaFrom(
     const SnapshotStore& src, uint64_t version) {
   const fs::path src_path = fs::path(src.dir()) / ArenaFileName(version);
-  std::vector<uint8_t> file;
-  if (!ReadWholeFile(src_path, &file) || file.empty()) {
+  const int in = ::open(src_path.c_str(), O_RDONLY);
+  struct stat st;
+  if (in < 0 || ::fstat(in, &st) != 0 || st.st_size <= 0) {
+    if (in >= 0) ::close(in);
     return Status::NotFound("no arena epoch " + std::to_string(version) +
                             " in " + src.dir());
   }
-  // The ship is a write on the receiving side: it draws from the same
-  // injected-fault surface as a local publish, because a replication
-  // transport fails the same ways a local disk does. The source may be
-  // torn, so its section table is read unchecked.
+  struct Closer {
+    int fd;
+    ~Closer() { ::close(fd); }
+  } closer{in};
+  const size_t bytes = static_cast<size_t>(st.st_size);
+  // The source streams through one fixed-size buffer, so a ship adds no
+  // file-sized resident set. The ship is a write on the receiving side:
+  // it draws from the same injected-fault surface as a local publish,
+  // because a replication transport fails the same ways a local disk
+  // does. The source may be torn, so its section table is read
+  // unchecked.
+  constexpr size_t kChunk = size_t{1} << 18;
+  std::unique_ptr<uint8_t[]> buf(new uint8_t[kChunk]);
+  const size_t head = std::min(bytes, kChunk);
+  if (!PreadFull(in, buf.get(), head, 0)) {
+    return Status::Internal("cannot read " + src_path.string());
+  }
   ArenaExtent sections[kArenaSectionCount];
-  const bool has_table = PeekArenaSections(file.data(), file.size(), sections);
-  return PublishArena(dir_, injector_, version, {{file.data(), file.size()}},
-                      file.size(), has_table ? sections : nullptr);
+  const bool has_table = PeekArenaSections(buf.get(), head, sections);
+  return PublishArena(
+      dir_, injector_, version, bytes, has_table ? sections : nullptr,
+      [&](int fd, const FaultShape& shape) {
+        for (size_t at = 0; at < shape.publish_len; at += kChunk) {
+          const size_t n = std::min(kChunk, bytes - at);
+          if (!PreadFull(in, buf.get(), n, at) ||
+              !WriteShaped(fd, {{buf.get(), n}}, shape, at)) {
+            return false;
+          }
+        }
+        return true;
+      });
 }
 
 Result<SnapshotStore::GcStats> SnapshotStore::GarbageCollect(

@@ -235,7 +235,7 @@ TEST(SimdDispatchTest, DominanceVerdictsIdentical) {
   }
 }
 
-// The SoA interval-overlap sweep behind FlatRTree::RangeQuery: same
+// The SoA interval-overlap sweep behind NodePages::RangeQuery: same
 // survivors on every tier, and they match a brute-force scan.
 TEST(SimdDispatchTest, RangeQueryMaskIdentical) {
   TierGuard guard;
@@ -297,10 +297,8 @@ TEST(SimdDispatchTest, MinMaxDotPlanesBitIdentical) {
     simd::ForceTier(simd::Tier::kScalar);
     std::vector<double> max_ref(n, 0.0), min_ref(n, 0.0);
     for (size_t j = 0; j < d; ++j) {
-      AccumulateMaxDotPlane(w[j], lo[j].data(), hi[j].data(), max_ref.data(),
-                            n);
-      AccumulateMinDotPlane(w[j], lo[j].data(), hi[j].data(), min_ref.data(),
-                            n);
+      simd::MaxDotPlane(w[j], lo[j].data(), hi[j].data(), max_ref.data(), n);
+      simd::MinDotPlane(w[j], lo[j].data(), hi[j].data(), min_ref.data(), n);
     }
     // Per-box scalar cross-check: same value as Mbb::MaxDot.
     for (size_t e = 0; e < n; ++e) {
@@ -316,10 +314,10 @@ TEST(SimdDispatchTest, MinMaxDotPlanesBitIdentical) {
       simd::ForceTier(tier);
       std::vector<double> max_got(n, 0.0), min_got(n, 0.0);
       for (size_t j = 0; j < d; ++j) {
-        AccumulateMaxDotPlane(w[j], lo[j].data(), hi[j].data(),
-                              max_got.data(), n);
-        AccumulateMinDotPlane(w[j], lo[j].data(), hi[j].data(),
-                              min_got.data(), n);
+        simd::MaxDotPlane(w[j], lo[j].data(), hi[j].data(), max_got.data(),
+                          n);
+        simd::MinDotPlane(w[j], lo[j].data(), hi[j].data(), min_got.data(),
+                          n);
       }
       for (size_t e = 0; e < n; ++e) {
         ASSERT_EQ(max_got[e], max_ref[e]) << simd::TierName(tier);
