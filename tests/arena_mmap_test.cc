@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -398,6 +399,12 @@ TEST(ArenaMmapTest, ArenaFileResidencyControls) {
 
 // ----- structure a checksum cannot vouch for -----
 
+void WriteFile(const std::string& path, const std::vector<uint8_t>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
 // Rewrites the payload of section `kind` of an arena image through
 // `patch(payload)`, then re-stamps that section's CRC and the header
 // CRC, so the damage passes every checksum ArenaFile::Open verifies.
@@ -526,13 +533,168 @@ TEST(ArenaMmapTest, StructurallyDamagedArenaIsRejected) {
   EXPECT_TRUE(RTree::Thaw(*mapped, rows->get(), &clean_disk).ok());
 }
 
-// ----- the checkpoint's read-back check -----
+// A deterministic mutation sweep over the node sections, which the
+// mapped image serves without a copy. The seed is a small churned arena
+// with free pages. Each input is one seeded bit flip in a node section,
+// one field edit (count, level, leaf flag, child id; root and record
+// count in the header) with every CRC re-stamped, so that only the
+// structural checks stand between it and an engine, or a truncation at
+// a section boundary ±1. Every input is refused with a Status by
+// ArenaFile::Open or FlatRTree::FromArena, or maps to an image whose
+// full-space RangeQuery returns exactly the header's record count of
+// dataset rows and which RTree::Thaw accepts or refuses with a Status.
+TEST(ArenaMmapTest, NodeSectionMutationSweep) {
+  const size_t d = 3;
+  Rng rng(kDataSeed + 31);
+  Dataset data = GenerateIndependent(300, d, rng);
+  DiskManager disk(/*page_size_bytes=*/512);
+  RTree tree(&data, &disk);
+  for (size_t i = 0; i < data.size(); ++i) {
+    tree.Insert(static_cast<RecordId>(i));
+  }
+  for (size_t i = 0; i < data.size(); i += 3) {
+    ASSERT_TRUE(tree.Delete(static_cast<RecordId>(i)));
+    data.MarkDeleted(static_cast<RecordId>(i));
+  }
+  const FlatRTree flat = FlatRTree::Freeze(tree);
+  const size_t pages = flat.node_count();
+  const size_t cap = flat.Capacity();
+  size_t reached = 0;
+  for (std::vector<PageId> stack = {flat.root()}; !stack.empty(); ++reached) {
+    const FlatRTree::NodeView node = flat.PeekNode(stack.back());
+    stack.pop_back();
+    for (size_t e = 0; !node.is_leaf() && e < node.count(); ++e) {
+      stack.push_back(static_cast<PageId>(node.child(e)));
+    }
+  }
+  ASSERT_LT(reached, pages) << "the churn freed no page";
+  const std::vector<uint8_t> clean = BuildArenaImage(flat, 1);
+  ArenaExtent sections[kArenaSectionCount];
+  ASSERT_TRUE(PeekArenaSections(clean.data(), clean.size(), sections));
 
-void WriteFile(const std::string& path, const std::vector<uint8_t>& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
+  const std::string dir = FreshDir("arena_sweep");
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/mutant.garn";
+  const double inf = std::numeric_limits<double>::infinity();
+  const Mbb everything{Vec(d, -inf), Vec(d, inf)};
+  size_t refused = 0;
+  size_t served = 0;
+  auto check = [&](const std::vector<uint8_t>& bytes, const std::string& what) {
+    SCOPED_TRACE(what);
+    WriteFile(path, bytes);
+    auto arena = ArenaFile::Open(path);
+    if (!arena.ok()) return void(++refused);
+    auto rows = (*arena)->BuildDataset();
+    if (!rows.ok()) return void(++refused);
+    DiskManager open_disk;
+    auto mapped = FlatRTree::FromArena(*arena, rows->get(), &open_disk);
+    if (!mapped.ok()) return void(++refused);
+    ++served;
+    const std::vector<RecordId> ids = mapped->RangeQuery(everything);
+    EXPECT_EQ(ids.size(), mapped->size());
+    for (RecordId id : ids) {
+      ASSERT_TRUE(id >= 0 && static_cast<size_t>(id) < (*rows)->size());
+    }
+    DiskManager thaw_disk;
+    (void)RTree::Thaw(*mapped, rows->get(), &thaw_disk);
+  };
+  auto edit = [&](ArenaSection kind, const std::function<void(uint8_t*)>& patch,
+                  const std::string& what) {
+    std::vector<uint8_t> image = clean;
+    PatchSection(&image, kind, patch);
+    check(image, what);
+  };
+
+  // Seeded bit flips, 48 per node section.
+  const ArenaSection node_sections[] = {
+      ArenaSection::kNodeMeta, ArenaSection::kNodeMbb, ArenaSection::kCoords,
+      ArenaSection::kChildren};
+  Rng flips(kDataSeed + 32);
+  for (ArenaSection kind : node_sections) {
+    const ArenaExtent& e = sections[static_cast<size_t>(kind) - 1];
+    for (int f = 0; f < 48; ++f) {
+      const size_t at = static_cast<size_t>(flips.UniformInt(e.length));
+      const int bit = static_cast<int>(flips.UniformInt(8));
+      edit(kind, [&](uint8_t* p) { p[at] ^= static_cast<uint8_t>(1u << bit); },
+           "flip section " + std::to_string(static_cast<int>(kind)) +
+               " byte " + std::to_string(at) + " bit " + std::to_string(bit));
+    }
+  }
+  // Field edits on every page: its count, level and leaf flag, and its
+  // first child id and first unused slot.
+  const int32_t rows = static_cast<int32_t>(data.size());
+  for (size_t page = 0; page < pages; ++page) {
+    const std::string at = " of page " + std::to_string(page);
+    auto meta = [page](uint8_t* p) {
+      return reinterpret_cast<ArenaNodeMeta*>(p) + page;
+    };
+    auto slot = [page, cap](uint8_t* p, size_t e) {
+      return reinterpret_cast<int32_t*>(p) + page * cap + e;
+    };
+    for (int64_t count : {-1, 1}) {
+      edit(ArenaSection::kNodeMeta,
+           [&](uint8_t* p) { meta(p)->count += static_cast<uint32_t>(count); },
+           "count " + std::to_string(count) + at);
+    }
+    for (uint32_t count : {0u, static_cast<uint32_t>(cap),
+                           static_cast<uint32_t>(cap + 1)}) {
+      edit(ArenaSection::kNodeMeta, [&](uint8_t* p) { meta(p)->count = count; },
+           "count = " + std::to_string(count) + at);
+    }
+    for (int32_t level : {-1, 1}) {
+      edit(ArenaSection::kNodeMeta, [&](uint8_t* p) { meta(p)->level += level; },
+           "level " + std::to_string(level) + at);
+    }
+    for (uint32_t leaf : {0u, 1u, 2u}) {
+      edit(ArenaSection::kNodeMeta, [&](uint8_t* p) { meta(p)->is_leaf = leaf; },
+           "leaf flag = " + std::to_string(leaf) + at);
+    }
+    const size_t count = flat.PeekNode(static_cast<PageId>(page)).count();
+    for (int32_t child : {-1, 0, static_cast<int32_t>(page),
+                          static_cast<int32_t>(pages), rows - 1, rows}) {
+      edit(ArenaSection::kChildren, [&](uint8_t* p) { *slot(p, 0) = child; },
+           "child 0 = " + std::to_string(child) + at);
+      if (count < cap) {
+        edit(ArenaSection::kChildren,
+             [&](uint8_t* p) { *slot(p, count) = child; },
+             "unused child = " + std::to_string(child) + at);
+      }
+    }
+  }
+  // Header edits: the root (every page, none, one past the end) and the
+  // record count, with the header CRC re-stamped.
+  auto header_edit = [&](size_t offset, int64_t value, const std::string& what) {
+    std::vector<uint8_t> image = clean;
+    std::memcpy(image.data() + offset, &value, sizeof(value));
+    PatchSection(&image, ArenaSection::kNodeMeta, [](uint8_t*) {});
+    check(image, what);
+  };
+  constexpr size_t kRootAt = 40;
+  constexpr size_t kRecordsAt = 48;
+  for (int64_t root = -1; root <= static_cast<int64_t>(pages); ++root) {
+    header_edit(kRootAt, root, "root = " + std::to_string(root));
+  }
+  for (int64_t delta : {-1, 1}) {
+    header_edit(kRecordsAt, static_cast<int64_t>(flat.size()) + delta,
+                "record count " + std::to_string(delta));
+  }
+  // Truncations at every section boundary ±1.
+  for (const ArenaExtent& e : sections) {
+    for (uint64_t edge : {e.offset, e.offset + e.length}) {
+      for (int64_t delta : {-1, 0, 1}) {
+        const size_t len = static_cast<size_t>(edge + delta);
+        if (len > clean.size()) continue;
+        check(std::vector<uint8_t>(clean.begin(), clean.begin() + len),
+              "truncated to " + std::to_string(len));
+      }
+    }
+  }
+  // The sweep reaches both outcomes.
+  EXPECT_GT(refused, 100u);
+  EXPECT_GT(served, 100u);
 }
+
+// ----- the checkpoint's read-back check -----
 
 // ArenaFile::Verify (pread read-back, nothing mapped) and
 // ArenaFile::Open (mmap) share one header parser and must return the
