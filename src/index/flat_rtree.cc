@@ -107,7 +107,11 @@ Result<FlatRTree> FlatRTree::FromArena(
   }
   // One walk from the root: every page it reaches must be reached once
   // (two parents sharing a child would make traversals see its records
-  // twice), and the leaves it reaches must hold the header's records.
+  // twice), every internal page must hold two entries or more (the R*
+  // code never leaves fewer, and a thawed master whose root kept one
+  // child would empty it in CondenseTree and then descend into a
+  // cleared slot), and the leaves it reaches must hold the header's
+  // records.
   size_t records = 0;
   if (flat.root_ != kInvalidPage) {
     std::vector<bool> reached(n, false);
@@ -119,6 +123,9 @@ Result<FlatRTree> FlatRTree::FromArena(
       if (node.is_leaf()) {
         records += node.count();
         continue;
+      }
+      if (node.count() < 2) {
+        return Status::DataLoss("arena internal page holds under two entries");
       }
       for (size_t e = 0; e < node.count(); ++e) {
         if (reached[node.child(e)]) {

@@ -76,7 +76,8 @@ class FlatRTree : public NodePages {
   // the dataset's shape does not match the arena's header; DataLoss when
   // a node is inconsistent (entry count over capacity, leaf flag not
   // matching level 0, leaf record id outside the dataset, child page out
-  // of range or not one level below its parent).
+  // of range or not one level below its parent, a reached internal page
+  // with fewer than two entries).
   static Result<FlatRTree> FromArena(std::shared_ptr<const ArenaFile> arena,
                                      const Dataset* dataset,
                                      DiskManager* disk);

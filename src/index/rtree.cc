@@ -179,23 +179,20 @@ void RTree::WriteEntries(PageId page, const Slots& from,
 }
 
 void RTree::AddEntry(PageId page, const double* box, int32_t child) {
-  const size_t at = meta_[page].count;
-  Slots to = PageSlots(page);
+  const size_t at = meta_[page].count++;
+  const Slots to = SlotsOf(page);
   if (at == capacity_) {
     // The node overflows: it moves, with the new entry last, into the
     // scratch, where Reinsert or Split takes it apart.
-    const Slots scratch = {scratch_coords_.data(), scratch_children_.data(),
-                           capacity_ + 1};
+    const Slots from = PageSlots(page);
     for (size_t j = 0; j < 2 * dim_; ++j) {
-      std::copy_n(to.coords + j * capacity_, capacity_,
-                  scratch.coords + j * scratch.stride);
+      std::copy_n(from.coords + j * capacity_, capacity_,
+                  to.coords + j * to.stride);
     }
-    std::copy_n(to.children, capacity_, scratch.children);
-    to = scratch;
+    std::copy_n(from.children, capacity_, to.children);
   }
   to.children[at] = child;
   for (size_t j = 0; j < 2 * dim_; ++j) to.coords[j * to.stride + at] = box[j];
-  ++meta_[page].count;
   FoldBox(page);
 }
 

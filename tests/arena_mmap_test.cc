@@ -533,6 +533,38 @@ TEST(ArenaMmapTest, StructurallyDamagedArenaIsRejected) {
   EXPECT_TRUE(RTree::Thaw(*mapped, rows->get(), &clean_disk).ok());
 }
 
+// A root that keeps one child passes the other structural checks when
+// the header's record count is that child's. The thawed master would
+// then empty the root when the child dissolves in CondenseTree and
+// descend into the cleared slot to reinsert the orphans. FromArena
+// refuses it.
+TEST(ArenaMmapTest, InternalPageWithOneEntryIsRejected) {
+  const size_t d = 3;
+  Dataset data = MakeDist("IND", 400, d, kDataSeed + 9);
+  DiskManager disk;
+  const FlatRTree flat = FlatRTree::Freeze(RTree::BulkLoad(&data, &disk));
+  ASSERT_EQ(flat.height(), 2u);  // a root over leaves
+  const PageId root = flat.root();
+  const size_t kept = flat.PeekNode(flat.PeekNode(root).child(0)).count();
+  std::vector<uint8_t> image = BuildArenaImage(flat, 1);
+  const uint64_t records = kept;
+  std::memcpy(image.data() + 48, &records, sizeof(records));  // header
+  PatchSection(&image, ArenaSection::kNodeMeta, [&](uint8_t* p) {
+    reinterpret_cast<ArenaNodeMeta*>(p)[root].count = 1;
+  });
+  const std::string path = FreshDir("arena_one_child") + ".garn";
+  WriteFile(path, image);
+  auto arena = ArenaFile::Open(path);
+  ASSERT_TRUE(arena.ok()) << arena.status().message();  // CRCs hold
+  auto rows = (*arena)->BuildDataset();
+  ASSERT_TRUE(rows.ok());
+  DiskManager open_disk;
+  auto mapped = FlatRTree::FromArena(*arena, rows->get(), &open_disk);
+  ASSERT_FALSE(mapped.ok());
+  EXPECT_EQ(mapped.status().code(), StatusCode::kDataLoss);
+  std::filesystem::remove(path);
+}
+
 // A deterministic mutation sweep over the node sections, which the
 // mapped image serves without a copy. The seed is a small churned arena
 // with free pages. Each input is one seeded bit flip in a node section,
