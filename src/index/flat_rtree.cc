@@ -105,13 +105,10 @@ Result<FlatRTree> FlatRTree::FromArena(
       }
     }
   }
-  // One walk from the root: every page it reaches must be reached once
-  // (two parents sharing a child would make traversals see its records
-  // twice), every internal page must hold two entries or more (the R*
-  // code never leaves fewer, and a thawed master whose root kept one
-  // child would empty it in CondenseTree and then descend into a
-  // cleared slot), and the leaves it reaches must hold the header's
-  // records.
+  // One walk from the root: no page reached twice (traversals would see
+  // its records twice), no internal page under two entries (R* never
+  // leaves one; a thawed root with one child empties in CondenseTree),
+  // and leaves holding the header's records.
   size_t records = 0;
   if (flat.root_ != kInvalidPage) {
     std::vector<bool> reached(n, false);

@@ -716,11 +716,8 @@ RTree RTree::BulkLoad(const Dataset* dataset, DiskManager* disk,
   const size_t n = pts.ids.size();
   if (n == 0) return tree;
   std::vector<std::pair<size_t, size_t>> runs = TileAll(&pts, cap, pool);
-  // STR packs each level nearly full, so the levels above the leaves
-  // hold far fewer pages than the leaves: twice the leaf count sizes
-  // the store once (more pages would only grow it). Reserved pages no
-  // node uses are address space only; a page is first touched when it
-  // is written.
+  // STR packs levels nearly full: twice the leaf count sizes the store
+  // once. Unused reserved pages are address space only.
   const size_t pages = 2 * runs.size();
   tree.meta_.reserve(pages);
   tree.boxes_.reserve(pages * 2 * dim);
