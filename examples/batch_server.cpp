@@ -25,7 +25,6 @@ int main() {
   BatchOptions options;
   options.threads = 4;
   options.cache_capacity = 512;
-  options.cache_shards = 8;
   BatchEngine server(engine.get(), options);
 
   // Preference archetypes with per-user jitter: "quality seeker",
@@ -38,8 +37,8 @@ int main() {
   const size_t batch_size = 128;
   std::printf("batch server: %zu workers, cache %zu GIRs x %zu shards, "
               "%zu queries/tick\n\n",
-              server.threads(), options.cache_capacity, options.cache_shards,
-              batch_size);
+              server.threads(), options.cache_capacity,
+              server.cache().shard_count(), batch_size);
   std::printf("%-6s %10s %10s %10s %10s %10s %10s\n", "tick", "wall_ms",
               "qps", "hit_rate", "p50_ms", "p99_ms", "reads");
 

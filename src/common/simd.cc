@@ -256,78 +256,6 @@ void PowIter(const double* x, int e, double* out, size_t n) {
   }
 }
 
-// ----- MaxDotPlane / MinDotPlane -----
-
-namespace {
-
-void MaxDotPlaneScalar(double w, const double* lo, const double* hi,
-                       double* acc, size_t n) {
-  for (size_t i = 0; i < n; ++i) acc[i] += std::max(w * lo[i], w * hi[i]);
-}
-
-void MinDotPlaneScalar(double w, const double* lo, const double* hi,
-                       double* acc, size_t n) {
-  for (size_t i = 0; i < n; ++i) acc[i] += std::min(w * lo[i], w * hi[i]);
-}
-
-#if GIR_SIMD_HAVE_AVX2_TARGET
-GIR_TARGET_AVX2 void MaxDotPlaneAvx2(double w, const double* lo,
-                                     const double* hi, double* acc, size_t n) {
-  const __m256d vw = _mm256_set1_pd(w);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256d a = _mm256_mul_pd(vw, _mm256_loadu_pd(lo + i));
-    __m256d b = _mm256_mul_pd(vw, _mm256_loadu_pd(hi + i));
-    __m256d acc_v = _mm256_loadu_pd(acc + i);
-    _mm256_storeu_pd(acc + i, _mm256_add_pd(acc_v, _mm256_max_pd(a, b)));
-  }
-  for (; i < n; ++i) acc[i] += std::max(w * lo[i], w * hi[i]);
-}
-
-GIR_TARGET_AVX2 void MinDotPlaneAvx2(double w, const double* lo,
-                                     const double* hi, double* acc, size_t n) {
-  const __m256d vw = _mm256_set1_pd(w);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256d a = _mm256_mul_pd(vw, _mm256_loadu_pd(lo + i));
-    __m256d b = _mm256_mul_pd(vw, _mm256_loadu_pd(hi + i));
-    __m256d acc_v = _mm256_loadu_pd(acc + i);
-    _mm256_storeu_pd(acc + i, _mm256_add_pd(acc_v, _mm256_min_pd(a, b)));
-  }
-  for (; i < n; ++i) acc[i] += std::min(w * lo[i], w * hi[i]);
-}
-#endif
-
-}  // namespace
-
-void MaxDotPlane(double w, const double* lo, const double* hi, double* acc,
-                 size_t n) {
-  switch (ActiveTier()) {
-#if GIR_SIMD_HAVE_AVX2_TARGET
-    case Tier::kAvx2:
-      MaxDotPlaneAvx2(w, lo, hi, acc, n);
-      return;
-#endif
-    default:
-      MaxDotPlaneScalar(w, lo, hi, acc, n);
-      return;
-  }
-}
-
-void MinDotPlane(double w, const double* lo, const double* hi, double* acc,
-                 size_t n) {
-  switch (ActiveTier()) {
-#if GIR_SIMD_HAVE_AVX2_TARGET
-    case Tier::kAvx2:
-      MinDotPlaneAvx2(w, lo, hi, acc, n);
-      return;
-#endif
-    default:
-      MinDotPlaneScalar(w, lo, hi, acc, n);
-      return;
-  }
-}
-
 // ----- MaxDotPlaneMulti -----
 
 namespace {

@@ -69,21 +69,12 @@ void Sqrt(const double* x, double* out, size_t n);
 // bitwise. Requires e >= 1.
 void PowIter(const double* x, int e, double* out, size_t n);
 
-// acc[i] += max(w * lo[i], w * hi[i]): one dimension plane of the
-// batched Mbb::MaxDot sweep (general-sign weights).
-void MaxDotPlane(double w, const double* lo, const double* hi, double* acc,
-                 size_t n);
-
-// acc[i] += min(w * lo[i], w * hi[i]): minimum-score counterpart.
-void MinDotPlane(double w, const double* lo, const double* hi, double* acc,
-                 size_t n);
-
 // Multi-weight maxscore plane: for every row r < m,
 //     acc[r * stride + i] += w[r] * hi[i],   i < n.
 // One dimension plane of the shared-traversal batch scorer: under the
 // monotone-transform, non-negative-weight scoring contract the hi plane
-// alone carries a box's maximum (MaxDotPlane's max(w*lo, w*hi) collapses
-// to w*hi), so the multi-weight kernel streams just that plane against a
+// alone carries a box's maximum (Mbb::MaxDot's max(w*lo, w*hi)
+// collapses to w*hi), so the multi-weight kernel streams just that plane against a
 // whole query group's weights. The plane is loaded once per row pair
 // instead of once per query, which is where the cross-query win comes
 // from. Each output row is bit-identical to Axpy(w[r], hi, row, n).

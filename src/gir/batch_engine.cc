@@ -294,12 +294,10 @@ Result<BatchResult> BatchEngine::ComputeBatchShared(
           BrsMultiQuery{VecView(weights[reps[begin + r]]), k});
     }
     std::vector<TopKResult>& topks = arena->results;
-    BrsMultiOptions multi_options;
-    multi_options.prefetch = policy.prefetch;
     Stopwatch traversal_sw;
     Status st = RunBrsMulti(*pin.flat, engine_->scoring(), arena->group,
                             arena.get(), &topks, &group_stats[g],
-                            &arena->statuses, multi_options);
+                            &arena->statuses);
     const double traversal_ms = traversal_sw.ElapsedMillis();
     if (!st.ok()) {
       for (size_t r = 0; r < m; ++r) out.items[reps[begin + r]].status = st;
@@ -400,9 +398,6 @@ Result<BatchResult> BatchEngine::ComputeBatchShared(
   for (size_t g = 0; g < num_groups; ++g) {
     amortized += group_stats[g].unique_reads + group_phase2_reads[g] +
                  group_retry_reads[g];
-    out.stats.prefetch_issued += group_stats[g].prefetch_issued;
-    out.stats.prefetch_hits += group_stats[g].prefetch_hits;
-    out.stats.prefetch_misses += group_stats[g].prefetch_misses;
   }
   FinalizeStats(&out, policy.deadline_ms);
   out.stats.charged_reads = out.stats.total_reads;

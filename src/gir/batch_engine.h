@@ -27,7 +27,6 @@ struct BatchOptions {
   size_t threads = 0;
   // Total cached GIRs across shards; 0 disables caching entirely.
   size_t cache_capacity = 256;
-  size_t cache_shards = 8;
   // Insert computed GIRs back into the cache (lookups are always
   // attempted while the cache is enabled).
   bool populate_cache = true;
@@ -77,15 +76,6 @@ struct BatchStats {
   double p50_ms = 0.0;   // per-query latency percentiles
   double p99_ms = 0.0;
   double max_ms = 0.0;
-
-  // ----- frontier-prefetch accounting (nonzero only when serving an
-  // mmap'd arena under shared traversal with ExecPolicy::prefetch) ---
-  // Pages madvise'd ahead of their round, and of the unique physical
-  // fetches, how many found their mapped page already resident vs. had
-  // to fault it in synchronously.
-  uint64_t prefetch_issued = 0;
-  uint64_t prefetch_hits = 0;
-  uint64_t prefetch_misses = 0;
 
   // ----- shared-traversal accounting (zero in fan-out mode except
   // charged/amortized, which then both equal total_reads) -----
@@ -176,7 +166,7 @@ class BatchEngine {
                        const BatchOptions& options = {})
       : engine_(engine),
         options_(options),
-        cache_(options.cache_capacity, options.cache_shards),
+        cache_(options.cache_capacity),
         pool_(options.threads != 0 ? options.threads
                                    : std::max(1u,
                                               std::thread::
@@ -197,7 +187,7 @@ class BatchEngine {
                                    Phase2Method method);
 
   // Same, under an explicit per-call policy (caller-chosen traversal
-  // groups, width, deadline, retry budget, prefetch — see
+  // groups, width, deadline, retry budget — see
   // gir/exec_policy.h). The policy replaces the engine default
   // wholesale for this call. Results are bit-identical across any
   // valid policies; only wall time and physical I/O differ.

@@ -311,7 +311,7 @@ Status GirEngine::AttachWal(const EngineConfig& config, bool replay) {
     Publish(FreezeEpoch(dataset_version(), pool.get()));
   }
   Result<std::unique_ptr<WalWriter>> writer = WalWriter::Open(
-      wal_store_.get(), dataset_version(), dim, config.wal);
+      wal_store_.get(), dataset_version(), dim);
   if (!writer.ok()) return writer.status();
   wal_ = std::move(*writer);
   return Status::Ok();
@@ -584,8 +584,8 @@ Status GirEngine::MutateLocked(const UpdateBatch& batch, bool log_to_wal,
   Stopwatch sw;
 
   // 1. Make the batch durable before touching any state. This is the
-  // ack point: once the group commit covers the record, a crash at any
-  // later step replays the batch on recovery; if the commit fails, the
+  // ack point: once the record's fsync returns, a crash at any later
+  // step replays the batch on recovery; if the commit fails, the
   // caller sees the error with the engine exactly as it was.
   if (log_to_wal && wal_ != nullptr) {
     const uint64_t new_version = version_.load(std::memory_order_relaxed) + 1;

@@ -80,7 +80,7 @@ struct UpdateStats {
   size_t applied_deletes = 0;
   uint64_t version = 0;        // epoch published by this batch
   bool wal_logged = false;     // batch is fsync-durable in the WAL
-  double wal_ms = 0.0;         // append + group-commit wait
+  double wal_ms = 0.0;         // record append + its fsync
   double apply_ms = 0.0;       // R*-tree + dataset mutation
   double refreeze_ms = 0.0;    // dataset copy + FlatRTree::Freeze
   double invalidate_ms = 0.0;  // incremental cache invalidation
@@ -159,16 +159,14 @@ struct EngineConfig {
   // not match any logged history, so the directory should be fresh or
   // recovered-from. kDataset (const) refuses a WAL.
   std::string wal_dir;
-  WalOptions wal;                        // group-commit knobs
-  FaultInjector* wal_injector = nullptr; // non-owning; may be null
+  FaultInjector* wal_injector = nullptr;  // non-owning; may be null
 
   // Chains onto a factory:
   //   GirEngine::Open(EngineConfig::FromArena(dir, &disk, scoring)
   //                       .WithWal(wal_dir));
-  EngineConfig&& WithWal(std::string dir, WalOptions wal_options = {},
+  EngineConfig&& WithWal(std::string dir,
                          FaultInjector* injector = nullptr) && {
     wal_dir = std::move(dir);
-    wal = wal_options;
     wal_injector = injector;
     return std::move(*this);
   }
@@ -310,7 +308,7 @@ class GirEngine {
   //      single mutation. A failed batch leaves dataset, tree and WAL
   //      untouched (all-or-nothing).
   //   2. log — with a WAL attached (EngineConfig::WithWal), the batch
-  //      is appended and group-committed; the call fails without
+  //      is appended and fsynced; the call fails without
   //      mutating anything if the record cannot be made durable. This
   //      is the ack point: a batch this method returns Ok for survives
   //      any crash from here on.

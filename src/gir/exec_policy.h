@@ -14,14 +14,13 @@ namespace gir {
 // BatchOptions::exec holds the engine-level default, and the serve
 // replay/admission stack builds its per-batch policy from the engine
 // default plus the admission former's output. A default-constructed
-// policy is the documented baseline: independent fan-out per query,
-// two retries on transient faults, prefetch enabled where an mmap'd
-// arena makes it meaningful.
+// policy is the documented baseline: independent fan-out per query and
+// two retries on transient faults.
 //
 // Every field is per-call; none reconfigures the engine. Results are
-// policy-independent — grouping, widths, prefetch and retries change
-// wall time and physical I/O, never which records come back (see the
-// shared-traversal and prefetch contracts).
+// policy-independent — grouping, widths and retries change wall time
+// and physical I/O, never which records come back (see the
+// shared-traversal contract).
 struct ExecPolicy {
   // Shared-traversal execution: cache-missing queries are deduplicated,
   // grouped, and run through RunBrsMulti — one physical walk of the
@@ -64,13 +63,6 @@ struct ExecPolicy {
   // item, never a silent drop. 0 disables retries.
   size_t max_retries = 2;
   double retry_backoff_ms = 0.25;
-
-  // Frontier prefetch on mmap-arena-backed engines: each
-  // shared-traversal round madvise(MADV_WILLNEED)s its whole demanded
-  // page set before fetching/scoring the first page, so kernel
-  // readahead overlaps the round's SIMD scoring. No-op on heap-frozen
-  // images; never changes results, only page-in timing.
-  bool prefetch = true;
 
   // ----- replicated-serving hints -----
   // These two fields ride the policy down through the serve router

@@ -92,35 +92,8 @@ class FlatRTree : public NodePages {
   }
 
   // Checked fetch of one page: charges the read through the
-  // DiskManager's fault-injectable ReadPage path, and — when the image
-  // is arena-backed — physically touches the node's mapped bytes so
-  // the page-in cost lands inside the charged read. `resident` (may be
-  // null) reports whether the mapped page was already resident
-  // (prefetch hit signal); always true for heap-backed images.
-  Status FetchPage(PageId page, bool* resident = nullptr) const {
-    Status read = disk_->ReadPage(page);
-    if (arena_ != nullptr) {
-      const bool was = arena_->TouchNode(page);
-      if (resident != nullptr) *resident = was;
-      if (read.ok()) disk_->NotePrefetchTouch(was);
-    } else if (resident != nullptr) {
-      *resident = true;
-    }
-    return read;
-  }
-
-  // True when the image serves its arrays from an mmap'd arena file.
-  bool arena_backed() const { return arena_ != nullptr; }
-
-  // Asks the kernel to read ahead `n` nodes' mapped ranges
-  // (madvise(MADV_WILLNEED)) and accounts the issue; no-op on
-  // heap-backed images. The shared-traversal executor calls this with
-  // the union page set of the upcoming lockstep round.
-  void PrefetchPages(const PageId* pages, size_t n) const {
-    if (arena_ == nullptr || n == 0) return;
-    arena_->PrefetchNodes(pages, n);
-    disk_->NotePrefetchIssued(n);
-  }
+  // DiskManager's fault-injectable ReadPage path.
+  Status FetchPage(PageId page) const { return disk_->ReadPage(page); }
 
  private:
   // Owned storage (Freeze). Null when arena-backed.

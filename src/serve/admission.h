@@ -15,8 +15,7 @@ struct AdmissionOptions {
   // Formation is work-conserving: whenever the dispatcher is free and a
   // request is queued, a batch fires at once with everything queued, up
   // to max_batch (FIFO). Nothing lingers to fill a batch; batches grow
-  // only from requests that arrived while the previous batch ran, as
-  // the WAL's group commit shares the leader's fsync.
+  // only from requests that arrived while the previous batch ran.
   size_t max_batch = 128;
   // Unread. Kept only because girbench still assigns it; slated for
   // removal.

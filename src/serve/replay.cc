@@ -81,9 +81,6 @@ Status ExecuteOneBatch(ReplayState* state, BatchEngine* engine,
   state->report.deadline_misses += result->stats.deadline_misses;
   state->metrics.RecordFaultRetries(result->stats.fault_retries,
                                     result->stats.retry_successes);
-  state->metrics.RecordPrefetch(result->stats.prefetch_issued,
-                                result->stats.prefetch_hits,
-                                result->stats.prefetch_misses);
   state->metrics.RecordBatch(formed.requests.size(),
                              options.adaptive_width ? formed.width
                                                     : options.static_width);

@@ -90,13 +90,6 @@ void MetricsBuilder::RecordFaultRetries(uint64_t retries,
   metrics_.retry_successes += successes;
 }
 
-void MetricsBuilder::RecordPrefetch(uint64_t issued, uint64_t hits,
-                                    uint64_t misses) {
-  metrics_.prefetch_issued += issued;
-  metrics_.prefetch_hits += hits;
-  metrics_.prefetch_misses += misses;
-}
-
 void MetricsBuilder::RecordBatch(size_t occupancy, size_t width) {
   if (occupancy == 0) return;
   ++metrics_.batches;

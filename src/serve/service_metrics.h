@@ -86,15 +86,6 @@ struct ServiceMetrics {
   uint64_t fault_retries = 0;    // engine retry attempts, run-wide
   uint64_t retry_successes = 0;  // queries served only thanks to a retry
 
-  // ----- mmap-arena frontier prefetch (zero on heap-backed engines) --
-  // Pages madvise'd ahead of their traversal round, and of the unique
-  // physical fetches, how many found the page resident vs. faulted it
-  // in synchronously. The hit fraction is the overlap the prefetcher
-  // actually bought.
-  uint64_t prefetch_issued = 0;
-  uint64_t prefetch_hits = 0;
-  uint64_t prefetch_misses = 0;
-
   double ShedRate() const {
     return requests == 0
                ? 0.0
@@ -125,8 +116,6 @@ class MetricsBuilder {
   void RecordUpdate();
   // Engine-side retry accounting of one executed batch.
   void RecordFaultRetries(uint64_t retries, uint64_t successes);
-  // Frontier-prefetch accounting of one executed batch.
-  void RecordPrefetch(uint64_t issued, uint64_t hits, uint64_t misses);
 
   const SlidingWindow& window() const { return window_; }
   ServiceMetrics Finalize();

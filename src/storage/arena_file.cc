@@ -300,7 +300,6 @@ Result<std::shared_ptr<const ArenaFile>> ArenaFile::Open(
   file->record_count_ = static_cast<size_t>(h.records);
   file->dataset_rows_ = static_cast<size_t>(h.rows);
   file->tombstone_count_ = static_cast<size_t>(h.tombs);
-  file->node_stride_ = 2 * file->dim_ * file->capacity_;
   const ArenaExtent* sec = h.sections;
   file->node_meta_ =
       reinterpret_cast<const ArenaNodeMeta*>(base + sec[0].offset);
@@ -366,57 +365,6 @@ Result<std::unique_ptr<Dataset>> ArenaFile::BuildDataset() const {
     out->MarkDeleted(id);
   }
   return out;
-}
-
-void ArenaFile::NodeSpan(PageId page, const uint8_t** addr,
-                         size_t* len) const {
-  const size_t begin = reinterpret_cast<size_t>(coords_) +
-                       static_cast<size_t>(page) * node_stride_ *
-                           sizeof(double);
-  const size_t end = begin + node_stride_ * sizeof(double);
-  const size_t lo = begin & ~(kArenaAlign - 1);
-  *addr = reinterpret_cast<const uint8_t*>(lo);
-  *len = AlignUp(end) - lo;
-}
-
-void ArenaFile::PrefetchNodes(const PageId* pages, size_t n) const {
-  for (size_t i = 0; i < n; ++i) {
-    const uint8_t* addr = nullptr;
-    size_t len = 0;
-    NodeSpan(pages[i], &addr, &len);
-    ::madvise(const_cast<uint8_t*>(addr), len, MADV_WILLNEED);
-  }
-}
-
-bool ArenaFile::TouchNode(PageId page) const {
-  const uint8_t* addr = nullptr;
-  size_t len = 0;
-  NodeSpan(page, &addr, &len);
-  unsigned char resident = 0;
-  const bool was_resident =
-      ::mincore(const_cast<uint8_t*>(addr), 1, &resident) == 0 &&
-      (resident & 1) != 0;
-  // Force the page in so the fetch's fault cost lands here, inside the
-  // charged read, not inside the scoring kernel that follows.
-  const volatile uint8_t* touch = addr;
-  (void)*touch;
-  return was_resident;
-}
-
-void ArenaFile::Evict() const {
-  ::madvise(map_, bytes_, MADV_DONTNEED);
-  // Also drop the (clean) page-cache copies, so the next touch is a
-  // real device read and not a silent cache refill.
-  ::posix_fadvise(fd_, 0, 0, POSIX_FADV_DONTNEED);
-}
-
-size_t ArenaFile::ResidentBytes() const {
-  const size_t pages = (bytes_ + kArenaAlign - 1) / kArenaAlign;
-  std::vector<unsigned char> vec(pages, 0);
-  if (::mincore(map_, bytes_, vec.data()) != 0) return 0;
-  size_t resident = 0;
-  for (unsigned char v : vec) resident += (v & 1) ? kArenaAlign : 0;
-  return resident;
 }
 
 }  // namespace gir

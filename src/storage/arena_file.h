@@ -176,32 +176,8 @@ class ArenaFile {
   // record image is copied out.
   Result<std::unique_ptr<Dataset>> BuildDataset() const;
 
-  // Asks the kernel to read ahead the byte ranges of `n` nodes
-  // (coordinate planes + children), so a traversal that will touch them
-  // next round overlaps its SIMD scoring with the readahead
-  // (madvise(MADV_WILLNEED); an io_uring read path is the noted
-  // follow-up for hosts where madvise readahead is too passive).
-  void PrefetchNodes(const PageId* pages, size_t n) const;
-
-  // Touches node `page`'s first mapped byte (forcing the page in if it
-  // is not resident) and returns whether it was resident beforehand
-  // (mincore) — the per-fetch hit/miss signal of the prefetcher.
-  bool TouchNode(PageId page) const;
-
-  // Drops the mapping's resident pages (MADV_DONTNEED) and asks the
-  // page cache to drop the file's clean pages (POSIX_FADV_DONTNEED), so
-  // the next touch faults the page in (arena_mmap_test:
-  // ArenaMmapTest.ArenaFileResidencyControls).
-  void Evict() const;
-
-  // Currently resident bytes of the mapping (mincore scan).
-  size_t ResidentBytes() const;
-
  private:
   ArenaFile() = default;
-
-  // Byte span of node `page` inside the coords section.
-  void NodeSpan(PageId page, const uint8_t** addr, size_t* len) const;
 
   std::string path_;
   int fd_ = -1;
@@ -215,7 +191,6 @@ class ArenaFile {
   size_t record_count_ = 0;
   size_t dataset_rows_ = 0;
   size_t tombstone_count_ = 0;
-  size_t node_stride_ = 0;  // doubles per node in the coords section
   const ArenaNodeMeta* node_meta_ = nullptr;
   const double* node_mbbs_ = nullptr;
   const double* coords_ = nullptr;

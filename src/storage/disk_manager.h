@@ -73,31 +73,12 @@ class DiskManager {
     writes_.fetch_add(1, std::memory_order_relaxed);
     ++ThreadStats().writes;
   }
-  // Frontier-prefetch accounting (mmap'd arenas only): `n` pages were
-  // madvise'd ahead of their round, and each first touch of a mapped
-  // page reports whether it found the page resident.
-  void NotePrefetchIssued(uint64_t n) {
-    prefetch_issued_.fetch_add(n, std::memory_order_relaxed);
-    ThreadStats().prefetch_issued += n;
-  }
-  void NotePrefetchTouch(bool resident) {
-    if (resident) {
-      prefetch_hits_.fetch_add(1, std::memory_order_relaxed);
-      ++ThreadStats().prefetch_hits;
-    } else {
-      prefetch_misses_.fetch_add(1, std::memory_order_relaxed);
-      ++ThreadStats().prefetch_misses;
-    }
-  }
 
   // Snapshot of the global counters (all threads, since construction or
   // the last ResetStats).
   IoStats stats() const {
     return IoStats{reads_.load(std::memory_order_relaxed),
-                   writes_.load(std::memory_order_relaxed),
-                   prefetch_issued_.load(std::memory_order_relaxed),
-                   prefetch_hits_.load(std::memory_order_relaxed),
-                   prefetch_misses_.load(std::memory_order_relaxed)};
+                   writes_.load(std::memory_order_relaxed)};
   }
   // Zeroes the global counters AND the calling thread's ThreadStats
   // accumulator, so a reset between single-threaded measurement runs
@@ -107,9 +88,6 @@ class DiskManager {
   void ResetStats() {
     reads_.store(0, std::memory_order_relaxed);
     writes_.store(0, std::memory_order_relaxed);
-    prefetch_issued_.store(0, std::memory_order_relaxed);
-    prefetch_hits_.store(0, std::memory_order_relaxed);
-    prefetch_misses_.store(0, std::memory_order_relaxed);
     ThreadStats() = IoStats{};
   }
 
@@ -131,9 +109,6 @@ class DiskManager {
   std::atomic<PageId> next_page_{0};
   std::atomic<uint64_t> reads_{0};
   std::atomic<uint64_t> writes_{0};
-  std::atomic<uint64_t> prefetch_issued_{0};
-  std::atomic<uint64_t> prefetch_hits_{0};
-  std::atomic<uint64_t> prefetch_misses_{0};
   std::atomic<FaultInjector*> injector_{nullptr};
 };
 

@@ -48,8 +48,8 @@ struct FaultPlan {
   // Probability one byte of the appended record is flipped on the way
   // to the platter (bit rot the record CRC must catch at replay).
   double wal_corrupt_rate = 0.0;
-  // Probability a group-commit fsync fails with EIO. The writer rolls
-  // the unsynced tail back and refuses the ack — EIO on commit must
+  // Probability a record's fsync fails with EIO. The writer rolls the
+  // record back and refuses the ack — EIO on commit must
   // never acknowledge.
   double wal_fsync_error_rate = 0.0;
   // Probability an append or fsync stalls for latency_spike_ms (slow
@@ -101,7 +101,7 @@ class FaultInjector {
   // returns kNone.
   WriteDecision OnWalAppend();
 
-  // Consulted by WalWriter once per group-commit fsync. Returns Ok
+  // Consulted by WalWriter once per record fsync. Returns Ok
   // (possibly after a latency stall) or kUnavailable (injected EIO).
   Status OnWalFsync();
 

@@ -12,15 +12,6 @@ namespace gir {
 struct IoStats {
   uint64_t reads = 0;
   uint64_t writes = 0;
-  // ----- mmap'd-arena frontier prefetch (zero on heap-resident images)
-  // Pages the traversal asked the kernel to read ahead
-  // (madvise(MADV_WILLNEED)) before their lockstep round fetched them.
-  uint64_t prefetch_issued = 0;
-  // First touches of a mapped page that found it resident (the readahead
-  // — or the page cache — won the race) vs. touches that had to fault
-  // the page in synchronously.
-  uint64_t prefetch_hits = 0;
-  uint64_t prefetch_misses = 0;
 
   double ReadMillis(double ms_per_read) const {
     return static_cast<double>(reads) * ms_per_read;
@@ -29,18 +20,12 @@ struct IoStats {
   IoStats& operator+=(const IoStats& other) {
     reads += other.reads;
     writes += other.writes;
-    prefetch_issued += other.prefetch_issued;
-    prefetch_hits += other.prefetch_hits;
-    prefetch_misses += other.prefetch_misses;
     return *this;
   }
 };
 
 inline IoStats operator-(const IoStats& a, const IoStats& b) {
-  return IoStats{a.reads - b.reads, a.writes - b.writes,
-                 a.prefetch_issued - b.prefetch_issued,
-                 a.prefetch_hits - b.prefetch_hits,
-                 a.prefetch_misses - b.prefetch_misses};
+  return IoStats{a.reads - b.reads, a.writes - b.writes};
 }
 
 }  // namespace gir

@@ -338,8 +338,7 @@ Result<WalStore::TruncateStats> WalStore::Truncate(uint64_t durable_epoch) {
 
 Result<std::unique_ptr<WalWriter>> WalWriter::Open(WalStore* store,
                                                    uint64_t base_epoch,
-                                                   uint64_t dim,
-                                                   WalOptions options) {
+                                                   uint64_t dim) {
   if (store == nullptr) {
     return Status::InvalidArgument("WalWriter requires a WalStore");
   }
@@ -352,7 +351,7 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Open(WalStore* store,
     return Status::Internal("cannot create wal dir " + store->dir() + ": " +
                             ec.message());
   }
-  std::unique_ptr<WalWriter> writer(new WalWriter(store, dim, options));
+  std::unique_ptr<WalWriter> writer(new WalWriter(store, dim));
   Status opened = writer->OpenSegmentLocked(base_epoch);
   if (!opened.ok()) return opened;
   return writer;
@@ -399,11 +398,19 @@ Status WalWriter::OpenSegmentLocked(uint64_t base) {
   base_epoch_ = base;
   segment_path_ = path.string();
   file_offset_ = header.size();
-  durable_offset_ = header.size();
   return Status::Ok();
 }
 
-Result<uint64_t> WalWriter::Append(const UpdateBatch& batch, uint64_t epoch) {
+bool WalWriter::RollbackLocked() {
+  // The lseek must succeed too: appending past a failed seek would leave
+  // a zero-filled hole that replay reads as a torn tail, hiding every
+  // record after it.
+  return ::ftruncate(fd_, static_cast<off_t>(file_offset_)) == 0 &&
+         ::lseek(fd_, static_cast<off_t>(file_offset_), SEEK_SET) ==
+             static_cast<off_t>(file_offset_);
+}
+
+Status WalWriter::AppendDurable(const UpdateBatch& batch, uint64_t epoch) {
   for (const Vec& row : batch.inserts) {
     if (row.size() != dim_) {
       return Status::InvalidArgument(
@@ -414,7 +421,7 @@ Result<uint64_t> WalWriter::Append(const UpdateBatch& batch, uint64_t epoch) {
   const std::vector<uint8_t> payload = RecordPayload(batch, epoch, dim_);
   const std::vector<uint8_t> frame = FrameRecord(payload);
 
-  std::unique_lock<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   if (!poison_.ok()) return poison_;
   if (epoch <= base_epoch_) {
     return Status::InvalidArgument(
@@ -452,19 +459,12 @@ Result<uint64_t> WalWriter::Append(const UpdateBatch& batch, uint64_t epoch) {
   if (!written.ok()) {
     // A real write error: roll the partial frame back so the segment
     // tail stays clean, and fail the ack without poisoning — the
-    // device may work again on the next batch. The lseek must succeed
-    // too: appending past a failed seek would leave a zero-filled hole
-    // that replay reads as a torn tail, hiding every record after it.
-    if (::ftruncate(fd_, static_cast<off_t>(file_offset_)) == 0 &&
-        ::lseek(fd_, static_cast<off_t>(file_offset_), SEEK_SET) ==
-            static_cast<off_t>(file_offset_)) {
-      return written;
-    }
+    // device may work again on the next batch.
+    if (RollbackLocked()) return written;
     poison_ = Status::DataLoss("wal rollback failed after write error on " +
                                segment_path_);
     return poison_;
   }
-  file_offset_ += publish_len;
   if (injected != FaultInjector::WriteFault::kNone) {
     // The injected damage models a crash mid-append (torn) or bit rot
     // under the write head (corrupt). Either way the bytes on disk are
@@ -475,32 +475,10 @@ Result<uint64_t> WalWriter::Append(const UpdateBatch& batch, uint64_t epoch) {
         std::string("injected ") +
         (injected == FaultInjector::WriteFault::kTorn ? "torn" : "corrupt") +
         " wal append (simulated crash) on " + segment_path_);
-    cv_.notify_all();
     return poison_;
-  }
-
-  const uint64_t ticket = next_ticket_++;
-  last_ticket_ = ticket;
-  if (durable_ticket_ + 1 == ticket) {
-    oldest_unsynced_ = std::chrono::steady_clock::now();
   }
   ++appends_;
   appended_bytes_ += frame.size();
-  if (options_.group_window_ms > 0.0 && !sync_inflight_ &&
-      file_offset_ - durable_offset_ >= options_.group_bytes) {
-    // group_bytes caps the unsynced-data exposure: a leader parked in
-    // its commit window re-checks the threshold only when woken, so the
-    // append that crosses it must wake the leader.
-    cv_.notify_all();
-  }
-  return ticket;
-}
-
-Status WalWriter::LeaderSyncLocked(std::unique_lock<std::mutex>& lock) {
-  sync_inflight_ = true;
-  const uint64_t target_ticket = last_ticket_;
-  const uint64_t target_offset = file_offset_;
-  lock.unlock();
 
   Status synced = Status::Ok();
   if (store_->injector() != nullptr) {
@@ -509,86 +487,26 @@ Status WalWriter::LeaderSyncLocked(std::unique_lock<std::mutex>& lock) {
   if (synced.ok() && ::fsync(fd_) != 0) {
     synced = Status::Internal("fsync failed on " + segment_path_);
   }
-
-  lock.lock();
-  sync_inflight_ = false;
-  if (synced.ok()) {
-    durable_ticket_ = std::max(durable_ticket_, target_ticket);
-    durable_offset_ = std::max(durable_offset_, target_offset);
-    ++fsyncs_;
-  } else {
-    // EIO on commit: the records since the last good fsync are in an
-    // unknown on-disk state and their acks must fail. Roll the tail
-    // back so an unacknowledged batch is never replayed, then poison —
-    // after a failed fsync the kernel may have dropped the dirty
-    // pages, and nothing appended later could be trusted either.
-    if (::ftruncate(fd_, static_cast<off_t>(durable_offset_)) == 0 &&
-        ::lseek(fd_, static_cast<off_t>(durable_offset_), SEEK_SET) ==
-            static_cast<off_t>(durable_offset_)) {
-      file_offset_ = durable_offset_;
-      poison_ = synced;
-    } else {
-      poison_ = Status::DataLoss("wal rollback failed after fsync error on " +
-                                 segment_path_);
-    }
+  if (!synced.ok()) {
+    // EIO on commit: the record is in an unknown on-disk state and its
+    // ack must fail. Roll it back so an unacknowledged batch is never
+    // replayed, then poison — after a failed fsync the kernel may have
+    // dropped the dirty pages, and nothing appended later could be
+    // trusted either.
+    poison_ = RollbackLocked()
+                  ? synced
+                  : Status::DataLoss(
+                        "wal rollback failed after fsync error on " +
+                        segment_path_);
+    return poison_;
   }
-  cv_.notify_all();
-  return poison_.ok() ? synced : poison_;
-}
-
-Status WalWriter::WaitDurable(uint64_t ticket) {
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    if (!poison_.ok()) return poison_;
-    if (durable_ticket_ >= ticket) return Status::Ok();
-    if (sync_inflight_) {
-      cv_.wait(lock);
-      continue;
-    }
-    // Leader: optionally hold the group window open so concurrent
-    // appenders can pile on, unless the byte threshold already tripped.
-    if (options_.group_window_ms > 0.0 &&
-        file_offset_ - durable_offset_ < options_.group_bytes) {
-      const auto deadline =
-          oldest_unsynced_ +
-          std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-              std::chrono::duration<double, std::milli>(
-                  options_.group_window_ms));
-      if (std::chrono::steady_clock::now() < deadline) {
-        cv_.wait_until(lock, deadline);
-        continue;
-      }
-    }
-    Status synced = LeaderSyncLocked(lock);
-    if (!synced.ok()) return synced;
-  }
-}
-
-Status WalWriter::AppendDurable(const UpdateBatch& batch, uint64_t epoch) {
-  Result<uint64_t> ticket = Append(batch, epoch);
-  if (!ticket.ok()) return ticket.status();
-  return WaitDurable(*ticket);
-}
-
-Status WalWriter::Sync() {
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    if (!poison_.ok()) return poison_;
-    if (durable_ticket_ >= last_ticket_) return Status::Ok();
-    if (sync_inflight_) {
-      cv_.wait(lock);
-      continue;
-    }
-    // Forced: no group window — rotation and shutdown want it now.
-    Status synced = LeaderSyncLocked(lock);
-    if (!synced.ok()) return synced;
-  }
+  file_offset_ += publish_len;
+  ++fsyncs_;
+  return Status::Ok();
 }
 
 Status WalWriter::Rotate(uint64_t new_base_epoch) {
-  Status synced = Sync();
-  if (!synced.ok()) return synced;
-  std::unique_lock<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   if (!poison_.ok()) return poison_;
   if (new_base_epoch < base_epoch_) {
     return Status::InvalidArgument(
@@ -607,7 +525,7 @@ Status WalWriter::Rotate(uint64_t new_base_epoch) {
 }
 
 WalWriter::Stats WalWriter::stats() const {
-  std::unique_lock<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   Stats s;
   s.appends = appends_;
   s.fsyncs = fsyncs_;

@@ -1,8 +1,6 @@
 #ifndef GIR_STORAGE_WAL_H_
 #define GIR_STORAGE_WAL_H_
 
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -42,16 +40,6 @@ namespace gir {
 constexpr uint32_t kWalMagic = 0x4C415747;        // "GWAL"
 constexpr uint32_t kWalCommitMagic = 0x57434D54;  // "TMCW"
 constexpr uint32_t kWalFormat = 1;
-
-// Group-commit knobs for WalWriter. The defaults sync on every ack
-// (window 0): a lone writer pays one fsync per batch, concurrent
-// writers still share the leader's fsync. A positive window trades ack
-// latency for fewer fsyncs; group_bytes caps how much unsynced data the
-// window may accumulate before the leader stops waiting.
-struct WalOptions {
-  double group_window_ms = 0.0;
-  uint64_t group_bytes = 256 * 1024;
-};
 
 // Directory-level view of a WAL: segment enumeration, committed-record
 // replay with torn-tail truncation and checkpoint truncation. It ships
@@ -159,17 +147,18 @@ class WalStore {
 };
 
 // Append side of the WAL: one writer per engine, one open segment.
-// Append() frames and writes the record (returning a commit ticket);
-// WaitDurable(ticket) blocks until a group-commit fsync covers it.
-// Thread-safe; concurrent WaitDurable callers elect a leader that
-// fsyncs once for every record appended so far.
+// AppendDurable frames, writes and fsyncs one record under the writer's
+// mutex, so every acknowledged batch costs exactly one fsync and the
+// segment holds no unsynced bytes between calls. Thread-safe: concurrent
+// callers serialize (the engine already appends under its update lock).
 //
 // Fault model: an injected torn/corrupt append leaves the damage on
 // disk and poisons the writer — the process is considered crashed
 // mid-write, every later call fails, and only recovery (which truncates
-// the damaged tail) can continue. An injected or real fsync failure
-// rolls the unsynced tail back (ftruncate to the last durable offset)
-// before failing, so a batch whose ack failed is never replayed.
+// the damaged tail) can continue. A failed write rolls the partial
+// frame back and fails only that ack. An injected or real fsync failure
+// rolls the record back (ftruncate to the last durable offset) and
+// poisons the writer, so a batch whose ack failed is never replayed.
 class WalWriter {
  public:
   // Opens (creating/truncating) the segment for `base_epoch` under
@@ -179,8 +168,7 @@ class WalWriter {
   // header; appends validate against it.
   static Result<std::unique_ptr<WalWriter>> Open(WalStore* store,
                                                  uint64_t base_epoch,
-                                                 uint64_t dim,
-                                                 WalOptions options = {});
+                                                 uint64_t dim);
 
   ~WalWriter();
 
@@ -190,62 +178,42 @@ class WalWriter {
   uint64_t base_epoch() const { return base_epoch_; }
   uint64_t dim() const { return dim_; }
 
-  // Frames and writes one record. Returns the commit ticket to pass to
-  // WaitDurable. Fails (without acking) on dimension mismatch, a write
-  // error, or an injected append fault.
-  Result<uint64_t> Append(const UpdateBatch& batch, uint64_t epoch);
-
-  // Blocks until every record with ticket <= `ticket` is fsync-durable.
-  Status WaitDurable(uint64_t ticket);
-
-  // Append + WaitDurable in one step — the engine's ack path.
+  // Frames, writes and fsyncs one record — the engine's ack path.
+  // Fails (without acking) on dimension mismatch, an epoch at or below
+  // the segment base, a write or fsync error, or an injected fault.
   Status AppendDurable(const UpdateBatch& batch, uint64_t epoch);
 
-  // Forces everything appended so far to disk (used before rotation).
-  Status Sync();
-
-  // Checkpoint rotation: syncs, closes the active segment and opens a
-  // fresh one based at `new_base_epoch`. The caller then truncates the
+  // Checkpoint rotation: closes the active segment and opens a fresh
+  // one based at `new_base_epoch`. The caller then truncates the
   // store. Fails if new_base_epoch < base_epoch().
   Status Rotate(uint64_t new_base_epoch);
 
   struct Stats {
     uint64_t appends = 0;
-    uint64_t fsyncs = 0;          // group commits actually issued
+    uint64_t fsyncs = 0;          // record fsyncs (one per ack)
     uint64_t appended_bytes = 0;
     uint64_t rotations = 0;
   };
   Stats stats() const;
 
  private:
-  WalWriter(WalStore* store, uint64_t dim, WalOptions options)
-      : store_(store), dim_(dim), options_(options) {}
+  WalWriter(WalStore* store, uint64_t dim) : store_(store), dim_(dim) {}
 
   // Opens segment `base` (O_TRUNC), writes + fsyncs the header and
   // fsyncs the directory. Requires mu_ (or pre-publication).
   Status OpenSegmentLocked(uint64_t base);
-  // Issues one group-commit fsync covering everything appended so far.
-  // Requires mu_; drops it around the fsync itself.
-  Status LeaderSyncLocked(std::unique_lock<std::mutex>& lock);
+  // Cuts the segment back to file_offset_ (ftruncate + lseek), dropping
+  // a partial or unsynced frame. Requires mu_.
+  bool RollbackLocked();
 
   WalStore* store_;
   const uint64_t dim_;
-  const WalOptions options_;
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;
   int fd_ = -1;
   uint64_t base_epoch_ = 0;
   std::string segment_path_;
-  // Commit tickets: next_ticket_ - 1 is the last appended record,
-  // durable_ticket_ the last one an fsync covers.
-  uint64_t next_ticket_ = 1;
-  uint64_t last_ticket_ = 0;
-  uint64_t durable_ticket_ = 0;
-  bool sync_inflight_ = false;
-  uint64_t file_offset_ = 0;     // bytes written to the segment
-  uint64_t durable_offset_ = 0;  // bytes covered by the last good fsync
-  std::chrono::steady_clock::time_point oldest_unsynced_;
+  uint64_t file_offset_ = 0;  // durable bytes of the segment
   // First unrecoverable failure (torn/corrupt append = simulated crash,
   // failed fsync rollback); every later call returns it.
   Status poison_ = Status::Ok();

@@ -125,10 +125,7 @@ Result<TopKResult> RunBrs(const FlatRTree& tree,
   thread_local BrsFrontierArena arena;
   arena.group.assign(1, BrsMultiQuery{weights, k});
   IoStats before = DiskManager::ThreadStats();
-  BrsMultiOptions options;
-  options.prefetch = false;  // one page per round: nothing to overlap
-  Status st = RunBrsMulti(tree, scoring, arena.group, &arena, &arena.results,
-                          nullptr, nullptr, options);
+  Status st = RunBrsMulti(tree, scoring, arena.group, &arena, &arena.results);
   if (!st.ok()) return st;
   TopKResult out = std::move(arena.results[0]);
   out.io = DiskManager::ThreadStats() - before;
@@ -138,8 +135,7 @@ Result<TopKResult> RunBrs(const FlatRTree& tree,
 Status RunBrsMulti(const FlatRTree& tree, const ScoringFunction& scoring,
                    const std::vector<BrsMultiQuery>& queries,
                    BrsFrontierArena* arena, std::vector<TopKResult>* out,
-                   BrsMultiStats* stats, std::vector<Status>* statuses,
-                   const BrsMultiOptions& options) {
+                   BrsMultiStats* stats, std::vector<Status>* statuses) {
   const size_t m = queries.size();
   const size_t dim = tree.dataset().dim();
   for (const BrsMultiQuery& q : queries) {
@@ -230,23 +226,6 @@ Status RunBrsMulti(const FlatRTree& tree, const ScoringFunction& scoring,
                 return a.page != b.page ? a.page < b.page
                                         : a.query < b.query;
               });
-    // Async frontier prefetch (arena-backed images): the sorted demands
-    // are exactly this round's union page set, so hand the not-yet
-    // fetched ones to the kernel's readahead in one pass before any
-    // page is touched — the early pages' SIMD scoring then overlaps the
-    // later pages' I/O.
-    if (options.prefetch && tree.arena_backed()) {
-      arena->prefetch_pages.clear();
-      for (size_t d = 0; d < arena->demands.size(); ++d) {
-        const PageId page = arena->demands[d].page;
-        if (d > 0 && arena->demands[d - 1].page == page) continue;
-        if (arena->visit_stamp[page] == arena->serial) continue;
-        arena->prefetch_pages.push_back(page);
-      }
-      tree.PrefetchPages(arena->prefetch_pages.data(),
-                         arena->prefetch_pages.size());
-      stats->prefetch_issued += arena->prefetch_pages.size();
-    }
     size_t i = 0;
     while (i < arena->demands.size()) {
       const PageId page = arena->demands[i].page;
@@ -261,11 +240,7 @@ Status RunBrsMulti(const FlatRTree& tree, const ScoringFunction& scoring,
       }
       const bool first_touch = arena->visit_stamp[page] != arena->serial;
       if (first_touch) {
-        bool resident = true;
-        Status read = tree.FetchPage(page, &resident);
-        if (read.ok() && tree.arena_backed()) {
-          ++(resident ? stats->prefetch_hits : stats->prefetch_misses);
-        }
+        Status read = tree.FetchPage(page);
         if (!read.ok()) {
           // Degrade exactly the queries demanding this page; the rest
           // of the group keeps running (their pages fetch

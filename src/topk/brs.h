@@ -99,22 +99,6 @@ struct BrsMultiStats {
   uint64_t rounds = 0;         // lockstep expansion rounds
   uint64_t node_expansions = 0;  // (query, node) pairs expanded
   uint64_t read_faults = 0;    // page fetches failed by the fault plan
-  // Frontier prefetch over an mmap'd arena (all zero on heap images):
-  // pages madvise'd ahead of their round, and of this group's unique
-  // fetches, how many found their mapped page already resident vs. had
-  // to fault it in synchronously.
-  uint64_t prefetch_issued = 0;
-  uint64_t prefetch_hits = 0;
-  uint64_t prefetch_misses = 0;
-};
-
-// Per-call knobs of the shared-traversal executor.
-struct BrsMultiOptions {
-  // Issue madvise(MADV_WILLNEED) for a round's whole union page set
-  // before fetching/scoring its first page, so the kernel's readahead
-  // overlaps the round's SIMD scoring. Only acts on arena-backed
-  // images; never changes results, only page-in timing.
-  bool prefetch = true;
 };
 
 // Pooled scratch of the shared-traversal executor, recycled across
@@ -147,7 +131,6 @@ struct BrsFrontierArena {
   std::vector<uint32_t> visit_stamp;  // per page: serial of last visit
   uint32_t serial = 0;
   std::vector<Demand> demands;      // one round's (page, query) pairs
-  std::vector<PageId> prefetch_pages;  // round's unique unfetched pages
   std::vector<VecView> weight_rows;  // gathered weights of one page run
   std::vector<uint32_t> run_queries;  // query index per weight row
   std::vector<uint32_t> charged;    // per query: node expansions so far
@@ -197,8 +180,7 @@ Status RunBrsMulti(const FlatRTree& tree, const ScoringFunction& scoring,
                    const std::vector<BrsMultiQuery>& queries,
                    BrsFrontierArena* arena, std::vector<TopKResult>* out,
                    BrsMultiStats* stats = nullptr,
-                   std::vector<Status>* statuses = nullptr,
-                   const BrsMultiOptions& options = {});
+                   std::vector<Status>* statuses = nullptr);
 
 }  // namespace gir
 

@@ -6,8 +6,8 @@
 // flipped byte) are rejected at open by checksum and skipped by
 // directory recovery; CRC-valid arenas whose node structure is broken
 // are rejected by FromArena, read-only or updatable; epoch advance on a follower is one
-// validated pointer swap; and the frontier prefetcher's counters fire
-// only on the mapped image under shared traversal.
+// validated pointer swap; and shared traversal over the mapped image
+// matches the heap image in top-k and charged reads.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -301,17 +301,15 @@ TEST(ArenaMmapTest, AdvanceToArenaSwapsEpochsInPlace) {
   EXPECT_EQ(follower->dataset_version(), 1u);
 }
 
-// Frontier prefetch: shared traversal over the mapped image issues
-// madvise readahead and accounts every unique first touch as a hit or a
-// miss; turning ExecPolicy::prefetch off zeroes the issue counter; and
-// the heap-resident image never counts anything. Results stay
-// bit-identical throughout.
-TEST(ArenaMmapTest, PrefetchCountersFireOnlyOnMappedImage) {
+// Shared traversal (the batch engine's grouped RunBrsMulti path) over
+// the mapped image returns the heap image's top-k and charges the same
+// reads, per query and per batch.
+TEST(ArenaMmapTest, SharedTraversalMatchesHeapOnMappedImage) {
   Dataset data = MakeDist("IND", 400, 3, kDataSeed + 4);
   DiskManager heap_disk;
   auto heap = OpenEngineOrDie(EngineConfig::FromDataset(
       &data, &heap_disk, MakeScoring("Linear", 3)));
-  const std::string dir = FreshDir("arena_prefetch");
+  const std::string dir = FreshDir("arena_shared");
   SnapshotStore store(dir);
   ASSERT_TRUE(store.WriteArena(heap->flat_tree(), 0).ok());
   DiskManager mmap_disk;
@@ -342,35 +340,17 @@ TEST(ArenaMmapTest, PrefetchCountersFireOnlyOnMappedImage) {
     EXPECT_EQ(want->items[i].topk, got->items[i].topk) << "query " << i;
     EXPECT_EQ(want->items[i].reads, got->items[i].reads) << "query " << i;
   }
-
-  // Heap image: the prefetcher has nothing to readahead into.
-  EXPECT_EQ(want->stats.prefetch_issued, 0u);
-  EXPECT_EQ(want->stats.prefetch_hits + want->stats.prefetch_misses, 0u);
-  // Mapped image: readahead was issued and every unique physical fetch
-  // was classified as resident-or-faulted.
-  EXPECT_GT(got->stats.prefetch_issued, 0u);
-  EXPECT_GT(got->stats.prefetch_hits + got->stats.prefetch_misses, 0u);
-
-  ExecPolicy quiet = opts.exec;
-  quiet.prefetch = false;
-  auto off = mmap_batch.ComputeBatch(weights, 10, Phase2Method::kFP, quiet);
-  ASSERT_TRUE(off.ok());
-  EXPECT_EQ(off->stats.prefetch_issued, 0u);
-  for (size_t i = 0; i < off->items.size(); ++i) {
-    EXPECT_EQ(off->items[i].topk, got->items[i].topk) << "query " << i;
-  }
+  EXPECT_EQ(want->stats.charged_reads, got->stats.charged_reads);
+  EXPECT_EQ(want->stats.amortized_reads, got->stats.amortized_reads);
 }
 
-// The arena file itself round-trips its geometry, and its resident-set
-// controls (the larger-than-RAM serving lever) behave: Evict drops
-// residency, TouchNode faults a page back in and reports the prior
-// state, PrefetchNodes is at worst advisory.
-TEST(ArenaMmapTest, ArenaFileResidencyControls) {
+// The arena file itself round-trips its geometry.
+TEST(ArenaMmapTest, ArenaFileRoundTripsItsGeometry) {
   Dataset data = MakeDist("IND", 300, 3, kDataSeed + 5);
   DiskManager disk;
   auto engine = OpenEngineOrDie(
       EngineConfig::FromDataset(&data, &disk, MakeScoring("Linear", 3)));
-  const std::string dir = FreshDir("arena_resident");
+  const std::string dir = FreshDir("arena_geometry");
   SnapshotStore store(dir);
   auto wrote = store.WriteArena(engine->flat_tree(), 7);
   ASSERT_TRUE(wrote.ok());
@@ -384,17 +364,6 @@ TEST(ArenaMmapTest, ArenaFileResidencyControls) {
   EXPECT_GT(arena.node_count(), 0u);
   EXPECT_GE(arena.root(), 0);
   EXPECT_EQ(arena.file_bytes() % kArenaAlign, 0u);
-
-  arena.Evict();
-  // A first touch after eviction must fault the page in; afterwards the
-  // same node reports resident.
-  const PageId root = static_cast<PageId>(arena.root());
-  arena.TouchNode(root);
-  EXPECT_TRUE(arena.TouchNode(root));
-  EXPECT_GT(arena.ResidentBytes(), 0u);
-
-  PageId pages[1] = {root};
-  arena.PrefetchNodes(pages, 1);  // advisory; must not crash or throw
 }
 
 // ----- structure a checksum cannot vouch for -----

@@ -277,7 +277,7 @@ TEST(ChaosReplayTest, PostChaosStateSurvivesCrashAndRecovery) {
 
 // WAL crash-point sweep: a single injected fault — torn append, corrupt
 // append, or fsync EIO — is walked across every commit ordinal (killing
-// the writer before, during and after each group commit in turn). For
+// the writer before, during and after each record's commit in turn). For
 // every crash point, recovery from the epoch-0 checkpoint arena + WAL
 // must reproduce exactly the acknowledged prefix: every acked batch
 // survives bit-identically, no batch whose ack failed is ever replayed.
@@ -336,7 +336,7 @@ TEST(ChaosReplayTest, WalCrashPointSweepPreservesExactlyTheAckedPrefix) {
       DiskManager disk;
       auto engine = OpenEngineOrDie(
           EngineConfig::FromDataset(&*data, &disk, MakeScoring("Linear", d))
-              .WithWal(wal_dir, WalOptions{}, &fi));
+              .WithWal(wal_dir, &fi));
       SnapshotStore store(snap_dir);
       ASSERT_TRUE(engine->Checkpoint(&store).ok());
 

@@ -272,61 +272,6 @@ TEST(SimdDispatchTest, RangeQueryMaskIdentical) {
   }
 }
 
-// The batched min/max-dot plane sweeps (general-sign weights) against
-// the scalar per-box Mbb::MaxDot accumulation order.
-TEST(SimdDispatchTest, MinMaxDotPlanesBitIdentical) {
-  TierGuard guard;
-  const std::vector<simd::Tier> tiers = AvailableTiers();
-  Rng rng(2014);
-  for (size_t d = 2; d <= 10; ++d) {
-    const size_t n = 133;  // deliberately not a multiple of the lanes
-    std::vector<std::vector<double>> lo(d), hi(d);
-    for (size_t j = 0; j < d; ++j) {
-      lo[j].resize(n);
-      hi[j].resize(n);
-      for (size_t e = 0; e < n; ++e) {
-        double a = rng.Uniform();
-        double b = rng.Uniform();
-        lo[j][e] = std::min(a, b);
-        hi[j][e] = std::max(a, b);
-      }
-    }
-    Vec w(d);
-    for (double& x : w) x = rng.Uniform(-1.0, 1.0);  // general sign
-
-    simd::ForceTier(simd::Tier::kScalar);
-    std::vector<double> max_ref(n, 0.0), min_ref(n, 0.0);
-    for (size_t j = 0; j < d; ++j) {
-      simd::MaxDotPlane(w[j], lo[j].data(), hi[j].data(), max_ref.data(), n);
-      simd::MinDotPlane(w[j], lo[j].data(), hi[j].data(), min_ref.data(), n);
-    }
-    // Per-box scalar cross-check: same value as Mbb::MaxDot.
-    for (size_t e = 0; e < n; ++e) {
-      Mbb box = Mbb::EmptyBox(d);
-      for (size_t j = 0; j < d; ++j) {
-        box.lo[j] = lo[j][e];
-        box.hi[j] = hi[j][e];
-      }
-      EXPECT_EQ(max_ref[e], box.MaxDot(w));
-    }
-
-    for (simd::Tier tier : tiers) {
-      simd::ForceTier(tier);
-      std::vector<double> max_got(n, 0.0), min_got(n, 0.0);
-      for (size_t j = 0; j < d; ++j) {
-        simd::MaxDotPlane(w[j], lo[j].data(), hi[j].data(), max_got.data(),
-                          n);
-        simd::MinDotPlane(w[j], lo[j].data(), hi[j].data(), min_got.data(),
-                          n);
-      }
-      for (size_t e = 0; e < n; ++e) {
-        ASSERT_EQ(max_got[e], max_ref[e]) << simd::TierName(tier);
-        ASSERT_EQ(min_got[e], min_ref[e]) << simd::TierName(tier);
-      }
-    }
-  }
-}
-
 // FP's per-leaf group-test kernel: every tier returns the verdicts of
 // IncidentStar::Insert's scalar point test (dot = 0; dot += n_j * x_j;
 // dot - offset > eps), including points placed on a facet, pools that

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -121,7 +120,7 @@ TEST(WalStoreTest, RoundTripReplaysCommittedRecordsPastAnEpoch) {
   ASSERT_TRUE((*writer)->AppendDurable(b3, 3).ok());
   const WalWriter::Stats stats = (*writer)->stats();
   EXPECT_EQ(stats.appends, 3u);
-  EXPECT_GE(stats.fsyncs, 1u);  // window 0: every ack is covered
+  EXPECT_EQ(stats.fsyncs, 3u);  // one fsync per ack
   writer->reset();
 
   auto log = store.ReadCommitted(0);
@@ -322,13 +321,14 @@ TEST(WalStoreTest, TornTailInAnOlderSegmentDoesNotHideNewerSegments) {
   EXPECT_EQ(noop->removed_segments, 0u);
 }
 
-// ----- group commit -----
+// ----- concurrent appenders -----
 
-TEST(WalWriterTest, GroupCommitSharesFsyncsAcrossConcurrentAppenders) {
-  WalStore store(FreshDir("wal_group"));
-  WalOptions options;
-  options.group_window_ms = 2.0;
-  auto writer = WalWriter::Open(&store, 0, /*dim=*/2, options);
+// AppendDurable serializes its callers: eight threads appending in
+// epoch order (the test's lock stands in for the engine's update lock)
+// each get their own fsync, and every acked record replays.
+TEST(WalWriterTest, ConcurrentAppendDurableFsyncsEveryAck) {
+  WalStore store(FreshDir("wal_concurrent"));
+  auto writer = WalWriter::Open(&store, 0, /*dim=*/2);
   ASSERT_TRUE(writer.ok());
 
   constexpr size_t kThreads = 8;
@@ -343,17 +343,8 @@ TEST(WalWriterTest, GroupCommitSharesFsyncsAcrossConcurrentAppenders) {
       for (size_t i = 0; i < kPerThread; ++i) {
         UpdateBatch b;
         b.inserts = {{0.5, 0.5}};
-        uint64_t ticket = 0;
-        {
-          std::lock_guard<std::mutex> lock(epoch_mu);
-          Result<uint64_t> appended = (*writer)->Append(b, ++next_epoch);
-          if (!appended.ok()) {
-            ++failures;
-            continue;
-          }
-          ticket = *appended;
-        }
-        if (!(*writer)->WaitDurable(ticket).ok()) ++failures;
+        std::lock_guard<std::mutex> lock(epoch_mu);
+        if (!(*writer)->AppendDurable(b, ++next_epoch).ok()) ++failures;
       }
     });
   }
@@ -362,9 +353,7 @@ TEST(WalWriterTest, GroupCommitSharesFsyncsAcrossConcurrentAppenders) {
 
   const WalWriter::Stats stats = (*writer)->stats();
   EXPECT_EQ(stats.appends, kThreads * kPerThread);
-  // The whole point of the window: strictly fewer fsyncs than acks.
-  EXPECT_LT(stats.fsyncs, stats.appends);
-  EXPECT_GE(stats.fsyncs, 1u);
+  EXPECT_EQ(stats.fsyncs, stats.appends);
   writer->reset();
 
   auto log = store.ReadCommitted(0);
@@ -372,46 +361,6 @@ TEST(WalWriterTest, GroupCommitSharesFsyncsAcrossConcurrentAppenders) {
   EXPECT_EQ(log->records.size(), kThreads * kPerThread);
   EXPECT_EQ(log->tail_epoch, kThreads * kPerThread);
   EXPECT_EQ(log->torn_truncated, 0u);
-}
-
-// group_bytes must cut a long commit window short: once the unsynced
-// bytes cross the threshold, a parked leader wakes and syncs instead of
-// sleeping out the window. The 10 s window here would fail the test by
-// timeout arithmetic alone if the threshold wakeup were lost.
-TEST(WalWriterTest, ByteThresholdCutsTheCommitWindowShort) {
-  WalStore store(FreshDir("wal_group_bytes"));
-  WalOptions options;
-  options.group_window_ms = 10000.0;
-  options.group_bytes = 100;  // each frame below is 56 bytes
-  auto writer = WalWriter::Open(&store, 0, /*dim=*/2, options);
-  ASSERT_TRUE(writer.ok());
-
-  UpdateBatch b;
-  b.inserts = {{0.5, 0.5}};
-  const auto start = std::chrono::steady_clock::now();
-  Result<uint64_t> t1 = (*writer)->Append(b, 1);
-  ASSERT_TRUE(t1.ok());
-  std::thread leader([&] {
-    // Parks in the window (56 < 100 unsynced bytes) until the second
-    // append trips the threshold.
-    EXPECT_TRUE((*writer)->WaitDurable(*t1).ok());
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  Result<uint64_t> t2 = (*writer)->Append(b, 2);
-  ASSERT_TRUE(t2.ok());
-  EXPECT_TRUE((*writer)->WaitDurable(*t2).ok());
-  leader.join();
-  const double elapsed_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - start)
-          .count();
-  EXPECT_LT(elapsed_ms, 5000.0);  // far below the 10 s window
-  EXPECT_GE((*writer)->stats().fsyncs, 1u);
-  writer->reset();
-
-  auto log = store.ReadCommitted(0);
-  ASSERT_TRUE(log.ok());
-  EXPECT_EQ(log->records.size(), 2u);
 }
 
 // ----- engine integration: ack durability, crash recovery -----
@@ -563,11 +512,11 @@ TEST(WalEngineTest, FsyncErrorFailsTheAckAndTheBatchIsNeverReplayed) {
   FaultPlan plan;
   plan.seed = 77;
   plan.wal_fsync_error_rate = 1.0;
-  plan.skip_ops = 1;  // first group commit clean, second fails
+  plan.skip_ops = 1;  // first commit clean, second fails
   FaultInjector fi(plan);
   auto engine = OpenEngineOrDie(
       EngineConfig::FromDataset(&data, &disk, MakeScoring("Linear", d))
-          .WithWal(wal_dir, WalOptions{}, &fi));
+          .WithWal(wal_dir, &fi));
 
   ASSERT_TRUE(engine->ApplyUpdates(MixedBatch(1, d)).ok());
   const size_t live_before = data.live_size();
@@ -604,7 +553,7 @@ TEST(WalEngineTest, TornAppendFailsTheAckAndRecoveryTruncatesTheTail) {
   FaultInjector fi(plan);
   auto engine = OpenEngineOrDie(
       EngineConfig::FromDataset(&data, &disk, MakeScoring("Linear", d))
-          .WithWal(wal_dir, WalOptions{}, &fi));
+          .WithWal(wal_dir, &fi));
   ASSERT_TRUE(engine->ApplyUpdates(MixedBatch(1, d)).ok());
   SnapshotStore store(snap_dir);
   ASSERT_TRUE(engine->Checkpoint(&store).ok());
@@ -654,7 +603,7 @@ TEST(WalEngineTest, AckedBatchAfterTornTailRecoverySurvivesASecondCrash) {
   FaultInjector fi(plan);
   auto engine = OpenEngineOrDie(
       EngineConfig::FromDataset(&data, &disk, MakeScoring("Linear", d))
-          .WithWal(wal_dir, WalOptions{}, &fi));
+          .WithWal(wal_dir, &fi));
   ASSERT_TRUE(engine->ApplyUpdates(MixedBatch(1, d)).ok());
   SnapshotStore store(snap_dir);
   ASSERT_TRUE(engine->Checkpoint(&store).ok());
